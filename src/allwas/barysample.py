@@ -11,7 +11,7 @@ against imbalance. Everything is deterministic for a fixed config seed.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

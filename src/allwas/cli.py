@@ -22,7 +22,7 @@ from dataclasses import replace
 from .data import FeaturizerConfig, SynthSpec, export_jsonl, ingest_jsonl, make_synthetic
 from .errors import AllwasError, ConfigError, DataError
 from .harness import ExperimentConfig, run_experiment, run_sweep
-from .report import load_records, paired_f1, report, significance_table
+from .report import load_records, paired_f1, report
 from .stats import bonferroni, wilcoxon_signed_rank
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,8 +29,19 @@ logger = logging.getLogger(__name__)
 # Pools above this size are subsampled before the quadratic pair sweep.
 DEFAULT_SUBSAMPLE_CAP = 2000
 
-# Cap on batch-buffer elements per Sinkhorn sweep (memory guard).
-_CHUNK_ELEMENTS = 20_000_000
+# Byte budget for one chunk of pair problems (memory guard).
+_CHUNK_BYTES = 64 * 2**20
+
+
+def _pairs_per_chunk(c: int, h: int) -> int:
+    """Pairs whose working arrays fit in ``_CHUNK_BYTES``.
+
+    Per pair: the two (C, H) support gathers plus one (C, H) square
+    temporary, and about ten (C, C) float arrays (the einsum, the cost
+    terms, the Sinkhorn kernel, its work buffer and the plans).
+    """
+    per_pair = 8 * (3 * c * h + 10 * c * c)
+    return max(1, _CHUNK_BYTES // per_pair)
 
 
 @dataclass(frozen=True)
@@ -63,6 +74,7 @@ class DistanceMatrix:
 
     entries: np.ndarray
     ids: tuple
+    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=np.float64)
@@ -77,6 +89,10 @@ class DistanceMatrix:
             raise AllwasError("distance matrix must be symmetric")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "ids", tuple(self.ids))
+        index = {}
+        for i, sample_id in enumerate(self.ids):
+            index.setdefault(sample_id, i)
+        object.__setattr__(self, "_index", index)
 
     @property
     def n(self) -> int:
@@ -84,8 +100,8 @@ class DistanceMatrix:
 
     def index_of(self, sample_id) -> int:
         try:
-            return self.ids.index(sample_id)
-        except ValueError:
+            return self._index[sample_id]
+        except KeyError:
             raise AllwasError(f"sample id {sample_id!r} not in distance matrix") from None
 
 
@@ -139,8 +155,9 @@ def pairwise_wasserstein(
     with np.errstate(divide="ignore"):
         log_w = np.log(weights)
 
-    chunk = max(1, _CHUNK_ELEMENTS // (c * c))
+    chunk = _pairs_per_chunk(c, h)
     costs_out = np.empty(len(iu))
+    unconverged = 0
     for start in range(0, len(iu), chunk):
         si, sj = iu[start:start + chunk], ju[start:start + chunk]
         xa, xb = supports[si], supports[sj]
@@ -157,11 +174,14 @@ def pairwise_wasserstein(
             eps_arr = np.maximum(EPS_MEDIAN_SCALE * med, EPS_FLOOR)
         else:
             eps_arr = np.full(len(si), float(eps))
-        plans, _, _, _, _ = sinkhorn_plans_batched(
+        plans, err, _, _, _ = sinkhorn_plans_batched(
             log_w[si], log_w[sj], cost, eps_arr, max_iter=max_iter, tol=tol)
+        unconverged += int(np.count_nonzero(err > tol))
         vals = np.einsum("bcd,bcd->b", plans, cost)
         vals[same] = 0.0
         costs_out[start:start + chunk] = vals
+    logger.debug("pairwise_wasserstein: %d pairs in %d chunks, unconverged %.4f",
+                 len(iu), -(-len(iu) // chunk), unconverged / len(iu))
 
     entries[iu, ju] = costs_out
     entries[ju, iu] = costs_out

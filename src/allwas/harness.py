@@ -36,7 +36,7 @@ from .data import (
     make_synthetic,
     train_val_split,
 )
-from .errors import AllwasError, ConfigError, DataError
+from .errors import AllwasError, ConfigError
 from .model import ClassifierHead, predict_proba_batch, train
 from .seeding import derive_seed
 from .stats import f1_macro, f1_target

@@ -15,7 +15,7 @@ the transport-based acquisition strategy.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 

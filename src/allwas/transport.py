@@ -11,7 +11,7 @@ distance proper take the root themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -155,14 +155,46 @@ def default_epsilon(cost_entries: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _lse(x: np.ndarray, axis: int) -> np.ndarray:
-    """Log-sum-exp stable against -inf blocks (zero-weight padding)."""
-    m = np.max(x, axis=axis, keepdims=True)
-    m_safe = np.where(np.isfinite(m), m, 0.0)
-    s = np.sum(np.exp(x - m_safe), axis=axis, keepdims=True)
-    with np.errstate(divide="ignore"):
-        out = m_safe + np.log(s)
-    return np.squeeze(out, axis=axis)
+# Floor for exp() arguments in the Sinkhorn kernel. numpy's vectorised exp
+# drops to a scalar path, several times slower, for -inf arguments and for
+# arguments whose result underflows (below about -708). A floored term is
+# under e^-700 < 1e-304.
+_EXP_FLOOR = -700.0
+
+
+def _sum_lead(x: np.ndarray, axis: int) -> np.ndarray:
+    """Sum of a batch-last array over a leading axis, in index order.
+
+    Every batch lane gets the same sequence of additions whatever the batch
+    size, so a problem's result does not depend on the batch it sits in.
+    """
+    parts = np.moveaxis(x, axis, 0)
+    acc = parts[0].copy()
+    for part in parts[1:]:
+        acc += part
+    return acc
+
+
+def _lse_lead(work: np.ndarray, axis: int) -> np.ndarray:
+    """Log-sum-exp of a batch-last array over a leading axis; overwrites
+    ``work``. A slice that is all -inf (zero-weight padding) gives -inf."""
+    top = work.max(axis=axis)
+    finite = np.isfinite(top)
+    shift = np.where(finite, top, 0.0)
+    np.subtract(work, np.expand_dims(shift, axis), out=work)
+    np.maximum(work, _EXP_FLOOR, out=work)
+    np.exp(work, out=work)
+    out = np.log(_sum_lead(work, axis))
+    out += shift
+    out[~finite] = -np.inf
+    return out
+
+
+def _marginal_error(plans: np.ndarray, a_w: np.ndarray, b_w: np.ndarray) -> np.ndarray:
+    """Per-lane max marginal violation of batch-last plans (n, m, B)."""
+    row_err = np.abs(_sum_lead(plans, 1) - a_w).max(axis=0)
+    col_err = np.abs(_sum_lead(plans, 0) - b_w).max(axis=0)
+    return np.maximum(row_err, col_err)
 
 
 # A nearly-feasible iterate is projected onto the transport polytope only
@@ -176,18 +208,18 @@ _ROUND_GATE = 1e-4
 def _round_to_polytope(plans: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Rescale rows/cols below their marginals, then patch the deficit
     with a rank-one correction; the result satisfies both marginals exactly
-    up to float roundoff."""
-    row = plans.sum(axis=2)
+    up to float roundoff. Batch-last: plans (n, m, B), a (n, B), b (m, B)."""
+    row = _sum_lead(plans, 1)
     x = np.where(row > 0, np.minimum(a / np.where(row > 0, row, 1.0), 1.0), 1.0)
-    plans = plans * x[:, :, None]
-    col = plans.sum(axis=1)
+    plans = plans * x[:, None, :]
+    col = _sum_lead(plans, 0)
     y = np.where(col > 0, np.minimum(b / np.where(col > 0, col, 1.0), 1.0), 1.0)
-    plans = plans * y[:, None, :]
-    err_a = np.clip(a - plans.sum(axis=2), 0.0, None)
-    err_b = np.clip(b - plans.sum(axis=1), 0.0, None)
-    deficit = err_a.sum(axis=1)
+    plans = plans * y[None, :, :]
+    err_a = np.clip(a - _sum_lead(plans, 1), 0.0, None)
+    err_b = np.clip(b - _sum_lead(plans, 0), 0.0, None)
+    deficit = _sum_lead(err_a, 0)
     scale = np.where(deficit > 0, 1.0 / np.where(deficit > 0, deficit, 1.0), 0.0)
-    return plans + err_a[:, :, None] * err_b[:, None, :] * scale[:, None, None]
+    return plans + err_a[:, None, :] * err_b[None, :, :] * scale
 
 
 def sinkhorn_plans_batched(
@@ -211,6 +243,21 @@ def sinkhorn_plans_batched(
     ``f_init``/``g_init`` warm-start the dual potentials, useful when
     re-solving a slightly perturbed problem (barycenter fixed points).
 
+    Internally the batch is the last, contiguous axis: the kernel is held
+    as (n, m, B) and the potentials as (n, B) and (m, B), so each
+    half-iteration's log-sum-exp reduces over a leading axis and runs
+    numpy's inner loops along the batch rather than along 2-12-atom rows.
+    Each half-iteration writes into one work buffer per solve, remade only
+    when converged problems leave the active set. Sums run in index order
+    per lane, so a problem's result does not depend on its batch.
+
+    Arguments of exp() are floored at -700 (numpy's exp is several times
+    slower on -inf and on arguments that underflow). Inside a log-sum-exp
+    every slice is shifted by its max, so it holds a term e^0 = 1 and the
+    floored terms, each below 1e-304, do not change the sum; an all -inf
+    slice still gives -inf. When a plan is materialised, cells below the
+    floor are set to exactly 0, so padded cells are exact zeros.
+
     The final iterate is projected onto the transport polytope when its
     marginal violation is already small, so returned plans satisfy the
     marginals to machine precision even when the tail of the iteration is
@@ -221,83 +268,71 @@ def sinkhorn_plans_batched(
     log_a = np.asarray(log_a, dtype=np.float64)
     log_b = np.asarray(log_b, dtype=np.float64)
     cost = np.asarray(cost, dtype=np.float64)
-    eps_arr = np.broadcast_to(
-        np.asarray(eps, dtype=np.float64).reshape(-1, 1, 1)
-        if np.ndim(eps) else np.full((1, 1, 1), float(eps)),
-        (cost.shape[0], 1, 1),
-    )
-    if np.any(eps_arr <= 0):
+    nbatch, n, m = cost.shape
+    eps_b = np.broadcast_to(np.asarray(eps, dtype=np.float64).reshape(-1), (nbatch,))
+    if np.any(eps_b <= 0):
         raise ConfigError("entropic regularization eps must be positive")
 
-    nbatch = cost.shape[0]
-    plans_out = np.zeros_like(cost)
+    kern = np.empty((n, m, nbatch))
+    np.divide(cost.transpose(1, 2, 0), -eps_b, out=kern)
+    plans_out = np.zeros_like(kern)
     err_out = np.full(nbatch, np.inf)
+    la, lb = np.ascontiguousarray(log_a.T), np.ascontiguousarray(log_b.T)
+    a_w, b_w = np.exp(la), np.exp(lb)
     # Potentials are carried in eps-scaled form (f / eps); warm starts and
-    # returns use the same convention.
-    u_out = np.zeros_like(log_a) if f_init is None else f_init.copy()
-    v_out = np.zeros_like(log_b) if g_init is None else g_init.copy()
+    # returns use the same convention. A cold start gives padded target
+    # atoms -inf, so padding does not enter even the first half-iteration.
+    u_out = np.zeros((n, nbatch)) if f_init is None else np.array(f_init, dtype=np.float64).T
+    v_out = (np.where(np.isfinite(lb), 0.0, -np.inf) if g_init is None
+             else np.array(g_init, dtype=np.float64).T)
 
     # Active-set working copies: converged problems are frozen and dropped
     # from subsequent sweeps so slow stragglers do not cost the whole batch.
     active = np.arange(nbatch)
-    la, lb = log_a, log_b
-    kern = -cost / eps_arr
     u, v = u_out.copy(), v_out.copy()
-    a_w, b_w = np.exp(log_a), np.exp(log_b)
-
-    # Few-atom axes reduce via chained logaddexp, the hot path for pairwise
-    # distances between per-class gradient measures (2-4 classes).
-    m_small = cost.shape[2] <= 4
-    n_small = cost.shape[1] <= 4
-
-    def _chain_cols(slices):
-        acc = slices[0]
-        for part in slices[1:]:
-            acc = np.logaddexp(acc, part)
-        return acc
+    work = np.empty_like(kern)
 
     it = 0
     while it < max_iter and active.size:
         it += 1
-        if m_small:
-            u = la - _chain_cols([kern[:, :, j] + v[:, j][:, None]
-                                  for j in range(cost.shape[2])])
-        else:
-            u = la - _lse(kern + v[:, None, :], axis=2)
-        if n_small:
-            v = lb - _chain_cols([kern[:, j, :] + u[:, j][:, None]
-                                  for j in range(cost.shape[1])])
-        else:
-            v = lb - _lse(kern + u[:, :, None], axis=1)
+        np.add(kern, v[None, :, :], out=work)
+        u = la - _lse_lead(work, axis=1)
+        np.add(kern, u[:, None, :], out=work)
+        v = lb - _lse_lead(work, axis=0)
         # Marginal checks materialize the plan; only do so periodically.
         if it % check_every == 0 or it == max_iter:
-            plans = np.exp(kern + u[:, :, None] + v[:, None, :])
-            row_err = np.abs(plans.sum(axis=2) - a_w).max(axis=1)
-            col_err = np.abs(plans.sum(axis=1) - b_w).max(axis=1)
-            err = np.maximum(row_err, col_err)
+            np.add(kern, u[:, None, :], out=work)
+            work += v[None, :, :]
+            below = work < _EXP_FLOOR
+            np.maximum(work, _EXP_FLOOR, out=work)
+            np.exp(work, out=work)
+            np.copyto(work, 0.0, where=below)
+            err = _marginal_error(work, a_w, b_w)
             done = err < tol
             if it == max_iter:
                 done = np.ones_like(done)
             if np.any(done):
                 idx = active[done]
-                plans_out[idx] = plans[done]
+                plans_out[:, :, idx] = work[:, :, done]
                 err_out[idx] = err[done]
-                u_out[idx] = u[done]
-                v_out[idx] = v[done]
+                u_out[:, idx] = u[:, done]
+                v_out[:, idx] = v[:, done]
                 keep = ~done
                 active = active[keep]
-                la, lb, kern = la[keep], lb[keep], kern[keep]
-                a_w, b_w = a_w[keep], b_w[keep]
-                u, v = u[keep], v[keep]
+                # compress() keeps the batch axis contiguous; fancy indexing
+                # on the last axis would not.
+                kern, la, lb, a_w, b_w, u, v = (
+                    np.compress(keep, x, axis=-1) for x in (kern, la, lb, a_w, b_w, u, v))
+                work = np.empty_like(kern)
 
-    near = err_out <= _ROUND_GATE
-    if np.any(near):
-        rounded = _round_to_polytope(plans_out, np.exp(log_a), np.exp(log_b))
-        plans_out = np.where(near[:, None, None], rounded, plans_out)
-        row_err = np.abs(plans_out.sum(axis=2) - np.exp(log_a)).max(axis=1)
-        col_err = np.abs(plans_out.sum(axis=1) - np.exp(log_b)).max(axis=1)
-        err_out = np.maximum(row_err, col_err)
-    return plans_out, err_out, it, u_out, v_out
+    near = np.flatnonzero(err_out <= _ROUND_GATE)
+    if near.size:
+        a_w, b_w = np.exp(log_a.T), np.exp(log_b.T)
+        plans_out[:, :, near] = _round_to_polytope(
+            *(np.take(x, near, axis=-1) for x in (plans_out, a_w, b_w)))
+        err_out = _marginal_error(plans_out, a_w, b_w)
+    return (np.ascontiguousarray(plans_out.transpose(2, 0, 1)), err_out, it,
+            np.ascontiguousarray(u_out.T), np.ascontiguousarray(v_out.T))
 
 
 def _log_weights(weights: np.ndarray) -> np.ndarray:

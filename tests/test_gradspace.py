@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from allwas import gradspace
 from allwas.errors import AllwasError, ShapeError
 from allwas.gradspace import (
     DistanceMatrix,
@@ -116,6 +117,18 @@ class TestPairwise:
                             logging.getLogger(__name__).warning(
                                 "triangle violation at (%d, %d, %d)", i, j, k)
         assert violations <= 0.05 * checked
+
+    def test_chunked_matrix_equals_single_chunk(self, rng, monkeypatch, caplog):
+        grads = [random_gradient_measure(rng, 3, 6) for _ in range(12)]
+        whole = pairwise_wasserstein(grads)
+        # A budget this small leaves a few pairs per chunk.
+        monkeypatch.setattr(gradspace, "_CHUNK_BYTES", 3000)
+        per_chunk = gradspace._pairs_per_chunk(3, 6)
+        assert per_chunk < 66
+        with caplog.at_level(logging.DEBUG, logger="allwas.gradspace"):
+            chunked = pairwise_wasserstein(grads)
+        assert np.array_equal(chunked.entries, whole.entries)
+        assert f"66 pairs in {-(-66 // per_chunk)} chunks" in caplog.text
 
     def test_csv_dump(self, rng, tmp_path):
         grads = [random_gradient_measure(rng, 2, 3) for _ in range(3)]

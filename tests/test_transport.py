@@ -174,6 +174,84 @@ class TestSinkhorn:
         assert np.all(plans[1, 2:, :] == 0) and np.all(plans[1, :, 2:] == 0)
 
 
+def _padded_batch(rng, shapes, dim=3):
+    """Random problems of the given (n, m) shapes, zero-weight padded into
+    one batch; returns the batch and the unpadded problems."""
+    n_max = max(n for n, _ in shapes)
+    m_max = max(m for _, m in shapes)
+    log_a = np.full((len(shapes), n_max), -np.inf)
+    log_b = np.full((len(shapes), m_max), -np.inf)
+    cost = np.zeros((len(shapes), n_max, m_max))
+    singles = []
+    for k, (n, m) in enumerate(shapes):
+        a = random_measure(rng, n, dim)
+        b = random_measure(rng, m, dim)
+        c = ground_cost(a, b).entries
+        log_a[k, :n] = np.log(a.weights)
+        log_b[k, :m] = np.log(b.weights)
+        cost[k, :n, :m] = c
+        singles.append((np.log(a.weights)[None], np.log(b.weights)[None], c[None]))
+    return log_a, log_b, cost, singles
+
+
+class TestBatchedCore:
+    SHAPES = [(3, 4), (12, 2), (2, 2), (9, 11), (5, 12), (12, 12), (7, 3)]
+
+    def test_padded_batch_equals_single_solves_bitwise(self, rng):
+        # Per-problem independence: padding and batch size leave no trace.
+        log_a, log_b, cost, singles = _padded_batch(rng, self.SHAPES)
+        eps = 0.02 * np.median(cost, axis=(1, 2)) + 0.01
+        plans, err, _, f, g = sinkhorn_plans_batched(
+            log_a, log_b, cost, eps, max_iter=400, tol=1e-9)
+        for k, ((n, m), single) in enumerate(zip(self.SHAPES, singles)):
+            p1, e1, _, f1, g1 = sinkhorn_plans_batched(
+                *single, eps[k], max_iter=400, tol=1e-9)
+            assert np.array_equal(plans[k, :n, :m], p1[0])
+            assert err[k] == e1[0]
+            assert np.array_equal(f[k, :n], f1[0])
+            assert np.array_equal(g[k, :m], g1[0])
+
+    def test_padded_cells_exactly_zero(self, rng):
+        log_a, log_b, cost, _ = _padded_batch(rng, self.SHAPES)
+        for max_iter in (5, 400):   # stopped early (unrounded) and converged
+            plans, _, _, f, g = sinkhorn_plans_batched(
+                log_a, log_b, cost, 0.05, max_iter=max_iter, tol=1e-9)
+            padded = ~(np.isfinite(log_a)[:, :, None] & np.isfinite(log_b)[:, None, :])
+            assert np.all(plans[padded] == 0.0)
+            assert np.all(np.isneginf(f[~np.isfinite(log_a)]))
+            assert np.all(np.isneginf(g[~np.isfinite(log_b)]))
+
+    def test_small_eps_underflow_regime(self, rng):
+        # At eps = 1e-3 x median cost, kernel arguments fall far below -745,
+        # where exp() underflows; the solve must stay finite and feasible.
+        problems = []
+        for _ in range(6):
+            n = int(rng.integers(3, 9))
+            a = DiscreteMeasure.uniform(np.sort(rng.standard_normal(n)))
+            b = DiscreteMeasure.uniform(np.sort(rng.standard_normal(n)))
+            c = ground_cost(a, b).entries
+            problems.append((n, a, b, c, 1e-3 * float(np.median(c))))
+        n_max = max(pr[0] for pr in problems)
+        log_a = np.full((len(problems), n_max), -np.inf)
+        cost = np.zeros((len(problems), n_max, n_max))
+        eps = np.array([pr[4] for pr in problems])
+        for k, (n, _, _, c, _) in enumerate(problems):
+            log_a[k, :n] = -np.log(n)
+            cost[k, :n, :n] = c
+        assert (cost / eps[:, None, None]).max() > 745
+        tol = 1e-7
+        plans, err, _, f, g = sinkhorn_plans_batched(
+            log_a, log_a, cost, eps, max_iter=20000, tol=tol)
+        valid = np.isfinite(log_a)
+        assert np.all(np.isfinite(plans))
+        assert np.all(np.isfinite(f[valid])) and np.all(np.isfinite(g[valid]))
+        assert np.all(err <= tol)
+        for k, (n, a, b, c, e) in enumerate(problems):
+            exact = exact_distance_oracle(a, b, p=2)
+            value = float(np.sum(plans[k, :n, :n] * c))
+            assert exact - 1e-9 <= value <= exact + e * np.log(n)
+
+
 class TestExactOracle:
     def test_dirac_pair(self):
         a = DiscreteMeasure.dirac([0.0])
