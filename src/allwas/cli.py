@@ -22,8 +22,8 @@ from dataclasses import replace
 from .data import FeaturizerConfig, SynthSpec, export_jsonl, ingest_jsonl, make_synthetic
 from .errors import AllwasError, ConfigError, DataError
 from .harness import ExperimentConfig, run_experiment, run_sweep
-from .report import load_records, paired_f1, report
-from .stats import bonferroni, wilcoxon_signed_rank
+from .report import load_records, pair_test, report
+from .stats import bonferroni
 
 
 def _parse_kv(text: str) -> dict:
@@ -120,13 +120,7 @@ def _cmd_stats(args) -> int:
     m = len(pairs)
     print("cell_a,cell_b,n,statistic,p,p_bonferroni")
     for a, b in pairs:
-        xs, ys = paired_f1(records[a], records[b])
-        informative = int(sum(1 for x, y in zip(xs, ys) if x != y))
-        if len(xs) < 5 or informative < 5:
-            stat, p = float("nan"), 1.0
-        else:
-            stat, p = wilcoxon_signed_rank(
-                xs, ys, mode="exact" if len(xs) <= 60 else "normal-approx")
+        xs, _, stat, p = pair_test(records[a], records[b])
         print(f"{a},{b},{len(xs)},{stat:.10g},{p:.10g},{bonferroni(p, m):.10g}")
     return 0
 

@@ -362,7 +362,8 @@ def build_seed(corpus: Corpus, spec: SeedSpec):
                 ball = min_arr[np.argsort(dist, kind="stable")[:n_min]]
             chosen = rng.choice(len(ball), size=n_min, replace=False)
             min_ids = [int(i) for i in ball[chosen]]
-        rest_pool = [i for i in range(corpus.n) if i not in set(min_ids)]
+        min_set = set(min_ids)
+        rest_pool = [i for i in range(corpus.n) if i not in min_set]
         n_rest = spec.seed_size - len(min_ids)
         chosen_rest = rng.choice(len(rest_pool), size=n_rest, replace=False)
         labeled = [ids[i] for i in min_ids] + [ids[rest_pool[i]] for i in chosen_rest]

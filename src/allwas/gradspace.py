@@ -4,8 +4,9 @@ Each pool sample is represented by a discrete measure over its
 per-candidate-class gradient vectors; the pairwise transport distances
 between those measures form the matrix the submodular selector consumes.
 Distances are computed once per acquisition round (the selector only
-reads the matrix), batched over pairs for speed, and optionally on a
-seeded subsample of the pool to cap the quadratic pair count.
+reads the matrix) and batched over pairs for speed. Capping the
+quadratic pair count by subsampling the pool is the caller's job
+(``strategies.acquire_allwas``).
 """
 
 from __future__ import annotations
@@ -25,9 +26,6 @@ from .transport import (
 )
 
 logger = logging.getLogger(__name__)
-
-# Pools above this size are subsampled before the quadratic pair sweep.
-DEFAULT_SUBSAMPLE_CAP = 2000
 
 # Byte budget for one chunk of pair problems (memory guard).
 _CHUNK_BYTES = 64 * 2**20
@@ -109,8 +107,6 @@ def pairwise_wasserstein(
     grads,
     p: float = 2.0,
     eps: float | None = None,
-    subsample: int | None = None,
-    seed: int = 0,
     ids=None,
     max_iter: int = 300,
     tol: float = 1e-6,
@@ -118,10 +114,8 @@ def pairwise_wasserstein(
     """Symmetric matrix of Sinkhorn W_p^p values between gradient measures.
 
     ``eps=None`` adapts the regularization per pair (5% of that pair's
-    median cost). When ``subsample`` is smaller than the pool, a seeded
-    uniform subsample is used and the id map records the survivors, kept in
-    their original order. Identical measures are detected exactly and get
-    distance zero without iteration; the diagonal is forced to zero.
+    median cost). Identical measures are detected exactly and get distance
+    zero without iteration; the diagonal is forced to zero.
     """
     grads = list(grads)
     if not grads:
@@ -137,12 +131,6 @@ def pairwise_wasserstein(
         if gm.n_classes != c or gm.grad_dim != h:
             raise ShapeError("gradient measures must share class count and dimension",
                              expected=(c, h), actual=(gm.n_classes, gm.grad_dim))
-
-    if subsample is not None and subsample < len(grads):
-        rng = np.random.default_rng(seed)
-        keep = np.sort(rng.choice(len(grads), size=subsample, replace=False))
-        grads = [grads[i] for i in keep]
-        ids = [ids[i] for i in keep]
 
     n = len(grads)
     supports = np.stack([gm.support for gm in grads])   # (n, C, H)

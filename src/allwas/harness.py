@@ -243,20 +243,23 @@ def _meta_path(cfg: ExperimentConfig) -> str:
     return os.path.join(cfg.out_dir, f"{cfg.label}.meta.json")
 
 
+def _replace_file(path: str, text: str) -> None:
+    """Write through a sibling .tmp and os.replace, so readers never see a
+    partial file."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", newline="") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def _write_rows(cfg: ExperimentConfig, rows) -> None:
     os.makedirs(cfg.out_dir, exist_ok=True)
-    tmp = _rows_path(cfg) + ".tmp"
     ordered = sorted(rows, key=lambda r: (r.seed, r.iteration))
-    with open(tmp, "w", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in ordered:
-            fh.write(row.to_csv() + "\n")
-    os.replace(tmp, _rows_path(cfg))
-    with open(_meta_path(cfg), "w") as fh:
-        json.dump({"config_hash": cfg.config_hash(), "schema": SCHEMA_VERSION,
-                   "label": cfg.label, "config": json.loads(cfg.to_canonical_json())},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    lines = [CSV_HEADER] + [row.to_csv() for row in ordered]
+    _replace_file(_rows_path(cfg), "".join(line + "\n" for line in lines))
+    meta = {"config_hash": cfg.config_hash(), "schema": SCHEMA_VERSION,
+            "label": cfg.label, "config": json.loads(cfg.to_canonical_json())}
+    _replace_file(_meta_path(cfg), json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def _load_existing(cfg: ExperimentConfig):
@@ -342,6 +345,11 @@ def run_sweep(base: ExperimentConfig, axis: str, values) -> list:
     if not values:
         raise ConfigError("sweep values must be non-empty")
     cells = [_cell_for(base, axis, v) for v in values]
+    labels = [cell.label for cell in cells]
+    clashes = sorted({label for label in labels if labels.count(label) > 1})
+    if clashes:
+        # Cells with one label would share (and race on) one CSV.
+        raise ConfigError(f"sweep values give duplicate cell labels {clashes}")
     corpus = load_corpus(base.corpus)
     workers = thread_budget()
     if workers == 1:

@@ -51,10 +51,25 @@ def load_records(directory) -> list:
 def paired_f1(a: RunRecord, b: RunRecord):
     """F1 vectors aligned on the (seed, iteration) cells both records share."""
     index_a = {(r.seed, r.iteration): r.f1 for r in a.rows}
+    index_b = {(r.seed, r.iteration): r.f1 for r in b.rows}
     keys = [(r.seed, r.iteration) for r in b.rows if (r.seed, r.iteration) in index_a]
     xs = np.array([index_a[k] for k in keys])
-    ys = np.array([{(r.seed, r.iteration): r.f1 for r in b.rows}[k] for k in keys])
+    ys = np.array([index_b[k] for k in keys])
     return xs, ys
+
+
+def pair_test(a: RunRecord, b: RunRecord):
+    """Signed-rank test of two records' paired F1: (xs, ys, statistic, p).
+
+    Fewer than five shared cells, or fewer than five that differ, give
+    (nan, 1.0); up to ``EXACT_WILCOXON_LIMIT`` cells use the exact null.
+    """
+    xs, ys = paired_f1(a, b)
+    if len(xs) < 5 or int(np.sum(xs != ys)) < 5:
+        return xs, ys, float("nan"), 1.0
+    mode = "exact" if len(xs) <= EXACT_WILCOXON_LIMIT else "normal-approx"
+    stat, p = wilcoxon_signed_rank(xs, ys, mode=mode)
+    return xs, ys, stat, p
 
 
 def significance_table(records, out_path=None):
@@ -66,13 +81,7 @@ def significance_table(records, out_path=None):
     lines = ["cell_a,cell_b,n,statistic,p,p_bonferroni,better"]
     results = []
     for a, b in pairs:
-        xs, ys = paired_f1(a, b)
-        n_informative = int(np.sum(xs != ys))
-        if len(xs) < 5 or n_informative < 5:
-            stat, p = float("nan"), 1.0
-        else:
-            mode = "exact" if len(xs) <= EXACT_WILCOXON_LIMIT else "normal-approx"
-            stat, p = wilcoxon_signed_rank(xs, ys, mode=mode)
+        xs, ys, stat, p = pair_test(a, b)
         p_adj = bonferroni(p, m)
         diff = float(np.mean(xs - ys)) if len(xs) else 0.0
         better = a.label if diff > 0 else (b.label if diff < 0 else "none")

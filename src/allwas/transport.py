@@ -479,12 +479,6 @@ def _check_simplex(lambdas: np.ndarray) -> np.ndarray:
     return np.clip(lambdas, 0.0, None)
 
 
-def _init_support(measures, lambdas: np.ndarray, support_size: int) -> np.ndarray:
-    dominant = int(np.argmax(lambdas))
-    base = measures[dominant].support
-    return base[np.arange(support_size) % base.shape[0]].copy()
-
-
 def wasserstein_barycenter(
     measures,
     lambdas,
@@ -499,19 +493,11 @@ def wasserstein_barycenter(
 ) -> DiscreteMeasure:
     """Free-support barycenter minimizing sum_i lambda_i W_p^p(mu, nu_i).
 
-    Alternates Sinkhorn couplings from the current support to every input
-    measure with a support update by lambda-weighted barycentric projection.
-    The support starts from a copy of the dominant input's support (largest
-    lambda, ties to the lowest index), cycled to ``support_size`` rows, and
-    the returned measure is uniform over its support.
-
-    Regularization is resolved once per input at the initial support and
-    held fixed; the default adapts to the cost scale at a tighter fraction
-    than plain distances so the update plans stay near-exact. Successive
-    solves warm-start from the previous potentials. When ``trace`` is a
-    list, the weighted plan cost is appended at the initial support and
-    after every outer iteration; it is non-increasing up to small entropic
-    slack.
+    The one-group case of :func:`wasserstein_barycenter_batch`, except that
+    each input keeps its own weights instead of uniform ones. The returned
+    measure is uniform over ``support_size`` rows (default
+    :func:`barycenter_support_size`). When ``trace`` is a list, the weighted
+    plan costs are appended as floats.
     """
     measures = list(measures)
     if len(measures) < 2:
@@ -530,64 +516,16 @@ def wasserstein_barycenter(
     if support_size < 1:
         raise ConfigError("support_size must be >= 1")
 
-    support = _init_support(measures, lambdas, support_size)
-    bary_weights = np.full(support_size, 1.0 / support_size)
-    log_bary_w = np.log(bary_weights)[None, :]
-
-    active = [i for i, lam in enumerate(lambdas) if lam > 0.0]
-    eps_per: dict[int, float] = {}
-    for i in active:
-        if eps is not None:
-            eps_per[i] = float(eps)
-        else:
-            cost0 = ground_cost(DiscreteMeasure(support, bary_weights), measures[i], p).entries
-            eps_per[i] = max(BARY_EPS_SCALE * float(np.median(cost0)), EPS_FLOOR)
-
-    warm: dict[int, tuple] = {}
-
-    def solve_all(current: np.ndarray):
-        """Per-member plans and costs at the given support (warm-started)."""
-        plans, costs = {}, {}
-        for i in active:
-            m = measures[i]
-            cost = ground_cost(DiscreteMeasure(current, bary_weights), m, p).entries
-            if (current.shape == m.support.shape
-                    and np.array_equal(current, m.support)
-                    and np.array_equal(bary_weights, m.weights)):
-                plan = np.diag(bary_weights)
-            else:
-                f0, g0 = warm.get(i, (None, None))
-                batch, _, _, f, g = sinkhorn_plans_batched(
-                    log_bary_w, _log_weights(m.weights)[None, :], cost[None],
-                    eps_per[i], max_iter=sinkhorn_max_iter, tol=sinkhorn_tol,
-                    f_init=f0, g_init=g0,
-                )
-                warm[i] = (f, g)
-                plan = batch[0]
-            plans[i] = plan
-            costs[i] = float(np.sum(plan * cost))
-        return plans, costs
-
-    for _ in range(outer_iter):
-        plans, costs = solve_all(support)
-        if trace is not None:
-            trace.append(float(sum(lambdas[i] * costs[i] for i in active)))
-        new_support = np.zeros_like(support)
-        for i in active:
-            plan = plans[i]
-            row_mass = plan.sum(axis=1, keepdims=True)
-            cond_mean = (plan @ measures[i].support) / np.where(row_mass > 0, row_mass, 1.0)
-            new_support += lambdas[i] * cond_mean
-        displacement = float(np.abs(new_support - support).max())
-        support = new_support
-        if displacement < displacement_tol:
-            break
-
+    objectives = None if trace is None else []
+    support = _barycenter_fixed_point(
+        [[m.support for m in measures]], [[m.weights for m in measures]],
+        lambdas[None, :], [support_size], p, eps, outer_iter,
+        sinkhorn_max_iter, sinkhorn_tol, displacement_tol, objectives,
+        BARY_EPS_SCALE,
+    )[0]
     if trace is not None:
-        _, costs = solve_all(support)
-        trace.append(float(sum(lambdas[i] * costs[i] for i in active)))
-
-    return DiscreteMeasure(support, bary_weights)
+        trace.extend(float(obj[0]) for obj in objectives)
+    return DiscreteMeasure.uniform(support)
 
 
 def wasserstein_barycenter_batch(
@@ -608,16 +546,37 @@ def wasserstein_barycenter_batch(
     groups: length-B list of length-g lists of (n, d) support arrays, each
     treated as a uniform measure (token clouds). lambdas: (B, g) simplex
     rows. support_sizes: length-B target sizes. Returns a length-B list of
-    (s_b, d) supports, each to be read as a uniform measure.
+    (s_b, d) supports, each to be read as a uniform measure. Each group
+    minimizes sum_i lambda_i W_p^p(mu, nu_i).
 
-    Same fixed-point scheme as :func:`wasserstein_barycenter`, vectorized
-    over groups by zero-weight padding and warm-started across outer
-    iterations. Groups whose member equals the current support exactly use
-    the identity coupling for that member, keeping barycenters of identical
-    clouds exact. When ``trace`` is a list, a (B,) array of weighted plan
-    costs is appended at the initial supports and after every outer
-    iteration.
+    Fixed-point iteration (Cuturi & Doucet 2014): Sinkhorn couplings from
+    the current support to every member, then a support update by
+    lambda-weighted barycentric projection. A group's support starts from
+    a copy of its dominant member (largest lambda, ties to the lowest
+    index), cycled to ``s_b`` rows. Groups are vectorized by zero-weight
+    padding.
+
+    Regularization is resolved once per member at the initial support and
+    held fixed; the default, ``eps_scale`` times the median cost, is a
+    tighter fraction than plain distances use so the update plans stay
+    near-exact. Successive solves warm-start from the previous potentials.
+    A member with uniform weights that equals the current support exactly
+    gets the identity coupling, keeping barycenters of identical clouds
+    exact. When ``trace`` is a list, a (B,) array of weighted plan costs
+    is appended at the initial supports and after every outer iteration;
+    it is non-increasing up to small entropic slack.
     """
+    return _barycenter_fixed_point(
+        groups, None, lambdas, support_sizes, p, eps, outer_iter,
+        sinkhorn_max_iter, sinkhorn_tol, displacement_tol, trace, eps_scale)
+
+
+def _barycenter_fixed_point(groups, weights, lambdas, support_sizes, p, eps,
+                            outer_iter, sinkhorn_max_iter, sinkhorn_tol,
+                            displacement_tol, trace, eps_scale):
+    """The fixed point behind both barycenter functions. ``weights`` is None
+    (uniform members) or, like ``groups``, a B x g nesting of weight
+    vectors."""
     B = len(groups)
     if B == 0:
         return []
@@ -642,20 +601,28 @@ def wasserstein_barycenter_batch(
         log_bary_w = np.where(valid_rows, -np.log(sizes[:, None].astype(np.float64)), -np.inf)
     bary_w = np.exp(log_bary_w)
 
-    # Pad each member slot to its max token count across the batch.
-    member_X, member_logw, member_valid = [], [], []
+    # Pad each member slot to its max token count across the batch. Members
+    # with exactly uniform weights keep the -log(count) log-weights.
+    member_X, member_logw, member_valid, member_uniform = [], [], [], []
     for i in range(g):
         n_max = max(groups[bi][i].shape[0] for bi in range(B))
         X = np.zeros((B, n_max, dim))
         counts = np.array([groups[bi][i].shape[0] for bi in range(B)])
         valid = np.arange(n_max)[None, :] < counts[:, None]
-        for bi in range(B):
-            X[bi, : counts[bi]] = groups[bi][i]
         with np.errstate(divide="ignore"):
             logw = np.where(valid, -np.log(counts[:, None].astype(np.float64)), -np.inf)
+        uniform = np.ones(B, dtype=bool)
+        for bi in range(B):
+            X[bi, : counts[bi]] = groups[bi][i]
+            if weights is not None:
+                w = weights[bi][i]
+                if not np.array_equal(w, np.full(counts[bi], 1.0 / counts[bi])):
+                    logw[bi, : counts[bi]] = _log_weights(w)
+                    uniform[bi] = False
         member_X.append(X)
         member_logw.append(logw)
         member_valid.append(valid)
+        member_uniform.append(uniform)
 
     eps_per: list[np.ndarray] = []
     warm: dict[int, tuple] = {}
@@ -685,6 +652,7 @@ def wasserstein_barycenter_batch(
             same = (
                 np.all((supports == X) | pad_ok, axis=(1, 2))
                 & np.all(valid_rows == valid, axis=1)
+                & member_uniform[i]
             )
             if np.any(same):
                 ident = np.zeros_like(plans)
@@ -693,7 +661,13 @@ def wasserstein_barycenter_batch(
                 plans = np.where(same[:, None, None], ident, plans)
         return plans, cost, X
 
-    for _ in range(outer_iter):
+    # One pass per outer iteration, plus a final objective-only pass at the
+    # returned supports when tracing.
+    done = False
+    for it in range(outer_iter + 1):
+        done = done or it == outer_iter
+        if done and trace is None:
+            break
         new_supports = np.zeros_like(supports)
         obj = np.zeros(B)
         for i in range(g):
@@ -704,17 +678,10 @@ def wasserstein_barycenter_batch(
             new_supports += lambdas[:, i, None, None] * cond_mean
         if trace is not None:
             trace.append(obj)
-        new_supports = np.where(valid_rows[:, :, None], new_supports, 0.0)
-        max_disp = float(np.abs(new_supports - supports).max())
-        supports = new_supports
-        if max_disp < displacement_tol:
+        if done:
             break
-
-    if trace is not None:
-        obj = np.zeros(B)
-        for i in range(g):
-            plans, cost, _ = solve_member(i)
-            obj += lambdas[:, i] * np.einsum("bsn,bsn->b", plans, cost)
-        trace.append(obj)
+        new_supports = np.where(valid_rows[:, :, None], new_supports, 0.0)
+        done = float(np.abs(new_supports - supports).max()) < displacement_tol
+        supports = new_supports
 
     return [supports[bi, : sizes[bi]].copy() for bi in range(B)]

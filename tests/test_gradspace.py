@@ -73,18 +73,6 @@ class TestPairwise:
         assert np.abs(np.diag(out.entries)).max() < 1e-12
         np.testing.assert_allclose(out.entries, out.entries.T, atol=1e-12)
 
-    def test_subsample_records_survivors(self, rng):
-        grads = [random_gradient_measure(rng, 2, 3) for _ in range(10)]
-        ids = list(range(100, 110))
-        out = pairwise_wasserstein(grads, subsample=4, seed=5, ids=ids)
-        assert out.n == 4
-        assert set(out.ids) <= set(ids)
-        assert list(out.ids) == sorted(out.ids, key=ids.index)
-        # Seeded: same survivors on repeat.
-        again = pairwise_wasserstein(grads, subsample=4, seed=5, ids=ids)
-        assert out.ids == again.ids
-        np.testing.assert_array_equal(out.entries, again.entries)
-
     def test_empty_rejected(self):
         with pytest.raises(AllwasError):
             pairwise_wasserstein([])

@@ -174,6 +174,15 @@ class TestSweep:
         with pytest.raises(ConfigError):
             run_sweep(cfg, "strategy", [])
 
+    def test_duplicate_labels_rejected_before_work(self, tmp_path, monkeypatch):
+        cfg = small_cfg(tmp_path)
+        monkeypatch.setenv("ALLWAS_THREADS", "2")
+        monkeypatch.setattr("allwas.harness.load_corpus",
+                            lambda spec: pytest.fail("corpus loaded"))
+        with pytest.raises(ConfigError, match="cell_factor10"):
+            run_sweep(cfg, "augmentation-factor", [10, 10])
+        assert not (tmp_path / "runs").exists()
+
     def test_parallel_cells_match_serial(self, tmp_path, monkeypatch):
         cfg = small_cfg(tmp_path, budget=20, k=10, out_dir=str(tmp_path / "ser"))
         serial = run_sweep(cfg, "strategy", ["random", "lc"])
@@ -266,6 +275,13 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "demo,demo2" in out
+        # stats and the report's table run the same pair test.
+        printed = out.strip().splitlines()[-1].split(",")
+        by_label = {rec.label: rec for rec in load_records(run_dir)}
+        (_, _, n, _, p, _, _), = significance_table(
+            [by_label["demo"], by_label["demo2"]])
+        assert printed[:3] == ["demo", "demo2", str(n)]
+        assert printed[4] == f"{p:.10g}"
 
     def test_exit_code_config_error(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -358,6 +358,24 @@ class TestBarycenter:
             for before, after in zip(trace, trace[1:]):
                 assert after <= before + 1e-6
 
+    def test_single_atom_is_weighted_mean_of_weighted_members(self, rng):
+        # At support_size=1 every coupling is forced (all mass of the one
+        # atom goes to nu_i by its weights), so the fixed point is
+        # sum_i lambda_i w_i^T X_i, and a zero-lambda member adds nothing.
+        for _ in range(5):
+            g = int(rng.integers(2, 5))
+            measures = [random_measure(rng, int(rng.integers(2, 7)), 3)
+                        for _ in range(g)]
+            lam = rng.random(g) + 0.1
+            lam /= lam.sum()
+            expected = sum(w * (m.weights @ m.support) for w, m in zip(lam, measures))
+            bary = wasserstein_barycenter(measures, lam, support_size=1)
+            np.testing.assert_allclose(bary.support[0], expected, rtol=0, atol=1e-9)
+            extra = random_measure(rng, 4, 3)
+            padded = wasserstein_barycenter(measures + [extra], np.append(lam, 0.0),
+                                            support_size=1)
+            np.testing.assert_allclose(padded.support[0], expected, rtol=0, atol=1e-9)
+
     def test_support_size_rule(self):
         assert barycenter_support_size([1, 2], [0.5, 0.5]) == 2
         assert barycenter_support_size([4, 4], [0.5, 0.5]) == 4
