@@ -24,6 +24,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from .errors import ConfigError, DataError
 from .model import ExampleEmbedding, SoftLabel
@@ -309,15 +310,11 @@ class SeedSpec:
 
 def _pairwise_distance_percentile(pooled: np.ndarray, percentile: float,
                                   rng: np.random.Generator) -> float:
+    """Percentile of pairwise row distances, over at most 1000 seeded rows."""
     n = pooled.shape[0]
     if n > 1000:
-        pick = rng.choice(n, size=1000, replace=False)
-        pooled = pooled[pick]
-        n = 1000
-    diffs = pooled[:, None, :] - pooled[None, :, :]
-    dist = np.sqrt((diffs ** 2).sum(-1))
-    upper = dist[np.triu_indices(n, k=1)]
-    return float(np.percentile(upper, percentile))
+        pooled = pooled[rng.choice(n, size=1000, replace=False)]
+    return float(np.percentile(pdist(pooled), percentile))
 
 
 def build_seed(corpus: Corpus, spec: SeedSpec):

@@ -1,12 +1,11 @@
 """Gradient-space geometry for acquisition.
 
-Each pool sample is represented by a discrete measure over its
-per-candidate-class gradient vectors; the pairwise transport distances
-between those measures form the matrix the submodular selector consumes.
-Distances are computed once per acquisition round (the selector only
-reads the matrix) and batched over pairs for speed. Capping the
-quadratic pair count by subsampling the pool is the caller's job
-(``strategies.acquire_allwas``).
+Each pool sample is a measure over its per-candidate-class gradients,
+weighted by the predicted class probabilities, as arrays (supports
+(N, C, H), weights (N, C)) from ``model.gradient_arrays``. Their pairwise
+transport distances (exact for C = 2, rounded Sinkhorn plans otherwise)
+form the matrix the submodular selector consumes; the caller caps the pair
+count by subsampling (``strategies.acquire_allwas``).
 """
 
 from __future__ import annotations
@@ -22,6 +21,9 @@ from .transport import (
     EPS_FLOOR,
     EPS_MEDIAN_SCALE,
     DiscreteMeasure,
+    _pairwise_sq,
+    _round_to_polytope,
+    checked_weights,
     sinkhorn_plans_batched,
 )
 
@@ -31,39 +33,17 @@ logger = logging.getLogger(__name__)
 _CHUNK_BYTES = 64 * 2**20
 
 
-def _pairs_per_chunk(c: int, h: int) -> int:
-    """Pairs whose working arrays fit in ``_CHUNK_BYTES``.
-
-    Per pair: the two (C, H) support gathers plus one (C, H) square
-    temporary, and about ten (C, C) float arrays (the einsum, the cost
-    terms, the Sinkhorn kernel, its work buffer and the plans).
-    """
-    per_pair = 8 * (3 * c * h + 10 * c * c)
+def _pairs_per_chunk(c: int) -> int:
+    """Pairs whose working arrays fit in ``_CHUNK_BYTES``: per pair, three
+    temporaries of up to two (C, C) squared-distance blocks, the gathered
+    cost, about ten (C, C) arrays for a Sinkhorn solve, and a few scalars."""
+    per_pair = 8 * (17 * c * c + 8)
     return max(1, _CHUNK_BYTES // per_pair)
 
 
-@dataclass(frozen=True)
-class GradientMeasure:
+class GradientMeasure(DiscreteMeasure):
     """Discrete measure whose support rows are per-class gradient vectors
     and whose weights are the predicted class probabilities."""
-
-    measure: DiscreteMeasure
-
-    @property
-    def n_classes(self) -> int:
-        return self.measure.n
-
-    @property
-    def grad_dim(self) -> int:
-        return self.measure.dim
-
-    @property
-    def support(self) -> np.ndarray:
-        return self.measure.support
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.measure.weights
 
 
 @dataclass(frozen=True)
@@ -103,79 +83,90 @@ class DistanceMatrix:
             raise AllwasError(f"sample id {sample_id!r} not in distance matrix") from None
 
 
+def _two_class_exact(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact W_p^p of 2x2 problems, cost (P, 2, 2) and marginals (P, 2): a
+    coupling has one free entry t = P[0, 0] in [max(0, b0 - a1), min(a0, b0)]
+    and a cost linear in t, so the optimum is the endpoint the slope picks."""
+    a0, a1, b0 = a[:, 0], a[:, 1], b[:, 0]
+    m00, m01, m10, m11 = cost[:, 0, 0], cost[:, 0, 1], cost[:, 1, 0], cost[:, 1, 1]
+    slope = m00 - m01 - m10 + m11
+    t = np.where(slope > 0, np.maximum(0.0, b0 - a1), np.minimum(a0, b0))
+    return t * m00 + (a0 - t) * m01 + (b0 - t) * m10 + (a1 - b0 + t) * m11
+
+
 def pairwise_wasserstein(
-    grads,
+    supports,
+    weights,
     p: float = 2.0,
     eps: float | None = None,
     ids=None,
     max_iter: int = 300,
     tol: float = 1e-6,
 ) -> DistanceMatrix:
-    """Symmetric matrix of Sinkhorn W_p^p values between gradient measures.
+    """Symmetric W_p^p matrix between N measures: supports (N, C, H), and
+    weights (N, C) whose rows are nonnegative and sum to 1.
 
-    ``eps=None`` adapts the regularization per pair (5% of that pair's
-    median cost). Identical measures are detected exactly and get distance
-    zero without iteration; the diagonal is forced to zero.
+    With C = 2 each entry is exact (closed form, ``eps``, ``max_iter`` and
+    ``tol`` unused). Otherwise each is the cost of a Sinkhorn plan at
+    ``eps`` (``None``: 5% of the pair's median cost) within ``max_iter``
+    and ``tol``, rounded onto the transport polytope (Altschuler et al.
+    2017) if still off its marginals, so it is at least the exact W_p^p.
+    Identical measures are merged up front and lie exactly 0 apart.
     """
-    grads = list(grads)
-    if not grads:
+    supports = np.asarray(supports, dtype=np.float64)
+    if supports.size == 0:
         raise AllwasError("no gradient measures given")
-    if ids is None:
-        ids = list(range(len(grads)))
-    ids = list(ids)
-    if len(ids) != len(grads):
-        raise ShapeError("one id per measure", expected=len(grads), actual=len(ids))
-    c = grads[0].n_classes
-    h = grads[0].grad_dim
-    for gm in grads:
-        if gm.n_classes != c or gm.grad_dim != h:
-            raise ShapeError("gradient measures must share class count and dimension",
-                             expected=(c, h), actual=(gm.n_classes, gm.grad_dim))
+    if supports.ndim != 3:
+        raise ShapeError("supports must be (N, C, H)", actual=supports.shape)
+    weights = checked_weights(supports, np.asarray(weights, dtype=np.float64))
+    n, c, h = supports.shape
+    ids = list(range(n)) if ids is None else list(ids)
+    if len(ids) != n:
+        raise ShapeError("one id per measure", expected=n, actual=len(ids))
 
-    n = len(grads)
-    supports = np.stack([gm.support for gm in grads])   # (n, C, H)
-    weights = np.stack([gm.weights for gm in grads])    # (n, C)
-    entries = np.zeros((n, n))
-    iu, ju = np.triu_indices(n, k=1)
-    if len(iu) == 0:
-        return DistanceMatrix(entries, tuple(ids))
+    # Solve between distinct measures only, kept in first-occurrence order.
+    keys = np.concatenate([supports.reshape(n, -1), weights], axis=1)
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    keep = np.sort(first)
+    inverse = np.searchsorted(keep, first[inverse.reshape(-1)])
+    rows = supports[keep].reshape(-1, h)           # (u * C, H)
+    weights = weights[keep]
+    u = len(keep)
 
-    with np.errstate(divide="ignore"):
-        log_w = np.log(weights)
-
-    chunk = _pairs_per_chunk(c, h)
-    costs_out = np.empty(len(iu))
+    dist = np.zeros((u, u))
+    iu, ju = np.triu_indices(u, k=1)
+    chunk = _pairs_per_chunk(c)
     unconverged = 0
     for start in range(0, len(iu), chunk):
         si, sj = iu[start:start + chunk], ju[start:start + chunk]
-        xa, xb = supports[si], supports[sj]
-        same = np.all(xa == xb, axis=(1, 2)) & np.all(weights[si] == weights[sj], axis=1)
-        sq = (
-            np.sum(xa * xa, axis=2)[:, :, None]
-            + np.sum(xb * xb, axis=2)[:, None, :]
-            - 2.0 * np.einsum("bch,bdh->bcd", xa, xb)
-        )
-        np.clip(sq, 0.0, None, out=sq)
+        # One Gram product: this chunk's rows against every later sample.
+        r0, r1, j0 = si[0], si[-1] + 1, si[0] + 1
+        sq = _pairwise_sq(rows[r0 * c:r1 * c], rows[j0 * c:])
+        sq = sq.reshape(r1 - r0, c, u - j0, c)[si - r0, :, sj - j0, :]
         cost = sq if p == 2 else sq ** (p / 2.0)
-        if eps is None:
-            med = np.median(cost.reshape(len(si), -1), axis=1)
-            eps_arr = np.maximum(EPS_MEDIAN_SCALE * med, EPS_FLOOR)
+        a, b = weights[si], weights[sj]
+        if c == 2:
+            vals = _two_class_exact(cost, a, b)
         else:
-            eps_arr = np.full(len(si), float(eps))
-        plans, err, _, _, _ = sinkhorn_plans_batched(
-            log_w[si], log_w[sj], cost, eps_arr, max_iter=max_iter, tol=tol)
-        unconverged += int(np.count_nonzero(err > tol))
-        vals = np.einsum("bcd,bcd->b", plans, cost)
-        vals[same] = 0.0
-        costs_out[start:start + chunk] = vals
+            eps_arr = eps
+            if eps is None:
+                med = np.median(cost.reshape(len(si), -1), axis=1)
+                eps_arr = np.maximum(EPS_MEDIAN_SCALE * med, EPS_FLOOR)
+            with np.errstate(divide="ignore"):
+                plans, err, _, _, _ = sinkhorn_plans_batched(
+                    np.log(a), np.log(b), cost, eps_arr, max_iter=max_iter, tol=tol)
+            unconverged += int(np.count_nonzero(err > tol))
+            # Sinkhorn rounds only plans already near their marginals; rounding
+            # all of them makes every value a feasible plan's cost.
+            plans = _round_to_polytope(plans.transpose(1, 2, 0), a.T, b.T).transpose(2, 0, 1)
+            vals = np.einsum("bcd,bcd->b", plans, cost)
+        dist[si, sj] = dist[sj, si] = vals
     logger.debug("pairwise_wasserstein: %d pairs in %d chunks, unconverged %.4f",
-                 len(iu), -(-len(iu) // chunk), unconverged / len(iu))
+                 len(iu), -(-len(iu) // chunk), unconverged / max(len(iu), 1))
 
-    entries[iu, ju] = costs_out
-    entries[ju, iu] = costs_out
-    np.fill_diagonal(entries, 0.0)
-    np.clip(entries, 0.0, None, out=entries)
-    return DistanceMatrix(entries, tuple(ids))
+    del iu, ju
+    np.clip(dist, 0.0, None, out=dist)
+    return DistanceMatrix(dist if u == n else dist[np.ix_(inverse, inverse)], tuple(ids))
 
 
 def save_distance_csv(matrix: DistanceMatrix, path) -> None:

@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import AllwasError, ConfigError, ShapeError
 from .gradspace import GradientMeasure
-from .transport import DiscreteMeasure
 
 # Learning-rate presets: "default" suits this small head; the tiny
 # fine-tuning rate used for large transformer stacks is kept available
@@ -60,10 +59,6 @@ class ExampleEmbedding:
     @property
     def dim(self) -> int:
         return self.tokens.shape[1]
-
-    def as_measure(self) -> DiscreteMeasure:
-        """Uniform measure over the token vectors."""
-        return DiscreteMeasure.uniform(self.tokens)
 
 
 @dataclass(frozen=True)
@@ -265,7 +260,7 @@ def last_layer_gradients(head: ClassifierHead, x: ExampleEmbedding) -> GradientM
     near-zero gradient.
     """
     grads, probs = gradient_arrays(head, x.pooled[None, :])
-    return GradientMeasure(DiscreteMeasure(grads[0], probs[0]))
+    return GradientMeasure(grads[0], probs[0])
 
 
 def gradient_arrays(head: ClassifierHead, pooled: np.ndarray):

@@ -15,17 +15,20 @@ import numpy as np
 
 from .coreset import default_s0_cost, greedy_select
 from .errors import AllwasError, ConfigError
-from .gradspace import GradientMeasure, pairwise_wasserstein, save_distance_csv
+from .gradspace import pairwise_wasserstein, save_distance_csv
 from .model import ClassifierHead, gradient_arrays, predict_proba_batch
 from .seeding import derive_seed
-from .transport import DiscreteMeasure
 
 STRATEGY_NAMES = ("random", "lc", "dropout", "egl", "kcenter", "allwas")
 
 
 @dataclass(frozen=True)
 class OTConfig:
-    """Transport knobs for the coreset strategy."""
+    """Transport knobs for the coreset strategy.
+
+    ``eps``, ``max_iter`` and ``tol`` configure Sinkhorn, which runs only
+    for heads with more than two classes; two-class distances are exact.
+    """
 
     p: float = 2.0
     eps: float | None = None
@@ -119,7 +122,7 @@ def acquire_kcenter(pool, labeled, k: int):
 def acquire_allwas(head: ClassifierHead, pool, labeled, k: int,
                    ot: OTConfig | None = None, seed: int = 0):
     """Transport-coreset acquisition: per-class gradient measures for the
-    pool and the labeled set, pairwise Sinkhorn distances, then greedy
+    pool and the labeled set, pairwise transport distances, then greedy
     coverage maximization warm-started on the labeled ids.
 
     When the pool exceeds ``ot.subsample``, a seeded subsample of pool
@@ -141,9 +144,7 @@ def acquire_allwas(head: ClassifierHead, pool, labeled, k: int,
     x = np.stack([emb.pooled for _, emb in pool]
                  + [emb.pooled for _, emb in labeled])
     grads, probs = gradient_arrays(head, x)
-    measures = [GradientMeasure(DiscreteMeasure(grads[i], probs[i]))
-                for i in range(len(ids))]
-    matrix = pairwise_wasserstein(measures, p=ot.p, eps=ot.eps, ids=ids,
+    matrix = pairwise_wasserstein(grads, probs, p=ot.p, eps=ot.eps, ids=ids,
                                   max_iter=ot.max_iter, tol=ot.tol)
     if ot.dump_path:
         save_distance_csv(matrix, ot.dump_path)

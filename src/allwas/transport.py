@@ -11,12 +11,15 @@ distance proper take the root themselves.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import AllwasError, ConfigError, ShapeError
+
+logger = logging.getLogger(__name__)
 
 _WEIGHT_TOL = 1e-9
 EPS_FLOOR = 1e-6
@@ -29,6 +32,22 @@ BARY_EPS_SCALE = 0.01
 # ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
+
+
+def checked_weights(support: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weights (..., n) of supports (..., n, d) once the support is finite and
+    each measure's weights are nonnegative and sum to 1; clipped at 0."""
+    if not np.all(np.isfinite(support)):
+        raise AllwasError("measure support contains non-finite coordinates")
+    if weights.shape != support.shape[:-1]:
+        raise ShapeError("weights must match support rows",
+                         expected=support.shape[:-1], actual=weights.shape)
+    if not np.all(weights >= -_WEIGHT_TOL):
+        raise AllwasError("measure weights must be nonnegative")
+    off = np.abs(weights.sum(axis=-1) - 1.0)
+    if np.any(off > _WEIGHT_TOL):
+        raise AllwasError(f"measure weights must sum to 1 (off by {off.max()!r})")
+    return np.clip(weights, 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -45,19 +64,9 @@ class DiscreteMeasure:
         if support.ndim != 2 or support.shape[0] < 1:
             raise ShapeError("measure support must be a non-empty (n, d) matrix",
                              expected="(n, d)", actual=support.shape)
-        if not np.all(np.isfinite(support)):
-            raise AllwasError("measure support contains non-finite coordinates")
-        weights = np.asarray(self.weights, dtype=np.float64).ravel()
-        if weights.shape[0] != support.shape[0]:
-            raise ShapeError("weights length must match support rows",
-                             expected=support.shape[0], actual=weights.shape[0])
-        if np.any(weights < -_WEIGHT_TOL):
-            raise AllwasError("measure weights must be nonnegative")
-        total = float(weights.sum())
-        if abs(total - 1.0) > _WEIGHT_TOL:
-            raise AllwasError(f"measure weights must sum to 1 (got {total!r})")
+        weights = checked_weights(support, np.asarray(self.weights, dtype=np.float64).ravel())
         object.__setattr__(self, "support", support)
-        object.__setattr__(self, "weights", np.clip(weights, 0.0, None))
+        object.__setattr__(self, "weights", weights)
 
     @property
     def n(self) -> int:
@@ -641,7 +650,7 @@ def _barycenter_fixed_point(groups, weights, lambdas, support_sizes, p, eps,
                 med = np.nanmedian(masked.reshape(B, -1), axis=1)
                 eps_per.append(np.maximum(eps_scale * med, EPS_FLOOR))
         f0, g0 = warm.get(i, (None, None))
-        plans, _, _, f, g = sinkhorn_plans_batched(
+        plans, err, _, f, g = sinkhorn_plans_batched(
             log_bary_w, logw, cost, eps_per[i],
             max_iter=sinkhorn_max_iter, tol=sinkhorn_tol,
             f_init=f0, g_init=g0,
@@ -659,7 +668,7 @@ def _barycenter_fixed_point(groups, weights, lambdas, support_sizes, p, eps,
                 idx = np.arange(supports.shape[1])
                 ident[:, idx, idx] = bary_w
                 plans = np.where(same[:, None, None], ident, plans)
-        return plans, cost, X
+        return plans, cost, X, int(np.count_nonzero(err > sinkhorn_tol))
 
     # One pass per outer iteration, plus a final objective-only pass at the
     # returned supports when tracing.
@@ -670,12 +679,16 @@ def _barycenter_fixed_point(groups, weights, lambdas, support_sizes, p, eps,
             break
         new_supports = np.zeros_like(supports)
         obj = np.zeros(B)
+        unconverged = 0
         for i in range(g):
-            plans, cost, X = solve_member(i)
+            plans, cost, X, stuck = solve_member(i)
+            unconverged += stuck
             obj += lambdas[:, i] * np.einsum("bsn,bsn->b", plans, cost)
             row_mass = plans.sum(axis=2, keepdims=True)
             cond_mean = (plans @ X) / np.where(row_mass > 0, row_mass, 1.0)
             new_supports += lambdas[:, i, None, None] * cond_mean
+        logger.debug("barycenter pass %d: %d of %d member solves above tol",
+                     it, unconverged, B * g)
         if trace is not None:
             trace.append(obj)
         if done:

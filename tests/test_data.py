@@ -16,6 +16,7 @@ from allwas.data import (
     make_synthetic,
     train_val_split,
 )
+from allwas.data import _pairwise_distance_percentile
 from allwas.errors import ConfigError, DataError
 from allwas.model import ExampleEmbedding, SoftLabel
 
@@ -235,6 +236,25 @@ class TestSeeds:
         corpus = make_synthetic(SynthSpec(n=10, d=4, seed=1))
         with pytest.raises(DataError):
             build_seed(corpus, SeedSpec(seed_size=11))
+
+
+class TestDistancePercentile:
+    @staticmethod
+    def brute_force(x, percentile):
+        dist = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(-1))
+        return np.percentile(dist[np.triu_indices(len(x), k=1)], percentile)
+
+    @pytest.mark.parametrize("percentile", [0.0, 10.0, 50.0, 100.0])
+    def test_matches_brute_force(self, percentile):
+        x = np.random.default_rng(3).standard_normal((40, 6))
+        got = _pairwise_distance_percentile(x, percentile, np.random.default_rng(0))
+        assert got == pytest.approx(self.brute_force(x, percentile), rel=1e-12)
+
+    def test_large_input_uses_seeded_subsample(self):
+        x = np.random.default_rng(4).standard_normal((1200, 2))
+        got = _pairwise_distance_percentile(x, 10.0, np.random.default_rng(7))
+        pick = np.random.default_rng(7).choice(1200, size=1000, replace=False)
+        assert got == pytest.approx(self.brute_force(x[pick], 10.0), rel=1e-12)
 
 
 class TestSplit:

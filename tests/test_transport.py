@@ -1,8 +1,10 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
 
+from allwas import transport
 from allwas.errors import AllwasError, ConfigError, ShapeError
 from allwas.transport import (
     DiscreteMeasure,
@@ -342,6 +344,28 @@ class TestBarycenter:
                                      trace=trace)
         for before, after in zip(trace, trace[1:]):
             assert np.all(after <= before + 1e-6)
+
+    def test_logs_unconverged_member_solves(self, rng, caplog, monkeypatch):
+        # Two Sinkhorn sweeps leave most member solves above tol; the log
+        # line of each pass counts them over its three member solves.
+        solve = transport.sinkhorn_plans_batched
+        counts = []
+
+        def counting(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            counts.append(int(np.count_nonzero(out[1] > kwargs["tol"])))
+            return out
+
+        monkeypatch.setattr(transport, "sinkhorn_plans_batched", counting)
+        groups = [[rng.standard_normal((4, 2)) for _ in range(3)] for _ in range(2)]
+        with caplog.at_level(logging.DEBUG, logger="allwas.transport"):
+            wasserstein_barycenter_batch(groups, np.full((2, 3), 1.0 / 3.0), [4, 4],
+                                         outer_iter=2, sinkhorn_max_iter=2,
+                                         sinkhorn_tol=1e-12)
+        lines = [r.getMessage() for r in caplog.records if r.name == "allwas.transport"]
+        assert len(counts) == 6 and sum(counts) > 0
+        assert lines == [f"barycenter pass {it}: {sum(counts[3 * it:3 * it + 3])} "
+                         "of 6 member solves above tol" for it in range(2)]
 
     def test_objective_descent_single(self, rng):
         for _ in range(1):
