@@ -26,7 +26,8 @@ KDE_BANDWIDTH_FLOOR = 1e-3
 class AugmentationConfig:
     factor: int = 20
     group_size: int = 2
-    lambda_scheme: str = "uniform-simplex"   # or "dirichlet"
+    # Lambdas are Dirichlet(alpha, ..., alpha) draws; alpha = 1 is uniform
+    # on the simplex.
     dirichlet_alpha: float = 1.0
     pairing: str = "within-class-minority-weighted"   # or "any-pair"
     seed: int = 0
@@ -44,8 +45,8 @@ class AugmentationConfig:
             raise ConfigError("augmentation factor must be >= 0")
         if self.group_size < 2:
             raise ConfigError("group_size must be >= 2")
-        if self.lambda_scheme not in ("uniform-simplex", "dirichlet"):
-            raise ConfigError(f"unknown lambda scheme {self.lambda_scheme!r}")
+        if not self.dirichlet_alpha > 0:
+            raise ConfigError(f"dirichlet_alpha must be > 0 (got {self.dirichlet_alpha})")
         if self.pairing not in ("within-class-minority-weighted", "any-pair"):
             raise ConfigError(f"unknown pairing mode {self.pairing!r}")
 
@@ -65,12 +66,6 @@ def mix_labels(labels, lambdas) -> SoftLabel:
     for lam, label in zip(lambdas, labels):
         acc = acc + lam * label.probs
     return SoftLabel(acc)
-
-
-def _sample_lambdas(rng, cfg: AugmentationConfig) -> np.ndarray:
-    if cfg.lambda_scheme == "uniform-simplex":
-        return rng.dirichlet(np.ones(cfg.group_size))
-    return rng.dirichlet(np.full(cfg.group_size, cfg.dirichlet_alpha))
 
 
 def _class_index(labeled):
@@ -123,7 +118,7 @@ def augment_wasserstein(labeled, cfg: AugmentationConfig):
     groups, lamb_rows, sizes, parents = [], [], [], []
     for _ in range(count):
         idx = _draw_group(rng, cfg, members, classes_arr, class_probs, len(labeled))
-        lam = _sample_lambdas(rng, cfg)
+        lam = rng.dirichlet(np.full(cfg.group_size, cfg.dirichlet_alpha))
         tokens = [labeled[i][0].tokens for i in idx]
         groups.append(tokens)
         lamb_rows.append(lam)

@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .errors import ConfigError, DataError
 from .model import ExampleEmbedding, SoftLabel
@@ -314,7 +313,9 @@ def _pairwise_distance_percentile(pooled: np.ndarray, percentile: float,
     n = pooled.shape[0]
     if n > 1000:
         pooled = pooled[rng.choice(n, size=1000, replace=False)]
-    return float(np.percentile(pdist(pooled), percentile))
+    dist = [np.sqrt(np.sum((pooled[i + 1:] - pooled[i]) ** 2, axis=1))
+            for i in range(pooled.shape[0] - 1)]
+    return float(np.percentile(np.concatenate(dist), percentile))
 
 
 def build_seed(corpus: Corpus, spec: SeedSpec):

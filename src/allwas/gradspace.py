@@ -22,7 +22,6 @@ from .transport import (
     EPS_MEDIAN_SCALE,
     DiscreteMeasure,
     _pairwise_sq,
-    _round_to_polytope,
     checked_weights,
     sinkhorn_plans_batched,
 )
@@ -109,8 +108,9 @@ def pairwise_wasserstein(
     With C = 2 each entry is exact (closed form, ``eps``, ``max_iter`` and
     ``tol`` unused). Otherwise each is the cost of a Sinkhorn plan at
     ``eps`` (``None``: 5% of the pair's median cost) within ``max_iter``
-    and ``tol``, rounded onto the transport polytope (Altschuler et al.
-    2017) if still off its marginals, so it is at least the exact W_p^p.
+    and ``tol``; ``sinkhorn_plans_batched`` rounds every plan onto the
+    transport polytope, so each entry is a feasible plan's cost and at
+    least the exact W_p^p.
     Identical measures are merged up front and lie exactly 0 apart.
     """
     supports = np.asarray(supports, dtype=np.float64)
@@ -156,9 +156,6 @@ def pairwise_wasserstein(
                 plans, err, _, _, _ = sinkhorn_plans_batched(
                     np.log(a), np.log(b), cost, eps_arr, max_iter=max_iter, tol=tol)
             unconverged += int(np.count_nonzero(err > tol))
-            # Sinkhorn rounds only plans already near their marginals; rounding
-            # all of them makes every value a feasible plan's cost.
-            plans = _round_to_polytope(plans.transpose(1, 2, 0), a.T, b.T).transpose(2, 0, 1)
             vals = np.einsum("bcd,bcd->b", plans, cost)
         dist[si, sj] = dist[sj, si] = vals
     logger.debug("pairwise_wasserstein: %d pairs in %d chunks, unconverged %.4f",

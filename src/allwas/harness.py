@@ -47,6 +47,15 @@ CSV_HEADER = "setting,strategy,seed,iteration,labeled,f1,seconds"
 
 AUGMENTATION_MODES = ("none", "wasserstein", "l2-kde")
 
+# Keys each nested config dict accepts: the head's hyperparameters (the
+# harness sets its dimensions and seed), OTConfig's fields, and the
+# augmentation mode plus AugmentationConfig's fields.
+_NESTED_KEYS = {
+    "model": ("hidden_dim", "dropout", "epochs", "batch_size", "lr"),
+    "ot": tuple(OTConfig.__dataclass_fields__),
+    "augmentation": ("mode", *AugmentationConfig.__dataclass_fields__),
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -79,6 +88,10 @@ class ExperimentConfig:
             raise ConfigError("repeats must be >= 1")
         if self.budget < self.seed_size:
             raise ConfigError("budget must be >= seed size")
+        for name, known in _NESTED_KEYS.items():
+            unknown = sorted(set(getattr(self, name)) - set(known))
+            if unknown:
+                raise ConfigError(f"unknown {name} config keys: {unknown}")
         mode = self.augmentation.get("mode", "none")
         if mode not in AUGMENTATION_MODES:
             raise ConfigError(f"unknown augmentation mode {mode!r}")

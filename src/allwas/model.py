@@ -22,13 +22,8 @@ import numpy as np
 from .errors import AllwasError, ConfigError, ShapeError
 from .gradspace import GradientMeasure
 
-# Learning-rate presets: "default" suits this small head; the tiny
-# fine-tuning rate used for large transformer stacks is kept available
-# for comparison runs.
-LR_PRESETS = {
-    "default": 1e-2,
-    "transformer_finetune": 5e-5,
-}
+# Learning rate that suits this small head.
+DEFAULT_LR = 1e-2
 
 _WEIGHT_TOL = 1e-9
 
@@ -106,7 +101,7 @@ class ClassifierHead:
     dropout: float = 0.1
     epochs: int = 5
     batch_size: int = 50
-    lr: float = LR_PRESETS["default"]
+    lr: float = DEFAULT_LR
     seed: int = 0
     w1: np.ndarray | None = None
     b1: np.ndarray | None = None

@@ -15,7 +15,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import AllwasError, ConfigError, ShapeError
 
@@ -206,14 +205,6 @@ def _marginal_error(plans: np.ndarray, a_w: np.ndarray, b_w: np.ndarray) -> np.n
     return np.maximum(row_err, col_err)
 
 
-# A nearly-feasible iterate is projected onto the transport polytope only
-# when its marginal violation is already below this gate, so the cost
-# perturbation (bounded by the corrected mass times the largest cost) stays
-# negligible. Plans above the gate are returned as-is and flagged
-# unconverged.
-_ROUND_GATE = 1e-4
-
-
 def _round_to_polytope(plans: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Rescale rows/cols below their marginals, then patch the deficit
     with a rank-one correction; the result satisfies both marginals exactly
@@ -267,10 +258,12 @@ def sinkhorn_plans_batched(
     slice still gives -inf. When a plan is materialised, cells below the
     floor are set to exactly 0, so padded cells are exact zeros.
 
-    The final iterate is projected onto the transport polytope when its
-    marginal violation is already small, so returned plans satisfy the
-    marginals to machine precision even when the tail of the iteration is
-    slow.
+    Every returned plan is the lane's last iterate projected onto the
+    transport polytope (Altschuler et al. 2017), so it meets both marginals
+    to machine precision however early the lane stopped. The violations
+    describe the solve: each is the lane's marginal error when it stopped,
+    measured before that rounding, so a lane above ``tol`` ran out of
+    ``max_iter``.
 
     Returns (plans (B, n, m), violations (B,), iterations, f, g).
     """
@@ -334,12 +327,7 @@ def sinkhorn_plans_batched(
                     np.compress(keep, x, axis=-1) for x in (kern, la, lb, a_w, b_w, u, v))
                 work = np.empty_like(kern)
 
-    near = np.flatnonzero(err_out <= _ROUND_GATE)
-    if near.size:
-        a_w, b_w = np.exp(log_a.T), np.exp(log_b.T)
-        plans_out[:, :, near] = _round_to_polytope(
-            *(np.take(x, near, axis=-1) for x in (plans_out, a_w, b_w)))
-        err_out = _marginal_error(plans_out, a_w, b_w)
+    plans_out = _round_to_polytope(plans_out, np.exp(log_a.T), np.exp(log_b.T))
     return (np.ascontiguousarray(plans_out.transpose(2, 0, 1)), err_out, it,
             np.ascontiguousarray(u_out.T), np.ascontiguousarray(v_out.T))
 
@@ -368,11 +356,9 @@ def sinkhorn_distance(
     which is at most eps*log(n*m), and at most eps*log(n) for uniform
     measures of equal size n (an optimal plan is then a permutation).
 
-    ``converged`` describes the returned plan *after* the polytope rounding
-    of ``sinkhorn_plans_batched``: it is False when that plan's marginal
-    violation still exceeds ``tol``. A solve that stops at ``max_iter`` with
-    a larger pre-rounding error still reports True once rounding closes the
-    marginals; ``iterations`` shows whether the cap was reached.
+    The coupling is always feasible: ``sinkhorn_plans_batched`` rounds it
+    onto the transport polytope. ``converged`` says whether the solve
+    reached ``tol`` before that rounding, within ``max_iter`` iterations.
 
     Two exact shortcuts bypass the iteration: identical measures (identity
     coupling, zero cost) and single-atom measures, whose coupling is forced
@@ -436,6 +422,8 @@ def exact_distance_oracle(a: DiscreteMeasure, b: DiscreteMeasure, p: float = 2.0
     if a.dim == 1:
         return _exact_1d(a, b, p)
     if _is_uniform(a) and _is_uniform(b) and a.n == b.n and a.n <= 64:
+        from scipy.optimize import linear_sum_assignment  # oracle-only; keeps scipy off import
+
         cost = ground_cost(a, b, p).entries
         rows, cols = linear_sum_assignment(cost)
         return float(cost[rows, cols].sum() / a.n)

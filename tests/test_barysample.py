@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from allwas.barysample import (
     KDE_BANDWIDTH_FLOOR,
@@ -31,6 +33,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             AugmentationConfig(group_size=1)
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan")])
+    def test_nonpositive_dirichlet_alpha_rejected(self, alpha):
+        with pytest.raises(ConfigError, match="dirichlet_alpha"):
+            AugmentationConfig(dirichlet_alpha=alpha)
+
 
 class TestWasserstein:
     def test_identical_parents_reproduce_original(self, rng):
@@ -59,6 +66,22 @@ class TestWasserstein:
             expected = lam[0] * ends[first] + lam[1] * ends[second]
             assert syn.embedding.tokens.shape == (1, 3)
             np.testing.assert_allclose(syn.embedding.tokens[0], expected, atol=1e-9)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(data_seed=st.integers(0, 2**32 - 1),
+           max_iter=st.sampled_from([1, 2, 5, 60]), outer_iter=st.sampled_from([1, 3]),
+           group_size=st.integers(2, 3))
+    def test_pooled_is_lambda_mix_of_parents(self, data_seed, max_iter, outer_iter,
+                                             group_size):
+        # Barycentric projection through feasible plans keeps the token mean:
+        # mean_s cond_mean_s = sum_i lambda_i mean(X_i), whatever the budget.
+        labeled = labeled_set(np.random.default_rng(data_seed), n=6, d=3, tokens=(1, 7))
+        cfg = AugmentationConfig(factor=3, group_size=group_size, seed=data_seed,
+                                 outer_iter=outer_iter, sinkhorn_max_iter=max_iter)
+        for syn in augment_wasserstein(labeled, cfg):
+            expected = sum(lam * labeled[i][0].pooled
+                           for lam, i in zip(syn.lambdas, syn.parent_ids))
+            np.testing.assert_allclose(syn.embedding.pooled, expected, rtol=0, atol=1e-12)
 
     def test_label_mixing_arithmetic(self):
         la = SoftLabel(np.array([1.0, 0.0]))

@@ -288,6 +288,23 @@ class TestCli:
         bad.write_text("{not json")
         assert cli_main(["run", str(bad)]) == 2
 
+    @pytest.mark.parametrize("section, key, bad", [
+        ("model", "hiddendim", {"hiddendim": 8}),
+        ("model", "seed", {"seed": 3}),   # set by the harness, not the config
+        ("ot", "maxiter", {"maxiter": 10}),
+        ("augmentation", "lamda_scheme", {"mode": "wasserstein", "lamda_scheme": "dirichlet"})])
+    def test_unknown_nested_key_exits_2_without_output(self, tmp_path, capsys,
+                                                       section, key, bad):
+        run_dir = tmp_path / "runs"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "corpus": SMALL_CORPUS, "out_dir": str(run_dir), "label": "bad",
+            "seed_size": 10, "budget": 30, "k": 10, "repeats": 1,
+            "strategy": "allwas", section: bad}))
+        assert cli_main(["run", str(cfg_path)]) == 2
+        assert f"unknown {section} config keys: ['{key}']" in capsys.readouterr().err
+        assert not run_dir.exists()
+
     def test_exit_code_data_error(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")

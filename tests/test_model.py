@@ -6,7 +6,6 @@ from allwas.model import (
     ClassifierHead,
     ExampleEmbedding,
     SoftLabel,
-    LR_PRESETS,
     gradient_arrays,
     last_layer_gradients,
     load_head,
@@ -61,7 +60,7 @@ class TestTraining:
         head = ClassifierHead(input_dim=8, n_classes=2)
         assert head.epochs == 5
         assert head.batch_size == 50
-        assert LR_PRESETS["transformer_finetune"] == 5e-5
+        assert head.lr == 1e-2
         trained = train(head, blob_data(rng))
         assert np.all(np.isfinite(trained.w1))
         assert np.all(np.isfinite(trained.w2))

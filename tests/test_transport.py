@@ -94,7 +94,7 @@ class TestSinkhorn:
             eps = max(0.01 * np.median(cost), 1e-9)
             plan = sinkhorn_distance(a, b, p=2, eps=eps,
                                      max_iter=20000, tol=1e-7)
-            assert plan.converged
+            assert plan.marginal_violation(a, b) <= 1e-12
             # Entropic bias of a uniform n-vs-n plan is at most eps*log(n).
             assert exact - 1e-9 <= plan.cost <= exact + eps * np.log(n)
 
@@ -129,6 +129,21 @@ class TestSinkhorn:
             plan = sinkhorn_distance(a, b, max_iter=5000, tol=1e-7)
             assert plan.converged
             assert plan.marginal_violation(a, b) < 1e-6
+
+    def test_stopped_solve_unconverged_but_feasible(self, rng):
+        # 300 sweeps stop this pair between tol and 1e-4: the flag reports
+        # the solve, and the returned plan is still rounded to feasibility.
+        a = random_measure(rng, 5, 3)
+        b = random_measure(rng, 7, 3)
+        cost = ground_cost(a, b).entries
+        _, err, _, _, _ = sinkhorn_plans_batched(
+            np.log(a.weights)[None], np.log(b.weights)[None], cost[None],
+            default_epsilon(cost), max_iter=300, tol=1e-7)
+        assert 1e-7 < err[0] < 1e-4
+        plan = sinkhorn_distance(a, b, max_iter=300, tol=1e-7)
+        assert plan.iterations == 300
+        assert not plan.converged
+        assert plan.marginal_violation(a, b) <= 1e-12
 
     def test_cost_monotone_in_eps(self, rng):
         a = random_measure(rng, 6, 2)
@@ -215,9 +230,14 @@ class TestBatchedCore:
 
     def test_padded_cells_exactly_zero(self, rng):
         log_a, log_b, cost, _ = _padded_batch(rng, self.SHAPES)
-        for max_iter in (5, 400):   # stopped early (unrounded) and converged
-            plans, _, _, f, g = sinkhorn_plans_batched(
+        for max_iter in (5, 400):   # stopped early and converged
+            plans, err, _, f, g = sinkhorn_plans_batched(
                 log_a, log_b, cost, 0.05, max_iter=max_iter, tol=1e-9)
+            if max_iter == 5:
+                # Violations report the stopped solve, not the rounded plan.
+                assert np.all(err > 1e-9)
+            assert np.abs(plans.sum(axis=2) - np.exp(log_a)).max() <= 1e-12
+            assert np.abs(plans.sum(axis=1) - np.exp(log_b)).max() <= 1e-12
             padded = ~(np.isfinite(log_a)[:, :, None] & np.isfinite(log_b)[:, None, :])
             assert np.all(plans[padded] == 0.0)
             assert np.all(np.isneginf(f[~np.isfinite(log_a)]))
@@ -247,7 +267,9 @@ class TestBatchedCore:
         valid = np.isfinite(log_a)
         assert np.all(np.isfinite(plans))
         assert np.all(np.isfinite(f[valid])) and np.all(np.isfinite(g[valid]))
-        assert np.all(err <= tol)
+        w = np.exp(log_a)
+        assert np.abs(plans.sum(axis=2) - w).max() <= 1e-12
+        assert np.abs(plans.sum(axis=1) - w).max() <= 1e-12
         for k, (n, a, b, c, e) in enumerate(problems):
             exact = exact_distance_oracle(a, b, p=2)
             value = float(np.sum(plans[k, :n, :n] * c))
