@@ -17,7 +17,7 @@ from .data import (
     make_synthetic,
     train_val_split,
 )
-from .gradspace import DistanceMatrix, GradientMeasure, pairwise_wasserstein
+from .gradspace import DistanceMatrix, pairwise_wasserstein
 from .harness import ExperimentConfig, RunRecord, run_experiment, run_sweep
 from .model import (
     ClassifierHead,
@@ -33,7 +33,6 @@ from .report import report, validate_svg
 from .stats import bonferroni, f1_macro, f1_target, wilcoxon_signed_rank
 from .strategies import OTConfig, acquire
 from .transport import (
-    CostMatrix,
     DiscreteMeasure,
     TransportPlan,
     barycenter_support_size,
@@ -49,14 +48,14 @@ __all__ = [
     "Corpus", "FeaturizerConfig", "SeedSpec", "SynthSpec", "build_seed",
     "export_jsonl", "featurize_text", "ingest_jsonl", "make_synthetic",
     "train_val_split",
-    "DistanceMatrix", "GradientMeasure", "pairwise_wasserstein",
+    "DistanceMatrix", "pairwise_wasserstein",
     "ExperimentConfig", "RunRecord", "run_experiment", "run_sweep",
     "ClassifierHead", "ExampleEmbedding", "SoftLabel", "last_layer_gradients",
     "load_head", "predict_proba", "save_head", "train",
     "report", "validate_svg",
     "bonferroni", "f1_macro", "f1_target", "wilcoxon_signed_rank",
     "OTConfig", "acquire",
-    "CostMatrix", "DiscreteMeasure", "TransportPlan", "barycenter_support_size",
+    "DiscreteMeasure", "TransportPlan", "barycenter_support_size",
     "exact_distance_oracle", "ground_cost", "sinkhorn_distance",
     "wasserstein_barycenter",
     "__version__",

@@ -20,6 +20,10 @@ from .model import ExampleEmbedding, SoftLabel
 from .transport import barycenter_support_size, wasserstein_barycenter_batch
 
 KDE_BANDWIDTH_FLOOR = 1e-3
+# Barycenter solves for augmentation favor speed: a looser adaptive eps and
+# Sinkhorn tolerance than the descent-grade barycenter defaults.
+AUG_EPS_SCALE = 0.05
+AUG_SINKHORN_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -31,14 +35,9 @@ class AugmentationConfig:
     dirichlet_alpha: float = 1.0
     pairing: str = "within-class-minority-weighted"   # or "any-pair"
     seed: int = 0
-    # Transport knobs for the barycenter solves. Augmentation favors speed:
-    # a looser adaptive eps than the descent-grade barycenter default.
-    p: float = 2.0
-    eps: float | None = None
-    eps_scale: float = 0.05
+    # Budget of the barycenter solves (fixed-point passes, Sinkhorn sweeps).
     outer_iter: int = 3
     sinkhorn_max_iter: int = 60
-    sinkhorn_tol: float = 1e-6
 
     def __post_init__(self):
         if self.factor < 0:
@@ -96,8 +95,8 @@ def _draw_group(rng, cfg, members, classes_arr, class_probs, n_labeled) -> np.nd
 
 
 def augment_wasserstein(labeled, cfg: AugmentationConfig):
-    """factor x |labeled| synthetic examples, each the transport barycenter
-    of a sampled group of token clouds with the matching mixed label.
+    """factor x |labeled| synthetic examples, each the W_2 barycenter of a
+    sampled group of token clouds with the matching mixed label.
 
     Group token clouds carry uniform token weights; each synthetic token
     matrix has round(sum lambda_i n_i) rows (at least one). Barycenters for
@@ -126,10 +125,9 @@ def augment_wasserstein(labeled, cfg: AugmentationConfig):
         parents.append(tuple(int(i) for i in idx))
 
     supports = wasserstein_barycenter_batch(
-        groups, np.asarray(lamb_rows), sizes,
-        p=cfg.p, eps=cfg.eps, outer_iter=cfg.outer_iter,
-        sinkhorn_max_iter=cfg.sinkhorn_max_iter, sinkhorn_tol=cfg.sinkhorn_tol,
-        eps_scale=cfg.eps_scale,
+        groups, np.asarray(lamb_rows), sizes, outer_iter=cfg.outer_iter,
+        sinkhorn_max_iter=cfg.sinkhorn_max_iter, sinkhorn_tol=AUG_SINKHORN_TOL,
+        eps_scale=AUG_EPS_SCALE,
     )
 
     out = []

@@ -52,7 +52,6 @@ class Corpus:
     examples: tuple
     class_names: tuple
     target_class: int
-    split_seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "examples", tuple(self.examples))
@@ -287,7 +286,7 @@ def make_synthetic(spec: SynthSpec) -> Corpus:
             SoftLabel.one_hot(int(classes[i]), n_classes)))
     names = tuple(f"class{c}" for c in range(n_classes))
     target = int(np.argmin(spec.priors))
-    return Corpus(tuple(examples), names, target, split_seed=spec.seed)
+    return Corpus(tuple(examples), names, target)
 
 
 @dataclass(frozen=True)
@@ -381,6 +380,5 @@ def train_val_split(corpus: Corpus, val_fraction: float = 0.2, seed: int = 0):
     val_idx = set(order[:n_val].tolist())
     pool = [ex for i, ex in enumerate(corpus.examples) if i not in val_idx]
     val = [ex for i, ex in enumerate(corpus.examples) if i in val_idx]
-    make = lambda rows: Corpus(tuple(rows), corpus.class_names, corpus.target_class,
-                               split_seed=seed)
+    make = lambda rows: Corpus(tuple(rows), corpus.class_names, corpus.target_class)
     return make(pool), make(val)

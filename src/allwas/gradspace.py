@@ -20,7 +20,6 @@ from .errors import AllwasError, ShapeError
 from .transport import (
     EPS_FLOOR,
     EPS_MEDIAN_SCALE,
-    DiscreteMeasure,
     _pairwise_sq,
     checked_weights,
     sinkhorn_plans_batched,
@@ -38,11 +37,6 @@ def _pairs_per_chunk(c: int) -> int:
     cost, about ten (C, C) arrays for a Sinkhorn solve, and a few scalars."""
     per_pair = 8 * (17 * c * c + 8)
     return max(1, _CHUNK_BYTES // per_pair)
-
-
-class GradientMeasure(DiscreteMeasure):
-    """Discrete measure whose support rows are per-class gradient vectors
-    and whose weights are the predicted class probabilities."""
 
 
 @dataclass(frozen=True)

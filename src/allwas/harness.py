@@ -49,11 +49,13 @@ AUGMENTATION_MODES = ("none", "wasserstein", "l2-kde")
 
 # Keys each nested config dict accepts: the head's hyperparameters (the
 # harness sets its dimensions and seed), OTConfig's fields, and the
-# augmentation mode plus AugmentationConfig's fields.
+# augmentation mode plus AugmentationConfig's fields but the seed, which the
+# harness derives per (master seed, repeat, iteration).
 _NESTED_KEYS = {
     "model": ("hidden_dim", "dropout", "epochs", "batch_size", "lr"),
     "ot": tuple(OTConfig.__dataclass_fields__),
-    "augmentation": ("mode", *AugmentationConfig.__dataclass_fields__),
+    "augmentation": ("mode", *(f for f in AugmentationConfig.__dataclass_fields__
+                               if f != "seed")),
 }
 
 
@@ -95,6 +97,10 @@ class ExperimentConfig:
         mode = self.augmentation.get("mode", "none")
         if mode not in AUGMENTATION_MODES:
             raise ConfigError(f"unknown augmentation mode {mode!r}")
+        # Check every value before any work; the head's dimensions here are
+        # placeholders for the corpus's.
+        self.augmentation_config(seed=0)
+        ClassifierHead(input_dim=1, n_classes=2, **self.model)
         if self.metric not in ("target-f1", "macro-f1"):
             raise ConfigError(f"unknown metric {self.metric!r}")
 
@@ -119,6 +125,10 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_canonical_json().encode()).hexdigest()
+
+    def augmentation_config(self, seed: int) -> AugmentationConfig:
+        knobs = {k: v for k, v in self.augmentation.items() if k != "mode"}
+        return AugmentationConfig(**knobs, seed=seed)
 
     def iterations_per_repeat(self) -> int:
         extra = max(0, self.budget - self.seed_size)
@@ -177,11 +187,10 @@ def load_corpus(spec: dict) -> Corpus:
 
 def _augmenter(cfg: ExperimentConfig, repeat: int, iteration: int):
     mode = cfg.augmentation.get("mode", "none")
-    if mode == "none" or cfg.augmentation.get("factor", 20) == 0:
+    aug_cfg = cfg.augmentation_config(
+        derive_seed(cfg.master_seed, repeat, iteration, "augment"))
+    if mode == "none" or aug_cfg.factor == 0:
         return None
-    kwargs = {k: v for k, v in cfg.augmentation.items() if k != "mode"}
-    kwargs["seed"] = derive_seed(cfg.master_seed, repeat, iteration, "augment")
-    aug_cfg = AugmentationConfig(**kwargs)
     fn = augment_wasserstein if mode == "wasserstein" else augment_l2_kde
     return lambda labeled: fn(labeled, aug_cfg)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AllwasError, ConfigError, ShapeError
-from .gradspace import GradientMeasure
+from .transport import DiscreteMeasure
 
 # Learning rate that suits this small head.
 DEFAULT_LR = 1e-2
@@ -245,7 +245,7 @@ def predict_proba_batch(head: ClassifierHead, pooled: np.ndarray,
     return head._softmax(hid @ head.w2 + head.b2)
 
 
-def last_layer_gradients(head: ClassifierHead, x: ExampleEmbedding) -> GradientMeasure:
+def last_layer_gradients(head: ClassifierHead, x: ExampleEmbedding) -> DiscreteMeasure:
     """Per-candidate-class loss gradients at the last layer's input.
 
     For each class c the cross-entropy gradient with hypothesized hard
@@ -255,7 +255,7 @@ def last_layer_gradients(head: ClassifierHead, x: ExampleEmbedding) -> GradientM
     near-zero gradient.
     """
     grads, probs = gradient_arrays(head, x.pooled[None, :])
-    return GradientMeasure(grads[0], probs[0])
+    return DiscreteMeasure(grads[0], probs[0])
 
 
 def gradient_arrays(head: ClassifierHead, pooled: np.ndarray):

@@ -6,7 +6,9 @@ exact small-instance solvers used as test oracles, and free-support
 barycenters computed by fixed-point iteration.
 
 All costs are reported as W_p^p (no p-th root); callers needing the
-distance proper take the root themselves.
+distance proper take the root themselves. Barycenters are W_2^2 only: their
+barycentric-projection update is the fixed point of the squared Euclidean
+cost.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ EPS_MEDIAN_SCALE = 0.05
 # Barycenter fixed points use tighter regularization: the objective-descent
 # contract needs update plans close to exact transport.
 BARY_EPS_SCALE = 0.01
+# A barycenter stops early once no support row moves by this much.
+_DISPLACEMENT_TOL = 1e-7
+# Sinkhorn materialises plans for its marginal check every this many sweeps.
+_CHECK_EVERY = 10
 
 
 # ---------------------------------------------------------------------------
@@ -89,24 +95,6 @@ class DiscreteMeasure:
 
 
 @dataclass(frozen=True)
-class CostMatrix:
-    """Pairwise ground costs D(x_j, y_k)^p for two supports."""
-
-    entries: np.ndarray
-    order: float = 2.0
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.float64)
-        if entries.ndim != 2:
-            raise ShapeError("cost entries must be a matrix", expected=2, actual=entries.ndim)
-        if not np.all(np.isfinite(entries)):
-            raise AllwasError("cost matrix contains non-finite entries")
-        if np.any(entries < 0):
-            raise AllwasError("cost matrix contains negative entries")
-        object.__setattr__(self, "entries", entries)
-
-
-@dataclass(frozen=True)
 class TransportPlan:
     """Coupling between two measures plus its transport cost W_p^p."""
 
@@ -142,14 +130,13 @@ def _pairwise_sq(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.clip(sq, 0.0, None)
 
 
-def ground_cost(a: DiscreteMeasure, b: DiscreteMeasure, p: float = 2.0) -> CostMatrix:
-    """Matrix of ||x_j - y_k||_2^p between the two supports."""
+def ground_cost(a: DiscreteMeasure, b: DiscreteMeasure, p: float = 2.0) -> np.ndarray:
+    """Matrix (n, m) of ||x_j - y_k||_2^p between the two supports."""
     _check_pair(a, b)
     if p < 1:
         raise ConfigError(f"ground cost order p must be >= 1 (got {p})")
     sq = _pairwise_sq(a.support, b.support)
-    entries = sq if p == 2 else sq ** (p / 2.0)
-    return CostMatrix(entries, order=float(p))
+    return sq if p == 2 else sq ** (p / 2.0)
 
 
 def default_epsilon(cost_entries: np.ndarray) -> float:
@@ -176,7 +163,7 @@ def _sum_lead(x: np.ndarray, axis: int) -> np.ndarray:
     Every batch lane gets the same sequence of additions whatever the batch
     size, so a problem's result does not depend on the batch it sits in.
     """
-    parts = np.moveaxis(x, axis, 0)
+    parts = x.swapaxes(0, axis)
     acc = parts[0].copy()
     for part in parts[1:]:
         acc += part
@@ -229,7 +216,6 @@ def sinkhorn_plans_batched(
     eps,
     max_iter: int = 1000,
     tol: float = 1e-6,
-    check_every: int = 10,
     f_init: np.ndarray | None = None,
     g_init: np.ndarray | None = None,
 ):
@@ -302,7 +288,7 @@ def sinkhorn_plans_batched(
         np.add(kern, u[:, None, :], out=work)
         v = lb - _lse_lead(work, axis=0)
         # Marginal checks materialize the plan; only do so periodically.
-        if it % check_every == 0 or it == max_iter:
+        if it % _CHECK_EVERY == 0 or it == max_iter:
             np.add(kern, u[:, None, :], out=work)
             work += v[None, :, :]
             below = work < _EXP_FLOOR
@@ -367,7 +353,7 @@ def sinkhorn_distance(
     _check_pair(a, b)
     if eps is not None and eps <= 0:
         raise ConfigError(f"eps must be positive (got {eps})")
-    cost = ground_cost(a, b, p).entries
+    cost = ground_cost(a, b, p)
     if not np.all(np.isfinite(cost)):
         raise AllwasError("non-finite cost entries")
 
@@ -424,7 +410,7 @@ def exact_distance_oracle(a: DiscreteMeasure, b: DiscreteMeasure, p: float = 2.0
     if _is_uniform(a) and _is_uniform(b) and a.n == b.n and a.n <= 64:
         from scipy.optimize import linear_sum_assignment  # oracle-only; keeps scipy off import
 
-        cost = ground_cost(a, b, p).entries
+        cost = ground_cost(a, b, p)
         rows, cols = linear_sum_assignment(cost)
         return float(cost[rows, cols].sum() / a.n)
     raise AllwasError(
@@ -480,15 +466,12 @@ def wasserstein_barycenter(
     measures,
     lambdas,
     support_size: int | None = None,
-    p: float = 2.0,
-    eps: float | None = None,
     outer_iter: int = 10,
     sinkhorn_max_iter: int = 2000,
     sinkhorn_tol: float = 1e-9,
-    displacement_tol: float = 1e-7,
     trace: list | None = None,
 ) -> DiscreteMeasure:
-    """Free-support barycenter minimizing sum_i lambda_i W_p^p(mu, nu_i).
+    """Free-support barycenter minimizing sum_i lambda_i W_2^2(mu, nu_i).
 
     The one-group case of :func:`wasserstein_barycenter_batch`, except that
     each input keeps its own weights instead of uniform ones. The returned
@@ -516,9 +499,8 @@ def wasserstein_barycenter(
     objectives = None if trace is None else []
     support = _barycenter_fixed_point(
         [[m.support for m in measures]], [[m.weights for m in measures]],
-        lambdas[None, :], [support_size], p, eps, outer_iter,
-        sinkhorn_max_iter, sinkhorn_tol, displacement_tol, objectives,
-        BARY_EPS_SCALE,
+        lambdas[None, :], [support_size], outer_iter,
+        sinkhorn_max_iter, sinkhorn_tol, objectives, BARY_EPS_SCALE,
     )[0]
     if trace is not None:
         trace.extend(float(obj[0]) for obj in objectives)
@@ -529,12 +511,9 @@ def wasserstein_barycenter_batch(
     groups,
     lambdas: np.ndarray,
     support_sizes,
-    p: float = 2.0,
-    eps: float | None = None,
     outer_iter: int = 10,
     sinkhorn_max_iter: int = 2000,
     sinkhorn_tol: float = 1e-9,
-    displacement_tol: float = 1e-7,
     trace: list | None = None,
     eps_scale: float = BARY_EPS_SCALE,
 ):
@@ -544,33 +523,34 @@ def wasserstein_barycenter_batch(
     treated as a uniform measure (token clouds). lambdas: (B, g) simplex
     rows. support_sizes: length-B target sizes. Returns a length-B list of
     (s_b, d) supports, each to be read as a uniform measure. Each group
-    minimizes sum_i lambda_i W_p^p(mu, nu_i).
+    minimizes sum_i lambda_i W_2^2(mu, nu_i).
 
     Fixed-point iteration (Cuturi & Doucet 2014): Sinkhorn couplings from
     the current support to every member, then a support update by
-    lambda-weighted barycentric projection. A group's support starts from
-    a copy of its dominant member (largest lambda, ties to the lowest
-    index), cycled to ``s_b`` rows. Groups are vectorized by zero-weight
-    padding.
+    lambda-weighted barycentric projection. That update is the fixed point
+    of the squared Euclidean cost (Agueh & Carlier 2011), so the ground
+    cost is W_2^2 only; under another order it can raise the objective.
+    A group's support starts from a copy of its dominant member (largest
+    lambda, ties to the lowest index), cycled to ``s_b`` rows. Groups are
+    vectorized by zero-weight padding.
 
     Regularization is resolved once per member at the initial support and
-    held fixed; the default, ``eps_scale`` times the median cost, is a
-    tighter fraction than plain distances use so the update plans stay
-    near-exact. Successive solves warm-start from the previous potentials.
-    A member with uniform weights that equals the current support exactly
-    gets the identity coupling, keeping barycenters of identical clouds
-    exact. When ``trace`` is a list, a (B,) array of weighted plan costs
-    is appended at the initial supports and after every outer iteration;
-    it is non-increasing up to small entropic slack.
+    held fixed: ``eps_scale`` times the median cost, by default a tighter
+    fraction than plain distances use so the update plans stay near-exact.
+    Successive solves warm-start from the previous potentials. A member
+    with uniform weights that equals the current support exactly gets the
+    identity coupling, keeping barycenters of identical clouds exact. When
+    ``trace`` is a list, a (B,) array of weighted plan costs is appended at
+    the initial supports and after every outer iteration; it is
+    non-increasing up to small entropic slack.
     """
     return _barycenter_fixed_point(
-        groups, None, lambdas, support_sizes, p, eps, outer_iter,
-        sinkhorn_max_iter, sinkhorn_tol, displacement_tol, trace, eps_scale)
+        groups, None, lambdas, support_sizes, outer_iter,
+        sinkhorn_max_iter, sinkhorn_tol, trace, eps_scale)
 
 
-def _barycenter_fixed_point(groups, weights, lambdas, support_sizes, p, eps,
-                            outer_iter, sinkhorn_max_iter, sinkhorn_tol,
-                            displacement_tol, trace, eps_scale):
+def _barycenter_fixed_point(groups, weights, lambdas, support_sizes, outer_iter,
+                            sinkhorn_max_iter, sinkhorn_tol, trace, eps_scale):
     """The fixed point behind both barycenter functions. ``weights`` is None
     (uniform members) or, like ``groups``, a B x g nesting of weight
     vectors."""
@@ -626,17 +606,13 @@ def _barycenter_fixed_point(groups, weights, lambdas, support_sizes, p, eps,
 
     def solve_member(i: int):
         X, logw, valid = member_X[i], member_logw[i], member_valid[i]
-        sq = _pairwise_sq(supports, X)
-        cost = sq if p == 2 else sq ** (p / 2.0)
+        cost = _pairwise_sq(supports, X)
         if len(eps_per) <= i:
             # Resolved at the initial support, then held fixed.
-            if eps is not None:
-                eps_per.append(np.full(B, float(eps)))
-            else:
-                mask = valid_rows[:, :, None] & valid[:, None, :]
-                masked = np.where(mask, cost, np.nan)
-                med = np.nanmedian(masked.reshape(B, -1), axis=1)
-                eps_per.append(np.maximum(eps_scale * med, EPS_FLOOR))
+            mask = valid_rows[:, :, None] & valid[:, None, :]
+            masked = np.where(mask, cost, np.nan)
+            med = np.nanmedian(masked.reshape(B, -1), axis=1)
+            eps_per.append(np.maximum(eps_scale * med, EPS_FLOOR))
         f0, g0 = warm.get(i, (None, None))
         plans, err, _, f, g = sinkhorn_plans_batched(
             log_bary_w, logw, cost, eps_per[i],
@@ -682,7 +658,7 @@ def _barycenter_fixed_point(groups, weights, lambdas, support_sizes, p, eps,
         if done:
             break
         new_supports = np.where(valid_rows[:, :, None], new_supports, 0.0)
-        done = float(np.abs(new_supports - supports).max()) < displacement_tol
+        done = float(np.abs(new_supports - supports).max()) < _DISPLACEMENT_TOL
         supports = new_supports
 
     return [supports[bi, : sizes[bi]].copy() for bi in range(B)]

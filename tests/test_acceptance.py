@@ -121,7 +121,7 @@ def test_c01_ot_correctness():
         a = DiscreteMeasure.uniform(rng.standard_normal(shape))
         b = DiscreteMeasure.uniform(rng.standard_normal(shape))
         exact = exact_distance_oracle(a, b, p=2)
-        cost = ground_cost(a, b, p=2).entries
+        cost = ground_cost(a, b, p=2)
         eps = max(0.01 * float(np.median(cost)), 1e-9)
         plan = sinkhorn_distance(a, b, p=2, eps=eps, max_iter=6000, tol=1e-7)
         gap = plan.cost - exact

@@ -11,7 +11,6 @@ from allwas import gradspace
 from allwas.errors import AllwasError, ShapeError
 from allwas.gradspace import (
     DistanceMatrix,
-    GradientMeasure,
     pairwise_wasserstein,
     save_distance_csv,
 )
@@ -26,7 +25,7 @@ from allwas.transport import (
 def random_gradient_measure(rng, c, h):
     support = rng.standard_normal((c, h))
     w = rng.random(c) + 0.1
-    return GradientMeasure(support, w / w.sum())
+    return DiscreteMeasure(support, w / w.sum())
 
 
 def stack(measures):
@@ -37,7 +36,7 @@ def stack(measures):
 
 def lp_oracle(a: DiscreteMeasure, b: DiscreteMeasure, p: float) -> float:
     """Exact W_p^p as the transport linear program."""
-    cost = ground_cost(a, b, p).entries
+    cost = ground_cost(a, b, p)
     n, m = cost.shape
     rows = np.kron(np.eye(n), np.ones(m))
     cols = np.kron(np.ones(n), np.eye(m))
@@ -79,15 +78,15 @@ class TestDistanceMatrixType:
 class TestPairwise:
     def test_identical_measures_zero_entry(self, rng):
         gm = random_gradient_measure(rng, 3, 5)
-        clone = GradientMeasure(gm.support.copy(), gm.weights.copy())
+        clone = DiscreteMeasure(gm.support.copy(), gm.weights.copy())
         out = pairwise_wasserstein(*stack([gm, clone, random_gradient_measure(rng, 3, 5)]))
         assert out.entries[0, 1] < 1e-6
         assert out.entries[0, 2] > 1e-6
 
     def test_single_class_reduces_to_point_distance(self, rng):
         for p in (1.0, 2.0):
-            a = GradientMeasure(rng.standard_normal((1, 4)), [1.0])
-            b = GradientMeasure(rng.standard_normal((1, 4)), [1.0])
+            a = DiscreteMeasure(rng.standard_normal((1, 4)), [1.0])
+            b = DiscreteMeasure(rng.standard_normal((1, 4)), [1.0])
             out = pairwise_wasserstein(*stack([a, b]), p=p)
             expected = np.linalg.norm(a.support[0] - b.support[0]) ** p
             assert out.entries[0, 1] == pytest.approx(expected, rel=1e-9)
@@ -97,7 +96,7 @@ class TestPairwise:
         grads = []
         for _ in range(5):
             support = rng.standard_normal((3, 4))
-            grads.append(GradientMeasure.uniform(support))
+            grads.append(DiscreteMeasure.uniform(support))
         out = pairwise_wasserstein(*stack(grads), eps=1e-3, max_iter=20000, tol=1e-9)
         for i in range(5):
             for j in range(i + 1, 5):

@@ -54,6 +54,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bogus_knob"):
             ExperimentConfig.from_json(path)
 
+    @pytest.mark.parametrize("section, bad, message", [
+        ("model", {"dropout": 1.5}, "dropout"),
+        ("augmentation", {"mode": "l2-kde", "factor": -1}, "factor")])
+    def test_bad_nested_value_rejected_at_build(self, tmp_path, section, bad, message):
+        with pytest.raises(ConfigError, match=message):
+            small_cfg(tmp_path, **{section: bad})
+
     def test_iterations_per_repeat(self, tmp_path):
         cfg = small_cfg(tmp_path)
         assert cfg.iterations_per_repeat() == 3
@@ -183,6 +190,14 @@ class TestSweep:
             run_sweep(cfg, "augmentation-factor", [10, 10])
         assert not (tmp_path / "runs").exists()
 
+    def test_bad_value_rejected_before_work(self, tmp_path, monkeypatch):
+        cfg = small_cfg(tmp_path)
+        monkeypatch.setattr("allwas.harness.load_corpus",
+                            lambda spec: pytest.fail("corpus loaded"))
+        with pytest.raises(ConfigError, match="group_size"):
+            run_sweep(cfg, "barycenter-group-size", [2, 1])
+        assert not (tmp_path / "runs").exists()
+
     def test_parallel_cells_match_serial(self, tmp_path, monkeypatch):
         cfg = small_cfg(tmp_path, budget=20, k=10, out_dir=str(tmp_path / "ser"))
         serial = run_sweep(cfg, "strategy", ["random", "lc"])
@@ -292,7 +307,10 @@ class TestCli:
         ("model", "hiddendim", {"hiddendim": 8}),
         ("model", "seed", {"seed": 3}),   # set by the harness, not the config
         ("ot", "maxiter", {"maxiter": 10}),
-        ("augmentation", "lamda_scheme", {"mode": "wasserstein", "lamda_scheme": "dirichlet"})])
+        ("augmentation", "lamda_scheme", {"mode": "wasserstein", "lamda_scheme": "dirichlet"}),
+        ("augmentation", "seed", {"mode": "l2-kde", "seed": 1}),   # derived by the harness
+        ("augmentation", "p", {"mode": "wasserstein", "p": 1.0}),
+        ("augmentation", "eps_scale", {"mode": "wasserstein", "eps_scale": 0.01})])
     def test_unknown_nested_key_exits_2_without_output(self, tmp_path, capsys,
                                                        section, key, bad):
         run_dir = tmp_path / "runs"

@@ -25,19 +25,19 @@ class TestGroundCost:
         a = DiscreteMeasure.dirac([0.0])
         b = DiscreteMeasure.dirac([3.0])
         cost = ground_cost(a, b, p=2)
-        assert cost.entries.shape == (1, 1)
-        assert cost.entries[0, 0] == pytest.approx(9.0, abs=1e-12)
+        assert cost.shape == (1, 1)
+        assert cost[0, 0] == pytest.approx(9.0, abs=1e-12)
 
     def test_identity_zero_diagonal(self, rng):
         a = random_measure(rng, 5, 3)
         cost = ground_cost(a, a, p=2)
-        assert np.all(np.abs(np.diag(cost.entries)) < 1e-12)
+        assert np.all(np.abs(np.diag(cost)) < 1e-12)
 
     def test_matches_double_loop(self, rng):
         a = random_measure(rng, 3, 2)
         b = random_measure(rng, 3, 2)
         for p in (1.0, 2.0, 3.0):
-            cost = ground_cost(a, b, p=p).entries
+            cost = ground_cost(a, b, p=p)
             expected = np.empty((3, 3))
             for j in range(3):
                 for k in range(3):
@@ -90,7 +90,7 @@ class TestSinkhorn:
             a = DiscreteMeasure.uniform(np.sort(rng.standard_normal(n)))
             b = DiscreteMeasure.uniform(np.sort(rng.standard_normal(n)))
             exact = exact_distance_oracle(a, b, p=2)
-            cost = ground_cost(a, b, p=2).entries
+            cost = ground_cost(a, b, p=2)
             eps = max(0.01 * np.median(cost), 1e-9)
             plan = sinkhorn_distance(a, b, p=2, eps=eps,
                                      max_iter=20000, tol=1e-7)
@@ -102,7 +102,7 @@ class TestSinkhorn:
         a = random_measure(rng, 4, 2, uniform=True)
         b = random_measure(rng, 4, 2, uniform=True)
         exact = exact_distance_oracle(a, b, p=2)
-        base_eps = default_epsilon(ground_cost(a, b).entries)
+        base_eps = default_epsilon(ground_cost(a, b))
         gaps = []
         for eps in (base_eps, base_eps / 10, base_eps / 100):
             plan = sinkhorn_distance(a, b, eps=eps, max_iter=50000, tol=1e-9)
@@ -135,7 +135,7 @@ class TestSinkhorn:
         # the solve, and the returned plan is still rounded to feasibility.
         a = random_measure(rng, 5, 3)
         b = random_measure(rng, 7, 3)
-        cost = ground_cost(a, b).entries
+        cost = ground_cost(a, b)
         _, err, _, _, _ = sinkhorn_plans_batched(
             np.log(a.weights)[None], np.log(b.weights)[None], cost[None],
             default_epsilon(cost), max_iter=300, tol=1e-7)
@@ -148,7 +148,7 @@ class TestSinkhorn:
     def test_cost_monotone_in_eps(self, rng):
         a = random_measure(rng, 6, 2)
         b = random_measure(rng, 6, 2)
-        base = default_epsilon(ground_cost(a, b).entries)
+        base = default_epsilon(ground_cost(a, b))
         costs = [
             sinkhorn_distance(a, b, eps=base / 4**i, max_iter=100000, tol=1e-10).cost
             for i in range(3)
@@ -179,10 +179,10 @@ class TestSinkhorn:
         cost = np.zeros((2, 3, 4))
         log_a[0] = np.log(a1.weights)
         log_b[0] = np.log(b1.weights)
-        cost[0] = ground_cost(a1, b1).entries
+        cost[0] = ground_cost(a1, b1)
         log_a[1, :2] = np.log(a2.weights)
         log_b[1, :2] = np.log(b2.weights)
-        cost[1, :2, :2] = ground_cost(a2, b2).entries
+        cost[1, :2, :2] = ground_cost(a2, b2)
         plans, err, _, _, _ = sinkhorn_plans_batched(log_a, log_b, cost, eps,
                                                max_iter=5000, tol=1e-8)
         assert err.max() < 1e-8
@@ -203,7 +203,7 @@ def _padded_batch(rng, shapes, dim=3):
     for k, (n, m) in enumerate(shapes):
         a = random_measure(rng, n, dim)
         b = random_measure(rng, m, dim)
-        c = ground_cost(a, b).entries
+        c = ground_cost(a, b)
         log_a[k, :n] = np.log(a.weights)
         log_b[k, :m] = np.log(b.weights)
         cost[k, :n, :m] = c
@@ -251,7 +251,7 @@ class TestBatchedCore:
             n = int(rng.integers(3, 9))
             a = DiscreteMeasure.uniform(np.sort(rng.standard_normal(n)))
             b = DiscreteMeasure.uniform(np.sort(rng.standard_normal(n)))
-            c = ground_cost(a, b).entries
+            c = ground_cost(a, b)
             problems.append((n, a, b, c, 1e-3 * float(np.median(c))))
         n_max = max(pr[0] for pr in problems)
         log_a = np.full((len(problems), n_max), -np.inf)
@@ -294,7 +294,7 @@ class TestExactOracle:
             n = int(rng.integers(2, 6))
             a = random_measure(rng, n, 2, uniform=True)
             b = random_measure(rng, n, 2, uniform=True)
-            cost = ground_cost(a, b, p=2).entries
+            cost = ground_cost(a, b, p=2)
             best = min(
                 sum(cost[i, perm[i]] for i in range(n)) / n
                 for perm in itertools.permutations(range(n))
