@@ -3,7 +3,13 @@ barycentric over-sampling, at desk scale."""
 
 __version__ = "0.1.0"
 
-from .barysample import AugmentationConfig, SyntheticExample, augment_l2_kde, augment_wasserstein
+from .barysample import (
+    AugmentationConfig,
+    SyntheticSet,
+    augment_l2_kde,
+    augment_wasserstein,
+    barycenter_tokens,
+)
 from .coreset import SelectionState, brute_force_opt, greedy_select, objective_L
 from .data import (
     Corpus,
@@ -23,6 +29,7 @@ from .model import (
     ClassifierHead,
     ExampleEmbedding,
     SoftLabel,
+    TrainingSet,
     last_layer_gradients,
     load_head,
     predict_proba,
@@ -43,14 +50,16 @@ from .transport import (
 )
 
 __all__ = [
-    "AugmentationConfig", "SyntheticExample", "augment_l2_kde", "augment_wasserstein",
+    "AugmentationConfig", "SyntheticSet", "augment_l2_kde", "augment_wasserstein",
+    "barycenter_tokens",
     "SelectionState", "brute_force_opt", "greedy_select", "objective_L",
     "Corpus", "FeaturizerConfig", "SeedSpec", "SynthSpec", "build_seed",
     "export_jsonl", "featurize_text", "ingest_jsonl", "make_synthetic",
     "train_val_split",
     "DistanceMatrix", "pairwise_wasserstein",
     "ExperimentConfig", "RunRecord", "run_experiment", "run_sweep",
-    "ClassifierHead", "ExampleEmbedding", "SoftLabel", "last_layer_gradients",
+    "ClassifierHead", "ExampleEmbedding", "SoftLabel", "TrainingSet",
+    "last_layer_gradients",
     "load_head", "predict_proba", "save_head", "train",
     "report", "validate_svg",
     "bonferroni", "f1_macro", "f1_target", "wilcoxon_signed_rank",

@@ -5,7 +5,8 @@ clouds with mixed soft labels, and a per-class Gaussian KDE over pooled
 embeddings as the plain-Euclidean baseline. Synthetic counts are
 ``factor`` times the labeled set; group pairing defaults to within-class
 draws weighted toward rare classes, since augmentation is deployed
-against imbalance. Everything is deterministic for a fixed config seed.
+against imbalance. Both augmenters return a :class:`SyntheticSet` of
+arrays. Everything is deterministic for a fixed config seed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllwasError, ConfigError
-from .model import ExampleEmbedding, SoftLabel
+from .model import SoftLabel
 from .transport import barycenter_support_size, wasserstein_barycenter_batch
 
 KDE_BANDWIDTH_FLOOR = 1e-3
@@ -35,7 +36,8 @@ class AugmentationConfig:
     dirichlet_alpha: float = 1.0
     pairing: str = "within-class-minority-weighted"   # or "any-pair"
     seed: int = 0
-    # Budget of the barycenter solves (fixed-point passes, Sinkhorn sweeps).
+    # Budget of the barycenter solves in barycenter_tokens (fixed-point
+    # passes, Sinkhorn sweeps); the augmenters' outputs do not depend on it.
     outer_iter: int = 3
     sinkhorn_max_iter: int = 60
 
@@ -51,11 +53,21 @@ class AugmentationConfig:
 
 
 @dataclass(frozen=True)
-class SyntheticExample:
-    embedding: ExampleEmbedding
-    label: SoftLabel
-    parent_ids: tuple
+class SyntheticSet:
+    """Synthetic training rows as arrays.
+
+    ``pooled`` (M, d) embeddings and ``labels`` (M, C) soft labels, with
+    their provenance: ``parents`` (M, g) indices into the labeled list and
+    ``lambdas`` (M, g) mixing weights (g = 1 and weight 1 for KDE draws).
+    """
+
+    pooled: np.ndarray
+    labels: np.ndarray
+    parents: np.ndarray
     lambdas: np.ndarray
+
+    def __len__(self) -> int:
+        return self.pooled.shape[0]
 
 
 def mix_labels(labels, lambdas) -> SoftLabel:
@@ -67,11 +79,27 @@ def mix_labels(labels, lambdas) -> SoftLabel:
     return SoftLabel(acc)
 
 
-def _class_index(labeled):
-    """Hard class of each labeled example, plus member lists per class."""
-    classes = np.array([label.hard for _, label in labeled])
+def _mix_rows(rows, parents, lambdas) -> np.ndarray:
+    """Row r is sum_j lambdas[r, j] * rows[parents[r, j]], summed in member
+    order as in :func:`mix_labels`, so each row equals it bitwise."""
+    acc = np.zeros((parents.shape[0], rows.shape[1]))
+    for j in range(parents.shape[1]):
+        acc = acc + lambdas[:, j, None] * rows[parents[:, j]]
+    return acc
+
+
+def _labeled_arrays(labeled, cfg):
+    """Pooled rows (L, d), label rows (L, C) and row indices per hard class
+    of a labeled list of (embedding, label) pairs that can feed ``cfg``."""
+    if len(labeled) < cfg.group_size:
+        raise AllwasError(
+            f"need at least group_size={cfg.group_size} labeled examples "
+            f"(got {len(labeled)})")
+    pooled = np.stack([emb.pooled for emb, _ in labeled])
+    probs = np.stack([label.probs for _, label in labeled])
+    classes = probs.argmax(axis=1)
     members = {c: np.flatnonzero(classes == c) for c in np.unique(classes)}
-    return classes, members
+    return pooled, probs, members
 
 
 def _class_weights(members, pairing: str) -> tuple[np.ndarray, np.ndarray]:
@@ -94,69 +122,75 @@ def _draw_group(rng, cfg, members, classes_arr, class_probs, n_labeled) -> np.nd
     return pool[rng.choice(len(pool), size=cfg.group_size, replace=replace)]
 
 
-def augment_wasserstein(labeled, cfg: AugmentationConfig):
-    """factor x |labeled| synthetic examples, each the W_2 barycenter of a
-    sampled group of token clouds with the matching mixed label.
+def _no_rows(g: int) -> SyntheticSet:
+    return SyntheticSet(np.zeros((0, 0)), np.zeros((0, 0)),
+                        np.zeros((0, g), dtype=np.intp), np.zeros((0, g)))
 
-    Group token clouds carry uniform token weights; each synthetic token
-    matrix has round(sum lambda_i n_i) rows (at least one). Barycenters for
-    all groups are solved in one padded batch.
+
+def augment_wasserstein(labeled, cfg: AugmentationConfig) -> SyntheticSet:
+    """factor x |labeled| synthetic rows, each from a sampled group of
+    labeled examples with Dirichlet lambdas and the matching mixed label.
+
+    A row stands for the W_2 barycenter of its parents' token clouds, but
+    only its pooled vector is computed: the lambda-mix of the parents'
+    pooled vectors, which is exactly that barycenter's token mean (the
+    barycentric projection through feasible plans keeps the mean).
+    :func:`barycenter_tokens` solves the token clouds themselves.
     """
     labeled = list(labeled)
     if cfg.factor == 0:
-        return []
-    if len(labeled) < cfg.group_size:
-        raise AllwasError(
-            f"need at least group_size={cfg.group_size} labeled examples "
-            f"(got {len(labeled)})")
+        return _no_rows(cfg.group_size)
+    pooled, probs, members = _labeled_arrays(labeled, cfg)
     rng = np.random.default_rng(cfg.seed)
-    _, members = _class_index(labeled)
     classes_arr, class_probs = _class_weights(members, cfg.pairing)
 
     count = cfg.factor * len(labeled)
-    groups, lamb_rows, sizes, parents = [], [], [], []
-    for _ in range(count):
-        idx = _draw_group(rng, cfg, members, classes_arr, class_probs, len(labeled))
-        lam = rng.dirichlet(np.full(cfg.group_size, cfg.dirichlet_alpha))
-        tokens = [labeled[i][0].tokens for i in idx]
-        groups.append(tokens)
-        lamb_rows.append(lam)
-        sizes.append(barycenter_support_size([t.shape[0] for t in tokens], lam))
-        parents.append(tuple(int(i) for i in idx))
+    parents = np.empty((count, cfg.group_size), dtype=np.intp)
+    lambdas = np.empty((count, cfg.group_size))
+    alpha = np.full(cfg.group_size, cfg.dirichlet_alpha)
+    for r in range(count):
+        parents[r] = _draw_group(rng, cfg, members, classes_arr, class_probs,
+                                 len(labeled))
+        lambdas[r] = rng.dirichlet(alpha)
+    return SyntheticSet(_mix_rows(pooled, parents, lambdas),
+                        _mix_rows(probs, parents, lambdas), parents, lambdas)
 
-    supports = wasserstein_barycenter_batch(
-        groups, np.asarray(lamb_rows), sizes, outer_iter=cfg.outer_iter,
+
+def barycenter_tokens(labeled, synthetic: SyntheticSet, cfg: AugmentationConfig) -> list:
+    """Token clouds of ``augment_wasserstein``'s rows: for each row the W_2
+    barycenter of its parents' token clouds (uniform token weights) at its
+    lambdas, with round(sum lambda_i n_i) tokens (at least one), solved in
+    one padded batch on ``cfg``'s budget (``outer_iter``,
+    ``sinkhorn_max_iter``). Each cloud's token mean is the row's pooled
+    vector, whatever the budget.
+    """
+    labeled = list(labeled)
+    groups = [[labeled[i][0].tokens for i in row] for row in synthetic.parents]
+    sizes = [barycenter_support_size([t.shape[0] for t in tokens], lam)
+             for tokens, lam in zip(groups, synthetic.lambdas)]
+    return wasserstein_barycenter_batch(
+        groups, synthetic.lambdas, sizes, outer_iter=cfg.outer_iter,
         sinkhorn_max_iter=cfg.sinkhorn_max_iter, sinkhorn_tol=AUG_SINKHORN_TOL,
         eps_scale=AUG_EPS_SCALE,
     )
 
-    out = []
-    for support, lam, idx in zip(supports, lamb_rows, parents):
-        label = mix_labels([labeled[i][1] for i in idx], lam)
-        out.append(SyntheticExample(ExampleEmbedding(support), label, idx, lam))
-    return out
 
-
-def augment_l2_kde(labeled, cfg: AugmentationConfig):
+def augment_l2_kde(labeled, cfg: AugmentationConfig) -> SyntheticSet:
     """Euclidean baseline: per-class Gaussian KDE over pooled embeddings
     (Scott's rule, diagonal bandwidth), sampled with hard class labels in
-    proportion to the pairing weights. Degenerate classes (one member or
-    zero spread) get the bandwidth floor with a warning.
+    proportion to the pairing weights. Each row has one parent, the KDE
+    centre, with lambda 1. Degenerate classes (one member or zero spread)
+    get the bandwidth floor with a warning.
     """
     labeled = list(labeled)
     if cfg.factor == 0:
-        return []
-    if len(labeled) < cfg.group_size:
-        raise AllwasError(
-            f"need at least group_size={cfg.group_size} labeled examples "
-            f"(got {len(labeled)})")
+        return _no_rows(1)
+    pooled, probs, members = _labeled_arrays(labeled, cfg)
     rng = np.random.default_rng(cfg.seed)
-    _, members = _class_index(labeled)
     classes_arr, class_probs = _class_weights(members, cfg.pairing)
 
-    pooled = np.stack([emb.pooled for emb, _ in labeled])
     d = pooled.shape[1]
-    bandwidths = {}
+    bandwidths = []
     for c in classes_arr:
         rows = pooled[members[c]]
         n_c = rows.shape[0]
@@ -168,16 +202,20 @@ def augment_l2_kde(labeled, cfg: AugmentationConfig):
                 f"class {c}: degenerate embedding spread, bandwidth floored "
                 f"at {KDE_BANDWIDTH_FLOOR}")
             bw = np.maximum(bw, KDE_BANDWIDTH_FLOOR)
-        bandwidths[c] = bw
+        bandwidths.append(bw)
+    bandwidths = np.array(bandwidths)
 
-    out = []
-    for _ in range(cfg.factor * len(labeled)):
-        cls = int(classes_arr[rng.choice(len(classes_arr), p=class_probs)])
-        pool = members[cls]
-        parent = int(pool[rng.choice(len(pool))])
-        noise = rng.standard_normal(d) * bandwidths[cls]
-        point = pooled[parent] + noise
-        label = SoftLabel.one_hot(cls, labeled[parent][1].n_classes)
-        out.append(SyntheticExample(
-            ExampleEmbedding(point[None, :]), label, (parent,), np.array([1.0])))
-    return out
+    # Draws stay per row, in the order class, parent, noise.
+    count = cfg.factor * len(labeled)
+    slot = np.empty(count, dtype=np.intp)
+    parents = np.empty((count, 1), dtype=np.intp)
+    noise = np.empty((count, d))
+    for r in range(count):
+        slot[r] = rng.choice(len(classes_arr), p=class_probs)
+        pool = members[classes_arr[slot[r]]]
+        parents[r, 0] = pool[rng.choice(len(pool))]
+        noise[r] = rng.standard_normal(d)
+    labels = np.zeros((count, probs.shape[1]))
+    labels[np.arange(count), classes_arr[slot]] = 1.0
+    points = pooled[parents[:, 0]] + noise * bandwidths[slot]
+    return SyntheticSet(points, labels, parents, np.ones((count, 1)))

@@ -37,7 +37,7 @@ from .data import (
     train_val_split,
 )
 from .errors import AllwasError, ConfigError
-from .model import ClassifierHead, predict_proba_batch, train
+from .model import ClassifierHead, TrainingSet, predict_proba_batch, train
 from .seeding import derive_seed
 from .stats import f1_macro, f1_target
 from .strategies import STRATEGY_NAMES, OTConfig, acquire
@@ -100,6 +100,7 @@ class ExperimentConfig:
         # Check every value before any work; the head's dimensions here are
         # placeholders for the corpus's.
         self.augmentation_config(seed=0)
+        self.ot_config()
         ClassifierHead(input_dim=1, n_classes=2, **self.model)
         if self.metric not in ("target-f1", "macro-f1"):
             raise ConfigError(f"unknown metric {self.metric!r}")
@@ -129,6 +130,9 @@ class ExperimentConfig:
     def augmentation_config(self, seed: int) -> AugmentationConfig:
         knobs = {k: v for k, v in self.augmentation.items() if k != "mode"}
         return AugmentationConfig(**knobs, seed=seed)
+
+    def ot_config(self) -> OTConfig:
+        return OTConfig(**self.ot)
 
     def iterations_per_repeat(self) -> int:
         extra = max(0, self.budget - self.seed_size)
@@ -217,6 +221,7 @@ def _run_repeat(cfg: ExperimentConfig, corpus: Corpus, repeat: int):
     if cfg.budget > pool_corpus.n:
         raise ConfigError(f"budget {cfg.budget} exceeds pool of {pool_corpus.n}")
     labeled_ids, unlabeled_ids = build_seed(pool_corpus, seed_spec)
+    ot = cfg.ot_config()
 
     rows = []
     iteration = 0
@@ -225,11 +230,16 @@ def _run_repeat(cfg: ExperimentConfig, corpus: Corpus, repeat: int):
             started = time.perf_counter()
             labeled_examples = [(pool_corpus[i].embedding, pool_corpus[i].label)
                                 for i in labeled_ids]
-            train_data = list(labeled_examples)
+            train_data = TrainingSet.from_pairs(labeled_examples)
             augment = _augmenter(cfg, repeat, iteration)
             if augment is not None:
-                train_data += [(syn.embedding, syn.label)
-                               for syn in augment(labeled_examples)]
+                # The head reads only pooled vectors, and a Wasserstein
+                # synthetic's pooled vector is exactly its barycenter's token
+                # mean, so no barycenter is solved here. A head that reads
+                # tokens needs barysample.barycenter_tokens for these rows.
+                synthetic = augment(labeled_examples)
+                train_data = TrainingSet(np.vstack([train_data.x, synthetic.pooled]),
+                                         np.vstack([train_data.y, synthetic.labels]))
             head = ClassifierHead(
                 input_dim=corpus.dim, n_classes=corpus.n_classes,
                 seed=derive_seed(ms, repeat, iteration, "train"),
@@ -246,7 +256,7 @@ def _run_repeat(cfg: ExperimentConfig, corpus: Corpus, repeat: int):
             picked = acquire(
                 cfg.strategy, head, pool, labeled, cfg.k,
                 seed=derive_seed(ms, repeat, iteration, "acquire"),
-                ot=OTConfig(**cfg.ot), passes=cfg.mc_passes)
+                ot=ot, passes=cfg.mc_passes)
             picked_set = set(picked)
             labeled_ids = labeled_ids + picked
             unlabeled_ids = [i for i in unlabeled_ids if i not in picked_set]
@@ -357,7 +367,9 @@ def thread_budget() -> int:
         n = int(raw) if raw else 1
     except ValueError:
         raise ConfigError(f"ALLWAS_THREADS must be an integer (got {raw!r})")
-    return max(1, n)
+    if n < 1:
+        raise ConfigError(f"ALLWAS_THREADS must be >= 1 (got {raw!r})")
+    return n
 
 
 def run_sweep(base: ExperimentConfig, axis: str, values) -> list:
@@ -372,8 +384,8 @@ def run_sweep(base: ExperimentConfig, axis: str, values) -> list:
     if clashes:
         # Cells with one label would share (and race on) one CSV.
         raise ConfigError(f"sweep values give duplicate cell labels {clashes}")
-    corpus = load_corpus(base.corpus)
     workers = thread_budget()
+    corpus = load_corpus(base.corpus)
     if workers == 1:
         return [run_experiment(cell, corpus) for cell in cells]
     with ThreadPoolExecutor(max_workers=workers) as pool:

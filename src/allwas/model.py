@@ -132,30 +132,59 @@ class ClassifierHead:
         return e / e.sum(axis=-1, keepdims=True)
 
 
-def _stack_training_data(data):
-    if not data:
-        raise AllwasError("training data is empty")
-    d = data[0][0].dim
-    c = data[0][1].n_classes
-    xs, ys = [], []
-    for emb, label in data:
-        if emb.dim != d:
-            raise ShapeError("inconsistent embedding dimension", expected=d, actual=emb.dim)
-        if label.n_classes != c:
-            raise ShapeError("inconsistent class count", expected=c, actual=label.n_classes)
-        xs.append(emb.pooled)
-        ys.append(label.probs)
-    return np.asarray(xs), np.asarray(ys)
+@dataclass(frozen=True)
+class TrainingSet:
+    """Training rows as arrays: pooled embeddings ``x`` (n, d) and soft
+    labels ``y`` (n, C), one probability vector per row."""
+
+    x: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        x = np.asarray(self.x, dtype=np.float64)
+        y = np.asarray(self.y, dtype=np.float64)
+        if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
+            raise ShapeError("training data needs x (n, d) and y (n, C)",
+                             expected="(n, d), (n, C)", actual=(x.shape, y.shape))
+        if x.shape[0] == 0:
+            raise AllwasError("training data is empty")
+        if not np.all(np.isfinite(x)):
+            raise AllwasError("training embeddings contain non-finite entries")
+        if np.any(y < -_WEIGHT_TOL) or np.any(np.abs(y.sum(axis=1) - 1.0) > _WEIGHT_TOL):
+            raise AllwasError("training label rows must be probability vectors")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
+
+    @classmethod
+    def from_pairs(cls, data) -> "TrainingSet":
+        """Stack (embedding, label) pairs."""
+        if not data:
+            raise AllwasError("training data is empty")
+        d = data[0][0].dim
+        c = data[0][1].n_classes
+        for emb, label in data:
+            if emb.dim != d:
+                raise ShapeError("inconsistent embedding dimension", expected=d, actual=emb.dim)
+            if label.n_classes != c:
+                raise ShapeError("inconsistent class count", expected=c, actual=label.n_classes)
+        return cls(np.stack([emb.pooled for emb, _ in data]),
+                   np.stack([label.probs for _, label in data]))
 
 
 def train(head: ClassifierHead, data) -> ClassifierHead:
-    """Train a freshly initialized copy of ``head`` on (embedding, label) pairs.
+    """Train a freshly initialized copy of ``head`` on a :class:`TrainingSet`
+    or a list of (embedding, label) pairs.
 
     Mini-batch gradient descent on soft-label cross-entropy
     H(L, p) = -sum_c L_c log p_c, with inverted-scaling dropout on the
     hidden layer during training. Bit-reproducible for a fixed seed.
     """
-    x, y = _stack_training_data(data)
+    if not isinstance(data, TrainingSet):
+        data = TrainingSet.from_pairs(data)
+    x, y = data.x, data.y
     if x.shape[1] != head.input_dim:
         raise ShapeError("data dimension does not match head", expected=head.input_dim,
                          actual=x.shape[1])

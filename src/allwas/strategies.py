@@ -38,6 +38,21 @@ class OTConfig:
     s0_cost: float | None = None
     dump_path: str | None = None
 
+    def __post_init__(self):
+        # Each check is "not (valid)", so NaN fails too.
+        if not self.p >= 1:
+            raise ConfigError(f"ot p must be >= 1 (got {self.p})")
+        if self.eps is not None and not self.eps > 0:
+            raise ConfigError(f"ot eps must be > 0 or null (got {self.eps})")
+        if self.subsample is not None and not self.subsample >= 1:
+            raise ConfigError(f"ot subsample must be >= 1 or null (got {self.subsample})")
+        if not self.max_iter >= 1:
+            raise ConfigError(f"ot max_iter must be >= 1 (got {self.max_iter})")
+        if not self.tol > 0:
+            raise ConfigError(f"ot tol must be > 0 (got {self.tol})")
+        if self.s0_cost is not None and not self.s0_cost >= 0:
+            raise ConfigError(f"ot s0_cost must be >= 0 or null (got {self.s0_cost})")
+
 
 def _check_k(pool, k: int) -> None:
     if k < 1:

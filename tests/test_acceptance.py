@@ -271,10 +271,11 @@ def test_c06_label_mixing_exact():
         emb = ExampleEmbedding(rng.standard_normal((int(rng.integers(2, 6)), 4)))
         labeled.append((emb, SoftLabel.one_hot(i % 3, 3)))
     cfg = AugmentationConfig(factor=5, group_size=3, pairing="any-pair", seed=17)
-    ok = True
-    for syn in augment_wasserstein(labeled, cfg):
-        rebuilt = mix_labels([labeled[i][1] for i in syn.parent_ids], syn.lambdas)
-        ok &= bool(np.array_equal(syn.label.probs, rebuilt.probs))
+    out = augment_wasserstein(labeled, cfg)
+    ok = len(out) == 40
+    for label, parents, lambdas in zip(out.labels, out.parents, out.lambdas):
+        rebuilt = mix_labels([labeled[i][1] for i in parents], lambdas)
+        ok &= bool(np.array_equal(label, rebuilt.probs))
     conclude(6, "mixed labels reconstruct bitwise", ok)
 
 

@@ -156,6 +156,16 @@ class TestRunExperiment:
         record = run_experiment(cfg)
         assert len(record.rows) == 2 * cfg.repeats
 
+    def test_wasserstein_cell_solves_no_barycenter(self, tmp_path, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("barycenter solved")
+
+        monkeypatch.setattr("allwas.barysample.wasserstein_barycenter_batch", solve)
+        cfg = small_cfg(tmp_path, augmentation={"mode": "wasserstein", "factor": 3},
+                        budget=20, k=10)
+        record = run_experiment(cfg)
+        assert len(record.rows) == 2 * cfg.repeats
+
 
 class TestSweep:
     def test_strategy_axis_shares_seeds(self, tmp_path):
@@ -196,6 +206,13 @@ class TestSweep:
                             lambda spec: pytest.fail("corpus loaded"))
         with pytest.raises(ConfigError, match="group_size"):
             run_sweep(cfg, "barycenter-group-size", [2, 1])
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_thread_budget_below_one_rejected(self, tmp_path, monkeypatch, threads):
+        monkeypatch.setenv("ALLWAS_THREADS", threads)
+        with pytest.raises(ConfigError, match="ALLWAS_THREADS must be >= 1"):
+            run_sweep(small_cfg(tmp_path), "strategy", ["random", "lc"])
         assert not (tmp_path / "runs").exists()
 
     def test_parallel_cells_match_serial(self, tmp_path, monkeypatch):
@@ -321,6 +338,23 @@ class TestCli:
             "strategy": "allwas", section: bad}))
         assert cli_main(["run", str(cfg_path)]) == 2
         assert f"unknown {section} config keys: ['{key}']" in capsys.readouterr().err
+        assert not run_dir.exists()
+
+    @pytest.mark.parametrize("field, bad", [
+        ("eps", -1.0), ("max_iter", -5), ("tol", -1.0), ("subsample", 0),
+        ("p", 0.5), ("s0_cost", -1.0)])
+    def test_bad_ot_value_exits_2_before_corpus_loads(self, tmp_path, capsys,
+                                                      monkeypatch, field, bad):
+        monkeypatch.setattr("allwas.harness.load_corpus",
+                            lambda spec: pytest.fail("corpus loaded"))
+        run_dir = tmp_path / "runs"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "corpus": SMALL_CORPUS, "out_dir": str(run_dir), "label": "bad",
+            "seed_size": 10, "budget": 30, "k": 10, "repeats": 1,
+            "strategy": "allwas", "ot": {field: bad}}))
+        assert cli_main(["run", str(cfg_path)]) == 2
+        assert f"ot {field} must be" in capsys.readouterr().err
         assert not run_dir.exists()
 
     def test_exit_code_data_error(self, tmp_path):

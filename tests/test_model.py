@@ -6,6 +6,7 @@ from allwas.model import (
     ClassifierHead,
     ExampleEmbedding,
     SoftLabel,
+    TrainingSet,
     gradient_arrays,
     last_layer_gradients,
     load_head,
@@ -76,6 +77,28 @@ class TestTraining:
         ]
         with pytest.raises(ShapeError):
             train(small_head(), data)
+
+    def test_arrays_train_like_pairs(self, rng):
+        data = blob_data(rng, n=60)
+        arrays = TrainingSet(np.stack([emb.pooled for emb, _ in data]),
+                             np.stack([label.probs for _, label in data]))
+        assert len(arrays) == 60
+        h1 = train(small_head(seed=4), data)
+        h2 = train(small_head(seed=4), arrays)
+        assert np.array_equal(h1.w1, h2.w1)
+        assert np.array_equal(h1.w2, h2.w2)
+        assert h1.loss_history == h2.loss_history
+
+    @pytest.mark.parametrize("x, y, error", [
+        (np.zeros((0, 3)), np.zeros((0, 2)), AllwasError),                  # empty
+        (np.zeros((2, 3)), np.array([[1.0, 0.0]]), ShapeError),             # row counts
+        (np.zeros(3), np.array([[1.0, 0.0]]), ShapeError),                  # x not 2-D
+        (np.array([[0.0, np.nan]]), np.array([[1.0, 0.0]]), AllwasError),   # non-finite
+        (np.zeros((2, 3)), np.array([[1.0, 0.0], [0.6, 0.6]]), AllwasError),   # sum != 1
+        (np.zeros((1, 3)), np.array([[1.5, -0.5]]), AllwasError)])           # negative
+    def test_training_set_checks(self, x, y, error):
+        with pytest.raises(error):
+            TrainingSet(x, y)
 
     def test_retraining_is_bit_reproducible(self, rng):
         data = blob_data(rng, n=60)

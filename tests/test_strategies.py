@@ -203,6 +203,14 @@ class TestAllwas:
         assert a == b
         assert len(set(a)) == 3
 
+    @pytest.mark.parametrize("field, bad", [
+        ("eps", -1.0), ("eps", 0.0), ("max_iter", -5), ("max_iter", 0),
+        ("tol", -1.0), ("tol", 0.0), ("tol", float("nan")), ("subsample", 0),
+        ("p", 0.5), ("s0_cost", -0.1)])
+    def test_bad_values_rejected(self, field, bad):
+        with pytest.raises(ConfigError, match=f"ot {field} must be"):
+            OTConfig(**{field: bad})
+
     def test_distance_dump(self, trained_head, rng, tmp_path):
         pool = make_pool(rng, 5)
         dump = tmp_path / "d.csv"
