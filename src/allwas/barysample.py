@@ -5,8 +5,10 @@ clouds with mixed soft labels, and a per-class Gaussian KDE over pooled
 embeddings as the plain-Euclidean baseline. Synthetic counts are
 ``factor`` times the labeled set; group pairing defaults to within-class
 draws weighted toward rare classes, since augmentation is deployed
-against imbalance. Both augmenters return a :class:`SyntheticSet` of
-arrays. Everything is deterministic for a fixed config seed.
+against imbalance. Both augmenters read the labeled set as a
+:class:`TrainingSet` of arrays and return a :class:`SyntheticSet` of
+arrays; only :func:`barycenter_tokens` reads token clouds. Everything is
+deterministic for a fixed config seed.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllwasError, ConfigError
-from .model import SoftLabel
+from .model import SoftLabel, TrainingSet
 from .transport import barycenter_support_size, wasserstein_barycenter_batch
 
 KDE_BANDWIDTH_FLOOR = 1e-3
@@ -57,7 +59,7 @@ class SyntheticSet:
     """Synthetic training rows as arrays.
 
     ``pooled`` (M, d) embeddings and ``labels`` (M, C) soft labels, with
-    their provenance: ``parents`` (M, g) indices into the labeled list and
+    their provenance: ``parents`` (M, g) labeled row indices and
     ``lambdas`` (M, g) mixing weights (g = 1 and weight 1 for KDE draws).
     """
 
@@ -88,36 +90,35 @@ def _mix_rows(rows, parents, lambdas) -> np.ndarray:
     return acc
 
 
-def _labeled_arrays(labeled, cfg):
-    """Pooled rows (L, d), label rows (L, C) and row indices per hard class
-    of a labeled list of (embedding, label) pairs that can feed ``cfg``."""
+def _class_members(labeled: TrainingSet, cfg) -> dict:
+    """Row indices per hard class of a labeled set that can feed ``cfg``."""
     if len(labeled) < cfg.group_size:
         raise AllwasError(
             f"need at least group_size={cfg.group_size} labeled examples "
             f"(got {len(labeled)})")
-    pooled = np.stack([emb.pooled for emb, _ in labeled])
-    probs = np.stack([label.probs for _, label in labeled])
-    classes = probs.argmax(axis=1)
-    members = {c: np.flatnonzero(classes == c) for c in np.unique(classes)}
-    return pooled, probs, members
+    classes = labeled.y.argmax(axis=1)
+    return {c: np.flatnonzero(classes == c) for c in np.unique(classes)}
 
 
-def _class_weights(members, pairing: str) -> tuple[np.ndarray, np.ndarray]:
-    """Sampling distribution over classes for the given pairing mode."""
+def _class_cdf(members, pairing: str) -> tuple[np.ndarray, np.ndarray]:
+    """Classes and the cdf of their sampling distribution for the pairing
+    mode, built as ``Generator.choice(p=)`` builds it, so that
+    ``cdf.searchsorted(rng.random(), side="right")`` draws its stream."""
     classes = np.array(sorted(members))
     counts = np.array([len(members[c]) for c in classes], dtype=np.float64)
     if pairing == "within-class-minority-weighted":
         w = 1.0 / counts
     else:
         w = counts
-    return classes, w / w.sum()
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
+    return classes, cdf
 
 
-def _draw_group(rng, cfg, members, classes_arr, class_probs, n_labeled) -> np.ndarray:
+def _draw_group(rng, cfg, members, classes_arr, cdf, n_labeled) -> np.ndarray:
     if cfg.pairing == "any-pair":
         return rng.choice(n_labeled, size=cfg.group_size, replace=False)
-    cls = classes_arr[rng.choice(len(classes_arr), p=class_probs)]
-    pool = members[cls]
+    pool = members[classes_arr[cdf.searchsorted(rng.random(), side="right")]]
     replace = len(pool) < cfg.group_size
     return pool[rng.choice(len(pool), size=cfg.group_size, replace=replace)]
 
@@ -127,9 +128,9 @@ def _no_rows(g: int) -> SyntheticSet:
                         np.zeros((0, g), dtype=np.intp), np.zeros((0, g)))
 
 
-def augment_wasserstein(labeled, cfg: AugmentationConfig) -> SyntheticSet:
+def augment_wasserstein(labeled: TrainingSet, cfg: AugmentationConfig) -> SyntheticSet:
     """factor x |labeled| synthetic rows, each from a sampled group of
-    labeled examples with Dirichlet lambdas and the matching mixed label.
+    labeled rows with Dirichlet lambdas and the matching mixed label.
 
     A row stands for the W_2 barycenter of its parents' token clouds, but
     only its pooled vector is computed: the lambda-mix of the parents'
@@ -137,35 +138,33 @@ def augment_wasserstein(labeled, cfg: AugmentationConfig) -> SyntheticSet:
     barycentric projection through feasible plans keeps the mean).
     :func:`barycenter_tokens` solves the token clouds themselves.
     """
-    labeled = list(labeled)
     if cfg.factor == 0:
         return _no_rows(cfg.group_size)
-    pooled, probs, members = _labeled_arrays(labeled, cfg)
+    members = _class_members(labeled, cfg)
     rng = np.random.default_rng(cfg.seed)
-    classes_arr, class_probs = _class_weights(members, cfg.pairing)
+    classes_arr, cdf = _class_cdf(members, cfg.pairing)
 
     count = cfg.factor * len(labeled)
     parents = np.empty((count, cfg.group_size), dtype=np.intp)
     lambdas = np.empty((count, cfg.group_size))
     alpha = np.full(cfg.group_size, cfg.dirichlet_alpha)
     for r in range(count):
-        parents[r] = _draw_group(rng, cfg, members, classes_arr, class_probs,
-                                 len(labeled))
+        parents[r] = _draw_group(rng, cfg, members, classes_arr, cdf, len(labeled))
         lambdas[r] = rng.dirichlet(alpha)
-    return SyntheticSet(_mix_rows(pooled, parents, lambdas),
-                        _mix_rows(probs, parents, lambdas), parents, lambdas)
+    return SyntheticSet(_mix_rows(labeled.x, parents, lambdas),
+                        _mix_rows(labeled.y, parents, lambdas), parents, lambdas)
 
 
-def barycenter_tokens(labeled, synthetic: SyntheticSet, cfg: AugmentationConfig) -> list:
+def barycenter_tokens(embeddings, synthetic: SyntheticSet, cfg: AugmentationConfig) -> list:
     """Token clouds of ``augment_wasserstein``'s rows: for each row the W_2
     barycenter of its parents' token clouds (uniform token weights) at its
     lambdas, with round(sum lambda_i n_i) tokens (at least one), solved in
     one padded batch on ``cfg``'s budget (``outer_iter``,
-    ``sinkhorn_max_iter``). Each cloud's token mean is the row's pooled
-    vector, whatever the budget.
+    ``sinkhorn_max_iter``). ``embeddings`` are the labeled rows'
+    :class:`ExampleEmbedding` objects, in row order. Each cloud's token mean
+    is the row's pooled vector, whatever the budget.
     """
-    labeled = list(labeled)
-    groups = [[labeled[i][0].tokens for i in row] for row in synthetic.parents]
+    groups = [[embeddings[i].tokens for i in row] for row in synthetic.parents]
     sizes = [barycenter_support_size([t.shape[0] for t in tokens], lam)
              for tokens, lam in zip(groups, synthetic.lambdas)]
     return wasserstein_barycenter_batch(
@@ -175,24 +174,23 @@ def barycenter_tokens(labeled, synthetic: SyntheticSet, cfg: AugmentationConfig)
     )
 
 
-def augment_l2_kde(labeled, cfg: AugmentationConfig) -> SyntheticSet:
+def augment_l2_kde(labeled: TrainingSet, cfg: AugmentationConfig) -> SyntheticSet:
     """Euclidean baseline: per-class Gaussian KDE over pooled embeddings
     (Scott's rule, diagonal bandwidth), sampled with hard class labels in
     proportion to the pairing weights. Each row has one parent, the KDE
     centre, with lambda 1. Degenerate classes (one member or zero spread)
     get the bandwidth floor with a warning.
     """
-    labeled = list(labeled)
     if cfg.factor == 0:
         return _no_rows(1)
-    pooled, probs, members = _labeled_arrays(labeled, cfg)
+    members = _class_members(labeled, cfg)
     rng = np.random.default_rng(cfg.seed)
-    classes_arr, class_probs = _class_weights(members, cfg.pairing)
+    classes_arr, cdf = _class_cdf(members, cfg.pairing)
 
-    d = pooled.shape[1]
+    d = labeled.x.shape[1]
     bandwidths = []
     for c in classes_arr:
-        rows = pooled[members[c]]
+        rows = labeled.x[members[c]]
         n_c = rows.shape[0]
         scott = n_c ** (-1.0 / (d + 4))
         spread = rows.std(axis=0, ddof=1) if n_c > 1 else np.zeros(d)
@@ -211,11 +209,11 @@ def augment_l2_kde(labeled, cfg: AugmentationConfig) -> SyntheticSet:
     parents = np.empty((count, 1), dtype=np.intp)
     noise = np.empty((count, d))
     for r in range(count):
-        slot[r] = rng.choice(len(classes_arr), p=class_probs)
+        slot[r] = cdf.searchsorted(rng.random(), side="right")
         pool = members[classes_arr[slot[r]]]
-        parents[r, 0] = pool[rng.choice(len(pool))]
+        parents[r, 0] = pool[rng.integers(0, len(pool))]
         noise[r] = rng.standard_normal(d)
-    labels = np.zeros((count, probs.shape[1]))
+    labels = np.zeros((count, labeled.y.shape[1]))
     labels[np.arange(count), classes_arr[slot]] = 1.0
-    points = pooled[parents[:, 0]] + noise * bandwidths[slot]
+    points = labeled.x[parents[:, 0]] + noise * bandwidths[slot]
     return SyntheticSet(points, labels, parents, np.ones((count, 1)))

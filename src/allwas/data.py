@@ -88,14 +88,15 @@ class Corpus:
         except KeyError:
             raise DataError(f"unknown example id {example_id!r}") from None
 
-    def class_priors(self) -> np.ndarray:
-        counts = np.zeros(self.n_classes)
-        for ex in self.examples:
-            counts[ex.label.hard] += 1
-        return counts / counts.sum()
-
     def pooled_matrix(self) -> np.ndarray:
         return np.stack([ex.embedding.pooled for ex in self.examples])
+
+    def label_matrix(self) -> np.ndarray:
+        return np.stack([ex.label.probs for ex in self.examples])
+
+    def class_priors(self) -> np.ndarray:
+        # Corpus labels are one-hot, so the mean row is the class shares.
+        return self.label_matrix().mean(axis=0)
 
 
 def featurize_text(text: str, d: int = 64, seed: int = 0) -> ExampleEmbedding:
@@ -304,6 +305,13 @@ class SeedSpec:
             raise ConfigError(f"unknown seed setting {self.setting!r}")
         if self.seed_size < 1:
             raise ConfigError("seed_size must be >= 1")
+        # Each check is "not (valid)", so NaN fails too.
+        if not 0 <= self.minority_fraction <= 1:
+            raise ConfigError(
+                f"minority_fraction must be in [0, 1] (got {self.minority_fraction})")
+        if not 0 <= self.radius_percentile <= 100:
+            raise ConfigError(
+                f"radius_percentile must be in [0, 100] (got {self.radius_percentile})")
 
 
 def _pairwise_distance_percentile(pooled: np.ndarray, percentile: float,

@@ -2,9 +2,12 @@
 paired sweeps, and append-safe result files.
 
 One experiment cell = (corpus, seed setting, strategy, augmentation) run
-for several repeats. Per repeat: build the labeling seed, optionally
-augment the labeled set, train a fresh head, evaluate on the held-out
-validation split, acquire the next batch, repeat until the budget.
+for several repeats. Per repeat: split off the validation set, build the
+labeling seed, and stack both splits into arrays once; then per
+iteration: optionally augment the labeled rows, train a fresh head,
+evaluate on the validation rows, acquire the next batch from the
+unlabeled rows, repeat until the budget. The labeled and unlabeled sets
+are row-index arrays into the pool split's matrices.
 Every random stage draws from a generator derived from
 (master seed, repeat, iteration, stage name), so outputs are a pure
 function of (config, master seed).
@@ -19,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
@@ -78,7 +80,6 @@ class ExperimentConfig:
     metric: str = "target-f1"
     val_fraction: float = 0.2
     master_seed: int = 0
-    record_timing: bool = False
     mc_passes: int = 10
 
     def __post_init__(self):
@@ -101,9 +102,14 @@ class ExperimentConfig:
         # placeholders for the corpus's.
         self.augmentation_config(seed=0)
         self.ot_config()
+        self.seed_spec(seed=0)
         ClassifierHead(input_dim=1, n_classes=2, **self.model)
         if self.metric not in ("target-f1", "macro-f1"):
             raise ConfigError(f"unknown metric {self.metric!r}")
+        if not 0 < self.val_fraction < 1:
+            raise ConfigError(f"val_fraction must be in (0, 1) (got {self.val_fraction})")
+        if not self.mc_passes >= 1:
+            raise ConfigError(f"mc_passes must be >= 1 (got {self.mc_passes})")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -133,6 +139,11 @@ class ExperimentConfig:
 
     def ot_config(self) -> OTConfig:
         return OTConfig(**self.ot)
+
+    def seed_spec(self, seed: int) -> SeedSpec:
+        return SeedSpec(setting=self.setting, seed_size=self.seed_size, seed=seed,
+                        minority_fraction=self.minority_fraction,
+                        radius_percentile=self.radius_percentile)
 
     def iterations_per_repeat(self) -> int:
         extra = max(0, self.budget - self.seed_size)
@@ -189,23 +200,22 @@ def load_corpus(spec: dict) -> Corpus:
     raise ConfigError("corpus config needs 'synthetic' or 'path'")
 
 
-def _augmenter(cfg: ExperimentConfig, repeat: int, iteration: int):
+def _augmented(cfg: ExperimentConfig, repeat: int, iteration: int,
+               labeled: TrainingSet) -> TrainingSet:
+    """The labeled rows followed by the cell's synthetic rows, if any."""
     mode = cfg.augmentation.get("mode", "none")
     aug_cfg = cfg.augmentation_config(
         derive_seed(cfg.master_seed, repeat, iteration, "augment"))
     if mode == "none" or aug_cfg.factor == 0:
-        return None
+        return labeled
+    # The head reads only pooled vectors, and a Wasserstein synthetic's
+    # pooled vector is exactly its barycenter's token mean, so no barycenter
+    # is solved here. A head that reads tokens needs
+    # barysample.barycenter_tokens for these rows.
     fn = augment_wasserstein if mode == "wasserstein" else augment_l2_kde
-    return lambda labeled: fn(labeled, aug_cfg)
-
-
-def _evaluate(head: ClassifierHead, val: Corpus, metric: str) -> float:
-    probs = predict_proba_batch(head, val.pooled_matrix())
-    preds = probs.argmax(axis=1)
-    truth = np.array([ex.label.hard for ex in val.examples])
-    if metric == "macro-f1":
-        return f1_macro(preds, truth, val.n_classes)
-    return f1_target(preds, truth, val.target_class)
+    synthetic = fn(labeled, aug_cfg)
+    return TrainingSet(np.vstack([labeled.x, synthetic.pooled]),
+                       np.vstack([labeled.y, synthetic.labels]))
 
 
 def _run_repeat(cfg: ExperimentConfig, corpus: Corpus, repeat: int):
@@ -213,53 +223,46 @@ def _run_repeat(cfg: ExperimentConfig, corpus: Corpus, repeat: int):
     ms = cfg.master_seed
     pool_corpus, val_corpus = train_val_split(
         corpus, cfg.val_fraction, seed=derive_seed(ms, repeat, "split"))
-    seed_spec = SeedSpec(
-        setting=cfg.setting, seed_size=cfg.seed_size,
-        seed=derive_seed(ms, repeat, "seed"),
-        minority_fraction=cfg.minority_fraction,
-        radius_percentile=cfg.radius_percentile)
     if cfg.budget > pool_corpus.n:
         raise ConfigError(f"budget {cfg.budget} exceeds pool of {pool_corpus.n}")
-    labeled_ids, unlabeled_ids = build_seed(pool_corpus, seed_spec)
+    labeled_ids, unlabeled_ids = build_seed(
+        pool_corpus, cfg.seed_spec(derive_seed(ms, repeat, "seed")))
+    # The one read of per-example objects: everything below works on rows.
+    ids = pool_corpus.ids
+    x, y = pool_corpus.pooled_matrix(), pool_corpus.label_matrix()
+    val_x, val_truth = val_corpus.pooled_matrix(), val_corpus.label_matrix().argmax(axis=1)
+    row_of = {example_id: row for row, example_id in enumerate(ids)}
+    labeled = np.array([row_of[i] for i in labeled_ids], dtype=np.intp)
+    unlabeled = np.array([row_of[i] for i in unlabeled_ids], dtype=np.intp)
     ot = cfg.ot_config()
 
     rows = []
     iteration = 0
     while True:
         try:
-            started = time.perf_counter()
-            labeled_examples = [(pool_corpus[i].embedding, pool_corpus[i].label)
-                                for i in labeled_ids]
-            train_data = TrainingSet.from_pairs(labeled_examples)
-            augment = _augmenter(cfg, repeat, iteration)
-            if augment is not None:
-                # The head reads only pooled vectors, and a Wasserstein
-                # synthetic's pooled vector is exactly its barycenter's token
-                # mean, so no barycenter is solved here. A head that reads
-                # tokens needs barysample.barycenter_tokens for these rows.
-                synthetic = augment(labeled_examples)
-                train_data = TrainingSet(np.vstack([train_data.x, synthetic.pooled]),
-                                         np.vstack([train_data.y, synthetic.labels]))
+            train_data = _augmented(cfg, repeat, iteration,
+                                    TrainingSet(x[labeled], y[labeled]))
             head = ClassifierHead(
                 input_dim=corpus.dim, n_classes=corpus.n_classes,
-                seed=derive_seed(ms, repeat, iteration, "train"),
-                **cfg.model)
+                seed=derive_seed(ms, repeat, iteration, "train"), **cfg.model)
             head = train(head, train_data)
-            f1 = _evaluate(head, val_corpus, cfg.metric)
-            seconds = time.perf_counter() - started if cfg.record_timing else 0.0
+            preds = predict_proba_batch(head, val_x).argmax(axis=1)
+            if cfg.metric == "macro-f1":
+                f1 = f1_macro(preds, val_truth, corpus.n_classes)
+            else:
+                f1 = f1_target(preds, val_truth, corpus.target_class)
             rows.append(RunRow(cfg.setting, cfg.strategy, ms + repeat, iteration,
-                               len(labeled_ids), f1, seconds))
-            if len(labeled_ids) >= cfg.budget:
+                               len(labeled), f1, 0.0))
+            if len(labeled) >= cfg.budget:
                 break
-            pool = [(i, pool_corpus[i].embedding) for i in unlabeled_ids]
-            labeled = [(i, pool_corpus[i].embedding) for i in labeled_ids]
             picked = acquire(
-                cfg.strategy, head, pool, labeled, cfg.k,
+                cfg.strategy, head, [ids[r] for r in unlabeled], x[unlabeled],
+                [ids[r] for r in labeled], x[labeled], cfg.k,
                 seed=derive_seed(ms, repeat, iteration, "acquire"),
                 ot=ot, passes=cfg.mc_passes)
-            picked_set = set(picked)
-            labeled_ids = labeled_ids + picked
-            unlabeled_ids = [i for i in unlabeled_ids if i not in picked_set]
+            picked = np.array([row_of[i] for i in picked], dtype=np.intp)
+            labeled = np.concatenate([labeled, picked])
+            unlabeled = unlabeled[~np.isin(unlabeled, picked)]
             iteration += 1
         except AllwasError as exc:
             raise type(exc)(

@@ -33,7 +33,7 @@ class ExampleEmbedding:
     """Token-embedding matrix (n_i, d) with its mean-pooled vector."""
 
     tokens: np.ndarray
-    pooled: np.ndarray = None
+    pooled: np.ndarray = field(init=False)
 
     def __post_init__(self):
         tokens = np.asarray(self.tokens, dtype=np.float64)

@@ -1,10 +1,12 @@
 """Acquisition strategies over the unlabeled pool.
 
-All strategies share one calling convention: a pool of (id, embedding)
-pairs, the trained head where needed, and the number of samples to pick.
-They return exactly k distinct pool ids and never see true labels; seeded
-strategies are deterministic per seed, the rest are pure functions of
-their inputs. Ties everywhere break to the lowest id.
+All strategies share one calling convention: the pool as a sequence of
+ids with the matching (N, d) matrix of pooled embeddings (row i is id i),
+the trained head where needed, and the number of samples to pick;
+``kcenter`` and ``allwas`` also read the labeled rows. They return exactly
+k distinct pool ids and never see true labels; seeded strategies are
+deterministic per seed, the rest are pure functions of their inputs. Ties
+everywhere break to the lowest id.
 """
 
 from __future__ import annotations
@@ -54,134 +56,124 @@ class OTConfig:
             raise ConfigError(f"ot s0_cost must be >= 0 or null (got {self.s0_cost})")
 
 
-def _check_k(pool, k: int) -> None:
+def _check_k(ids, k: int) -> None:
     if k < 1:
         raise ConfigError("k must be >= 1")
-    if k > len(pool):
-        raise AllwasError(f"k={k} exceeds pool of {len(pool)}")
+    if k > len(ids):
+        raise AllwasError(f"k={k} exceeds pool of {len(ids)}")
 
 
-def _pooled(pool) -> np.ndarray:
-    return np.stack([emb.pooled for _, emb in pool])
+def _lowest(scores: np.ndarray, ids, k: int):
+    """The k ids with the lowest score, ties to the lowest id."""
+    order = sorted(range(len(ids)), key=lambda i: (scores[i], ids[i]))
+    return [ids[i] for i in order[:k]]
 
 
-def acquire_random(pool, k: int, seed: int = 0):
+def acquire_random(ids, k: int, seed: int = 0):
     """Seeded uniform sample without replacement."""
-    _check_k(pool, k)
+    _check_k(ids, k)
     rng = np.random.default_rng(seed)
-    picked = rng.choice(len(pool), size=k, replace=False)
-    return [pool[i][0] for i in picked]
+    picked = rng.choice(len(ids), size=k, replace=False)
+    return [ids[i] for i in picked]
 
 
-def acquire_least_confidence(head: ClassifierHead, pool, k: int):
+def acquire_least_confidence(head: ClassifierHead, ids, x: np.ndarray, k: int):
     """Ids with the smallest top-class probability."""
-    _check_k(pool, k)
-    probs = predict_proba_batch(head, _pooled(pool))
-    conf = probs.max(axis=1)
-    order = sorted(range(len(pool)), key=lambda i: (conf[i], pool[i][0]))
-    return [pool[i][0] for i in order[:k]]
+    _check_k(ids, k)
+    return _lowest(predict_proba_batch(head, x).max(axis=1), ids, k)
 
 
-def acquire_mc_dropout(head: ClassifierHead, pool, k: int,
+def acquire_mc_dropout(head: ClassifierHead, ids, x: np.ndarray, k: int,
                        passes: int = 10, seed: int = 0):
     """Least confidence on the average of dropout-active predictions."""
-    _check_k(pool, k)
+    _check_k(ids, k)
     if passes < 1:
         raise ConfigError("passes must be >= 1")
-    x = _pooled(pool)
-    mean = np.zeros((len(pool), head.n_classes))
+    mean = np.zeros((len(ids), head.n_classes))
     for t in range(passes):
         mean += predict_proba_batch(head, x, dropout_active=True,
                                     seed=derive_seed(seed, "mc-pass", t))
     mean /= passes
-    conf = mean.max(axis=1)
-    order = sorted(range(len(pool)), key=lambda i: (conf[i], pool[i][0]))
-    return [pool[i][0] for i in order[:k]]
+    return _lowest(mean.max(axis=1), ids, k)
 
 
-def acquire_egl(head: ClassifierHead, pool, k: int):
+def acquire_egl(head: ClassifierHead, ids, x: np.ndarray, k: int):
     """Largest expected gradient norm: sum_c p_c ||g_c||_2."""
-    _check_k(pool, k)
-    grads, probs = gradient_arrays(head, _pooled(pool))
+    _check_k(ids, k)
+    grads, probs = gradient_arrays(head, x)
     norms = np.linalg.norm(grads, axis=2)
-    scores = np.einsum("nc,nc->n", probs, norms)
-    order = sorted(range(len(pool)), key=lambda i: (-scores[i], pool[i][0]))
-    return [pool[i][0] for i in order[:k]]
+    return _lowest(-np.einsum("nc,nc->n", probs, norms), ids, k)
 
 
-def acquire_kcenter(pool, labeled, k: int):
+def acquire_kcenter(ids, x: np.ndarray, labeled_x: np.ndarray, k: int):
     """Greedy k-center on pooled embeddings, centers seeded with the
-    labeled set; each step takes the id farthest from its nearest center."""
-    _check_k(pool, k)
-    x = _pooled(pool)
-    if labeled:
-        centers = np.stack([emb.pooled for _, emb in labeled])
-        dist = np.sqrt(((x[:, None, :] - centers[None, :, :]) ** 2).sum(-1)).min(axis=1)
-    else:
-        dist = np.full(len(pool), np.inf)
+    labeled rows; each step takes the id farthest from its nearest center."""
+    _check_k(ids, k)
+    # One center at a time: an (N, L, d) broadcast would be tens of MiB.
+    dist = np.full(len(ids), np.inf)
+    for center in labeled_x:
+        dist = np.minimum(dist, np.sqrt(((x - center) ** 2).sum(-1)))
     chosen = []
-    taken = np.zeros(len(pool), dtype=bool)
-    ids = [i for i, _ in pool]
     for _ in range(k):
-        masked = np.where(taken, -np.inf, dist)
-        top = masked.max()
-        cands = np.flatnonzero(masked == top)
+        cands = np.flatnonzero(dist == dist.max())
         best = min(cands, key=lambda i: ids[i])
         chosen.append(ids[best])
-        taken[best] = True
-        new_dist = np.sqrt(((x - x[best]) ** 2).sum(-1))
-        dist = np.minimum(dist, new_dist)
+        dist = np.minimum(dist, np.sqrt(((x - x[best]) ** 2).sum(-1)))
+        dist[best] = -np.inf  # taken: never the max again
     return chosen
 
 
-def acquire_allwas(head: ClassifierHead, pool, labeled, k: int,
-                   ot: OTConfig | None = None, seed: int = 0):
+def _by_id(ids, x):
+    order = sorted(range(len(ids)), key=lambda i: ids[i])
+    return [ids[i] for i in order], x[order]
+
+
+def acquire_allwas(head: ClassifierHead, ids, x: np.ndarray, labeled_ids,
+                   labeled_x: np.ndarray, k: int, ot: OTConfig | None = None,
+                   seed: int = 0):
     """Transport-coreset acquisition: per-class gradient measures for the
-    pool and the labeled set, pairwise transport distances, then greedy
+    pool and the labeled rows, pairwise transport distances, then greedy
     coverage maximization warm-started on the labeled ids.
 
     When the pool exceeds ``ot.subsample``, a seeded subsample of pool
     candidates caps the quadratic pair sweep; labeled points always stay.
     """
-    _check_k(pool, k)
+    _check_k(ids, k)
     ot = ot or OTConfig()
-    pool = sorted(pool, key=lambda item: item[0])
-    labeled = sorted(labeled, key=lambda item: item[0])
+    ids, x = _by_id(ids, x)
+    labeled_ids, labeled_x = _by_id(labeled_ids, labeled_x)
 
-    if ot.subsample is not None and len(pool) > ot.subsample:
+    if ot.subsample is not None and len(ids) > ot.subsample:
         rng = np.random.default_rng(derive_seed(seed, "allwas-subsample"))
-        keep = np.sort(rng.choice(len(pool), size=ot.subsample, replace=False))
-        pool = [pool[i] for i in keep]
-        if k > len(pool):
-            raise AllwasError(f"k={k} exceeds subsampled pool of {len(pool)}")
+        keep = np.sort(rng.choice(len(ids), size=ot.subsample, replace=False))
+        ids, x = [ids[i] for i in keep], x[keep]
+        if k > len(ids):
+            raise AllwasError(f"k={k} exceeds subsampled pool of {len(ids)}")
 
-    ids = [i for i, _ in pool] + [i for i, _ in labeled]
-    x = np.stack([emb.pooled for _, emb in pool]
-                 + [emb.pooled for _, emb in labeled])
-    grads, probs = gradient_arrays(head, x)
-    matrix = pairwise_wasserstein(grads, probs, p=ot.p, eps=ot.eps, ids=ids,
-                                  max_iter=ot.max_iter, tol=ot.tol)
+    grads, probs = gradient_arrays(head, np.concatenate([x, labeled_x]))
+    matrix = pairwise_wasserstein(grads, probs, p=ot.p, eps=ot.eps,
+                                  ids=ids + labeled_ids, max_iter=ot.max_iter,
+                                  tol=ot.tol)
     if ot.dump_path:
         save_distance_csv(matrix, ot.dump_path)
     s0 = ot.s0_cost if ot.s0_cost is not None else default_s0_cost(matrix)
-    state = greedy_select(matrix, k=k, warm_start=[i for i, _ in labeled],
-                          s0_cost=s0)
+    state = greedy_select(matrix, k=k, warm_start=labeled_ids, s0_cost=s0)
     return list(state.selected)
 
 
-def acquire(name: str, head, pool, labeled, k: int, seed: int = 0,
-            ot: OTConfig | None = None, passes: int = 10):
+def acquire(name: str, head, ids, x: np.ndarray, labeled_ids, labeled_x: np.ndarray,
+            k: int, seed: int = 0, ot: OTConfig | None = None, passes: int = 10):
     """Dispatch by strategy name (config string interface)."""
     if name == "random":
-        return acquire_random(pool, k, seed)
+        return acquire_random(ids, k, seed)
     if name == "lc":
-        return acquire_least_confidence(head, pool, k)
+        return acquire_least_confidence(head, ids, x, k)
     if name == "dropout":
-        return acquire_mc_dropout(head, pool, k, passes=passes, seed=seed)
+        return acquire_mc_dropout(head, ids, x, k, passes=passes, seed=seed)
     if name == "egl":
-        return acquire_egl(head, pool, k)
+        return acquire_egl(head, ids, x, k)
     if name == "kcenter":
-        return acquire_kcenter(pool, labeled, k)
+        return acquire_kcenter(ids, x, labeled_x, k)
     if name == "allwas":
-        return acquire_allwas(head, pool, labeled, k, ot=ot, seed=seed)
+        return acquire_allwas(head, ids, x, labeled_ids, labeled_x, k, ot=ot, seed=seed)
     raise ConfigError(f"unknown strategy {name!r}; choose from {STRATEGY_NAMES}")

@@ -20,6 +20,7 @@ from allwas.model import (
     ClassifierHead,
     ExampleEmbedding,
     SoftLabel,
+    TrainingSet,
     last_layer_gradients,
     train,
 )
@@ -266,15 +267,18 @@ def test_c05_gradient_fidelity():
 
 def test_c06_label_mixing_exact():
     rng = np.random.default_rng(5)
-    labeled = []
+    embeddings, labels = [], []
     for i in range(8):
-        emb = ExampleEmbedding(rng.standard_normal((int(rng.integers(2, 6)), 4)))
-        labeled.append((emb, SoftLabel.one_hot(i % 3, 3)))
+        embeddings.append(ExampleEmbedding(
+            rng.standard_normal((int(rng.integers(2, 6)), 4))))
+        labels.append(SoftLabel.one_hot(i % 3, 3))
+    labeled = TrainingSet(np.stack([emb.pooled for emb in embeddings]),
+                          np.stack([label.probs for label in labels]))
     cfg = AugmentationConfig(factor=5, group_size=3, pairing="any-pair", seed=17)
     out = augment_wasserstein(labeled, cfg)
     ok = len(out) == 40
     for label, parents, lambdas in zip(out.labels, out.parents, out.lambdas):
-        rebuilt = mix_labels([labeled[i][1] for i in parents], lambdas)
+        rebuilt = mix_labels([labels[i] for i in parents], lambdas)
         ok &= bool(np.array_equal(label, rebuilt.probs))
     conclude(6, "mixed labels reconstruct bitwise", ok)
 

@@ -12,7 +12,7 @@ import pytest
 
 from allwas import barysample, harness, model
 from allwas.harness import ExperimentConfig
-from allwas.model import ExampleEmbedding, SoftLabel
+from allwas.model import ExampleEmbedding, TrainingSet
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 FACTOR = 3
@@ -48,12 +48,13 @@ def test_traced_runs_bind_every_layer(perfbench, tmp_path):
             # The experiment loop solves no barycenter; the token clouds of
             # one small synthetic set cover the transport.barycenter layer.
             rng = np.random.default_rng(0)
-            labeled = [(ExampleEmbedding(rng.standard_normal((3, 5))),
-                        SoftLabel.one_hot(i % 2, 2)) for i in range(4)]
+            embeddings = [ExampleEmbedding(rng.standard_normal((3, 5))) for _ in range(4)]
+            labeled = TrainingSet(np.stack([emb.pooled for emb in embeddings]),
+                                  np.eye(2)[[0, 1, 0, 1]])
             aug = barysample.AugmentationConfig(factor=1, outer_iter=1,
                                                 sinkhorn_max_iter=5)
             barysample.barycenter_tokens(
-                labeled, barysample.augment_wasserstein(labeled, aug), aug)
+                embeddings, barysample.augment_wasserstein(labeled, aug), aug)
     finally:
         tracer.restore()
     # restore() puts the originals back.

@@ -6,6 +6,7 @@ import pytest
 
 from allwas.cli import main as cli_main
 from allwas.errors import ConfigError
+from allwas.data import Corpus
 from allwas.harness import ExperimentConfig, load_corpus, run_experiment, run_sweep
 from allwas.report import (
     learning_curve_svg,
@@ -48,11 +49,13 @@ class TestConfig:
             small_cfg(tmp_path, strategy="magic")
 
     def test_unknown_keys_in_json(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"corpus": SMALL_CORPUS, "out_dir": ".",
-                                    "bogus_knob": 1}))
-        with pytest.raises(ConfigError, match="bogus_knob"):
-            ExperimentConfig.from_json(path)
+        # record_timing is retired: wall time never goes into the CSVs.
+        for key, value in (("bogus_knob", 1), ("record_timing", True)):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"corpus": SMALL_CORPUS, "out_dir": ".",
+                                        key: value}))
+            with pytest.raises(ConfigError, match=key):
+                ExperimentConfig.from_json(path)
 
     @pytest.mark.parametrize("section, bad, message", [
         ("model", {"dropout": 1.5}, "dropout"),
@@ -165,6 +168,21 @@ class TestRunExperiment:
                         budget=20, k=10)
         record = run_experiment(cfg)
         assert len(record.rows) == 2 * cfg.repeats
+
+
+    @pytest.mark.parametrize("mode", ["wasserstein", "l2-kde"])
+    @pytest.mark.parametrize("strategy", ["random", "lc", "dropout", "egl",
+                                          "kcenter", "allwas"])
+    def test_loop_reads_no_example_by_id(self, tmp_path, monkeypatch, strategy, mode):
+        # The loop works on the rows stacked once per repeat.
+        def lookup(self, example_id):
+            raise AssertionError(f"example {example_id!r} read by id")
+
+        monkeypatch.setattr(Corpus, "__getitem__", lookup)
+        cfg = small_cfg(tmp_path, strategy=strategy, repeats=1,
+                        augmentation={"mode": mode, "factor": 2})
+        record = run_experiment(cfg)
+        assert [row.labeled for row in record.rows] == [10, 20, 30]
 
 
 class TestSweep:
@@ -340,11 +358,10 @@ class TestCli:
         assert f"unknown {section} config keys: ['{key}']" in capsys.readouterr().err
         assert not run_dir.exists()
 
-    @pytest.mark.parametrize("field, bad", [
-        ("eps", -1.0), ("max_iter", -5), ("tol", -1.0), ("subsample", 0),
-        ("p", 0.5), ("s0_cost", -1.0)])
-    def test_bad_ot_value_exits_2_before_corpus_loads(self, tmp_path, capsys,
-                                                      monkeypatch, field, bad):
+    @staticmethod
+    def run_before_corpus_loads(tmp_path, monkeypatch, **entries):
+        """Exit code of ``allwas run`` on a config with ``entries``, with the
+        corpus loader patched to fail; no output directory may appear."""
         monkeypatch.setattr("allwas.harness.load_corpus",
                             lambda spec: pytest.fail("corpus loaded"))
         run_dir = tmp_path / "runs"
@@ -352,10 +369,26 @@ class TestCli:
         cfg_path.write_text(json.dumps({
             "corpus": SMALL_CORPUS, "out_dir": str(run_dir), "label": "bad",
             "seed_size": 10, "budget": 30, "k": 10, "repeats": 1,
-            "strategy": "allwas", "ot": {field: bad}}))
-        assert cli_main(["run", str(cfg_path)]) == 2
-        assert f"ot {field} must be" in capsys.readouterr().err
+            "strategy": "allwas", **entries}))
+        code = cli_main(["run", str(cfg_path)])
         assert not run_dir.exists()
+        return code
+
+    @pytest.mark.parametrize("field, bad", [
+        ("eps", -1.0), ("max_iter", -5), ("tol", -1.0), ("subsample", 0),
+        ("p", 0.5), ("s0_cost", -1.0)])
+    def test_bad_ot_value_exits_2_before_corpus_loads(self, tmp_path, capsys,
+                                                      monkeypatch, field, bad):
+        assert self.run_before_corpus_loads(tmp_path, monkeypatch, ot={field: bad}) == 2
+        assert f"ot {field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, bad", [
+        ("minority_fraction", 1.5), ("radius_percentile", 150), ("val_fraction", 1.0),
+        ("setting", "skewed"), ("mc_passes", 0)])
+    def test_bad_value_exits_2_before_corpus_loads(self, tmp_path, capsys,
+                                                   monkeypatch, field, bad):
+        assert self.run_before_corpus_loads(tmp_path, monkeypatch, **{field: bad}) == 2
+        assert field in capsys.readouterr().err
 
     def test_exit_code_data_error(self, tmp_path):
         empty = tmp_path / "empty.jsonl"

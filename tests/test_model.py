@@ -33,6 +33,17 @@ def small_head(d=8, seed=3, **kw):
     return ClassifierHead(input_dim=d, n_classes=2, hidden_dim=16, seed=seed, **kw)
 
 
+class TestEmbedding:
+    def test_pooled_is_the_token_mean(self, rng):
+        tokens = rng.standard_normal((4, 3))
+        assert np.array_equal(ExampleEmbedding(tokens).pooled, tokens.mean(axis=0))
+
+    def test_pooled_argument_rejected(self, rng):
+        # pooled is derived from the tokens, never taken from the caller.
+        with pytest.raises(TypeError):
+            ExampleEmbedding(rng.standard_normal((4, 3)), pooled=np.zeros(3))
+
+
 class TestTraining:
     def test_separable_blobs_accuracy(self, rng):
         data = blob_data(rng)

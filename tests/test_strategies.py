@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,25 +30,35 @@ def trained_head(rng):
 
 
 def make_pool(rng, n, d=6, offset=0.0):
-    return [(i, ExampleEmbedding(rng.standard_normal((2, d)) + offset))
-            for i in range(n)]
+    """Ids 0..n-1 and their pooled rows."""
+    x = np.stack([ExampleEmbedding(rng.standard_normal((2, d)) + offset).pooled
+                  for _ in range(n)])
+    return list(range(n)), x
+
+
+def rows(*embeddings):
+    return np.stack([emb.pooled for emb in embeddings])
+
+
+def no_rows(d=6):
+    return [], np.zeros((0, d))
 
 
 class TestRandom:
     def test_whole_pool(self, rng):
-        pool = make_pool(rng, 5)
-        assert sorted(acquire_random(pool, 5, seed=1)) == [0, 1, 2, 3, 4]
+        ids, _ = make_pool(rng, 5)
+        assert sorted(acquire_random(ids, 5, seed=1)) == [0, 1, 2, 3, 4]
 
     def test_seeded_repeatability(self, rng):
-        pool = make_pool(rng, 30)
-        assert acquire_random(pool, 10, seed=7) == acquire_random(pool, 10, seed=7)
+        ids, _ = make_pool(rng, 30)
+        assert acquire_random(ids, 10, seed=7) == acquire_random(ids, 10, seed=7)
 
     def test_uniform_frequencies(self, rng):
-        pool = make_pool(rng, 10)
+        ids, _ = make_pool(rng, 10)
         counts = np.zeros(10)
         draws = 10000
         for s in range(draws):
-            for i in acquire_random(pool, 1, seed=s):
+            for i in acquire_random(ids, 1, seed=s):
                 counts[i] += 1
         expected = draws / 10
         sigma = np.sqrt(draws * 0.1 * 0.9)
@@ -54,27 +66,26 @@ class TestRandom:
 
     def test_k_too_large(self, rng):
         with pytest.raises(AllwasError):
-            acquire_random(make_pool(rng, 3), 4)
+            acquire_random(make_pool(rng, 3)[0], 4)
 
 
 class TestLeastConfidence:
     def test_pool_of_one(self, trained_head, rng):
-        pool = make_pool(rng, 1)
-        assert acquire_least_confidence(trained_head, pool, 1) == [0]
+        ids, x = make_pool(rng, 1)
+        assert acquire_least_confidence(trained_head, ids, x, 1) == [0]
 
     def test_uncertain_beats_confident(self, trained_head, rng):
         sure = ExampleEmbedding(np.full((1, 6), 3.0))
         unsure = ExampleEmbedding(np.zeros((1, 6)))
-        pool = [(0, sure), (1, unsure)]
-        assert acquire_least_confidence(trained_head, pool, 1) == [1]
+        assert acquire_least_confidence(trained_head, [0, 1], rows(sure, unsure), 1) == [1]
 
     def test_matches_full_sort(self, trained_head, rng):
         from allwas.model import predict_proba
         for _ in range(100):
-            pool = make_pool(rng, 12)
-            got = acquire_least_confidence(trained_head, pool, 4)
-            conf = [(predict_proba(trained_head, emb).probs.max(), i)
-                    for i, emb in pool]
+            ids, x = make_pool(rng, 12)
+            got = acquire_least_confidence(trained_head, ids, x, 4)
+            conf = [(predict_proba(trained_head, ExampleEmbedding(row)).probs.max(), i)
+                    for i, row in zip(ids, x)]
             expected = [i for _, i in sorted(conf)][:4]
             assert got == expected
 
@@ -85,21 +96,20 @@ class TestMcDropout:
                  SoftLabel.one_hot(i % 2, 2)) for i in range(40)]
         head = train(ClassifierHead(input_dim=6, n_classes=2, hidden_dim=8,
                                     dropout=0.0, seed=1, epochs=10), data)
-        pool = make_pool(rng, 15)
-        assert (acquire_mc_dropout(head, pool, 5, passes=1, seed=3)
-                == acquire_least_confidence(head, pool, 5))
+        ids, x = make_pool(rng, 15)
+        assert (acquire_mc_dropout(head, ids, x, 5, passes=1, seed=3)
+                == acquire_least_confidence(head, ids, x, 5))
 
     def test_seeded_determinism(self, trained_head, rng):
-        pool = make_pool(rng, 15)
-        a = acquire_mc_dropout(trained_head, pool, 5, passes=4, seed=9)
-        b = acquire_mc_dropout(trained_head, pool, 5, passes=4, seed=9)
+        ids, x = make_pool(rng, 15)
+        a = acquire_mc_dropout(trained_head, ids, x, 5, passes=4, seed=9)
+        b = acquire_mc_dropout(trained_head, ids, x, 5, passes=4, seed=9)
         assert a == b
 
     def test_averaged_probs_normalized(self, trained_head, rng):
         from allwas.model import predict_proba_batch
         from allwas.seeding import derive_seed
-        pool = make_pool(rng, 8)
-        x = np.stack([emb.pooled for _, emb in pool])
+        _, x = make_pool(rng, 8)
         mean = np.zeros((8, 2))
         for t in range(10):
             mean += predict_proba_batch(trained_head, x, dropout_active=True,
@@ -112,8 +122,7 @@ class TestEgl:
     def test_confident_sample_scores_near_zero(self, trained_head):
         sure = ExampleEmbedding(np.full((1, 6), 3.0))
         unsure = ExampleEmbedding(np.zeros((1, 6)))
-        pool = [(0, sure), (1, unsure)]
-        assert acquire_egl(trained_head, pool, 1) == [1]
+        assert acquire_egl(trained_head, [0, 1], rows(sure, unsure), 1) == [1]
 
     def test_score_matches_hand_computation(self):
         head = ClassifierHead(input_dim=2, n_classes=2, hidden_dim=2,
@@ -141,9 +150,8 @@ class TestEgl:
 
     def test_topk_matches_full_sort(self, trained_head, rng):
         from allwas.model import gradient_arrays
-        pool = make_pool(rng, 20)
-        got = acquire_egl(trained_head, pool, 6)
-        x = np.stack([emb.pooled for _, emb in pool])
+        ids, x = make_pool(rng, 20)
+        got = acquire_egl(trained_head, ids, x, 6)
         grads, probs = gradient_arrays(trained_head, x)
         scores = np.einsum("nc,nc->n", probs, np.linalg.norm(grads, axis=2))
         expected = [i for i in sorted(range(20), key=lambda j: (-scores[j], j))][:6]
@@ -152,54 +160,61 @@ class TestEgl:
 
 class TestKCenter:
     def test_two_clusters_one_each(self, rng):
-        left = [(i, ExampleEmbedding(rng.standard_normal((1, 4)) - 10))
-                for i in range(5)]
-        right = [(5 + i, ExampleEmbedding(rng.standard_normal((1, 4)) + 10))
-                 for i in range(5)]
-        pool = left + right
-        got = acquire_kcenter(pool, labeled=[], k=2)
+        left = [ExampleEmbedding(rng.standard_normal((1, 4)) - 10) for _ in range(5)]
+        right = [ExampleEmbedding(rng.standard_normal((1, 4)) + 10) for _ in range(5)]
+        got = acquire_kcenter(list(range(10)), rows(*left, *right),
+                              labeled_x=np.zeros((0, 4)), k=2)
         assert len({0, 1, 2, 3, 4} & set(got)) == 1
         assert len({5, 6, 7, 8, 9} & set(got)) == 1
 
     def test_farthest_from_labeled(self, rng):
-        labeled = [(100, ExampleEmbedding(np.zeros((1, 4))))]
-        near = (0, ExampleEmbedding(np.full((1, 4), 0.1)))
-        far = (1, ExampleEmbedding(np.full((1, 4), 5.0)))
-        assert acquire_kcenter([near, far], labeled, 1) == [1]
+        labeled_x = rows(ExampleEmbedding(np.zeros((1, 4))))
+        near = ExampleEmbedding(np.full((1, 4), 0.1))
+        far = ExampleEmbedding(np.full((1, 4), 5.0))
+        assert acquire_kcenter([0, 1], rows(near, far), labeled_x, 1) == [1]
 
     def test_deterministic_tie_break(self):
         emb = ExampleEmbedding(np.zeros((1, 4)))
-        pool = [(3, emb), (1, emb), (2, emb)]
-        assert acquire_kcenter(pool, [], 2) == [1, 2]
+        assert acquire_kcenter([3, 1, 2], rows(emb, emb, emb), np.zeros((0, 4)), 2) == [1, 2]
+
+    def test_labeled_rows_without_broadcast(self, rng):
+        # A broadcast (N, L, d) difference array would be 46 MB here; one
+        # center at a time needs a few pool-sized arrays.
+        x, labeled_x = rng.standard_normal((1500, 32)), rng.standard_normal((120, 32))
+        tracemalloc.start()
+        try:
+            got = acquire_kcenter(list(range(1500)), x, labeled_x, k=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * x.nbytes
+        dist = np.sqrt(((x[:, None, :] - labeled_x[None, :, :]) ** 2).sum(-1)).min(axis=1)
+        assert got == [int(dist.argmax())]
 
 
 class TestAllwas:
     def test_duplicate_of_labeled_never_first(self, trained_head, rng):
         shared = ExampleEmbedding(rng.standard_normal((2, 6)))
-        pool = [(0, shared)] + make_pool(rng, 6, offset=1.0)[1:]
-        labeled = [(100, ExampleEmbedding(shared.tokens.copy()))]
-        got = acquire_allwas(trained_head, pool, labeled, k=1)
+        ids, x = make_pool(rng, 6, offset=1.0)
+        x[0] = shared.pooled
+        labeled_x = rows(ExampleEmbedding(shared.tokens.copy()))
+        got = acquire_allwas(trained_head, ids, x, [100], labeled_x, k=1)
         assert got[0] != 0
 
     def test_whole_pool_in_greedy_order(self, trained_head, rng):
-        pool = make_pool(rng, 6)
-        got = acquire_allwas(trained_head, pool, [], k=6)
+        ids, x = make_pool(rng, 6)
+        got = acquire_allwas(trained_head, ids, x, *no_rows(), k=6)
         assert sorted(got) == [0, 1, 2, 3, 4, 5]
         assert len(set(got)) == 6
 
     def test_invariant_to_pool_order(self, trained_head, rng):
-        pool = make_pool(rng, 9)
-        labeled = [(50, ExampleEmbedding(rng.standard_normal((2, 6))))]
-        base = acquire_allwas(trained_head, pool, labeled, k=3)
-        shuffled = [pool[i] for i in rng.permutation(9)]
-        again = acquire_allwas(trained_head, shuffled, labeled, k=3)
-        assert base == again
+        assert_invariant_to_pool_order("allwas", trained_head, rng)
 
     def test_subsample_seeded(self, trained_head, rng):
-        pool = make_pool(rng, 30)
+        ids, x = make_pool(rng, 30)
         cfg = OTConfig(subsample=10)
-        a = acquire_allwas(trained_head, pool, [], k=3, ot=cfg, seed=5)
-        b = acquire_allwas(trained_head, pool, [], k=3, ot=cfg, seed=5)
+        a = acquire_allwas(trained_head, ids, x, *no_rows(), k=3, ot=cfg, seed=5)
+        b = acquire_allwas(trained_head, ids, x, *no_rows(), k=3, ot=cfg, seed=5)
         assert a == b
         assert len(set(a)) == 3
 
@@ -212,24 +227,44 @@ class TestAllwas:
             OTConfig(**{field: bad})
 
     def test_distance_dump(self, trained_head, rng, tmp_path):
-        pool = make_pool(rng, 5)
+        ids, x = make_pool(rng, 5)
         dump = tmp_path / "d.csv"
         cfg = OTConfig(dump_path=str(dump))
-        acquire_allwas(trained_head, pool, [], k=2, ot=cfg)
+        acquire_allwas(trained_head, ids, x, *no_rows(), k=2, ot=cfg)
         assert dump.exists()
         assert dump.read_text().startswith("id,")
 
 
+def assert_invariant_to_pool_order(name, head, rng):
+    # String ids, every row twice: the picks and their order must follow
+    # the rows and the ids, not the pool order, with ties to the lowest id.
+    _, half = make_pool(rng, 6)
+    x = np.concatenate([half, half])
+    ids = [f"id{i:02d}" for i in range(12)]
+    labeled_x = rows(ExampleEmbedding(rng.standard_normal((2, 6))))
+    base = acquire(name, head, ids, x, ["lab"], labeled_x, k=4, seed=2)
+    for _ in range(3):
+        perm = rng.permutation(12)
+        again = acquire(name, head, [ids[i] for i in perm], x[perm],
+                        ["lab"], labeled_x, k=4, seed=2)
+        assert again == base
+
+
+@pytest.mark.parametrize("name", ["lc", "dropout", "egl", "kcenter"])
+def test_invariant_to_pool_order(trained_head, rng, name):
+    assert_invariant_to_pool_order(name, trained_head, rng)
+
+
 class TestDispatch:
     def test_all_names_return_k_distinct_pool_ids(self, trained_head, rng):
-        pool = make_pool(rng, 12)
-        labeled = [(100, ExampleEmbedding(rng.standard_normal((2, 6))))]
+        ids, x = make_pool(rng, 12)
+        labeled_x = rows(ExampleEmbedding(rng.standard_normal((2, 6))))
         for name in ("random", "lc", "dropout", "egl", "kcenter", "allwas"):
-            got = acquire(name, trained_head, pool, labeled, k=4, seed=2)
+            got = acquire(name, trained_head, ids, x, [100], labeled_x, k=4, seed=2)
             assert len(got) == 4
             assert len(set(got)) == 4
-            assert set(got) <= {i for i, _ in pool}
+            assert set(got) <= set(ids)
 
     def test_unknown_name(self, trained_head, rng):
         with pytest.raises(ConfigError):
-            acquire("mystery", trained_head, make_pool(rng, 4), [], k=1)
+            acquire("mystery", trained_head, *make_pool(rng, 4), *no_rows(), k=1)
