@@ -19,7 +19,8 @@ import os
 import sys
 from dataclasses import replace
 
-from .data import FeaturizerConfig, SynthSpec, export_jsonl, ingest_jsonl, make_synthetic
+from .data import (FeaturizerConfig, SynthSpec, config_from, export_jsonl, ingest_jsonl,
+                   make_synthetic)
 from .errors import AllwasError, ConfigError, DataError
 from .harness import ExperimentConfig, run_experiment, run_sweep
 from .report import load_records, pair_test, report
@@ -34,14 +35,17 @@ def _parse_kv(text: str) -> dict:
         if "=" not in part:
             raise ConfigError(f"expected key=value, got {part!r}")
         key, value = part.split("=", 1)
-        out[key.strip()] = int(value)
+        try:
+            out[key.strip()] = int(value)
+        except ValueError:
+            raise ConfigError(f"expected an integer value, got {part!r}") from None
     return out
 
 
 def _cmd_ingest(args) -> int:
     featurizer = None
     if args.featurize:
-        featurizer = FeaturizerConfig(**_parse_kv(args.featurize))
+        featurizer = config_from(FeaturizerConfig, _parse_kv(args.featurize), "featurize")
     class_names = args.class_names.split(",") if args.class_names else None
     corpus = ingest_jsonl(args.path, featurizer=featurizer, class_names=class_names)
     print(f"ingested {corpus.n} examples, d={corpus.dim}, "
@@ -59,11 +63,7 @@ def _cmd_synth(args) -> int:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"bad synth spec JSON: {exc}") from exc
-    if "priors" in raw:
-        raw["priors"] = tuple(raw["priors"])
-    if "token_count_range" in raw:
-        raw["token_count_range"] = tuple(raw["token_count_range"])
-    corpus = make_synthetic(SynthSpec(**raw))
+    corpus = make_synthetic(config_from(SynthSpec, raw, "synth spec"))
     out = args.out or "corpus.jsonl"
     export_jsonl(corpus, out)
     priors = ", ".join(f"{p:.3f}" for p in corpus.class_priors())

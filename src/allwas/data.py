@@ -2,7 +2,8 @@
 
 JSONL is the single corpus format. One JSON object per line with fields:
 
-    id         int or string, unique across the file
+    id         int or string, unique across the file; all of one type, since
+               strategies sort and tie-break by id
     text       optional string
     embedding  optional; list of floats (one token) or list of rows
     label      class name (string) or class index (int)
@@ -31,6 +32,15 @@ from .seeding import fnv1a64, rng_for
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def config_from(cls, knobs: dict, name: str):
+    """``cls(**knobs)`` for a config dataclass, once every key names one of
+    its fields; unknown keys raise a ConfigError that lists them."""
+    unknown = sorted(set(knobs) - set(cls.__dataclass_fields__))
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {unknown}")
+    return cls(**knobs)
 
 
 @dataclass(frozen=True)
@@ -153,6 +163,10 @@ def ingest_jsonl(
                 if "id" not in obj or "label" not in obj:
                     raise ValueError(f"line {line_no}: missing id or label")
                 ex_id = obj["id"]
+                if type(ex_id) not in (int, str):
+                    raise ValueError(f"line {line_no}: id must be an int or a string")
+                if rows and type(ex_id) is not type(rows[0][0]):
+                    raise ValueError(f"line {line_no}: id {ex_id!r} mixes ints and strings")
                 if ex_id in seen_ids:
                     raise ValueError(f"line {line_no}: duplicate id {ex_id!r}")
                 seen_ids.add(ex_id)
@@ -221,6 +235,9 @@ def ingest_jsonl(
             counts[ex.label.hard] += 1
         target_idx = int(np.argmin(counts))
     elif isinstance(target_class, str):
+        if target_class not in name_to_idx:
+            raise ConfigError(f"unknown target_class {target_class!r}; "
+                              f"classes are {class_names}")
         target_idx = name_to_idx[target_class]
     else:
         target_idx = int(target_class)
@@ -261,6 +278,7 @@ class SynthSpec:
         if abs(sum(priors) - 1.0) > 1e-9 or any(p <= 0 for p in priors):
             raise ConfigError("priors must be positive and sum to 1")
         object.__setattr__(self, "priors", priors)
+        object.__setattr__(self, "token_count_range", tuple(self.token_count_range))
         if self.n < 1 or self.d < 1 or self.clusters_per_class < 1:
             raise ConfigError("n, d and clusters_per_class must be positive")
 

@@ -34,6 +34,7 @@ from .data import (
     SeedSpec,
     SynthSpec,
     build_seed,
+    config_from,
     ingest_jsonl,
     make_synthetic,
     train_val_split,
@@ -49,11 +50,12 @@ CSV_HEADER = "setting,strategy,seed,iteration,labeled,f1,seconds"
 
 AUGMENTATION_MODES = ("none", "wasserstein", "l2-kde")
 
-# Keys each nested config dict accepts: the head's hyperparameters (the
-# harness sets its dimensions and seed), OTConfig's fields, and the
-# augmentation mode plus AugmentationConfig's fields but the seed, which the
-# harness derives per (master seed, repeat, iteration).
+# Keys each nested config dict accepts: the corpus source's, the head's
+# hyperparameters (the harness sets its dimensions and seed), OTConfig's
+# fields, and the augmentation mode plus AugmentationConfig's fields but the
+# seed, which the harness derives per (master seed, repeat, iteration).
 _NESTED_KEYS = {
+    "corpus": ("synthetic", "path", "featurize", "class_names", "target_class"),
     "model": ("hidden_dim", "dropout", "epochs", "batch_size", "lr"),
     "ot": tuple(OTConfig.__dataclass_fields__),
     "augmentation": ("mode", *(f for f in AugmentationConfig.__dataclass_fields__
@@ -100,6 +102,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown augmentation mode {mode!r}")
         # Check every value before any work; the head's dimensions here are
         # placeholders for the corpus's.
+        _corpus_source(self.corpus)
         self.augmentation_config(seed=0)
         self.ot_config()
         self.seed_spec(seed=0)
@@ -187,17 +190,25 @@ class RunRecord:
         return {n: float(stat(v)) for n, v in sorted(by_labeled.items())}
 
 
-def load_corpus(spec: dict) -> Corpus:
-    """Corpus from an experiment config's ``corpus`` entry."""
+def _corpus_source(spec: dict):
+    """A ``corpus`` entry's SynthSpec or, for a JSONL path, its
+    FeaturizerConfig (None without ``featurize``), their keys checked."""
     if "synthetic" in spec:
-        return make_synthetic(SynthSpec(**spec["synthetic"]))
+        return config_from(SynthSpec, spec["synthetic"], "corpus synthetic")
     if "path" in spec:
         feat = spec.get("featurize")
-        featurizer = FeaturizerConfig(**feat) if feat else None
-        return ingest_jsonl(spec["path"], featurizer=featurizer,
-                            class_names=spec.get("class_names"),
-                            target_class=spec.get("target_class"))
+        return config_from(FeaturizerConfig, feat, "corpus featurize") if feat else None
     raise ConfigError("corpus config needs 'synthetic' or 'path'")
+
+
+def load_corpus(spec: dict) -> Corpus:
+    """Corpus from an experiment config's ``corpus`` entry."""
+    source = _corpus_source(spec)
+    if isinstance(source, SynthSpec):
+        return make_synthetic(source)
+    return ingest_jsonl(spec["path"], featurizer=source,
+                        class_names=spec.get("class_names"),
+                        target_class=spec.get("target_class"))
 
 
 def _augmented(cfg: ExperimentConfig, repeat: int, iteration: int,
@@ -343,21 +354,19 @@ def run_experiment(cfg: ExperimentConfig, corpus: Corpus | None = None) -> RunRe
 SWEEP_AXES = ("augmentation-factor", "barycenter-group-size", "strategy")
 
 
+# Augmentation axes: the AugmentationConfig field each sets and its label tag.
+_AUGMENTATION_AXES = {"augmentation-factor": ("factor", "factor"),
+                      "barycenter-group-size": ("group_size", "group")}
+
+
 def _cell_for(base: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    if axis == "augmentation-factor":
+    if axis in _AUGMENTATION_AXES:
+        key, tag = _AUGMENTATION_AXES[axis]
         aug = dict(base.augmentation)
         if aug.get("mode", "none") == "none":
             aug["mode"] = "wasserstein"
-        aug["factor"] = int(value)
-        return replace(base, augmentation=aug,
-                       label=f"{base.label}_factor{value}")
-    if axis == "barycenter-group-size":
-        aug = dict(base.augmentation)
-        if aug.get("mode", "none") == "none":
-            aug["mode"] = "wasserstein"
-        aug["group_size"] = int(value)
-        return replace(base, augmentation=aug,
-                       label=f"{base.label}_group{value}")
+        aug[key] = int(value)
+        return replace(base, augmentation=aug, label=f"{base.label}_{tag}{value}")
     if axis == "strategy":
         return replace(base, strategy=str(value),
                        label=f"{base.label}_{value}")

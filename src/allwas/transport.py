@@ -486,11 +486,8 @@ def wasserstein_barycenter(
     if lambdas.shape[0] != len(measures):
         raise ShapeError("one lambda per measure", expected=len(measures),
                          actual=lambdas.shape[0])
-    dim = measures[0].dim
     for m in measures[1:]:
-        if m.dim != dim:
-            raise ShapeError("measures live in different dimensions",
-                             expected=dim, actual=m.dim)
+        _check_pair(measures[0], m)
     if support_size is None:
         support_size = barycenter_support_size([m.n for m in measures], lambdas)
     if support_size < 1:
@@ -531,17 +528,21 @@ def wasserstein_barycenter_batch(
     of the squared Euclidean cost (Agueh & Carlier 2011), so the ground
     cost is W_2^2 only; under another order it can raise the objective.
     A group's support starts from a copy of its dominant member (largest
-    lambda, ties to the lowest index), cycled to ``s_b`` rows. Groups are
-    vectorized by zero-weight padding.
+    lambda, ties to the lowest index), cycled to ``s_b`` rows. Member i of
+    group b is lane b*g + i of one zero-weight-padded stack, so a pass is
+    one Sinkhorn call for the whole batch.
 
     Regularization is resolved once per member at the initial support and
     held fixed: ``eps_scale`` times the median cost, by default a tighter
     fraction than plain distances use so the update plans stay near-exact.
-    Successive solves warm-start from the previous potentials. A member
-    with uniform weights that equals the current support exactly gets the
-    identity coupling, keeping barycenters of identical clouds exact. When
-    ``trace`` is a list, a (B,) array of weighted plan costs is appended at
-    the initial supports and after every outer iteration; it is
+    Successive solves warm-start from the member's previous potentials. A
+    member with uniform weights that equals the current support exactly
+    gets the identity coupling, keeping barycenters of identical clouds
+    exact. A group stops once no coordinate of its support moves by 1e-7,
+    while the rest of the batch moves on, so each group's barycenter is
+    that of its solo solve. When ``trace`` is a list, a (B,) array of
+    weighted plan costs is appended at the initial supports and after every
+    outer iteration (a stopped group repeats its last value); it is
     non-increasing up to small entropic slack.
     """
     return _barycenter_fixed_point(
@@ -559,106 +560,81 @@ def _barycenter_fixed_point(groups, weights, lambdas, support_sizes, outer_iter,
         return []
     g = len(groups[0])
     lambdas = np.asarray(lambdas, dtype=np.float64)
-    if lambdas.shape != (B, g):
-        raise ShapeError("lambdas shape must be (groups, members)",
+    if lambdas.shape != (B, g) or any(len(group) != g for group in groups):
+        raise ShapeError("lambdas must be (groups, members) with g members in every group",
                          expected=(B, g), actual=lambdas.shape)
     sizes = np.asarray(support_sizes, dtype=np.int64)
     dim = groups[0][0].shape[1]
     s_max = int(sizes.max())
 
-    # Padded barycenter state: invalid rows carry zero weight and never move.
+    # Padded barycenter state: invalid rows carry zero weight, so their plan
+    # rows and updates are zero and they stay at zero.
     supports = np.zeros((B, s_max, dim))
-    valid_rows = np.arange(s_max)[None, :] < sizes[:, None]
-    for bi, group in enumerate(groups):
-        dom = int(np.argmax(lambdas[bi]))
-        base = group[dom]
-        rows = base[np.arange(sizes[bi]) % base.shape[0]]
-        supports[bi, : sizes[bi]] = rows
-    with np.errstate(divide="ignore"):
-        log_bary_w = np.where(valid_rows, -np.log(sizes[:, None].astype(np.float64)), -np.inf)
-    bary_w = np.exp(log_bary_w)
+    for b, group in enumerate(groups):
+        base = group[int(np.argmax(lambdas[b]))]
+        supports[b, : sizes[b]] = base[np.arange(sizes[b]) % base.shape[0]]
 
-    # Pad each member slot to its max token count across the batch. Members
-    # with exactly uniform weights keep the -log(count) log-weights.
-    member_X, member_logw, member_valid, member_uniform = [], [], [], []
-    for i in range(g):
-        n_max = max(groups[bi][i].shape[0] for bi in range(B))
-        X = np.zeros((B, n_max, dim))
-        counts = np.array([groups[bi][i].shape[0] for bi in range(B)])
-        valid = np.arange(n_max)[None, :] < counts[:, None]
-        with np.errstate(divide="ignore"):
-            logw = np.where(valid, -np.log(counts[:, None].astype(np.float64)), -np.inf)
-        uniform = np.ones(B, dtype=bool)
-        for bi in range(B):
-            X[bi, : counts[bi]] = groups[bi][i]
-            if weights is not None:
-                w = weights[bi][i]
-                if not np.array_equal(w, np.full(counts[bi], 1.0 / counts[bi])):
-                    logw[bi, : counts[bi]] = _log_weights(w)
-                    uniform[bi] = False
-        member_X.append(X)
-        member_logw.append(logw)
-        member_valid.append(valid)
-        member_uniform.append(uniform)
+    # Member i of group b is lane b*g + i of one stack padded to the largest
+    # token count. Members with exactly uniform weights keep -log(count).
+    members = [m for group in groups for m in group]
+    member_w = [w for ws in weights for w in ws] if weights is not None else [None] * B * g
+    counts = np.array([m.shape[0] for m in members])
+    X = np.zeros((B * g, int(counts.max()), dim))
+    log_w = np.full(X.shape[:2], -np.inf)
+    uniform = np.ones(B * g, dtype=bool)
+    for lane, (m, w) in enumerate(zip(members, member_w)):
+        n = counts[lane]
+        X[lane, :n] = m
+        uniform[lane] = w is None or np.array_equal(w, np.full(n, 1.0 / n))
+        log_w[lane, :n] = -np.log(n) if uniform[lane] else _log_weights(w)
+    lane_sizes = np.repeat(sizes, g)
+    bary_rows = np.arange(s_max) < lane_sizes[:, None]
+    log_bary_w = np.where(bary_rows, -np.log(lane_sizes)[:, None], -np.inf)
+    # A lane gets the identity coupling when it is uniform over as many
+    # tokens as its support has rows and equals it (padding is zero on both).
+    identity_ok = uniform & (counts == lane_sizes)
+    width = min(s_max, X.shape[1])
+    # eps is resolved per lane at the initial support, then held fixed. The
+    # potentials start cold, as in the core, and warm-start the next pass.
+    valid = bary_rows[:, :, None] & (np.arange(X.shape[1]) < counts[:, None])[:, None, :]
+    cost = np.where(valid, _pairwise_sq(np.repeat(supports, g, axis=0), X), np.nan)
+    eps = np.maximum(eps_scale * np.nanmedian(cost.reshape(B * g, -1), axis=1), EPS_FLOOR)
+    warm_f = np.zeros(log_bary_w.shape)
+    warm_g = np.where(np.isfinite(log_w), 0.0, -np.inf)
 
-    eps_per: list[np.ndarray] = []
-    warm: dict[int, tuple] = {}
-
-    def solve_member(i: int):
-        X, logw, valid = member_X[i], member_logw[i], member_valid[i]
-        cost = _pairwise_sq(supports, X)
-        if len(eps_per) <= i:
-            # Resolved at the initial support, then held fixed.
-            mask = valid_rows[:, :, None] & valid[:, None, :]
-            masked = np.where(mask, cost, np.nan)
-            med = np.nanmedian(masked.reshape(B, -1), axis=1)
-            eps_per.append(np.maximum(eps_scale * med, EPS_FLOOR))
-        f0, g0 = warm.get(i, (None, None))
-        plans, err, _, f, g = sinkhorn_plans_batched(
-            log_bary_w, logw, cost, eps_per[i],
-            max_iter=sinkhorn_max_iter, tol=sinkhorn_tol,
-            f_init=f0, g_init=g0,
-        )
-        warm[i] = (f, g)
-        if supports.shape[1] == X.shape[1]:
-            pad_ok = ~valid_rows[:, :, None] & np.ones(dim, dtype=bool)
-            same = (
-                np.all((supports == X) | pad_ok, axis=(1, 2))
-                & np.all(valid_rows == valid, axis=1)
-                & member_uniform[i]
-            )
-            if np.any(same):
-                ident = np.zeros_like(plans)
-                idx = np.arange(supports.shape[1])
-                ident[:, idx, idx] = bary_w
-                plans = np.where(same[:, None, None], ident, plans)
-        return plans, cost, X, int(np.count_nonzero(err > sinkhorn_tol))
-
-    # One pass per outer iteration, plus a final objective-only pass at the
-    # returned supports when tracing.
-    done = False
+    # A group is solved while it moves, plus (when tracing) one objective
+    # pass at its returned support; it stops on its own step alone.
+    moving = np.ones(B, dtype=bool)
+    needed = moving.copy()
+    obj = np.zeros(B)
     for it in range(outer_iter + 1):
-        done = done or it == outer_iter
-        if done and trace is None:
+        moving &= it < outer_iter
+        grp = np.flatnonzero(moving if trace is None else needed)
+        if grp.size == 0:
             break
-        new_supports = np.zeros_like(supports)
-        obj = np.zeros(B)
-        unconverged = 0
-        for i in range(g):
-            plans, cost, X, stuck = solve_member(i)
-            unconverged += stuck
-            obj += lambdas[:, i] * np.einsum("bsn,bsn->b", plans, cost)
-            row_mass = plans.sum(axis=2, keepdims=True)
-            cond_mean = (plans @ X) / np.where(row_mass > 0, row_mass, 1.0)
-            new_supports += lambdas[:, i, None, None] * cond_mean
+        lanes = (grp[:, None] * g + np.arange(g)).ravel()
+        S, Xl = np.repeat(supports[grp], g, axis=0), X[lanes]
+        cost = _pairwise_sq(S, Xl)
+        plans, err, _, warm_f[lanes], warm_g[lanes] = sinkhorn_plans_batched(
+            log_bary_w[lanes], log_w[lanes], cost, eps[lanes],
+            max_iter=sinkhorn_max_iter, tol=sinkhorn_tol,
+            f_init=warm_f[lanes], g_init=warm_g[lanes],
+        )
+        same = identity_ok[lanes] & np.all(S[:, :width] == Xl[:, :width], axis=(1, 2))
+        plans[same] = np.eye(s_max, X.shape[1]) * np.exp(log_bary_w[lanes[same], :, None])
         logger.debug("barycenter pass %d: %d of %d member solves above tol",
-                     it, unconverged, B * g)
+                     it, np.count_nonzero(err > sinkhorn_tol), lanes.size)
+        # Sums over members run in member order, as a loop over members would.
+        lam = lambdas[grp]
+        obj[grp] = _sum_lead(lam * np.einsum("lsn,lsn->l", plans, cost).reshape(-1, g), 1)
         if trace is not None:
-            trace.append(obj)
-        if done:
-            break
-        new_supports = np.where(valid_rows[:, :, None], new_supports, 0.0)
-        done = float(np.abs(new_supports - supports).max()) < _DISPLACEMENT_TOL
-        supports = new_supports
+            trace.append(obj.copy())
+        row_mass = plans.sum(axis=2, keepdims=True)
+        cond_mean = (plans @ Xl) / np.where(row_mass > 0, row_mass, 1.0)
+        new = _sum_lead(lam[:, :, None, None] * cond_mean.reshape(-1, g, s_max, dim), 1)
+        moves = moving[grp]
+        needed = moving.copy()
+        moving[grp] &= ~(np.abs(new - supports[grp]).max(axis=(1, 2)) < _DISPLACEMENT_TOL)
+        supports[grp[moves]] = new[moves]
 
-    return [supports[bi, : sizes[bi]].copy() for bi in range(B)]
+    return [supports[b, : sizes[b]].copy() for b in range(B)]

@@ -100,6 +100,18 @@ class TestIngest:
         with pytest.raises(DataError, match="duplicate id"):
             ingest_jsonl(path)
 
+    @pytest.mark.parametrize("ids, first_bad", [
+        ([1, "s2", 3, "s4"], 2), (["a", "b", 3], 3), ([0, True], 2), ([False, 1], 1),
+        ([None, 1], 1), ([1.5, 2.5], 1)])
+    def test_ids_must_be_all_ints_or_all_strings(self, tmp_path, ids, first_bad):
+        rows = [{"id": ex_id, "embedding": [[float(i)]], "label": 0}
+                for i, ex_id in enumerate(ids)]
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, rows)
+        with pytest.raises(DataError) as exc:
+            ingest_jsonl(path)
+        assert str(exc.value).splitlines()[1].strip().startswith(f"line {first_bad}: id")
+
     def test_unknown_label_rejected(self, tmp_path):
         rows = [{"id": 0, "embedding": [[0.0]], "label": "mystery"}]
         path = tmp_path / "c.jsonl"

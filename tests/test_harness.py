@@ -395,6 +395,48 @@ class TestCli:
         empty.write_text("")
         assert cli_main(["ingest", str(empty)]) == 3
 
+    def test_mixed_id_types_exit_3(self, tmp_path, capsys):
+        # Acquisition sorts ids, so a corpus mixing int and string ids fails
+        # at ingest rather than in the first allwas acquisition.
+        corpus_path = tmp_path / "mixed.jsonl"
+        corpus_path.write_text("".join(
+            json.dumps({"id": i if i % 2 else f"s{i}", "label": i % 2,
+                        "embedding": [[float(i), 1.0]]}) + "\n" for i in range(40)))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "corpus": {"path": str(corpus_path)}, "out_dir": str(tmp_path / "runs"),
+            "seed_size": 4, "budget": 8, "k": 4, "repeats": 1, "strategy": "allwas"}))
+        assert cli_main(["ingest", str(corpus_path)]) == 3
+        assert cli_main(["run", str(cfg_path)]) == 3
+        assert "line 2: id 1 mixes ints and strings" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case, message", [
+        ("synthetic key", "unknown corpus synthetic keys: ['size']"),
+        ("featurize key", "unknown corpus featurize keys: ['dim']"),
+        ("corpus key", "unknown corpus config keys: ['paht']"),
+        ("target_class", "unknown target_class 'nope'"),
+        ("--featurize value", "expected an integer value, got 'd=abc'")])
+    def test_corpus_spec_mistake_exits_2(self, tmp_path, capsys, case, message):
+        corpus_path = tmp_path / "c.jsonl"
+        corpus_path.write_text("".join(json.dumps({"id": i, "text": f"row {i}", "label": i % 2})
+                                       + "\n" for i in range(6)))
+        text = {"path": str(corpus_path), "featurize": {"d": 4}}
+        corpus = {"synthetic key": {"synthetic": {**SMALL_CORPUS["synthetic"], "size": 5}},
+                  "featurize key": {"path": str(corpus_path), "featurize": {"dim": 4}},
+                  "corpus key": {**text, "paht": str(corpus_path)},
+                  "target_class": {**text, "target_class": "nope"}}
+        if case == "--featurize value":
+            argv = ["ingest", str(corpus_path), "--featurize", "d=abc"]
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({
+                "corpus": corpus[case], "out_dir": str(tmp_path / "runs"), "label": "bad",
+                "seed_size": 2, "budget": 4, "k": 2, "repeats": 1}))
+            argv = ["run", str(cfg_path)]
+        assert cli_main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_sweep_command(self, tmp_path):
         corpus_path = tmp_path / "c.jsonl"
         spec = tmp_path / "s.json"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from allwas import transport
+from allwas.barysample import AUG_EPS_SCALE, AUG_SINKHORN_TOL, AugmentationConfig
 from allwas.errors import AllwasError, ConfigError, ShapeError
 from allwas.transport import (
     DiscreteMeasure,
@@ -368,8 +369,8 @@ class TestBarycenter:
             assert np.all(after <= before + 1e-6)
 
     def test_logs_unconverged_member_solves(self, rng, caplog, monkeypatch):
-        # Two Sinkhorn sweeps leave most member solves above tol; the log
-        # line of each pass counts them over its three member solves.
+        # Two Sinkhorn sweeps leave most member solves above tol. Each pass
+        # solves all six members in one call, and its log line counts them.
         solve = transport.sinkhorn_plans_batched
         counts = []
 
@@ -385,9 +386,44 @@ class TestBarycenter:
                                          outer_iter=2, sinkhorn_max_iter=2,
                                          sinkhorn_tol=1e-12)
         lines = [r.getMessage() for r in caplog.records if r.name == "allwas.transport"]
-        assert len(counts) == 6 and sum(counts) > 0
-        assert lines == [f"barycenter pass {it}: {sum(counts[3 * it:3 * it + 3])} "
+        assert len(counts) == 2 and sum(counts) > 0
+        assert lines == [f"barycenter pass {it}: {counts[it]} "
                          "of 6 member solves above tol" for it in range(2)]
+
+    def test_group_independent_of_batch(self, rng):
+        # Each group's barycenter is its solo solve whatever shares its
+        # batch. Two cases have members wider than the batch's largest
+        # support: identical members beside a group with a 6-token member,
+        # and a dominant member whose token count equals the support size
+        # beside an 8-token member. In the random batches, groups stop at
+        # different passes.
+        same = rng.standard_normal((4, 3))
+        dominant = rng.standard_normal((3, 3))
+        cases = [
+            ([[same, same.copy()], [rng.standard_normal((6, 3)), rng.standard_normal((2, 3))]],
+             [[0.5, 0.5], [0.5, 0.5]]),
+            ([[dominant, rng.standard_normal((2, 3))], [rng.standard_normal((8, 3)),
+                                                        rng.standard_normal((5, 3))]],
+             [[0.9, 0.1], [0.5, 0.5]]),
+        ]
+        for _ in range(3):
+            B, g = int(rng.integers(1, 7)), int(rng.integers(2, 4))
+            groups = [[rng.standard_normal((int(rng.integers(1, 9)), 3)) for _ in range(g)]
+                      for _ in range(B)]
+            cases.append((groups, rng.dirichlet(np.ones(g), size=B)))
+        cfg = AugmentationConfig()
+        budgets = [{}, dict(outer_iter=cfg.outer_iter, sinkhorn_max_iter=cfg.sinkhorn_max_iter,
+                            sinkhorn_tol=AUG_SINKHORN_TOL, eps_scale=AUG_EPS_SCALE)]
+        for groups, lambdas in cases:
+            lambdas = np.asarray(lambdas)
+            sizes = [barycenter_support_size([x.shape[0] for x in grp], lam)
+                     for grp, lam in zip(groups, lambdas)]
+            for budget in budgets:
+                batch = wasserstein_barycenter_batch(groups, lambdas, sizes, **budget)
+                for b, got in enumerate(batch):
+                    solo = wasserstein_barycenter_batch([groups[b]], lambdas[b:b + 1],
+                                                        sizes[b:b + 1], **budget)[0]
+                    np.testing.assert_allclose(got, solo, rtol=0, atol=1e-12)
 
     def test_objective_descent_single(self, rng):
         for _ in range(1):
