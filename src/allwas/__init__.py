@@ -27,12 +27,8 @@ from .gradspace import DistanceMatrix, pairwise_wasserstein
 from .harness import ExperimentConfig, RunRecord, run_experiment, run_sweep
 from .model import (
     ClassifierHead,
-    ExampleEmbedding,
-    SoftLabel,
     TrainingSet,
-    last_layer_gradients,
     load_head,
-    predict_proba,
     save_head,
     train,
 )
@@ -58,9 +54,7 @@ __all__ = [
     "train_val_split",
     "DistanceMatrix", "pairwise_wasserstein",
     "ExperimentConfig", "RunRecord", "run_experiment", "run_sweep",
-    "ClassifierHead", "ExampleEmbedding", "SoftLabel", "TrainingSet",
-    "last_layer_gradients",
-    "load_head", "predict_proba", "save_head", "train",
+    "ClassifierHead", "TrainingSet", "load_head", "save_head", "train",
     "report", "validate_svg",
     "bonferroni", "f1_macro", "f1_target", "wilcoxon_signed_rank",
     "OTConfig", "acquire",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllwasError, ConfigError
-from .model import SoftLabel, TrainingSet
+from .model import TrainingSet
 from .transport import barycenter_support_size, wasserstein_barycenter_batch
 
 KDE_BANDWIDTH_FLOOR = 1e-3
@@ -72,13 +72,13 @@ class SyntheticSet:
         return self.pooled.shape[0]
 
 
-def mix_labels(labels, lambdas) -> SoftLabel:
-    """Canonical lambda-weighted label average, summed in member order so
-    provenance reconstructs the result bitwise."""
-    acc = np.zeros_like(labels[0].probs)
+def mix_labels(labels, lambdas) -> np.ndarray:
+    """Canonical lambda-weighted average of label rows, summed in member
+    order so provenance reconstructs the result bitwise."""
+    acc = np.zeros_like(labels[0], dtype=np.float64)
     for lam, label in zip(lambdas, labels):
-        acc = acc + lam * label.probs
-    return SoftLabel(acc)
+        acc = acc + lam * label
+    return acc
 
 
 def _mix_rows(rows, parents, lambdas) -> np.ndarray:
@@ -155,18 +155,18 @@ def augment_wasserstein(labeled: TrainingSet, cfg: AugmentationConfig) -> Synthe
                         _mix_rows(labeled.y, parents, lambdas), parents, lambdas)
 
 
-def barycenter_tokens(embeddings, synthetic: SyntheticSet, cfg: AugmentationConfig) -> list:
+def barycenter_tokens(tokens, synthetic: SyntheticSet, cfg: AugmentationConfig) -> list:
     """Token clouds of ``augment_wasserstein``'s rows: for each row the W_2
     barycenter of its parents' token clouds (uniform token weights) at its
     lambdas, with round(sum lambda_i n_i) tokens (at least one), solved in
     one padded batch on ``cfg``'s budget (``outer_iter``,
-    ``sinkhorn_max_iter``). ``embeddings`` are the labeled rows'
-    :class:`ExampleEmbedding` objects, in row order. Each cloud's token mean
-    is the row's pooled vector, whatever the budget.
+    ``sinkhorn_max_iter``). ``tokens`` are the labeled rows' (n_i, d) token
+    matrices, in row order. Each cloud's token mean is the row's pooled
+    vector, whatever the budget.
     """
-    groups = [[embeddings[i].tokens for i in row] for row in synthetic.parents]
-    sizes = [barycenter_support_size([t.shape[0] for t in tokens], lam)
-             for tokens, lam in zip(groups, synthetic.lambdas)]
+    groups = [[tokens[i] for i in row] for row in synthetic.parents]
+    sizes = [barycenter_support_size([t.shape[0] for t in members], lam)
+             for members, lam in zip(groups, synthetic.lambdas)]
     return wasserstein_barycenter_batch(
         groups, synthetic.lambdas, sizes, outer_iter=cfg.outer_iter,
         sinkhorn_max_iter=cfg.sinkhorn_max_iter, sinkhorn_tol=AUG_SINKHORN_TOL,

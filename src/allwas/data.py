@@ -20,14 +20,14 @@ vector drawn from a generator seeded with fnv1a64(token) XOR seed.
 from __future__ import annotations
 
 import json
+import numbers
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError
-from .model import ExampleEmbedding, SoftLabel
+from .errors import ConfigError, DataError, ShapeError
 from .seeding import fnv1a64, rng_for
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -37,6 +37,8 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 def config_from(cls, knobs: dict, name: str):
     """``cls(**knobs)`` for a config dataclass, once every key names one of
     its fields; unknown keys raise a ConfigError that lists them."""
+    if not isinstance(knobs, dict):
+        raise ConfigError(f"{name} must be a JSON object (got {knobs!r})")
     unknown = sorted(set(knobs) - set(cls.__dataclass_fields__))
     if unknown:
         raise ConfigError(f"unknown {name} keys: {unknown}")
@@ -50,72 +52,94 @@ class FeaturizerConfig:
 
 
 @dataclass(frozen=True)
-class CorpusExample:
-    example_id: object
-    text: str | None
-    embedding: ExampleEmbedding
-    label: SoftLabel
-
-
-@dataclass(frozen=True)
 class Corpus:
-    examples: tuple
+    """The corpus as columns, one entry per row: ``ids``, ``tokens`` (each an
+    (n_i, d) token matrix), ``labels`` (class indices) and ``texts`` (None for
+    rows given as embeddings). ``pooled`` (N, d) holds each row's token mean;
+    it is derived here, never passed in."""
+
+    ids: tuple
+    tokens: tuple
+    labels: np.ndarray
+    texts: tuple
     class_names: tuple
     target_class: int
+    pooled: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "examples", tuple(self.examples))
-        object.__setattr__(self, "class_names", tuple(self.class_names))
-        ids = [ex.example_id for ex in self.examples]
-        if len(set(ids)) != len(ids):
+        ids, texts = tuple(self.ids), tuple(self.texts)
+        tokens = tuple(np.asarray(t, dtype=np.float64) for t in self.tokens)
+        labels = np.asarray(self.labels)
+        n = len(ids)
+        if n == 0:
+            raise DataError("corpus has no rows")
+        if not (len(tokens) == len(texts) == n and labels.shape == (n,)):
+            raise ShapeError("corpus columns need one entry per id", expected=n,
+                             actual=(len(tokens), labels.shape, len(texts)))
+        if len(set(ids)) != n:
             raise DataError("corpus ids are not unique")
-        dims = {ex.embedding.dim for ex in self.examples}
+        if any(t.ndim != 2 or t.shape[0] == 0 for t in tokens):
+            raise DataError("every row's tokens must be a non-empty (n, d) matrix")
+        dims = {t.shape[1] for t in tokens}
         if len(dims) > 1:
             raise DataError(f"mixed embedding dimensions in corpus: {sorted(dims)}")
-        if not (0 <= self.target_class < len(self.class_names)):
+        pooled = np.stack([t.mean(axis=0) for t in tokens])
+        # A non-finite token makes its row's mean non-finite, so this one
+        # check covers every token.
+        if not np.all(np.isfinite(pooled)):
+            raise DataError("corpus token embeddings contain non-finite entries")
+        class_names = tuple(self.class_names)
+        if labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= len(class_names):
+            raise DataError(f"corpus labels must be class indices below {len(class_names)}")
+        if not (0 <= self.target_class < len(class_names)):
             raise ConfigError(f"target_class {self.target_class} out of range")
-        object.__setattr__(self, "_by_id", {ex.example_id: ex for ex in self.examples})
+        for name, value in (("ids", ids), ("tokens", tokens), ("labels", labels.astype(np.intp)),
+                            ("texts", texts), ("class_names", class_names),
+                            ("pooled", pooled)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
-        return len(self.examples)
+        return len(self.ids)
 
     @property
     def dim(self) -> int:
-        return self.examples[0].embedding.dim
+        return self.pooled.shape[1]
 
     @property
     def n_classes(self) -> int:
         return len(self.class_names)
 
-    @property
-    def ids(self):
-        return [ex.example_id for ex in self.examples]
-
-    def __getitem__(self, example_id) -> CorpusExample:
-        try:
-            return self._by_id[example_id]
-        except KeyError:
-            raise DataError(f"unknown example id {example_id!r}") from None
-
-    def pooled_matrix(self) -> np.ndarray:
-        return np.stack([ex.embedding.pooled for ex in self.examples])
-
-    def label_matrix(self) -> np.ndarray:
-        return np.stack([ex.label.probs for ex in self.examples])
+    def take(self, rows) -> "Corpus":
+        """The corpus of the given distinct row indices, in that order. The
+        columns, ``pooled`` included, are sliced; nothing is re-derived or
+        re-checked, since every check holds for a subset of rows."""
+        rows = np.asarray(rows, dtype=np.intp)
+        if len(np.unique(rows)) != len(rows):
+            raise DataError("take needs distinct rows")
+        sub = object.__new__(Corpus)
+        for name, value in (("ids", tuple(self.ids[r] for r in rows)),
+                            ("tokens", tuple(self.tokens[r] for r in rows)),
+                            ("labels", self.labels[rows]),
+                            ("texts", tuple(self.texts[r] for r in rows)),
+                            ("class_names", self.class_names),
+                            ("target_class", self.target_class),
+                            ("pooled", self.pooled[rows])):
+            object.__setattr__(sub, name, value)
+        return sub
 
     def class_priors(self) -> np.ndarray:
-        # Corpus labels are one-hot, so the mean row is the class shares.
-        return self.label_matrix().mean(axis=0)
+        return np.bincount(self.labels, minlength=self.n_classes) / self.n
 
 
-def featurize_text(text: str, d: int = 64, seed: int = 0) -> ExampleEmbedding:
-    """Deterministic pseudo-embedding: one fixed Gaussian vector per
-    distinct lowercase token. Empty text maps to a single zero token."""
+def featurize_text(text: str, d: int = 64, seed: int = 0) -> np.ndarray:
+    """Deterministic pseudo-embedding, an (n, d) token matrix: one fixed
+    Gaussian vector per distinct lowercase token. Empty text maps to a
+    single zero token."""
     tokens = _TOKEN_RE.findall(text.lower())
     if not tokens:
         warnings.warn("empty text; using a single zero-vector token")
-        return ExampleEmbedding(np.zeros((1, d)))
+        return np.zeros((1, d))
     cache = {}
     rows = []
     for tok in tokens:
@@ -123,7 +147,7 @@ def featurize_text(text: str, d: int = 64, seed: int = 0) -> ExampleEmbedding:
             gen = np.random.default_rng((fnv1a64(tok) ^ seed) & _MASK64)
             cache[tok] = gen.standard_normal(d)
         rows.append(cache[tok])
-    return ExampleEmbedding(np.stack(rows))
+    return np.stack(rows)
 
 
 def _parse_embedding(value, line_no: int):
@@ -185,7 +209,7 @@ def ingest_jsonl(
                         f"line {line_no}: text-only row but no featurizer configured")
                 else:
                     tokens = None
-                rows.append((ex_id, text, emb_raw, tokens, obj["label"], line_no))
+                rows.append((ex_id, text, tokens, obj["label"], line_no))
             except (ValueError, TypeError, json.JSONDecodeError) as exc:
                 errors.append(str(exc) if str(exc).startswith("line")
                               else f"line {line_no}: {exc}")
@@ -194,7 +218,7 @@ def ingest_jsonl(
     if not rows:
         raise DataError("no examples in corpus file")
 
-    labels = [r[4] for r in rows]
+    labels = [r[3] for r in rows]
     if class_names is None:
         if all(isinstance(l, int) for l in labels):
             class_names = [str(i) for i in range(max(labels) + 1)]
@@ -203,37 +227,24 @@ def ingest_jsonl(
     class_names = list(class_names)
     name_to_idx = {name: i for i, name in enumerate(class_names)}
 
-    examples = []
-    dims = set()
-    for ex_id, text, emb_raw, tokens, label, line_no in rows:
+    label_idx = []
+    for _, _, _, label, line_no in rows:
         if isinstance(label, int) and not isinstance(label, bool):
             if not (0 <= label < len(class_names)):
                 errors.append(f"line {line_no}: label index {label} out of range")
                 continue
-            idx = label
+            label_idx.append(label)
         else:
             key = str(label)
             if key not in name_to_idx:
                 errors.append(f"line {line_no}: unknown label {label!r}")
                 continue
-            idx = name_to_idx[key]
-        if tokens is None:
-            emb = featurize_text(text, featurizer.d, featurizer.seed)
-        else:
-            emb = ExampleEmbedding(tokens)
-        dims.add(emb.dim)
-        examples.append(CorpusExample(ex_id, text, emb,
-                                      SoftLabel.one_hot(idx, len(class_names))))
+            label_idx.append(name_to_idx[key])
     if errors:
         raise DataError("bad corpus lines:\n  " + "\n  ".join(errors))
-    if len(dims) > 1:
-        raise DataError(f"mixed embedding dimensions: {sorted(dims)}")
 
     if target_class is None:
-        counts = np.zeros(len(class_names))
-        for ex in examples:
-            counts[ex.label.hard] += 1
-        target_idx = int(np.argmin(counts))
+        target_idx = int(np.argmin(np.bincount(label_idx, minlength=len(class_names))))
     elif isinstance(target_class, str):
         if target_class not in name_to_idx:
             raise ConfigError(f"unknown target_class {target_class!r}; "
@@ -241,22 +252,34 @@ def ingest_jsonl(
         target_idx = name_to_idx[target_class]
     else:
         target_idx = int(target_class)
-    return Corpus(tuple(examples), tuple(class_names), target_idx)
+    ids, texts, tokens, _, _ = zip(*rows)
+    tokens = [featurize_text(text, featurizer.d, featurizer.seed) if t is None else t
+              for text, t in zip(texts, tokens)]
+    return Corpus(ids, tokens, np.array(label_idx), texts, class_names, target_idx)
 
 
 def export_jsonl(corpus: Corpus, path) -> None:
     """Write the corpus in the ingest schema; a round trip is an identity
     (embeddings are materialized)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for ex in corpus.examples:
+        for ex_id, tokens, label, text in zip(corpus.ids, corpus.tokens, corpus.labels,
+                                              corpus.texts):
             obj = {
-                "id": ex.example_id,
-                "embedding": [[float(v) for v in row] for row in ex.embedding.tokens],
-                "label": corpus.class_names[ex.label.hard],
+                "id": ex_id,
+                "embedding": [[float(v) for v in row] for row in tokens],
+                "label": corpus.class_names[label],
             }
-            if ex.text is not None:
-                obj["text"] = ex.text
+            if text is not None:
+                obj["text"] = text
             fh.write(json.dumps(obj) + "\n")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -274,13 +297,28 @@ class SynthSpec:
     token_count_range: tuple = (3, 12)
 
     def __post_init__(self):
+        for name, low in (("n", 1), ("d", 1), ("clusters_per_class", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= low):
+                raise ConfigError(f"{name} must be an int >= {low} (got {value!r})")
+        if not (isinstance(self.priors, (list, tuple, np.ndarray))
+                and all(_is_real(p) for p in self.priors)):
+            raise ConfigError(f"priors must be a list of numbers (got {self.priors!r})")
         priors = tuple(float(p) for p in self.priors)
-        if abs(sum(priors) - 1.0) > 1e-9 or any(p <= 0 for p in priors):
+        # Each check is "not (valid)", so NaN fails too.
+        if not (abs(sum(priors) - 1.0) <= 1e-9 and all(p > 0 for p in priors)):
             raise ConfigError("priors must be positive and sum to 1")
+        if not (_is_real(self.noise) and 0 <= self.noise < np.inf):
+            raise ConfigError(f"noise must be a finite number >= 0 (got {self.noise!r})")
+        if not (_is_real(self.separation) and np.isfinite(self.separation)):
+            raise ConfigError(f"separation must be a finite number (got {self.separation!r})")
+        counts = self.token_count_range
+        if not (isinstance(counts, (list, tuple)) and len(counts) == 2
+                and all(_is_int(c) for c in counts) and 1 <= counts[0] <= counts[1]):
+            raise ConfigError("token_count_range must be two ints lo, hi with "
+                              f"1 <= lo <= hi (got {self.token_count_range!r})")
         object.__setattr__(self, "priors", priors)
-        object.__setattr__(self, "token_count_range", tuple(self.token_count_range))
-        if self.n < 1 or self.d < 1 or self.clusters_per_class < 1:
-            raise ConfigError("n, d and clusters_per_class must be positive")
+        object.__setattr__(self, "token_count_range", tuple(counts))
 
 
 def make_synthetic(spec: SynthSpec) -> Corpus:
@@ -296,16 +334,11 @@ def make_synthetic(spec: SynthSpec) -> Corpus:
     lo, hi = spec.token_count_range
     counts = rng.integers(lo, hi + 1, size=spec.n)
 
-    examples = []
-    for i in range(spec.n):
-        center = centers[classes[i], clusters[i]]
-        tokens = center + spec.noise * rng.standard_normal((counts[i], spec.d))
-        examples.append(CorpusExample(
-            i, None, ExampleEmbedding(tokens),
-            SoftLabel.one_hot(int(classes[i]), n_classes)))
+    tokens = [centers[classes[i], clusters[i]]
+              + spec.noise * rng.standard_normal((counts[i], spec.d)) for i in range(spec.n)]
     names = tuple(f"class{c}" for c in range(n_classes))
     target = int(np.argmin(spec.priors))
-    return Corpus(tuple(examples), names, target)
+    return Corpus(range(spec.n), tokens, classes, (None,) * spec.n, names, target)
 
 
 @dataclass(frozen=True)
@@ -365,26 +398,24 @@ def build_seed(corpus: Corpus, spec: SeedSpec):
         picked = rng.choice(corpus.n, size=spec.seed_size, replace=False)
         labeled = [ids[i] for i in picked]
     else:
-        minority = [i for i, ex in enumerate(corpus.examples)
-                    if ex.label.hard == corpus.target_class]
-        if not minority:
+        minority = np.flatnonzero(corpus.labels == corpus.target_class)
+        if not len(minority):
             raise DataError("corpus has no examples of the target class")
         n_min = min(int(round(spec.seed_size * spec.minority_fraction)), len(minority))
         n_min = max(n_min, 1)
         if spec.setting == "imbalanced":
             chosen_min = rng.choice(len(minority), size=n_min, replace=False)
-            min_ids = [minority[i] for i in chosen_min]
+            min_ids = minority[chosen_min].tolist()
         else:
-            pooled = corpus.pooled_matrix()
+            pooled = corpus.pooled
             radius = _pairwise_distance_percentile(pooled, spec.radius_percentile, rng)
             anchor = minority[int(rng.integers(len(minority)))]
-            min_arr = np.array(minority)
-            dist = np.linalg.norm(pooled[min_arr] - pooled[anchor], axis=1)
-            ball = min_arr[dist <= radius]
+            dist = np.linalg.norm(pooled[minority] - pooled[anchor], axis=1)
+            ball = minority[dist <= radius]
             if len(ball) < n_min:
-                ball = min_arr[np.argsort(dist, kind="stable")[:n_min]]
+                ball = minority[np.argsort(dist, kind="stable")[:n_min]]
             chosen = rng.choice(len(ball), size=n_min, replace=False)
-            min_ids = [int(i) for i in ball[chosen]]
+            min_ids = ball[chosen].tolist()
         min_set = set(min_ids)
         rest_pool = [i for i in range(corpus.n) if i not in min_set]
         n_rest = spec.seed_size - len(min_ids)
@@ -403,8 +434,4 @@ def train_val_split(corpus: Corpus, val_fraction: float = 0.2, seed: int = 0):
     rng = rng_for(seed, "train-val-split")
     order = rng.permutation(corpus.n)
     n_val = max(1, int(round(corpus.n * val_fraction)))
-    val_idx = set(order[:n_val].tolist())
-    pool = [ex for i, ex in enumerate(corpus.examples) if i not in val_idx]
-    val = [ex for i, ex in enumerate(corpus.examples) if i in val_idx]
-    make = lambda rows: Corpus(tuple(rows), corpus.class_names, corpus.target_class)
-    return make(pool), make(val)
+    return corpus.take(np.sort(order[n_val:])), corpus.take(np.sort(order[:n_val]))

@@ -2,12 +2,12 @@
 paired sweeps, and append-safe result files.
 
 One experiment cell = (corpus, seed setting, strategy, augmentation) run
-for several repeats. Per repeat: split off the validation set, build the
-labeling seed, and stack both splits into arrays once; then per
-iteration: optionally augment the labeled rows, train a fresh head,
-evaluate on the validation rows, acquire the next batch from the
-unlabeled rows, repeat until the budget. The labeled and unlabeled sets
-are row-index arrays into the pool split's matrices.
+for several repeats. Per repeat: split the corpus's rows into pool and
+validation splits and build the labeling seed; then per iteration:
+optionally augment the labeled rows, train a fresh head, evaluate on the
+validation rows, acquire the next batch from the unlabeled rows, repeat
+until the budget. The labeled and unlabeled sets are row-index arrays
+into the pool split's columns.
 Every random stage draws from a generator derived from
 (master seed, repeat, iteration, stage name), so outputs are a pure
 function of (config, master seed).
@@ -94,7 +94,10 @@ class ExperimentConfig:
         if self.budget < self.seed_size:
             raise ConfigError("budget must be >= seed size")
         for name, known in _NESTED_KEYS.items():
-            unknown = sorted(set(getattr(self, name)) - set(known))
+            section = getattr(self, name)
+            if not isinstance(section, dict):
+                raise ConfigError(f"{name} config must be a JSON object (got {section!r})")
+            unknown = sorted(set(section) - set(known))
             if unknown:
                 raise ConfigError(f"unknown {name} config keys: {unknown}")
         mode = self.augmentation.get("mode", "none")
@@ -238,10 +241,9 @@ def _run_repeat(cfg: ExperimentConfig, corpus: Corpus, repeat: int):
         raise ConfigError(f"budget {cfg.budget} exceeds pool of {pool_corpus.n}")
     labeled_ids, unlabeled_ids = build_seed(
         pool_corpus, cfg.seed_spec(derive_seed(ms, repeat, "seed")))
-    # The one read of per-example objects: everything below works on rows.
     ids = pool_corpus.ids
-    x, y = pool_corpus.pooled_matrix(), pool_corpus.label_matrix()
-    val_x, val_truth = val_corpus.pooled_matrix(), val_corpus.label_matrix().argmax(axis=1)
+    x, y = pool_corpus.pooled, np.eye(corpus.n_classes)[pool_corpus.labels]
+    val_x, val_truth = val_corpus.pooled, val_corpus.labels
     row_of = {example_id: row for row, example_id in enumerate(ids)}
     labeled = np.array([row_of[i] for i in labeled_ids], dtype=np.intp)
     unlabeled = np.array([row_of[i] for i in unlabeled_ids], dtype=np.intp)

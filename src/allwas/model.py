@@ -7,9 +7,9 @@ each round of an experiment trains a fresh model. Everything is
 deterministic given the head's seed.
 
 The per-class gradients of the loss with respect to the last layer's
-input activation are exposed as a discrete measure weighted by the
-predicted class probabilities; that measure is the unit of geometry for
-the transport-based acquisition strategy.
+input activation, weighted by the predicted class probabilities, form one
+discrete measure per example (``gradient_arrays``); that measure is the
+unit of geometry for the transport-based acquisition strategy.
 """
 
 from __future__ import annotations
@@ -20,71 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AllwasError, ConfigError, ShapeError
-from .transport import DiscreteMeasure
 
 # Learning rate that suits this small head.
 DEFAULT_LR = 1e-2
 
 _WEIGHT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ExampleEmbedding:
-    """Token-embedding matrix (n_i, d) with its mean-pooled vector."""
-
-    tokens: np.ndarray
-    pooled: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        tokens = np.asarray(self.tokens, dtype=np.float64)
-        if tokens.ndim == 1:
-            tokens = tokens[None, :]
-        if tokens.ndim != 2 or tokens.shape[0] < 1:
-            raise ShapeError("tokens must be a non-empty (n, d) matrix",
-                             expected="(n, d)", actual=tokens.shape)
-        if not np.all(np.isfinite(tokens)):
-            raise AllwasError("token embeddings contain non-finite entries")
-        object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "pooled", tokens.mean(axis=0))
-
-    @property
-    def n_tokens(self) -> int:
-        return self.tokens.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.tokens.shape[1]
-
-
-@dataclass(frozen=True)
-class SoftLabel:
-    """Probability vector over classes used as a training target."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64).ravel()
-        if probs.shape[0] < 1:
-            raise ShapeError("label needs at least one class")
-        if np.any(probs < -_WEIGHT_TOL):
-            raise AllwasError("label probabilities must be nonnegative")
-        if abs(float(probs.sum()) - 1.0) > _WEIGHT_TOL:
-            raise AllwasError("label probabilities must sum to 1")
-        object.__setattr__(self, "probs", np.clip(probs, 0.0, None))
-
-    @classmethod
-    def one_hot(cls, cls_index: int, n_classes: int) -> "SoftLabel":
-        p = np.zeros(n_classes)
-        p[cls_index] = 1.0
-        return cls(p)
-
-    @property
-    def n_classes(self) -> int:
-        return self.probs.shape[0]
-
-    @property
-    def hard(self) -> int:
-        return int(np.argmax(self.probs))
 
 
 @dataclass
@@ -158,32 +98,14 @@ class TrainingSet:
     def __len__(self) -> int:
         return self.x.shape[0]
 
-    @classmethod
-    def from_pairs(cls, data) -> "TrainingSet":
-        """Stack (embedding, label) pairs."""
-        if not data:
-            raise AllwasError("training data is empty")
-        d = data[0][0].dim
-        c = data[0][1].n_classes
-        for emb, label in data:
-            if emb.dim != d:
-                raise ShapeError("inconsistent embedding dimension", expected=d, actual=emb.dim)
-            if label.n_classes != c:
-                raise ShapeError("inconsistent class count", expected=c, actual=label.n_classes)
-        return cls(np.stack([emb.pooled for emb, _ in data]),
-                   np.stack([label.probs for _, label in data]))
-
 
 def train(head: ClassifierHead, data) -> ClassifierHead:
-    """Train a freshly initialized copy of ``head`` on a :class:`TrainingSet`
-    or a list of (embedding, label) pairs.
+    """Train a freshly initialized copy of ``head`` on a :class:`TrainingSet`.
 
     Mini-batch gradient descent on soft-label cross-entropy
     H(L, p) = -sum_c L_c log p_c, with inverted-scaling dropout on the
     hidden layer during training. Bit-reproducible for a fixed seed.
     """
-    if not isinstance(data, TrainingSet):
-        data = TrainingSet.from_pairs(data)
     x, y = data.x, data.y
     if x.shape[1] != head.input_dim:
         raise ShapeError("data dimension does not match head", expected=head.input_dim,
@@ -246,21 +168,14 @@ def train(head: ClassifierHead, data) -> ClassifierHead:
     )
 
 
-def predict_proba(head: ClassifierHead, x: ExampleEmbedding,
-                  dropout_active: bool = False, seed: int = 0) -> SoftLabel:
-    """Softmax class distribution for one example.
-
-    With ``dropout_active``, hidden units are masked stochastically under
-    the given seed (deterministic per seed), matching the training-time
-    inverted scaling.
-    """
-    probs = predict_proba_batch(head, x.pooled[None, :], dropout_active, seed)[0]
-    return SoftLabel(probs)
-
-
 def predict_proba_batch(head: ClassifierHead, pooled: np.ndarray,
                         dropout_active: bool = False, seed: int = 0) -> np.ndarray:
-    """(N, C) class probabilities for a matrix of pooled embeddings."""
+    """(N, C) class probabilities for a matrix of pooled embeddings.
+
+    With ``dropout_active``, hidden units are masked stochastically under
+    the given seed (one mask for every row, deterministic per seed),
+    matching the training-time inverted scaling.
+    """
     head._require_trained()
     pooled = np.asarray(pooled, dtype=np.float64)
     if pooled.shape[1] != head.input_dim:
@@ -274,24 +189,15 @@ def predict_proba_batch(head: ClassifierHead, pooled: np.ndarray,
     return head._softmax(hid @ head.w2 + head.b2)
 
 
-def last_layer_gradients(head: ClassifierHead, x: ExampleEmbedding) -> DiscreteMeasure:
+def gradient_arrays(head: ClassifierHead, pooled: np.ndarray):
     """Per-candidate-class loss gradients at the last layer's input.
 
-    For each class c the cross-entropy gradient with hypothesized hard
-    label c w.r.t. the hidden activation is g_c = W (p - e_c); the result
-    is the discrete measure {(g_c, p_c)} weighted by the predicted
-    probabilities, so a confident prediction concentrates its mass on a
-    near-zero gradient.
-    """
-    grads, probs = gradient_arrays(head, x.pooled[None, :])
-    return DiscreteMeasure(grads[0], probs[0])
+    For each class c, the cross-entropy gradient with hypothesized hard
+    label c w.r.t. the hidden activation is g_c = W2 @ (p - e_c). Row n's
+    measure is {(g_c, p_c)}, weighted by the predicted probabilities, so a
+    confident prediction concentrates its mass on a near-zero gradient.
 
-
-def gradient_arrays(head: ClassifierHead, pooled: np.ndarray):
-    """Vectorized gradient supports for many examples.
-
-    Returns (grads (N, C, H), probs (N, C)) with
-    grads[n, c] = W2 @ (p_n - e_c).
+    Returns (grads (N, C, H), probs (N, C)).
     """
     probs = predict_proba_batch(head, pooled)
     wp = probs @ head.w2.T                      # (N, H) = W2 @ p_n

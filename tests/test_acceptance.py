@@ -16,14 +16,7 @@ from allwas.barysample import AugmentationConfig, augment_wasserstein, mix_label
 from allwas.data import SynthSpec, make_synthetic
 from allwas.gradspace import DistanceMatrix
 from allwas.harness import ExperimentConfig, run_experiment, run_sweep, load_corpus
-from allwas.model import (
-    ClassifierHead,
-    ExampleEmbedding,
-    SoftLabel,
-    TrainingSet,
-    last_layer_gradients,
-    train,
-)
+from allwas.model import ClassifierHead, TrainingSet, gradient_arrays, train
 from allwas.stats import wilcoxon_signed_rank
 from allwas.transport import (
     DiscreteMeasure,
@@ -237,14 +230,12 @@ def test_c05_gradient_fidelity():
         r = np.random.default_rng(trial)
         d, h, c = 4, 6, int(r.integers(2, 5))
         head = ClassifierHead(input_dim=d, n_classes=c, hidden_dim=h, seed=trial)
-        head = train(head, [
-            (ExampleEmbedding(r.standard_normal((2, d))),
-             SoftLabel.one_hot(int(r.integers(c)), c))
-            for _ in range(8)
-        ])
-        x = ExampleEmbedding(r.standard_normal((2, d)))
-        gm = last_layer_gradients(head, x)
-        hid = np.tanh(x.pooled @ head.w1 + head.b1)
+        rows = [(r.standard_normal((2, d)), int(r.integers(c))) for _ in range(8)]
+        head = train(head, TrainingSet(np.stack([t.mean(axis=0) for t, _ in rows]),
+                                       np.eye(c)[[cls for _, cls in rows]]))
+        pooled = r.standard_normal((2, d)).mean(axis=0)
+        (support,), _ = gradient_arrays(head, pooled[None, :])
+        hid = np.tanh(pooled @ head.w1 + head.b1)
 
         def loss(hvec, cls):
             logits = hvec @ head.w2 + head.b2
@@ -258,7 +249,7 @@ def test_c05_gradient_fidelity():
                 up[j] += step
                 down[j] -= step
                 fd[j] = (loss(up, cls) - loss(down, cls)) / (2 * step)
-            rel = (np.linalg.norm(gm.support[cls] - fd)
+            rel = (np.linalg.norm(support[cls] - fd)
                    / max(np.linalg.norm(fd), 1e-12))
             worst = max(worst, rel)
     conclude(5, "gradients vs finite differences", worst < 1e-4,
@@ -267,19 +258,15 @@ def test_c05_gradient_fidelity():
 
 def test_c06_label_mixing_exact():
     rng = np.random.default_rng(5)
-    embeddings, labels = [], []
-    for i in range(8):
-        embeddings.append(ExampleEmbedding(
-            rng.standard_normal((int(rng.integers(2, 6)), 4))))
-        labels.append(SoftLabel.one_hot(i % 3, 3))
-    labeled = TrainingSet(np.stack([emb.pooled for emb in embeddings]),
-                          np.stack([label.probs for label in labels]))
+    tokens = [rng.standard_normal((int(rng.integers(2, 6)), 4)) for _ in range(8)]
+    labels = np.eye(3)[np.arange(8) % 3]
+    labeled = TrainingSet(np.stack([t.mean(axis=0) for t in tokens]), labels)
     cfg = AugmentationConfig(factor=5, group_size=3, pairing="any-pair", seed=17)
     out = augment_wasserstein(labeled, cfg)
     ok = len(out) == 40
     for label, parents, lambdas in zip(out.labels, out.parents, out.lambdas):
         rebuilt = mix_labels([labels[i] for i in parents], lambdas)
-        ok &= bool(np.array_equal(label, rebuilt.probs))
+        ok &= bool(np.array_equal(label, rebuilt))
     conclude(6, "mixed labels reconstruct bitwise", ok)
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from allwas.data import (
     Corpus,
-    CorpusExample,
     FeaturizerConfig,
     SeedSpec,
     SynthSpec,
@@ -17,44 +16,98 @@ from allwas.data import (
     train_val_split,
 )
 from allwas.data import _pairwise_distance_percentile
-from allwas.errors import ConfigError, DataError
-from allwas.model import ExampleEmbedding, SoftLabel
+from allwas.errors import ConfigError, DataError, ShapeError
 
 
 def write_jsonl(path, rows):
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
 
 
+def row_of(corpus):
+    return {example_id: row for row, example_id in enumerate(corpus.ids)}
+
+
+def columns(rng, n=4, d=3):
+    """Keyword columns of a small valid corpus."""
+    return dict(ids=list(range(n)),
+                tokens=[rng.standard_normal((int(rng.integers(1, 5)), d)) for _ in range(n)],
+                labels=np.arange(n) % 2, texts=[None] * n, class_names=("a", "b"),
+                target_class=1)
+
+
+class TestCorpus:
+    def test_pooled_is_the_token_mean(self, rng):
+        tokens = rng.standard_normal((4, 3))
+        corpus = Corpus([0], [tokens], [0], [None], ("a", "b"), 0)
+        assert np.array_equal(corpus.pooled[0], tokens.mean(axis=0))
+
+    def test_pooled_argument_rejected(self, rng):
+        # pooled is derived from the tokens, never taken from the caller.
+        with pytest.raises(TypeError):
+            Corpus(**columns(rng), pooled=np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("column, bad, error, message", [
+        ("ids", [0, 1, 2, 0], DataError, "not unique"),
+        ("tokens", (2, np.zeros((0, 3))), DataError, "non-empty"),
+        ("tokens", (3, np.zeros((2, 4))), DataError, "mixed embedding dimensions"),
+        ("tokens", (1, np.array([[0.0, np.inf, 1.0]])), DataError, "non-finite"),
+        ("labels", [0, 1, 2, 0], DataError, "class indices"),
+        ("labels", [0.0, 1.0, 0.0, 1.0], DataError, "class indices"),
+        ("texts", [None] * 3, ShapeError, "one entry per id"),
+        ("target_class", 2, ConfigError, "target_class 2")])
+    def test_column_checks(self, rng, column, bad, error, message):
+        cols = columns(rng)
+        if column == "tokens":   # (row, its bad token matrix)
+            row, matrix = bad
+            bad = list(cols["tokens"])
+            bad[row] = matrix
+        cols[column] = bad
+        with pytest.raises(error, match=message):
+            Corpus(**cols)
+
+    def test_take_slices_every_column(self, rng):
+        corpus = Corpus(**columns(rng, n=6))
+        rows = [4, 0, 3]
+        sub = corpus.take(rows)
+        assert sub.ids == (4, 0, 3)
+        assert sub.texts == (None,) * 3
+        assert all(a is corpus.tokens[r] for a, r in zip(sub.tokens, rows))
+        assert np.array_equal(sub.labels, corpus.labels[rows])
+        assert np.array_equal(sub.pooled, np.stack([t.mean(axis=0) for t in sub.tokens]))
+        assert (sub.class_names, sub.target_class) == (corpus.class_names, corpus.target_class)
+        with pytest.raises(DataError, match="distinct"):
+            corpus.take([1, 1])
+
+
 class TestFeaturize:
     def test_same_text_identical(self):
         a = featurize_text("The movie was good", d=16, seed=1)
         b = featurize_text("The movie was good", d=16, seed=1)
-        np.testing.assert_array_equal(a.tokens, b.tokens)
+        np.testing.assert_array_equal(a, b)
 
     def test_repeated_token_repeats_row(self):
-        emb = featurize_text("good good", d=8, seed=0)
-        assert emb.n_tokens == 2
-        np.testing.assert_array_equal(emb.tokens[0], emb.tokens[1])
+        tokens = featurize_text("good good", d=8, seed=0)
+        assert tokens.shape == (2, 8)
+        np.testing.assert_array_equal(tokens[0], tokens[1])
 
     def test_distinct_tokens_distinct_vectors(self):
         # Collision scan over a generated vocabulary.
         words = [f"w{i}x{i * 7}" for i in range(10_000)]
         seen = set()
         for w in words:
-            emb = featurize_text(w, d=4, seed=0)
-            seen.add(emb.tokens[0].tobytes())
+            seen.add(featurize_text(w, d=4, seed=0)[0].tobytes())
         assert len(seen) == len(words)
 
     def test_empty_text_zero_token(self):
         with pytest.warns(UserWarning, match="empty text"):
-            emb = featurize_text("...", d=8, seed=0)
-        assert emb.n_tokens == 1
-        assert np.all(emb.tokens == 0)
+            tokens = featurize_text("...", d=8, seed=0)
+        assert tokens.shape == (1, 8)
+        assert np.all(tokens == 0)
 
     def test_seed_changes_vectors(self):
         a = featurize_text("good", d=8, seed=0)
         b = featurize_text("good", d=8, seed=1)
-        assert not np.allclose(a.tokens, b.tokens)
+        assert not np.allclose(a, b)
 
 
 class TestIngest:
@@ -78,9 +131,9 @@ class TestIngest:
         again = ingest_jsonl(out)
         assert again.class_names == corpus.class_names
         assert again.ids == corpus.ids
-        for a, b in zip(corpus.examples, again.examples):
-            np.testing.assert_array_equal(a.embedding.tokens, b.embedding.tokens)
-            assert a.label.hard == b.label.hard
+        for a, b in zip(corpus.tokens, again.tokens):
+            np.testing.assert_array_equal(a, b)
+        assert np.array_equal(corpus.labels, again.labels)
 
     def test_embedding_wins_over_text(self, tmp_path):
         rows = [{"id": 0, "text": "hello there", "embedding": [[1.0, 2.0]],
@@ -90,7 +143,7 @@ class TestIngest:
         write_jsonl(path, rows)
         with pytest.warns(UserWarning, match="embedding wins"):
             corpus = ingest_jsonl(path, featurizer=FeaturizerConfig(d=2))
-        np.testing.assert_array_equal(corpus[0].embedding.tokens, [[1.0, 2.0]])
+        np.testing.assert_array_equal(corpus.tokens[0], [[1.0, 2.0]])
 
     def test_duplicate_ids_rejected(self, tmp_path):
         rows = [{"id": 1, "embedding": [[0.0]], "label": 0},
@@ -144,7 +197,7 @@ class TestIngest:
         write_jsonl(path, rows)
         corpus = ingest_jsonl(path, featurizer=FeaturizerConfig(d=8, seed=3))
         assert corpus.dim == 8
-        assert corpus[0].embedding.n_tokens == 2
+        assert corpus.tokens[0].shape == (2, 8)
 
     def test_default_target_is_rarest(self, tmp_path):
         rows = ([{"id": i, "embedding": [[0.0]], "label": "big"} for i in range(4)]
@@ -159,7 +212,7 @@ class TestSynthetic:
     def test_minority_count_within_3_sigma(self):
         spec = SynthSpec(n=2000, d=8, priors=(0.9, 0.1), seed=5)
         corpus = make_synthetic(spec)
-        minority = sum(1 for ex in corpus.examples if ex.label.hard == 1)
+        minority = np.sum(corpus.labels == 1)
         sigma = np.sqrt(2000 * 0.1 * 0.9)
         assert abs(minority - 200) <= 3 * sigma
         assert corpus.target_class == 1
@@ -169,8 +222,7 @@ class TestSynthetic:
                          clusters_per_class=2, seed=2)
         corpus = make_synthetic(spec)
         # Nearest-centroid oracle: centroids recovered from the data itself.
-        pooled = corpus.pooled_matrix()
-        labels = np.array([ex.label.hard for ex in corpus.examples])
+        pooled, labels = corpus.pooled, corpus.labels
         centroids, cent_labels = [], []
         seen = set()
         for row, lab in zip(pooled, labels):
@@ -187,14 +239,14 @@ class TestSynthetic:
 
     def test_token_counts_in_range(self):
         corpus = make_synthetic(SynthSpec(n=50, d=4, seed=0))
-        for ex in corpus.examples:
-            assert 3 <= ex.embedding.n_tokens <= 12
+        for tokens in corpus.tokens:
+            assert 3 <= tokens.shape[0] <= 12
 
     def test_seeded_determinism(self):
         a = make_synthetic(SynthSpec(n=40, d=4, seed=7))
         b = make_synthetic(SynthSpec(n=40, d=4, seed=7))
-        for xa, xb in zip(a.examples, b.examples):
-            np.testing.assert_array_equal(xa.embedding.tokens, xb.embedding.tokens)
+        for xa, xb in zip(a.tokens, b.tokens):
+            np.testing.assert_array_equal(xa, xb)
 
     def test_bad_priors_rejected(self):
         with pytest.raises(ConfigError):
@@ -209,7 +261,7 @@ class TestSeeds:
         assert len(labeled) == 30
         assert set(labeled) | set(unlabeled) == set(corpus.ids)
         assert not set(labeled) & set(unlabeled)
-        n_minority = sum(1 for i in labeled if corpus[i].label.hard == 1)
+        n_minority = sum(1 for i in labeled if corpus.labels[row_of(corpus)[i]] == 1)
         # Hypergeometric 3 sigma around 15.
         sigma = np.sqrt(30 * 0.5 * 0.5 * (1000 - 30) / 999)
         assert abs(n_minority - 15) <= 3 * sigma
@@ -218,8 +270,8 @@ class TestSeeds:
         corpus = make_synthetic(SynthSpec(n=800, d=4, priors=(0.9, 0.1), seed=2))
         spec = SeedSpec(setting="imbalanced", seed_size=24, seed=5)
         labeled, _ = build_seed(corpus, spec)
-        minors = [i for i in labeled[:12]]
-        assert all(corpus[i].label.hard == corpus.target_class for i in minors)
+        minors = [row_of(corpus)[i] for i in labeled[:12]]
+        assert all(corpus.labels[r] == corpus.target_class for r in minors)
 
     def test_practical_seeds_more_concentrated(self):
         corpus = make_synthetic(SynthSpec(n=800, d=8, priors=(0.85, 0.15), seed=4))
@@ -227,9 +279,9 @@ class TestSeeds:
         def minority_spread(setting, seed):
             spec = SeedSpec(setting=setting, seed_size=24, seed=seed)
             labeled, _ = build_seed(corpus, spec)
-            rows = [corpus[i].embedding.pooled for i in labeled
-                    if corpus[i].label.hard == corpus.target_class]
-            rows = np.stack(rows)
+            picked = [row_of(corpus)[i] for i in labeled]
+            rows = corpus.pooled[[r for r in picked
+                                  if corpus.labels[r] == corpus.target_class]]
             diffs = rows[:, None, :] - rows[None, :, :]
             return np.sqrt((diffs ** 2).sum(-1)).mean()
 

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,23 @@ class TestPairwise:
             chunked = pairwise_wasserstein(*stack(grads))
         assert np.array_equal(chunked.entries, whole.entries)
         assert f"66 pairs in {-(-66 // per_chunk)} chunks" in caplog.text
+
+    def test_peak_memory_within_chunk_budget(self, rng, monkeypatch):
+        # 4950 pairs at C = 3 would take about 55 output matrices in one
+        # chunk. Chunked, the working set is one chunk's budget on top of
+        # the output matrix, its pair index arrays and the symmetry check's
+        # temporaries, about 4.5 output matrices in all.
+        supports, weights = stack([random_gradient_measure(rng, 3, 4) for _ in range(100)])
+        pairwise_wasserstein(supports[:5], weights[:5], max_iter=2)   # lazy imports
+        monkeypatch.setattr(gradspace, "_CHUNK_BYTES", 2**18)
+        assert gradspace._pairs_per_chunk(3) < 4950 // 20
+        tracemalloc.start()
+        try:
+            out = pairwise_wasserstein(supports, weights, max_iter=20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= gradspace._CHUNK_BYTES + 6 * out.entries.nbytes
 
     def test_csv_dump(self, rng, tmp_path):
         grads = [random_gradient_measure(rng, 2, 3) for _ in range(3)]

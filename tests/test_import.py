@@ -1,6 +1,10 @@
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 import allwas
 
@@ -15,3 +19,24 @@ def test_import_loads_no_scipy():
          "import sys, allwas; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def sibling_imports(path):
+    """The allwas modules a source file imports."""
+    dotted = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            dotted += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            package = "allwas" if node.level else None
+            dotted += [".".join(filter(None, (package, node.module, alias.name)))
+                       for alias in node.names]
+    return {name.split(".")[1] for name in dotted if name.startswith("allwas.")}
+
+
+@pytest.mark.parametrize("module", ["data", "model"])
+def test_corpus_and_head_modules_import_only_errors_and_seeding(module):
+    # The corpus columns and the head work on plain arrays; neither needs
+    # the transport, augmentation or acquisition layers.
+    path = Path(allwas.__file__).parent / f"{module}.py"
+    assert sibling_imports(path) <= {"errors", "seeding"}

@@ -4,13 +4,10 @@ import pytest
 from allwas.errors import AllwasError, ShapeError
 from allwas.model import (
     ClassifierHead,
-    ExampleEmbedding,
-    SoftLabel,
     TrainingSet,
     gradient_arrays,
-    last_layer_gradients,
     load_head,
-    predict_proba,
+    predict_proba_batch,
     save_head,
     train,
 )
@@ -21,27 +18,18 @@ def blob_data(rng, n=200, d=8, sep=4.0):
     half = n // 2
     x0 = rng.standard_normal((half, d)) + sep / 2
     x1 = rng.standard_normal((n - half, d)) - sep / 2
-    data = []
-    for row in x0:
-        data.append((ExampleEmbedding(row[None, :]), SoftLabel.one_hot(0, 2)))
-    for row in x1:
-        data.append((ExampleEmbedding(row[None, :]), SoftLabel.one_hot(1, 2)))
-    return data
+    return TrainingSet(np.concatenate([x0, x1]), np.eye(2)[[0] * half + [1] * (n - half)])
+
+
+def one_row(tokens, cls=None, n_classes=2):
+    """The pooled row of a token matrix, as (1, d); with ``cls``, the
+    one-row training set labeled with that class."""
+    x = tokens.mean(axis=0)[None, :]
+    return x if cls is None else TrainingSet(x, np.eye(n_classes)[[cls]])
 
 
 def small_head(d=8, seed=3, **kw):
     return ClassifierHead(input_dim=d, n_classes=2, hidden_dim=16, seed=seed, **kw)
-
-
-class TestEmbedding:
-    def test_pooled_is_the_token_mean(self, rng):
-        tokens = rng.standard_normal((4, 3))
-        assert np.array_equal(ExampleEmbedding(tokens).pooled, tokens.mean(axis=0))
-
-    def test_pooled_argument_rejected(self, rng):
-        # pooled is derived from the tokens, never taken from the caller.
-        with pytest.raises(TypeError):
-            ExampleEmbedding(rng.standard_normal((4, 3)), pooled=np.zeros(3))
 
 
 class TestTraining:
@@ -49,8 +37,8 @@ class TestTraining:
         data = blob_data(rng)
         # Margin-classifier oracle: the blobs are separable by the sign of
         # the mean coordinate, so a capable model should fit them.
-        means = np.array([emb.pooled.mean() for emb, _ in data])
-        labels = np.array([lbl.hard for _, lbl in data])
+        means = data.x.mean(axis=1)
+        labels = data.y.argmax(axis=1)
         oracle_acc = max(
             np.mean((means < 0).astype(int) == labels),
             np.mean((means > 0).astype(int) == labels),
@@ -58,15 +46,14 @@ class TestTraining:
         assert oracle_acc >= 0.95
 
         head = train(small_head(epochs=30), data)
-        preds = [predict_proba(head, emb).hard for emb, _ in data]
+        preds = [predict_proba_batch(head, row[None, :])[0].argmax() for row in data.x]
         acc = np.mean(np.array(preds) == labels)
         assert acc >= 0.95
 
     def test_single_example_memorized(self, rng):
-        emb = ExampleEmbedding(rng.standard_normal((3, 8)))
-        data = [(emb, SoftLabel.one_hot(1, 2))]
-        head = train(small_head(epochs=50, lr=0.1), data)
-        assert predict_proba(head, emb).probs[1] >= 0.9
+        tokens = rng.standard_normal((3, 8))
+        head = train(small_head(epochs=50, lr=0.1), one_row(tokens, 1))
+        assert predict_proba_batch(head, one_row(tokens))[0, 1] >= 0.9
 
     def test_default_hyperparameters_stable(self, rng):
         head = ClassifierHead(input_dim=8, n_classes=2)
@@ -79,26 +66,13 @@ class TestTraining:
 
     def test_empty_data_rejected(self):
         with pytest.raises(AllwasError):
-            train(small_head(), [])
+            train(small_head(), TrainingSet(np.zeros((0, 8)), np.zeros((0, 2))))
 
     def test_inconsistent_dims_rejected(self, rng):
-        data = [
-            (ExampleEmbedding(rng.standard_normal((2, 8))), SoftLabel.one_hot(0, 2)),
-            (ExampleEmbedding(rng.standard_normal((2, 5))), SoftLabel.one_hot(1, 2)),
-        ]
         with pytest.raises(ShapeError):
-            train(small_head(), data)
-
-    def test_arrays_train_like_pairs(self, rng):
-        data = blob_data(rng, n=60)
-        arrays = TrainingSet(np.stack([emb.pooled for emb, _ in data]),
-                             np.stack([label.probs for _, label in data]))
-        assert len(arrays) == 60
-        h1 = train(small_head(seed=4), data)
-        h2 = train(small_head(seed=4), arrays)
-        assert np.array_equal(h1.w1, h2.w1)
-        assert np.array_equal(h1.w2, h2.w2)
-        assert h1.loss_history == h2.loss_history
+            train(small_head(), one_row(rng.standard_normal((2, 5)), 1))
+        with pytest.raises(ShapeError):
+            train(small_head(), TrainingSet(np.zeros((1, 8)), np.ones((1, 3)) / 3))
 
     @pytest.mark.parametrize("x, y, error", [
         (np.zeros((0, 3)), np.zeros((0, 2)), AllwasError),                  # empty
@@ -134,50 +108,46 @@ class TestTraining:
 class TestPrediction:
     def test_deterministic_without_dropout(self, rng):
         head = train(small_head(), blob_data(rng, n=40))
-        emb = ExampleEmbedding(rng.standard_normal((2, 8)))
-        p1 = predict_proba(head, emb)
-        p2 = predict_proba(head, emb)
-        assert np.array_equal(p1.probs, p2.probs)
+        x = one_row(rng.standard_normal((2, 8)))
+        assert np.array_equal(predict_proba_batch(head, x), predict_proba_batch(head, x))
 
     def test_probs_sum_to_one(self, rng):
         head = train(small_head(), blob_data(rng, n=40))
         for _ in range(100):
-            emb = ExampleEmbedding(rng.standard_normal((1, 8)))
-            assert predict_proba(head, emb).probs.sum() == pytest.approx(1.0, abs=1e-9)
+            x = one_row(rng.standard_normal((1, 8)))
+            assert predict_proba_batch(head, x).sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_dropout_seeds_differ(self, rng):
         head = train(small_head(), blob_data(rng, n=40))
-        emb = ExampleEmbedding(rng.standard_normal((1, 8)))
-        pa = predict_proba(head, emb, dropout_active=True, seed=1)
-        pb = predict_proba(head, emb, dropout_active=True, seed=2)
-        assert not np.allclose(pa.probs, pb.probs)
+        x = one_row(rng.standard_normal((1, 8)))
+        pa = predict_proba_batch(head, x, dropout_active=True, seed=1)
+        pb = predict_proba_batch(head, x, dropout_active=True, seed=2)
+        assert not np.allclose(pa, pb)
         # Same seed reproduces.
-        pc = predict_proba(head, emb, dropout_active=True, seed=1)
-        assert np.array_equal(pa.probs, pc.probs)
+        pc = predict_proba_batch(head, x, dropout_active=True, seed=1)
+        assert np.array_equal(pa, pc)
 
     def test_untrained_head_rejected(self, rng):
-        emb = ExampleEmbedding(rng.standard_normal((1, 8)))
         with pytest.raises(AllwasError):
-            predict_proba(small_head(), emb)
+            predict_proba_batch(small_head(), one_row(rng.standard_normal((1, 8))))
 
 
 class TestGradients:
     def test_confident_prediction_gives_zero_gradient(self, rng):
         # Train hard on one example so its prediction is nearly one-hot.
-        emb = ExampleEmbedding(rng.standard_normal((2, 8)))
-        head = train(small_head(epochs=300, lr=0.5, dropout=0.0),
-                     [(emb, SoftLabel.one_hot(1, 2))])
-        gm = last_layer_gradients(head, emb)
-        k = int(np.argmax(gm.weights))
+        tokens = rng.standard_normal((2, 8))
+        head = train(small_head(epochs=300, lr=0.5, dropout=0.0), one_row(tokens, 1))
+        (support,), (weights,) = gradient_arrays(head, one_row(tokens))
+        k = int(np.argmax(weights))
         assert k == 1
-        assert gm.weights[k] >= 0.99
-        assert np.linalg.norm(gm.support[k]) < 0.05
+        assert weights[k] >= 0.99
+        assert np.linalg.norm(support[k]) < 0.05
 
     def test_weights_equal_predicted_probs(self, rng):
         head = train(small_head(), blob_data(rng, n=40))
-        emb = ExampleEmbedding(rng.standard_normal((3, 8)))
-        gm = last_layer_gradients(head, emb)
-        np.testing.assert_array_equal(gm.weights, predict_proba(head, emb).probs)
+        x = one_row(rng.standard_normal((3, 8)))
+        _, weights = gradient_arrays(head, x)
+        np.testing.assert_array_equal(weights, predict_proba_batch(head, x))
 
     def test_matches_finite_differences(self, rng):
         # Central differences of the per-class loss w.r.t. the hidden
@@ -187,14 +157,12 @@ class TestGradients:
             r = np.random.default_rng(trial)
             d, h, c = 4, 6, int(r.integers(2, 5))
             head = ClassifierHead(input_dim=d, n_classes=c, hidden_dim=h, seed=trial)
-            head = train(head, [
-                (ExampleEmbedding(r.standard_normal((2, d))),
-                 SoftLabel.one_hot(int(r.integers(c)), c))
-                for _ in range(8)
-            ])
-            x = ExampleEmbedding(r.standard_normal((2, d)))
-            gm = last_layer_gradients(head, x)
-            hid = np.tanh(x.pooled @ head.w1 + head.b1)
+            rows = [(r.standard_normal((2, d)), int(r.integers(c))) for _ in range(8)]
+            head = train(head, TrainingSet(np.stack([t.mean(axis=0) for t, _ in rows]),
+                                           np.eye(c)[[cls for _, cls in rows]]))
+            x = one_row(r.standard_normal((2, d)))
+            (support,), _ = gradient_arrays(head, x)
+            hid = np.tanh(x[0] @ head.w1 + head.b1)
 
             def loss(hvec, cls):
                 logits = hvec @ head.w2 + head.b2
@@ -209,23 +177,22 @@ class TestGradients:
                     up[j] += step
                     down[j] -= step
                     fd[j] = (loss(up, cls) - loss(down, cls)) / (2 * step)
-                analytic = gm.support[cls]
+                analytic = support[cls]
                 denom = max(np.linalg.norm(fd), 1e-12)
                 assert np.linalg.norm(analytic - fd) / denom < 1e-4
 
     def test_gradient_arrays_match_single(self, rng):
         head = train(small_head(), blob_data(rng, n=40))
-        embs = [ExampleEmbedding(rng.standard_normal((2, 8))) for _ in range(5)]
-        pooled = np.stack([e.pooled for e in embs])
+        pooled = np.concatenate([one_row(rng.standard_normal((2, 8))) for _ in range(5)])
         grads, probs = gradient_arrays(head, pooled)
-        for i, emb in enumerate(embs):
-            gm = last_layer_gradients(head, emb)
-            np.testing.assert_allclose(grads[i], gm.support, atol=1e-12)
-            np.testing.assert_allclose(probs[i], gm.weights, atol=1e-12)
+        for i in range(5):
+            (support,), (weights,) = gradient_arrays(head, pooled[i:i + 1])
+            np.testing.assert_allclose(grads[i], support, atol=1e-12)
+            np.testing.assert_allclose(probs[i], weights, atol=1e-12)
 
     def test_untrained_rejected(self, rng):
         with pytest.raises(AllwasError):
-            last_layer_gradients(small_head(), ExampleEmbedding(rng.standard_normal((1, 8))))
+            gradient_arrays(small_head(), one_row(rng.standard_normal((1, 8))))
 
 
 class TestCheckpoint:
@@ -239,9 +206,9 @@ class TestCheckpoint:
         assert np.array_equal(loaded.w2, head.w2)
         assert np.array_equal(loaded.b2, head.b2)
         assert loaded.dropout == head.dropout
-        emb = ExampleEmbedding(rng.standard_normal((2, 8)))
+        x = one_row(rng.standard_normal((2, 8)))
         np.testing.assert_array_equal(
-            predict_proba(loaded, emb).probs, predict_proba(head, emb).probs)
+            predict_proba_batch(loaded, x), predict_proba_batch(head, x))
 
     def test_magic_bytes(self, rng, tmp_path):
         head = train(small_head(), blob_data(rng, n=40))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from allwas.errors import AllwasError, ConfigError
-from allwas.model import ClassifierHead, ExampleEmbedding, SoftLabel, train
+from allwas.model import ClassifierHead, TrainingSet, predict_proba_batch, train
 from allwas.strategies import (
     OTConfig,
     acquire,
@@ -19,25 +19,19 @@ from allwas.strategies import (
 
 @pytest.fixture
 def trained_head(rng):
-    data = []
-    for i in range(60):
-        cls = i % 2
-        center = 3.0 if cls == 0 else -3.0
-        emb = ExampleEmbedding(rng.standard_normal((2, 6)) + center)
-        data.append((emb, SoftLabel.one_hot(cls, 2)))
+    tokens = [rng.standard_normal((2, 6)) + (3.0 if i % 2 == 0 else -3.0) for i in range(60)]
     head = ClassifierHead(input_dim=6, n_classes=2, hidden_dim=16, seed=0, epochs=20)
-    return train(head, data)
+    return train(head, TrainingSet(rows(*tokens), np.eye(2)[np.arange(60) % 2]))
 
 
 def make_pool(rng, n, d=6, offset=0.0):
     """Ids 0..n-1 and their pooled rows."""
-    x = np.stack([ExampleEmbedding(rng.standard_normal((2, d)) + offset).pooled
-                  for _ in range(n)])
-    return list(range(n)), x
+    return list(range(n)), rows(*(rng.standard_normal((2, d)) + offset for _ in range(n)))
 
 
-def rows(*embeddings):
-    return np.stack([emb.pooled for emb in embeddings])
+def rows(*tokens):
+    """The pooled rows of token matrices."""
+    return np.stack([t.mean(axis=0) for t in tokens])
 
 
 def no_rows(d=6):
@@ -75,16 +69,14 @@ class TestLeastConfidence:
         assert acquire_least_confidence(trained_head, ids, x, 1) == [0]
 
     def test_uncertain_beats_confident(self, trained_head, rng):
-        sure = ExampleEmbedding(np.full((1, 6), 3.0))
-        unsure = ExampleEmbedding(np.zeros((1, 6)))
+        sure, unsure = np.full((1, 6), 3.0), np.zeros((1, 6))
         assert acquire_least_confidence(trained_head, [0, 1], rows(sure, unsure), 1) == [1]
 
     def test_matches_full_sort(self, trained_head, rng):
-        from allwas.model import predict_proba
         for _ in range(100):
             ids, x = make_pool(rng, 12)
             got = acquire_least_confidence(trained_head, ids, x, 4)
-            conf = [(predict_proba(trained_head, ExampleEmbedding(row)).probs.max(), i)
+            conf = [(predict_proba_batch(trained_head, row[None, :]).max(), i)
                     for i, row in zip(ids, x)]
             expected = [i for _, i in sorted(conf)][:4]
             assert got == expected
@@ -92,8 +84,8 @@ class TestLeastConfidence:
 
 class TestMcDropout:
     def test_single_pass_no_dropout_equals_lc(self, rng):
-        data = [(ExampleEmbedding(rng.standard_normal((1, 6)) + (3 if i % 2 else -3)),
-                 SoftLabel.one_hot(i % 2, 2)) for i in range(40)]
+        data = TrainingSet(rows(*(rng.standard_normal((1, 6)) + (3 if i % 2 else -3)
+                                  for i in range(40))), np.eye(2)[np.arange(40) % 2])
         head = train(ClassifierHead(input_dim=6, n_classes=2, hidden_dim=8,
                                     dropout=0.0, seed=1, epochs=10), data)
         ids, x = make_pool(rng, 15)
@@ -107,7 +99,6 @@ class TestMcDropout:
         assert a == b
 
     def test_averaged_probs_normalized(self, trained_head, rng):
-        from allwas.model import predict_proba_batch
         from allwas.seeding import derive_seed
         _, x = make_pool(rng, 8)
         mean = np.zeros((8, 2))
@@ -120,8 +111,7 @@ class TestMcDropout:
 
 class TestEgl:
     def test_confident_sample_scores_near_zero(self, trained_head):
-        sure = ExampleEmbedding(np.full((1, 6), 3.0))
-        unsure = ExampleEmbedding(np.zeros((1, 6)))
+        sure, unsure = np.full((1, 6), 3.0), np.zeros((1, 6))
         assert acquire_egl(trained_head, [0, 1], rows(sure, unsure), 1) == [1]
 
     def test_score_matches_hand_computation(self):
@@ -131,7 +121,6 @@ class TestEgl:
         head.b1 = np.zeros(2)
         head.w2 = np.array([[1.0, -1.0], [0.5, 0.5]])
         head.b2 = np.zeros(2)
-        x = ExampleEmbedding(np.array([[0.3, 0.4]]))
         h = np.tanh(np.array([0.3, 0.4]))
         logits = h @ head.w2
         e = np.exp(logits - logits.max())
@@ -143,7 +132,7 @@ class TestEgl:
             onehot[c] = 1.0
             score += p[c] * np.linalg.norm(head.w2 @ (p - onehot))
         from allwas.model import gradient_arrays
-        grads, probs = gradient_arrays(head, x.pooled[None, :])
+        grads, probs = gradient_arrays(head, np.array([[0.3, 0.4]]))
         got = float(np.einsum("c,c->", probs[0],
                               np.linalg.norm(grads[0], axis=1)))
         assert got == pytest.approx(score, rel=1e-12)
@@ -160,22 +149,21 @@ class TestEgl:
 
 class TestKCenter:
     def test_two_clusters_one_each(self, rng):
-        left = [ExampleEmbedding(rng.standard_normal((1, 4)) - 10) for _ in range(5)]
-        right = [ExampleEmbedding(rng.standard_normal((1, 4)) + 10) for _ in range(5)]
+        left = [rng.standard_normal((1, 4)) - 10 for _ in range(5)]
+        right = [rng.standard_normal((1, 4)) + 10 for _ in range(5)]
         got = acquire_kcenter(list(range(10)), rows(*left, *right),
                               labeled_x=np.zeros((0, 4)), k=2)
         assert len({0, 1, 2, 3, 4} & set(got)) == 1
         assert len({5, 6, 7, 8, 9} & set(got)) == 1
 
     def test_farthest_from_labeled(self, rng):
-        labeled_x = rows(ExampleEmbedding(np.zeros((1, 4))))
-        near = ExampleEmbedding(np.full((1, 4), 0.1))
-        far = ExampleEmbedding(np.full((1, 4), 5.0))
+        labeled_x = rows(np.zeros((1, 4)))
+        near, far = np.full((1, 4), 0.1), np.full((1, 4), 5.0)
         assert acquire_kcenter([0, 1], rows(near, far), labeled_x, 1) == [1]
 
     def test_deterministic_tie_break(self):
-        emb = ExampleEmbedding(np.zeros((1, 4)))
-        assert acquire_kcenter([3, 1, 2], rows(emb, emb, emb), np.zeros((0, 4)), 2) == [1, 2]
+        point = np.zeros((1, 4))
+        assert acquire_kcenter([3, 1, 2], rows(point, point, point), np.zeros((0, 4)), 2) == [1, 2]
 
     def test_labeled_rows_without_broadcast(self, rng):
         # A broadcast (N, L, d) difference array would be 46 MB here; one
@@ -194,10 +182,10 @@ class TestKCenter:
 
 class TestAllwas:
     def test_duplicate_of_labeled_never_first(self, trained_head, rng):
-        shared = ExampleEmbedding(rng.standard_normal((2, 6)))
+        shared = rng.standard_normal((2, 6))
         ids, x = make_pool(rng, 6, offset=1.0)
-        x[0] = shared.pooled
-        labeled_x = rows(ExampleEmbedding(shared.tokens.copy()))
+        x[0] = shared.mean(axis=0)
+        labeled_x = rows(shared.copy())
         got = acquire_allwas(trained_head, ids, x, [100], labeled_x, k=1)
         assert got[0] != 0
 
@@ -241,7 +229,7 @@ def assert_invariant_to_pool_order(name, head, rng):
     _, half = make_pool(rng, 6)
     x = np.concatenate([half, half])
     ids = [f"id{i:02d}" for i in range(12)]
-    labeled_x = rows(ExampleEmbedding(rng.standard_normal((2, 6))))
+    labeled_x = rows(rng.standard_normal((2, 6)))
     base = acquire(name, head, ids, x, ["lab"], labeled_x, k=4, seed=2)
     for _ in range(3):
         perm = rng.permutation(12)
@@ -258,7 +246,7 @@ def test_invariant_to_pool_order(trained_head, rng, name):
 class TestDispatch:
     def test_all_names_return_k_distinct_pool_ids(self, trained_head, rng):
         ids, x = make_pool(rng, 12)
-        labeled_x = rows(ExampleEmbedding(rng.standard_normal((2, 6))))
+        labeled_x = rows(rng.standard_normal((2, 6)))
         for name in ("random", "lc", "dropout", "egl", "kcenter", "allwas"):
             got = acquire(name, trained_head, ids, x, [100], labeled_x, k=4, seed=2)
             assert len(got) == 4

@@ -3,6 +3,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from allwas import transport
 from allwas.barysample import AUG_EPS_SCALE, AUG_SINKHORN_TOL, AugmentationConfig
@@ -275,6 +277,50 @@ class TestBatchedCore:
             exact = exact_distance_oracle(a, b, p=2)
             value = float(np.sum(plans[k, :n, :n] * c))
             assert exact - 1e-9 <= value <= exact + e * np.log(n)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shapes=st.lists(st.tuples(st.integers(1, 8), st.integers(1, 8)), max_size=4),
+       uniform_sizes=st.lists(st.integers(1, 8), min_size=1, max_size=4),
+       eps_scale=st.sampled_from([0.05, 0.2, 1.0]), max_iter=st.sampled_from([1, 5, 3000]))
+def test_batched_plans_feasible_and_within_entropic_bias(seed, shapes, uniform_sizes,
+                                                         eps_scale, max_iter):
+    # One padded batch of lanes of mixed (n, m) shapes, padding costs
+    # arbitrary but finite. Each of the uniform lanes pairs two uniform 1-D
+    # measures of n atoms, whose exact W_2^2 the quantile oracle gives; a
+    # converged lane's plan then costs at most exact + eps log n.
+    rng = np.random.default_rng(seed)
+    pairs = ([(random_measure(rng, n, 3), random_measure(rng, m, 3), False)
+              for n, m in shapes]
+             + [(DiscreteMeasure.uniform(rng.standard_normal((n, 1))),
+                 DiscreteMeasure.uniform(rng.standard_normal((n, 1))), True)
+                for n in uniform_sizes])
+    n_max = max(a.n for a, _, _ in pairs)
+    m_max = max(b.n for _, b, _ in pairs)
+    log_a = np.full((len(pairs), n_max), -np.inf)
+    log_b = np.full((len(pairs), m_max), -np.inf)
+    cost = rng.uniform(0.0, 10.0, (len(pairs), n_max, m_max))
+    eps = np.empty(len(pairs))
+    for k, (a, b, _) in enumerate(pairs):
+        log_a[k, :a.n], log_b[k, :b.n] = np.log(a.weights), np.log(b.weights)
+        cost[k, :a.n, :b.n] = ground_cost(a, b)
+        eps[k] = eps_scale * np.median(cost[k, :a.n, :b.n]) + 1e-3
+    tol = 1e-9
+    plans, err, _, _, _ = sinkhorn_plans_batched(log_a, log_b, cost, eps,
+                                                 max_iter=max_iter, tol=tol)
+    assert np.all(plans >= 0.0)
+    assert np.abs(plans.sum(axis=2) - np.exp(log_a)).max() <= 1e-12
+    assert np.abs(plans.sum(axis=1) - np.exp(log_b)).max() <= 1e-12
+    for k, (a, b, uniform_1d) in enumerate(pairs):
+        if uniform_1d:
+            exact = exact_distance_oracle(a, b, p=2)
+            value = float(np.sum(plans[k, :a.n, :a.n] * cost[k, :a.n, :a.n]))
+            # Both ends allow 1e-9 of roundoff: a one-atom lane's bound is
+            # exact itself.
+            assert value >= exact - 1e-9
+            if err[k] <= tol:
+                assert value <= exact + eps[k] * np.log(a.n) + 1e-9
 
 
 class TestExactOracle:
