@@ -8,7 +8,9 @@
     allwas stats <run-dir> --pairs labelA:labelB[,labelC:labelD...]
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 runtime failure.
-ALLWAS_THREADS caps sweep parallelism.
+ALLWAS_THREADS is the number of worker processes a sweep runs its cells in
+(default 1: serial); they start with fork where the platform has it, else
+spawn.
 """
 
 from __future__ import annotations

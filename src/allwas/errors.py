@@ -18,11 +18,12 @@ class DataError(AllwasError):
 
 
 class ShapeError(AllwasError):
-    """Dimension or shape mismatch between numeric objects."""
+    """Dimension or shape mismatch between numeric objects.
+
+    Only the formatted message is kept, so the error crosses a pickle (the
+    sweep's worker processes) with its type and text unchanged."""
 
     def __init__(self, message: str, expected=None, actual=None):
         if expected is not None or actual is not None:
             message = f"{message} (expected {expected}, got {actual})"
         super().__init__(message)
-        self.expected = expected
-        self.actual = actual

@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -33,6 +32,8 @@ from .data import (
     FeaturizerConfig,
     SeedSpec,
     SynthSpec,
+    _is_int,
+    _is_real,
     build_seed,
     config_from,
     ingest_jsonl,
@@ -62,6 +63,15 @@ _NESTED_KEYS = {
                                if f != "seed")),
 }
 
+# Top-level fields by the type each must hold: (check, its name, fields).
+_FIELD_TYPES = (
+    (lambda v: isinstance(v, str), "a string",
+     ("out_dir", "label", "setting", "strategy", "metric")),
+    (_is_int, "an int",
+     ("seed_size", "budget", "k", "repeats", "master_seed", "mc_passes")),
+    (_is_real, "a number", ("minority_fraction", "radius_percentile", "val_fraction")),
+)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -85,6 +95,11 @@ class ExperimentConfig:
     mc_passes: int = 10
 
     def __post_init__(self):
+        for check, kind, names in _FIELD_TYPES:
+            for name in names:
+                value = getattr(self, name)
+                if not check(value):
+                    raise ConfigError(f"{name} must be {kind} (got {value!r})")
         if self.strategy not in STRATEGY_NAMES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.k < 1 or self.k > self.budget:
@@ -124,6 +139,8 @@ class ExperimentConfig:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"bad config JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object (got {raw!r})")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(raw) - known
         if unknown:
@@ -388,7 +405,16 @@ def thread_budget() -> int:
 
 def run_sweep(base: ExperimentConfig, axis: str, values) -> list:
     """Paired grid along one axis: every cell shares the base master seed,
-    so per-repeat seeds (and the data they see) line up across cells."""
+    so per-repeat seeds (and the data they see) line up across cells.
+
+    With ``ALLWAS_THREADS`` above 1 the cells run in that many worker
+    processes (at most one per cell), started with ``fork`` where the
+    platform has it and ``spawn`` elsewhere. Forking a process that runs
+    other threads is unsafe, so call this from a single-threaded process.
+    Under ``spawn`` each worker re-imports the caller's main module, which
+    must guard its entry point with ``if __name__ == "__main__":``. The
+    first failing cell's error is raised, as in a serial sweep.
+    """
     values = list(values)
     if not values:
         raise ConfigError("sweep values must be non-empty")
@@ -398,10 +424,39 @@ def run_sweep(base: ExperimentConfig, axis: str, values) -> list:
     if clashes:
         # Cells with one label would share (and race on) one CSV.
         raise ConfigError(f"sweep values give duplicate cell labels {clashes}")
-    workers = thread_budget()
+    workers = min(thread_budget(), len(cells))
     corpus = load_corpus(base.corpus)
     if workers == 1:
         return [run_experiment(cell, corpus) for cell in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(run_experiment, cell, corpus) for cell in cells]
-        return [f.result() for f in futures]
+    # Imported here so that `import allwas` does not pay for multiprocessing.
+    import multiprocessing
+    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+
+    # Pinned rather than left to the interpreter default, which changes in
+    # Python 3.14. Under fork the workers inherit the corpus unpickled.
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    pool = ProcessPoolExecutor(max_workers=workers,
+                               mp_context=multiprocessing.get_context(method),
+                               initializer=_init_worker, initargs=(corpus,))
+    try:
+        futures = [pool.submit(_run_cell, cell) for cell in cells]
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        # Waits for the running cells and drops the pending ones, so no
+        # worker outlives the sweep. Cells start in submission order, so
+        # every cell before a failed one has run, and the first failure
+        # below is the one a serial sweep raises.
+        pool.shutdown(cancel_futures=True)
+    return [f.result() for f in futures]
+
+
+_worker_corpus = None
+
+
+def _init_worker(corpus: Corpus) -> None:
+    global _worker_corpus
+    _worker_corpus = corpus
+
+
+def _run_cell(cell: ExperimentConfig) -> RunRecord:
+    return run_experiment(cell, _worker_corpus)

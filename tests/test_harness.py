@@ -1,11 +1,13 @@
 import json
+import multiprocessing
 import os
+import pickle
 
 import numpy as np
 import pytest
 
 from allwas.cli import main as cli_main
-from allwas.errors import ConfigError
+from allwas.errors import AllwasError, ConfigError, ShapeError
 from allwas.harness import ExperimentConfig, load_corpus, run_experiment, run_sweep
 from allwas.report import (
     learning_curve_svg,
@@ -55,6 +57,12 @@ class TestConfig:
                                         key: value}))
             with pytest.raises(ConfigError, match=key):
                 ExperimentConfig.from_json(path)
+
+    def test_config_json_must_be_an_object(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("5")
+        with pytest.raises(ConfigError, match="config must be a JSON object"):
+            ExperimentConfig.from_json(path)
 
     @pytest.mark.parametrize("section, bad, message", [
         ("model", {"dropout": 1.5}, "dropout"),
@@ -228,14 +236,56 @@ class TestSweep:
             run_sweep(small_cfg(tmp_path), "strategy", ["random", "lc"])
         assert not (tmp_path / "runs").exists()
 
-    def test_parallel_cells_match_serial(self, tmp_path, monkeypatch):
-        cfg = small_cfg(tmp_path, budget=20, k=10, out_dir=str(tmp_path / "ser"))
-        serial = run_sweep(cfg, "strategy", ["random", "lc"])
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_parallel_cells_match_serial(self, tmp_path, monkeypatch, method):
+        # Three cells on two workers, so a worker runs more than one cell.
+        # spawn stands in for platforms without fork and pickles the corpus.
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} on this platform")
+        strategies = ["random", "lc", "kcenter"]
+        cfg = small_cfg(tmp_path, budget=20, k=10)
+        serial = run_sweep(cfg, "strategy", strategies)
+        run_dir = tmp_path / "runs"
+        written = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+        run_dir.rename(tmp_path / "serial")
+        used = []
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda name: used.append(name) or get_context(name))
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: [method])
         monkeypatch.setenv("ALLWAS_THREADS", "2")
-        cfg2 = small_cfg(tmp_path, budget=20, k=10, out_dir=str(tmp_path / "par"))
-        parallel = run_sweep(cfg2, "strategy", ["random", "lc"])
-        for s, p in zip(serial, parallel):
-            assert s.rows == p.rows
+        parallel = run_sweep(cfg, "strategy", strategies)
+        assert used == [method]
+        assert [p.rows for p in parallel] == [s.rows for s in serial]
+        assert sorted(written) == sorted(f"cell_{name}.{ext}" for name in strategies
+                                         for ext in ("csv", "meta.json"))
+        assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == written
+
+    def test_parallel_failure_keeps_error_type_and_cell(self, tmp_path, monkeypatch, capsys):
+        # Every cell fails in its first repeat (the pool split has 208 rows); the
+        # first cell's error is raised, and no worker process is left over.
+        monkeypatch.setenv("ALLWAS_THREADS", "2")
+        cfg = small_cfg(tmp_path, budget=250)
+        message = "cell 'cell_random': budget 250 exceeds pool of 208"
+        with pytest.raises(ConfigError) as info:
+            run_sweep(cfg, "strategy", ["random", "lc", "kcenter"])
+        assert type(info.value) is ConfigError and str(info.value) == message
+        assert multiprocessing.active_children() == []
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(cfg.to_canonical_json())
+        assert cli_main(["sweep", str(cfg_path), "--axis", "strategy",
+                         "--values", "random,lc,kcenter"]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("error", [
+    *(cls("cell 'c': boom") for cls in (AllwasError, *AllwasError.__subclasses__())),
+    ShapeError("one id per row", expected=3, actual=2)], ids=repr)
+def test_errors_survive_pickle(error):
+    # Sweep workers send a failing cell's error back to the caller pickled.
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error) and str(copy) == str(error)
 
 
 class TestReport:
@@ -380,7 +430,11 @@ class TestCli:
     @pytest.mark.parametrize("field, bad", [
         ("minority_fraction", 1.5), ("radius_percentile", 150), ("val_fraction", 1.0),
         ("setting", "skewed"), ("mc_passes", 0), ("model", 5), ("ot", 0.5),
-        ("augmentation", None), ("corpus", 7)])
+        ("augmentation", None), ("corpus", 7), ("k", "5"), ("repeats", 1.5),
+        ("budget", True), ("seed_size", None), ("master_seed", "0"), ("mc_passes", 2.0),
+        ("minority_fraction", "0.5"), ("radius_percentile", None), ("val_fraction", True),
+        ("out_dir", 5), ("label", 3), ("setting", ["balanced"]), ("strategy", 1),
+        ("metric", None)])
     def test_bad_value_exits_2_before_corpus_loads(self, tmp_path, capsys,
                                                    monkeypatch, field, bad):
         assert self.run_before_corpus_loads(tmp_path, monkeypatch, **{field: bad}) == 2

@@ -9,16 +9,26 @@ import pytest
 import allwas
 
 
-def test_import_loads_no_scipy():
-    # scipy serves only the test oracles; importing the package must not
-    # pay for it.
+def modules_loaded_by_import(*prefixes):
+    """The modules under ``prefixes`` that a fresh ``import allwas`` loads."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(allwas.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, allwas; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+         f"import sys, allwas; print(sorted(m for m in sys.modules if m.startswith({prefixes})))"],
         env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_import_loads_no_scipy():
+    # scipy serves only the test oracles; importing the package must not
+    # pay for it.
+    assert modules_loaded_by_import("scipy") == "[]"
+
+
+def test_import_loads_no_process_pool():
+    # Only a parallel sweep uses the process pool, so run_sweep imports it.
+    assert modules_loaded_by_import("multiprocessing", "concurrent.futures.process") == "[]"
 
 
 def sibling_imports(path):
