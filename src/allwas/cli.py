@@ -10,7 +10,8 @@
 Exit codes: 0 ok, 2 config error, 3 data error, 4 runtime failure.
 ALLWAS_THREADS is the number of worker processes a sweep runs its cells in
 (default 1: serial); they start with fork where the platform has it, else
-spawn.
+spawn. Each worker runs its block of cells in lockstep, and results are
+written when a block ends.
 """
 
 from __future__ import annotations

@@ -56,8 +56,13 @@ class DistanceMatrix:
             raise ShapeError("one id per row", expected=n, actual=len(self.ids))
         if np.abs(np.diag(entries)).max(initial=0.0) > 1e-8:
             raise AllwasError("distance matrix diagonal must be zero")
-        if n and np.abs(entries - entries.T).max() > 1e-6:
-            raise AllwasError("distance matrix must be symmetric")
+        # Compared in row blocks, so the check's temporaries stay small
+        # next to the matrix.
+        step = max(1, n // 8)
+        for r0 in range(0, n, step):
+            block = entries[r0:r0 + step]
+            if np.abs(block - entries[:, r0:r0 + step].T).max() > 1e-6:
+                raise AllwasError("distance matrix must be symmetric")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "ids", tuple(self.ids))
         index = {}
@@ -128,11 +133,18 @@ def pairwise_wasserstein(
     u = len(keep)
 
     dist = np.zeros((u, u))
-    iu, ju = np.triu_indices(u, k=1)
+    # Pair k of the row-major upper triangle is (i, j) with row i starting
+    # at first[i]; each chunk builds only its own pairs.
+    first = np.arange(u) * (2 * u - np.arange(u) - 1) // 2
+    pairs = u * (u - 1) // 2
     chunk = _pairs_per_chunk(c)
     unconverged = 0
-    for start in range(0, len(iu), chunk):
-        si, sj = iu[start:start + chunk], ju[start:start + chunk]
+    for start in range(0, pairs, chunk):
+        sj = np.arange(start, min(start + chunk, pairs))
+        si = np.searchsorted(first, sj, side="right")
+        si -= 1
+        sj -= first[si]
+        sj += si + 1
         # One Gram product: this chunk's rows against every later sample.
         r0, r1, j0 = si[0], si[-1] + 1, si[0] + 1
         sq = _pairwise_sq(rows[r0 * c:r1 * c], rows[j0 * c:])
@@ -153,9 +165,8 @@ def pairwise_wasserstein(
             vals = np.einsum("bcd,bcd->b", plans, cost)
         dist[si, sj] = dist[sj, si] = vals
     logger.debug("pairwise_wasserstein: %d pairs in %d chunks, unconverged %.4f",
-                 len(iu), -(-len(iu) // chunk), unconverged / max(len(iu), 1))
+                 pairs, -(-pairs // chunk), unconverged / max(pairs, 1))
 
-    del iu, ju
     np.clip(dist, 0.0, None, out=dist)
     return DistanceMatrix(dist if u == n else dist[np.ix_(inverse, inverse)], tuple(ids))
 

@@ -12,9 +12,16 @@ Every random stage draws from a generator derived from
 (master seed, repeat, iteration, stage name), so outputs are a pure
 function of (config, master seed).
 
+Each repeat is a generator that yields its training requests, so a block
+of runs (a cell's pending repeats, or every pending repeat of a sweep
+worker's cells) advances in lockstep: each round, the heads of one shape
+train in one stacked call (``model.train_stack``), bitwise as they would
+alone.
+
 Results land in <out_dir>/<label>.csv with a sidecar meta file carrying
-the config hash; reruns with a matching hash skip completed repeats and
-recompute partial ones (deterministic replay makes that exact).
+the config hash, written when the block ends; reruns with a matching hash
+skip completed repeats and recompute partial or missing ones
+(deterministic replay makes that exact).
 """
 
 from __future__ import annotations
@@ -41,7 +48,14 @@ from .data import (
     train_val_split,
 )
 from .errors import AllwasError, ConfigError
-from .model import ClassifierHead, TrainingSet, predict_proba_batch, train
+from .model import (
+    ClassifierHead,
+    TrainingSet,
+    predict_proba_batch,
+    stack_key,
+    train,
+    train_stack,
+)
 from .seeding import derive_seed
 from .stats import f1_macro, f1_target
 from .strategies import STRATEGY_NAMES, OTConfig, acquire
@@ -250,7 +264,13 @@ def _augmented(cfg: ExperimentConfig, repeat: int, iteration: int,
 
 
 def _run_repeat(cfg: ExperimentConfig, corpus: Corpus, repeat: int):
-    """Deterministic replay of one repeat; yields one row per iteration."""
+    """Deterministic replay of one repeat, as a generator.
+
+    Each iteration yields its training request ``(head, data)`` and is sent
+    the trained head (or thrown the :class:`AllwasError` its training
+    raised); the generator returns the repeat's rows, one per iteration.
+    ``_lockstep`` drives it.
+    """
     ms = cfg.master_seed
     pool_corpus, val_corpus = train_val_split(
         corpus, cfg.val_fraction, seed=derive_seed(ms, repeat, "split"))
@@ -275,7 +295,7 @@ def _run_repeat(cfg: ExperimentConfig, corpus: Corpus, repeat: int):
             head = ClassifierHead(
                 input_dim=corpus.dim, n_classes=corpus.n_classes,
                 seed=derive_seed(ms, repeat, iteration, "train"), **cfg.model)
-            head = train(head, train_data)
+            head = yield head, train_data
             preds = predict_proba_batch(head, val_x).argmax(axis=1)
             if cfg.metric == "macro-f1":
                 f1 = f1_macro(preds, val_truth, corpus.n_classes)
@@ -298,6 +318,54 @@ def _run_repeat(cfg: ExperimentConfig, corpus: Corpus, repeat: int):
             raise type(exc)(
                 f"repeat {repeat}, iteration {iteration}: {exc}") from exc
     return rows
+
+
+def _advance(run, trained=None):
+    """Step a ``_run_repeat`` generator with the trained head (or the error
+    its training raised): ``(request, None)`` while it runs, then
+    ``(None, outcome)``, its rows or the AllwasError it raised."""
+    try:
+        if isinstance(trained, AllwasError):
+            return run.throw(trained), None
+        return run.send(trained), None
+    except StopIteration as stop:
+        return None, stop.value
+    except AllwasError as exc:
+        return None, exc
+
+
+def _lockstep(runs: list) -> list:
+    """Drive ``_run_repeat`` generators to their ends together.
+
+    Each round the pending training requests are grouped by ``stack_key``
+    (row count, dimensions and model hyperparameters), and each group
+    trains in one ``train_stack`` call; a one-run group calls ``train``.
+    Augmentation, evaluation and acquisition stay per run, and every head
+    is bitwise what it would be trained alone. Returns, per run, its rows
+    or the AllwasError it raised.
+    """
+    outcomes = [None] * len(runs)
+    sends = dict.fromkeys(range(len(runs)))     # run -> what it is sent next
+    while sends:
+        requests = {}
+        for i, sent in sends.items():
+            request, outcomes[i] = _advance(runs[i], sent)
+            if request is not None:
+                requests[i] = request
+        groups = {}
+        for i, request in requests.items():
+            groups.setdefault(stack_key(*request), []).append(i)
+        sends = {}
+        for members in groups.values():
+            heads = [requests[i][0] for i in members]
+            datas = [requests[i][1] for i in members]
+            try:
+                trained = ([train(heads[0], datas[0])] if len(members) == 1
+                           else train_stack(heads, datas))
+            except AllwasError as exc:
+                trained = [exc] * len(members)
+            sends.update(zip(members, trained))
+    return outcomes
 
 
 def _rows_path(cfg: ExperimentConfig) -> str:
@@ -343,31 +411,75 @@ def _load_existing(cfg: ExperimentConfig):
     return [RunRow.from_csv(line) for line in lines[1:]]
 
 
-def run_experiment(cfg: ExperimentConfig, corpus: Corpus | None = None) -> RunRecord:
-    """Run (or resume) all repeats of one experiment cell."""
-    if corpus is None:
-        corpus = load_corpus(cfg.corpus)
-    try:
-        existing = _load_existing(cfg)
-        per_repeat = cfg.iterations_per_repeat()
+def _in_cell(cfg: ExperimentConfig, exc: AllwasError) -> AllwasError:
+    error = type(exc)(f"cell {cfg.label!r}: {exc}")
+    error.__cause__ = exc
+    return error
+
+
+def _run_cells(cells, corpus: Corpus) -> list:
+    """Run (or resume) every pending repeat of ``cells`` as one block in
+    lockstep, then write each cell's results.
+
+    Returns, per cell, its :class:`RunRecord` or the AllwasError of its
+    lowest failing repeat, prefixed with the cell's label. A failing cell
+    keeps the repeats that finished.
+    """
+    outcomes = [None] * len(cells)
+    rows = [[] for _ in cells]
+    runs, owners = [], []
+    for k, cfg in enumerate(cells):
+        try:
+            existing = _load_existing(cfg)
+        except AllwasError as exc:
+            outcomes[k] = _in_cell(cfg, exc)
+            continue
         by_repeat = {}
         for row in existing:
             by_repeat.setdefault(row.seed - cfg.master_seed, []).append(row)
-        rows = []
+        per_repeat = cfg.iterations_per_repeat()
         for repeat, got in by_repeat.items():
             if len(got) == per_repeat:
-                rows.extend(got)
-        done = {row.seed - cfg.master_seed for row in rows}
+                rows[k].extend(got)
+        done = {row.seed - cfg.master_seed for row in rows[k]}
         for repeat in range(cfg.repeats):
-            if repeat in done:
-                continue
-            rows.extend(_run_repeat(cfg, corpus, repeat))
-            _write_rows(cfg, rows)
-        _write_rows(cfg, rows)
-    except AllwasError as exc:
-        raise type(exc)(f"cell {cfg.label!r}: {exc}") from exc
-    ordered = tuple(sorted(rows, key=lambda r: (r.seed, r.iteration)))
-    return RunRecord(cfg.label, cfg.config_hash(), ordered)
+            if repeat not in done:
+                runs.append(_run_repeat(cfg, corpus, repeat))
+                owners.append(k)
+
+    ran = set()
+    for k, result in zip(owners, _lockstep(runs)):
+        if isinstance(result, AllwasError):
+            if outcomes[k] is None:
+                outcomes[k] = _in_cell(cells[k], result)
+        else:
+            rows[k].extend(result)
+            ran.add(k)
+    for k, cfg in enumerate(cells):
+        if outcomes[k] is None or k in ran:
+            _write_rows(cfg, rows[k])
+        if outcomes[k] is None:
+            ordered = tuple(sorted(rows[k], key=lambda r: (r.seed, r.iteration)))
+            outcomes[k] = RunRecord(cfg.label, cfg.config_hash(), ordered)
+    return outcomes
+
+
+def _records(outcomes: list) -> list:
+    """The records, or the first cell's error."""
+    for outcome in outcomes:
+        if isinstance(outcome, AllwasError):
+            raise outcome
+    return outcomes
+
+
+def run_experiment(cfg: ExperimentConfig, corpus: Corpus | None = None) -> RunRecord:
+    """Run (or resume) all repeats of one experiment cell, in lockstep.
+
+    The pending repeats are one block: results are written once it ends,
+    and a rerun resumes from the repeats that completed."""
+    if corpus is None:
+        corpus = load_corpus(cfg.corpus)
+    return _records(_run_cells([cfg], corpus))[0]
 
 
 SWEEP_AXES = ("augmentation-factor", "barycenter-group-size", "strategy")
@@ -407,13 +519,16 @@ def run_sweep(base: ExperimentConfig, axis: str, values) -> list:
     """Paired grid along one axis: every cell shares the base master seed,
     so per-repeat seeds (and the data they see) line up across cells.
 
-    With ``ALLWAS_THREADS`` above 1 the cells run in that many worker
-    processes (at most one per cell), started with ``fork`` where the
-    platform has it and ``spawn`` elsewhere. Forking a process that runs
-    other threads is unsafe, so call this from a single-threaded process.
-    Under ``spawn`` each worker re-imports the caller's main module, which
-    must guard its entry point with ``if __name__ == "__main__":``. The
-    first failing cell's error is raised, as in a serial sweep.
+    The cells are dealt into ``min(ALLWAS_THREADS, cells)`` blocks (cell i
+    to block i mod blocks), and each block runs every pending repeat of its
+    cells in lockstep (``_run_cells``). One block runs in this process.
+    More run in that many worker processes, started with ``fork`` where
+    the platform has it and ``spawn`` elsewhere. Forking a process that
+    runs other threads is unsafe, so call this from a single-threaded
+    process. Under ``spawn`` each worker re-imports the caller's main
+    module, which must guard its entry point with
+    ``if __name__ == "__main__":``. The lowest-index failing cell's error
+    is raised, as in a serial sweep.
     """
     values = list(values)
     if not values:
@@ -427,10 +542,10 @@ def run_sweep(base: ExperimentConfig, axis: str, values) -> list:
     workers = min(thread_budget(), len(cells))
     corpus = load_corpus(base.corpus)
     if workers == 1:
-        return [run_experiment(cell, corpus) for cell in cells]
+        return _records(_run_cells(cells, corpus))
     # Imported here so that `import allwas` does not pay for multiprocessing.
     import multiprocessing
-    from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+    from concurrent.futures import ProcessPoolExecutor, wait
 
     # Pinned rather than left to the interpreter default, which changes in
     # Python 3.14. Under fork the workers inherit the corpus unpickled.
@@ -439,15 +554,16 @@ def run_sweep(base: ExperimentConfig, axis: str, values) -> list:
                                mp_context=multiprocessing.get_context(method),
                                initializer=_init_worker, initargs=(corpus,))
     try:
-        futures = [pool.submit(_run_cell, cell) for cell in cells]
-        wait(futures, return_when=FIRST_EXCEPTION)
+        futures = [pool.submit(_run_block, cells[b::workers]) for b in range(workers)]
+        wait(futures)
     finally:
-        # Waits for the running cells and drops the pending ones, so no
-        # worker outlives the sweep. Cells start in submission order, so
-        # every cell before a failed one has run, and the first failure
-        # below is the one a serial sweep raises.
+        # Drops whatever an interrupt left pending and joins every worker,
+        # so none outlives the sweep.
         pool.shutdown(cancel_futures=True)
-    return [f.result() for f in futures]
+    outcomes = [None] * len(cells)
+    for b, future in enumerate(futures):
+        outcomes[b::workers] = future.result()
+    return _records(outcomes)
 
 
 _worker_corpus = None
@@ -458,5 +574,5 @@ def _init_worker(corpus: Corpus) -> None:
     _worker_corpus = corpus
 
 
-def _run_cell(cell: ExperimentConfig) -> RunRecord:
-    return run_experiment(cell, _worker_corpus)
+def _run_block(cells: list) -> list:
+    return _run_cells(cells, _worker_corpus)

@@ -4,7 +4,9 @@ A mean-pooled embedding feeds one tanh hidden layer with dropout and a
 linear softmax output. Training is plain mini-batch gradient descent on
 soft-label cross-entropy, re-initialized from scratch on every call so
 each round of an experiment trains a fresh model. Everything is
-deterministic given the head's seed.
+deterministic given the head's seed. ``train_stack`` trains R heads of one
+shape in lockstep, each bitwise what ``train`` gives it alone; ``train``
+is its one-head case.
 
 The per-class gradients of the loss with respect to the last layer's
 input activation, weighted by the predicted class probabilities, form one
@@ -25,6 +27,9 @@ from .errors import AllwasError, ConfigError, ShapeError
 DEFAULT_LR = 1e-2
 
 _WEIGHT_TOL = 1e-9
+
+# Byte budget for one chunk of heads trained in lockstep (memory guard).
+_CHUNK_BYTES = 64 * 2**20
 
 
 @dataclass
@@ -104,68 +109,159 @@ def train(head: ClassifierHead, data) -> ClassifierHead:
 
     Mini-batch gradient descent on soft-label cross-entropy
     H(L, p) = -sum_c L_c log p_c, with inverted-scaling dropout on the
-    hidden layer during training. Bit-reproducible for a fixed seed.
+    hidden layer during training. Bit-reproducible for a fixed seed. This
+    is the one-head case of :func:`train_stack`.
     """
-    x, y = data.x, data.y
-    if x.shape[1] != head.input_dim:
-        raise ShapeError("data dimension does not match head", expected=head.input_dim,
-                         actual=x.shape[1])
-    if y.shape[1] != head.n_classes:
-        raise ShapeError("label classes do not match head", expected=head.n_classes,
-                         actual=y.shape[1])
-    rng = np.random.default_rng(head.seed)
-    d, h, c = head.input_dim, head.hidden_dim, head.n_classes
-    w1 = rng.standard_normal((d, h)) / np.sqrt(d)
-    b1 = np.zeros(h)
-    w2 = rng.standard_normal((h, c)) / np.sqrt(h)
-    b2 = np.zeros(c)
+    (trained,) = train_stack([head], [data])
+    if isinstance(trained, AllwasError):
+        raise trained
+    return trained
 
-    n = x.shape[0]
-    keep = 1.0 - head.dropout
-    losses = []
+
+def stack_key(head: ClassifierHead, data) -> tuple:
+    """What heads trained in one stack share: the head's dimensions and
+    hyperparameters (not its seed) and the training set's shapes."""
+    return (head.input_dim, head.n_classes, head.hidden_dim, head.dropout,
+            head.epochs, head.batch_size, head.lr, data.x.shape, data.y.shape)
+
+
+def _heads_per_chunk(n: int, d: int, h: int, c: int, batch: int) -> int:
+    """Heads whose working arrays fit in ``_CHUNK_BYTES``: per head, the
+    epoch's (n, H) dropout masks and row order, the parameters and their
+    gradients, and about a dozen batch-sized temporaries."""
+    per_head = 8 * (n * (h + 1) + 2 * (d + c + 1) * (h + c)
+                    + batch * (2 * d + 2 * c + 6 * h + 6 * c))
+    return max(1, _CHUNK_BYTES // per_head)
+
+
+def train_stack(heads, datas) -> list:
+    """Train fresh copies of R heads in lockstep, head r on ``datas[r]``.
+
+    The heads share their dimensions and hyperparameters, and the training
+    sets their row count; seeds differ. Each head draws from its own
+    generator and owns one slice of the (R, d, H) and (R, H, C) weight
+    stacks, so it ends bitwise equal to ``train(heads[r], datas[r])``,
+    whatever else shares its stack. Each batch is one stacked matmul per
+    product for all R heads. Stacks are cut into chunks under
+    ``_CHUNK_BYTES``. Returns, per head, the trained head or the
+    :class:`AllwasError` its training raised: a diverging head drops out
+    and the others go on.
+    """
+    heads, datas = list(heads), list(datas)
+    if not heads or len(heads) != len(datas):
+        raise AllwasError("train_stack needs one training set per head")
+    head, data = heads[0], datas[0]
+    if data.x.shape[1] != head.input_dim:
+        raise ShapeError("data dimension does not match head", expected=head.input_dim,
+                         actual=data.x.shape[1])
+    if data.y.shape[1] != head.n_classes:
+        raise ShapeError("label classes do not match head", expected=head.n_classes,
+                         actual=data.y.shape[1])
+    if any(stack_key(*pair) != stack_key(head, data) for pair in zip(heads, datas)):
+        raise AllwasError("heads trained in lockstep must share dimensions, "
+                          "hyperparameters and row count")
+    step = _heads_per_chunk(len(data), head.input_dim, head.hidden_dim,
+                            head.n_classes, head.batch_size)
+    out = []
+    for start in range(0, len(heads), step):
+        out += _train_chunk(heads[start:start + step], datas[start:start + step])
+    return out
+
+
+def _train_chunk(heads: list, datas: list) -> list:
+    head = heads[0]
+    d, h, c = head.input_dim, head.hidden_dim, head.n_classes
+    n, batch, lr = len(datas[0]), head.batch_size, head.lr
+    rngs = [np.random.default_rng(other.seed) for other in heads]
+    w1 = np.empty((len(heads), d, h))
+    w2 = np.empty((len(heads), h, c))
+    for r, rng in enumerate(rngs):
+        w1[r] = rng.standard_normal((d, h)) / np.sqrt(d)
+        w2[r] = rng.standard_normal((h, c)) / np.sqrt(h)
+    b1 = np.zeros((len(heads), 1, h))
+    b2 = np.zeros((len(heads), 1, c))
+    # Slot r's rows are block r of (R * n, .) matrices; one head's are its own.
+    if len(heads) == 1:
+        x, y = datas[0].x, datas[0].y
+    else:
+        x = np.concatenate([rows.x for rows in datas])
+        y = np.concatenate([rows.y for rows in datas])
+
+    live = list(range(len(heads)))          # slot -> head index
+    order = np.empty((len(heads), n), dtype=np.intp)
+    masks = np.empty((len(heads), n, h)) if head.dropout > 0 else None
+    losses = [[] for _ in heads]
+    out = [None] * len(heads)
     for _ in range(head.epochs):
-        order = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, head.batch_size):
-            idx = order[start:start + head.batch_size]
-            xb, yb = x[idx], y[idx]
-            z1 = xb @ w1 + b1
-            hid = np.tanh(z1)
-            if head.dropout > 0:
-                mask = (rng.random(hid.shape) >= head.dropout) / keep
+        for r, i in enumerate(live):
+            order[r] = rngs[i].permutation(n)
+            if masks is not None:
+                # One draw per epoch, after the permutation: the same stream
+                # as one (m, H) draw per batch.
+                rngs[i].random(out=masks[r])
+        order += (np.arange(len(live)) * n)[:, None]
+        if masks is not None:
+            np.greater_equal(masks, head.dropout, out=masks)
+            masks /= 1.0 - head.dropout
+        epoch_loss = np.zeros(len(live))
+        for start in range(0, n, batch):
+            idx = order[:, start:start + batch]
+            m = idx.shape[1]
+            xb, yb = x.take(idx, axis=0), y.take(idx, axis=0)
+            hid = np.matmul(xb, w1)
+            hid += b1
+            np.tanh(hid, out=hid)
+            if masks is not None:
+                mask = masks[:, start:start + m]
                 hid_d = hid * mask
             else:
-                mask = None
                 hid_d = hid
-            logits = hid_d @ w2 + b2
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+            logits = np.matmul(hid_d, w2)
+            logits += b2
+            logits -= np.maximum.reduce(logits, axis=2, keepdims=True)
+            log_probs = logits
+            log_probs -= np.log(np.add.reduce(np.exp(logits), axis=2, keepdims=True))
             probs = np.exp(log_probs)
-            epoch_loss += float(-(yb * log_probs).sum())
+            # Each head's loss is the flat sum of its (m, C) block.
+            epoch_loss -= np.add.reduce((yb * log_probs).reshape(len(live), -1), axis=1)
 
-            m = len(idx)
-            dlogits = (probs - yb) / m
-            dw2 = hid_d.T @ dlogits
-            db2 = dlogits.sum(axis=0)
-            dhid = dlogits @ w2.T
-            if mask is not None:
-                dhid = dhid * mask
-            dz1 = dhid * (1.0 - hid * hid)
-            dw1 = xb.T @ dz1
-            db1 = dz1.sum(axis=0)
-            w2 -= head.lr * dw2
-            b2 -= head.lr * db2
-            w1 -= head.lr * dw1
-            b1 -= head.lr * db1
-        losses.append(epoch_loss / n)
-        if not (np.all(np.isfinite(w1)) and np.all(np.isfinite(w2))):
-            raise AllwasError("training diverged to non-finite parameters")
+            dlogits = probs
+            dlogits -= yb
+            dlogits /= m
+            dw2 = np.matmul(hid_d.transpose(0, 2, 1), dlogits)
+            db2 = np.add.reduce(dlogits, axis=1, keepdims=True)
+            dz1 = np.matmul(dlogits, w2.transpose(0, 2, 1))
+            if masks is not None:
+                dz1 *= mask
+            hid *= hid
+            np.subtract(1.0, hid, out=hid)
+            dz1 *= hid
+            dw1 = np.matmul(xb.transpose(0, 2, 1), dz1)
+            db1 = np.add.reduce(dz1, axis=1, keepdims=True)
+            for param, grad in ((w2, dw2), (b2, db2), (w1, dw1), (b1, db1)):
+                grad *= lr
+                param -= grad
+        for i, loss in zip(live, (epoch_loss / n).tolist()):
+            losses[i].append(loss)
+        finite = np.isfinite(w1).all(axis=(1, 2)) & np.isfinite(w2).all(axis=(1, 2))
+        if not finite.all():
+            for r in np.flatnonzero(~finite):
+                out[live[r]] = AllwasError("training diverged to non-finite parameters")
+            live = [i for i, ok in zip(live, finite) if ok]
+            if not live:
+                return out
+            w1, b1, w2, b2 = w1[finite], b1[finite], w2[finite], b2[finite]
+            order = order[finite]
+            masks = None if masks is None else masks[finite]
+            x = x.reshape(len(finite), n, d)[finite].reshape(-1, d)
+            y = y.reshape(len(finite), n, c)[finite].reshape(-1, c)
 
-    return ClassifierHead(
-        input_dim=d, n_classes=c, hidden_dim=h, dropout=head.dropout,
-        epochs=head.epochs, batch_size=head.batch_size, lr=head.lr, seed=head.seed,
-        w1=w1, b1=b1, w2=w2, b2=b2, loss_history=losses,
-    )
+    for r, i in enumerate(live):
+        out[i] = ClassifierHead(
+            input_dim=d, n_classes=c, hidden_dim=h, dropout=head.dropout,
+            epochs=head.epochs, batch_size=batch, lr=lr, seed=heads[i].seed,
+            w1=w1[r], b1=b1[r, 0], w2=w2[r], b2=b2[r, 0], loss_history=losses[i])
+    return out
 
 
 def predict_proba_batch(head: ClassifierHead, pooled: np.ndarray,

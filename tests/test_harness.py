@@ -2,13 +2,16 @@ import json
 import multiprocessing
 import os
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from allwas import harness
 from allwas.cli import main as cli_main
 from allwas.errors import AllwasError, ConfigError, ShapeError
 from allwas.harness import ExperimentConfig, load_corpus, run_experiment, run_sweep
+from allwas.seeding import derive_seed
 from allwas.report import (
     learning_curve_svg,
     load_records,
@@ -236,15 +239,20 @@ class TestSweep:
             run_sweep(small_cfg(tmp_path), "strategy", ["random", "lc"])
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("axis, values, augmentation", [
+        ("strategy", ["random", "lc", "kcenter"], {"mode": "none"}),
+        # Mixed shapes: each factor gives its own training row count, so a
+        # block of several cells holds several lockstep groups.
+        ("augmentation-factor", [0, 2, 3], {"mode": "l2-kde"})])
     @pytest.mark.parametrize("method", ["fork", "spawn"])
-    def test_parallel_cells_match_serial(self, tmp_path, monkeypatch, method):
-        # Three cells on two workers, so a worker runs more than one cell.
+    def test_parallel_cells_match_serial(self, tmp_path, monkeypatch, method, axis, values,
+                                         augmentation):
+        # Three cells on two workers, so a worker runs a block of two cells.
         # spawn stands in for platforms without fork and pickles the corpus.
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"no {method} on this platform")
-        strategies = ["random", "lc", "kcenter"]
-        cfg = small_cfg(tmp_path, budget=20, k=10)
-        serial = run_sweep(cfg, "strategy", strategies)
+        cfg = small_cfg(tmp_path, budget=20, k=10, repeats=2, augmentation=augmentation)
+        serial = run_sweep(cfg, axis, values)
         run_dir = tmp_path / "runs"
         written = {path.name: path.read_bytes() for path in run_dir.iterdir()}
         run_dir.rename(tmp_path / "serial")
@@ -254,12 +262,61 @@ class TestSweep:
                             lambda name: used.append(name) or get_context(name))
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: [method])
         monkeypatch.setenv("ALLWAS_THREADS", "2")
-        parallel = run_sweep(cfg, "strategy", strategies)
+        parallel = run_sweep(cfg, axis, values)
         assert used == [method]
         assert [p.rows for p in parallel] == [s.rows for s in serial]
-        assert sorted(written) == sorted(f"cell_{name}.{ext}" for name in strategies
+        assert sorted(written) == sorted(f"{record.label}.{ext}" for record in serial
                                          for ext in ("csv", "meta.json"))
         assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == written
+
+    def test_lockstep_matches_one_run_at_a_time(self, tmp_path, monkeypatch):
+        # A serial sweep is one block: two cells of three repeats train in
+        # stacks of six. Driving each run alone trains every head solo.
+        cfg = small_cfg(tmp_path, budget=20, k=10, repeats=3,
+                        augmentation={"mode": "l2-kde", "factor": 2})
+        stacks = []
+        train_stack = harness.train_stack
+        monkeypatch.setattr(harness, "train_stack",
+                            lambda heads, datas: stacks.append(len(heads))
+                            or train_stack(heads, datas))
+        lockstep = run_sweep(cfg, "strategy", ["random", "lc"])
+        assert stacks == [6, 6]
+        run_dir = tmp_path / "runs"
+        written = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+        run_dir.rename(tmp_path / "lockstep")
+        drive = harness._lockstep
+        monkeypatch.setattr(harness, "_lockstep",
+                            lambda runs: [drive([run])[0] for run in runs])
+        alone = run_sweep(cfg, "strategy", ["random", "lc"])
+        assert stacks == [6, 6]
+        assert [a.rows for a in alone] == [b.rows for b in lockstep]
+        assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == written
+        assert len(written) == 4
+
+    def test_training_error_fails_its_own_run_only(self, tmp_path, monkeypatch):
+        # The head of repeat 1, iteration 1 fails inside a stack of three.
+        cfg = small_cfg(tmp_path, repeats=3)
+        clean = run_experiment(replace(cfg, out_dir=str(tmp_path / "clean")))
+        failing = derive_seed(cfg.master_seed, 1, 1, "train")
+        train_stack = harness.train_stack
+
+        def flaky(heads, datas):
+            out = train_stack(heads, datas)
+            return [AllwasError("training diverged to non-finite parameters")
+                    if head.seed == failing else got for head, got in zip(heads, out)]
+
+        monkeypatch.setattr(harness, "train_stack", flaky)
+        with pytest.raises(AllwasError) as info:
+            run_experiment(cfg)
+        assert type(info.value) is AllwasError
+        assert str(info.value) == ("cell 'cell': repeat 1, iteration 1: "
+                                   "training diverged to non-finite parameters")
+        # The other repeats finished and were written; a rerun adds repeat 1.
+        rows = (tmp_path / "runs" / "cell.csv").read_text().splitlines()[1:]
+        assert {int(line.split(",")[2]) for line in rows} == {cfg.master_seed,
+                                                              cfg.master_seed + 2}
+        monkeypatch.setattr(harness, "train_stack", train_stack)
+        assert run_experiment(cfg).rows == clean.rows
 
     def test_parallel_failure_keeps_error_type_and_cell(self, tmp_path, monkeypatch, capsys):
         # Every cell fails in its first repeat (the pool split has 208 rows); the

@@ -1,6 +1,15 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from allwas import model
 from allwas.errors import AllwasError, ShapeError
 from allwas.model import (
     ClassifierHead,
@@ -10,7 +19,10 @@ from allwas.model import (
     predict_proba_batch,
     save_head,
     train,
+    train_stack,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def blob_data(rng, n=200, d=8, sep=4.0):
@@ -30,6 +42,72 @@ def one_row(tokens, cls=None, n_classes=2):
 
 def small_head(d=8, seed=3, **kw):
     return ClassifierHead(input_dim=d, n_classes=2, hidden_dim=16, seed=seed, **kw)
+
+
+def reference_train(head, data):
+    """The textbook one-head loop: per batch, a gather, one (m, H) dropout
+    draw and 2-D products. The trainer must reproduce it bitwise.
+    Returns (w1, b1, w2, b2, loss_history)."""
+    x, y = data.x, data.y
+    rng = np.random.default_rng(head.seed)
+    d, h, c = head.input_dim, head.hidden_dim, head.n_classes
+    w1 = rng.standard_normal((d, h)) / np.sqrt(d)
+    b1 = np.zeros(h)
+    w2 = rng.standard_normal((h, c)) / np.sqrt(h)
+    b2 = np.zeros(c)
+    n, keep = x.shape[0], 1.0 - head.dropout
+    losses = []
+    for _ in range(head.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, head.batch_size):
+            idx = order[start:start + head.batch_size]
+            xb, yb = x[idx], y[idx]
+            hid = np.tanh(xb @ w1 + b1)
+            mask = None
+            if head.dropout > 0:
+                mask = (rng.random(hid.shape) >= head.dropout) / keep
+            hid_d = hid if mask is None else hid * mask
+            logits = hid_d @ w2 + b2
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+            epoch_loss += float(-(yb * log_probs).sum())
+            dlogits = (np.exp(log_probs) - yb) / len(idx)
+            dw2, db2 = hid_d.T @ dlogits, dlogits.sum(axis=0)
+            dhid = dlogits @ w2.T
+            if mask is not None:
+                dhid = dhid * mask
+            dz1 = dhid * (1.0 - hid * hid)
+            w2 -= head.lr * dw2
+            b2 -= head.lr * db2
+            w1 -= head.lr * (xb.T @ dz1)
+            b1 -= head.lr * dz1.sum(axis=0)
+        losses.append(epoch_loss / n)
+    return w1, b1, w2, b2, losses
+
+
+def assert_same_head(got, want):
+    """Bitwise equal parameters and loss history; ``want`` is a head or the
+    tuple ``reference_train`` returns."""
+    if isinstance(want, ClassifierHead):
+        want = (want.w1, want.b1, want.w2, want.b2, want.loss_history)
+    for a, b in zip((got.w1, got.b1, got.w2, got.b2), want[:4]):
+        assert a.shape == b.shape and np.array_equal(a, b)
+    assert got.loss_history == want[4]
+
+
+def stack_case(seed, r, n, d, h, c, batch, dropout, epochs, lr=0.05):
+    """R heads of one shape, different seeds, each with its own soft-labeled
+    rows."""
+    rng = np.random.default_rng(seed)
+    heads = [ClassifierHead(input_dim=d, n_classes=c, hidden_dim=h, dropout=dropout,
+                            epochs=epochs, batch_size=batch, lr=lr,
+                            seed=int(rng.integers(2**31))) for _ in range(r)]
+    datas = []
+    for _ in range(r):
+        y = rng.random((n, c)) + 0.05
+        datas.append(TrainingSet(rng.standard_normal((n, d)), y / y.sum(axis=1, keepdims=True)))
+    return heads, datas
 
 
 class TestTraining:
@@ -103,6 +181,127 @@ class TestTraining:
             transitions += len(hist) - 1
             violations += sum(1 for a, b in zip(hist, hist[1:]) if b > a)
         assert violations <= 0.05 * transitions
+
+
+class TestLockstep:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), r=st.sampled_from([1, 2, 3, 5]),
+           n=st.integers(1, 40), d=st.integers(1, 5), h=st.integers(1, 9),
+           c=st.integers(2, 4), batch=st.integers(1, 12),
+           dropout=st.sampled_from([0.0, 0.1, 0.5]), epochs=st.integers(1, 3))
+    @example(seed=1, r=3, n=23, d=4, h=5, c=3, batch=5, dropout=0.0, epochs=2)
+    @example(seed=2, r=5, n=26, d=3, h=6, c=2, batch=5, dropout=0.1, epochs=2)
+    def test_stack_equals_solo_trains(self, seed, r, n, d, h, c, batch, dropout, epochs):
+        # The examples pin a partial last batch (23 = 4 * 5 + 3, 26 = 5 * 5
+        # + 1) with and without dropout.
+        heads, datas = stack_case(seed, r, n, d, h, c, batch, dropout, epochs)
+        stacked = train_stack(heads, datas)
+        assert len(stacked) == r
+        for head, data, got in zip(heads, datas, stacked):
+            assert got.seed == head.seed
+            assert_same_head(got, train(head, data))
+
+    @pytest.mark.parametrize("n, batch, dropout, c", [
+        (23, 5, 0.1, 2), (23, 5, 0.0, 3), (40, 40, 0.5, 4), (9, 25, 0.1, 2)])
+    def test_train_matches_per_batch_reference(self, n, batch, dropout, c):
+        # One mask draw per epoch must give the per-batch draws' stream, so
+        # results stay what the one-head loop gives.
+        heads, datas = stack_case(7, 2, n, 6, 10, c, batch, dropout, epochs=3)
+        for head, data, got in zip(heads, datas, train_stack(heads, datas)):
+            assert_same_head(got, reference_train(head, data))
+            assert_same_head(train(head, data), reference_train(head, data))
+
+    def test_stack_equals_solo_with_blas_threads_unpinned(self):
+        # Products big enough for a threaded BLAS to split them.
+        script = (
+            "import numpy as np, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from allwas.model import ClassifierHead, TrainingSet, train, train_stack\n"
+            "rng = np.random.default_rng(3)\n"
+            "heads = [ClassifierHead(input_dim=96, n_classes=3, hidden_dim=160, epochs=2,\n"
+            "                        batch_size=300, lr=0.03, seed=s) for s in (4, 5, 6)]\n"
+            "datas = [TrainingSet(rng.standard_normal((700, 96)),\n"
+            "                     np.eye(3)[rng.integers(0, 3, 700)]) for _ in heads]\n"
+            "for head, data, got in zip(heads, datas, train_stack(heads, datas)):\n"
+            "    solo = train(head, data)\n"
+            "    assert all(np.array_equal(getattr(got, k), getattr(solo, k))\n"
+            "               for k in ('w1', 'b1', 'w2', 'b2'))\n"
+            "    assert got.loss_history == solo.loss_history\n"
+            "print('same')\n")
+        pinned = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                  "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in pinned}
+        done = subprocess.run([sys.executable, "-c", script, str(SRC)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "same"
+
+    def test_diverging_head_fails_alone(self):
+        # At lr 1e308 the updates of a head with gradients overflow (tanh
+        # saturation keeps smaller rates finite). A head on all-zero rows
+        # labeled with its own uniform prediction has exactly zero gradients
+        # and stays finite beside it.
+        heads, datas = stack_case(5, 3, 12, 4, 6, 2, 5, 0.1, epochs=3, lr=1e308)
+        datas[0] = datas[2] = TrainingSet(np.zeros((12, 4)), np.full((12, 2), 0.5))
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = train_stack(heads, datas)
+            with pytest.raises(AllwasError, match="training diverged") as solo_error:
+                train(heads[1], datas[1])
+        assert type(stacked[1]) is AllwasError
+        assert str(stacked[1]) == str(solo_error.value)
+        for k in (0, 2):
+            assert_same_head(stacked[k], train(heads[k], datas[k]))
+            assert np.array_equal(stacked[k].w1, reference_train(heads[k], datas[k])[0])
+
+    def test_mismatched_heads_rejected(self):
+        heads, datas = stack_case(0, 2, 10, 3, 4, 2, 5, 0.1, epochs=1)
+        with pytest.raises(AllwasError, match="share dimensions"):
+            train_stack(heads, [datas[0], TrainingSet(datas[1].x[:9], datas[1].y[:9])])
+        with pytest.raises(AllwasError, match="share dimensions"):
+            train_stack([heads[0], small_head(d=3)], datas)
+        with pytest.raises(AllwasError, match="one training set per head"):
+            train_stack(heads, datas[:1])
+
+
+class TestTrainingMemory:
+    # The largest training shape of the acceptance cells: 150 labeled rows
+    # plus 20x synthetic ones, d = 32, H = 64, batches of 25.
+    N, D, H, C = 3150, 32, 64, 2
+
+    def group(self, r):
+        heads, datas = stack_case(0, r, self.N, self.D, self.H, self.C, 25, 0.1, epochs=1)
+        return heads, datas
+
+    @staticmethod
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("budget_heads", [None, 2])
+    def test_lockstep_group_within_chunk_budget(self, monkeypatch, budget_heads):
+        heads, datas = self.group(5)
+        step = model._heads_per_chunk(self.N, self.D, self.H, self.C, 25)
+        if budget_heads is not None:
+            # A budget of two heads cuts the group into chunks of 2, 2, 1.
+            monkeypatch.setattr(model, "_CHUNK_BYTES", model._CHUNK_BYTES * budget_heads // step)
+            step = model._heads_per_chunk(self.N, self.D, self.H, self.C, 25)
+            assert step == budget_heads
+        stacked_inputs = min(step, len(heads)) * self.N * (self.D + self.C) * 8
+        peak = self.peak(lambda: train_stack(heads, datas))
+        assert peak <= model._CHUNK_BYTES + stacked_inputs
+        # Each chunk holds about one (n, H) mask buffer per head.
+        assert peak >= min(step, len(heads)) * self.N * self.H * 8
+
+    def test_one_head_adds_at_most_one_mask_buffer(self):
+        heads, datas = self.group(1)
+        reference_train(heads[0], datas[0])               # warm caches
+        reference = self.peak(lambda: reference_train(heads[0], datas[0]))
+        peak = self.peak(lambda: train(heads[0], datas[0]))
+        assert peak - reference <= self.N * self.H * 8
 
 
 class TestPrediction:

@@ -323,6 +323,30 @@ def test_batched_plans_feasible_and_within_entropic_bias(seed, shapes, uniform_s
                 assert value <= exact + eps[k] * np.log(a.n) + 1e-9
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), m=st.integers(1, 6),
+       dim=st.integers(1, 3), eps_scale=st.sampled_from([None, 0.05, 1.0]),
+       same=st.booleans())
+def test_single_solve_symmetric(seed, n, m, dim, eps_scale, same):
+    # Solving b -> a transposes the a -> b solve: at convergence the plans
+    # agree up to the tolerance and so do their costs, and the exact
+    # shortcuts (identical measures, single atoms) are symmetric outright.
+    rng = np.random.default_rng(seed)
+    a = random_measure(rng, n, dim)
+    b = a if same else random_measure(rng, m, dim)
+    eps = None
+    if eps_scale is not None:
+        eps = eps_scale * float(np.median(ground_cost(a, b))) + 1e-3
+    ab = sinkhorn_distance(a, b, eps=eps, max_iter=20000, tol=1e-11)
+    ba = sinkhorn_distance(b, a, eps=eps, max_iter=20000, tol=1e-11)
+    assert ab.converged and ba.converged
+    assert ab.cost >= 0.0 and ba.cost >= 0.0
+    assert abs(ab.cost - ba.cost) <= 1e-8 * (1.0 + ab.cost)
+    assert np.abs(ab.coupling - ba.coupling.T).max() <= 1e-9
+    if same:
+        assert ab.cost == ba.cost == 0.0
+
+
 class TestExactOracle:
     def test_dirac_pair(self):
         a = DiscreteMeasure.dirac([0.0])
