@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import traceback
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -562,7 +563,11 @@ def run_sweep(base: ExperimentConfig, axis: str, values) -> list:
         pool.shutdown(cancel_futures=True)
     outcomes = [None] * len(cells)
     for b, future in enumerate(futures):
-        outcomes[b::workers] = future.result()
+        block = future.result()
+        for outcome, cause in block:
+            if cause is not None:
+                outcome.__cause__ = _WorkerTraceback(cause)
+        outcomes[b::workers] = [outcome for outcome, _ in block]
     return _records(outcomes)
 
 
@@ -574,5 +579,15 @@ def _init_worker(corpus: Corpus) -> None:
     _worker_corpus = corpus
 
 
+class _WorkerTraceback(Exception):
+    """The formatted traceback behind a failing cell's error in a sweep
+    worker, set as that error's cause in the calling process."""
+
+
 def _run_block(cells: list) -> list:
-    return _run_cells(cells, _worker_corpus)
+    """``_run_cells`` in a worker, each outcome paired with the formatted
+    traceback of an error's cause (None for a record): a pickled exception
+    drops its ``__cause__``."""
+    return [(outcome, "".join(traceback.format_exception(outcome.__cause__))
+             if isinstance(outcome, AllwasError) else None)
+            for outcome in _run_cells(cells, _worker_corpus)]

@@ -41,12 +41,18 @@ _CHECK_EVERY = 10
 
 def checked_weights(support: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Weights (..., n) of supports (..., n, d) once the support is finite and
-    each measure's weights are nonnegative and sum to 1; clipped at 0."""
+    the weights pass ``checked_simplex``."""
     if not np.all(np.isfinite(support)):
         raise AllwasError("measure support contains non-finite coordinates")
     if weights.shape != support.shape[:-1]:
         raise ShapeError("weights must match support rows",
                          expected=support.shape[:-1], actual=weights.shape)
+    return checked_simplex(weights)
+
+
+def checked_simplex(weights: np.ndarray) -> np.ndarray:
+    """Weights (..., n) once each row is nonnegative and sums to 1 (both
+    within 1e-9); clipped at 0."""
     if not np.all(weights >= -_WEIGHT_TOL):
         raise AllwasError("measure weights must be nonnegative")
     off = np.abs(weights.sum(axis=-1) - 1.0)

@@ -25,14 +25,13 @@ def perfbench(monkeypatch):
     return importlib.import_module("layers"), importlib.import_module("spans")
 
 
-def cell(tmp_path, label, strategy, mode):
-    # Three classes, so allwas acquisition runs Sinkhorn too.
+def cell(tmp_path, label, strategy, mode, ot=None):
     return ExperimentConfig(
         corpus={"synthetic": {"n": 160, "d": 5, "priors": [0.5, 0.3, 0.2],
                               "noise": 0.8, "seed": 4}},
         out_dir=str(tmp_path), label=label, seed_size=10, budget=20, k=10,
         repeats=1, strategy=strategy, model={"hidden_dim": 8, "epochs": EPOCHS},
-        augmentation={"mode": mode, "factor": FACTOR})
+        augmentation={"mode": mode, "factor": FACTOR}, ot=ot or {})
 
 
 def test_traced_runs_bind_every_layer(perfbench, tmp_path):
@@ -43,7 +42,11 @@ def test_traced_runs_bind_every_layer(perfbench, tmp_path):
     try:
         with tracer.span(layers.SAMPLE):
             # Through the harness attribute, as the benchmark's worker calls it.
-            wass = harness.run_experiment(cell(tmp_path, "wass", "allwas", "wasserstein"))
+            # Three classes at p = 1, so allwas acquisition takes the generic
+            # path (gradient measures, pairwise Sinkhorn); at p = 2 it would
+            # take the exact path, which the benchmark does not wrap.
+            wass = harness.run_experiment(cell(tmp_path, "wass", "allwas", "wasserstein",
+                                               ot={"p": 1.0}))
             kde = harness.run_experiment(cell(tmp_path, "kde", "random", "l2-kde"))
             # The experiment loop solves no barycenter; the token clouds of
             # one small synthetic set cover the transport.barycenter layer.

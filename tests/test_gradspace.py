@@ -1,4 +1,6 @@
+import itertools
 import logging
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,6 +14,7 @@ from allwas import gradspace
 from allwas.errors import AllwasError, ShapeError
 from allwas.gradspace import (
     DistanceMatrix,
+    pairwise_w2_exact,
     pairwise_wasserstein,
     save_distance_csv,
 )
@@ -269,3 +272,205 @@ class TestManyClasses:
         out = pairwise_wasserstein(supports, weights, max_iter=2)
         exact = pair_oracles(supports, weights, 2.0)
         assert np.all(out.entries >= exact - 1e-12)
+
+
+def gradient_supports(probs, w2):
+    """The measures' supports (N, C, H), as ``model.gradient_arrays`` builds
+    them from a head's probabilities and last-layer weights."""
+    return (probs @ w2.T)[:, None, :] - w2.T[None, :, :]
+
+
+def class_cost(w2):
+    centers = w2.T
+    return ((centers[:, None] - centers[None]) ** 2).sum(axis=-1)
+
+
+def brute_force_vertices(cost):
+    """Every vertex of the transport dual {f_i + g_j <= cost}, with f_0 = 0,
+    from all (2C - 1)-edge subsets of K_{C,C} (small C only)."""
+    c = len(cost)
+    trees = np.array(list(itertools.combinations(range(c * c), 2 * c - 1)))
+    system = np.zeros((len(trees), 2 * c, 2 * c))
+    rhs = np.zeros((len(trees), 2 * c))
+    for slot in range(2 * c - 1):
+        i, j = np.divmod(trees[:, slot], c)
+        system[np.arange(len(trees)), slot, i] = 1.0
+        system[np.arange(len(trees)), slot, c + j] = 1.0
+        rhs[:, slot] = cost[i, j]
+    system[:, -1, 0] = 1.0
+    spanning = np.abs(np.linalg.det(system)) > 0.5
+    duals = np.linalg.solve(system[spanning], rhs[spanning][..., None])[..., 0]
+    slack = cost - duals[:, :c, None] - duals[:, None, c:]
+    return np.unique(np.round(duals[slack.min(axis=(1, 2)) > -1e-9], 9), axis=0)
+
+
+def long_double_two_class(probs, w2):
+    """Exact two-class W_2^2 matrix in long double, from the supports."""
+    p = probs.astype(np.longdouble)
+    centers = w2.T.astype(np.longdouble)
+    supports = (p @ centers)[:, None, :] - centers[None]
+    cost = ((supports[:, None, :, None] - supports[None, :, None, :]) ** 2).sum(axis=-1)
+    a0, a1, b0 = p[:, None, 0], p[:, None, 1], p[None, :, 0]
+    m00, m01, m10, m11 = (cost[..., i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    t = np.where(m00 - m01 - m10 + m11 > 0, np.maximum(0, b0 - a1), np.minimum(a0, b0))
+    return t * m00 + (a0 - t) * m01 + (b0 - t) * m10 + (a1 - b0 + t) * m11
+
+
+def confident_two_class(rng, n):
+    """Two-class probability rows of a confident head, on a dyadic grid so
+    that each row sums to exactly 1."""
+    p0 = np.round(2.0 ** 40 / (1.0 + np.exp(3.0 * rng.standard_normal(n)))) / 2.0 ** 40
+    return np.stack([p0, 1.0 - p0], axis=1)
+
+
+class TestDualVertices:
+    @pytest.mark.parametrize("c", [1, 2, 3, 4, 5, 6])
+    def test_generic_cost_has_binomial_count(self, rng, c):
+        cost = class_cost(rng.standard_normal((8, c)))
+        f, g, edges, flows, walked = gradspace._dual_vertices(cost)
+        assert len(f) == walked == math.comb(2 * c - 2, c - 1)
+        # Feasible, and tight on each vertex's tree.
+        assert np.all(f[:, :, None] + g[:, None, :] <= cost + 1e-12)
+        i, j = np.divmod(edges, c)
+        tight = np.take_along_axis(f, i, 1) + np.take_along_axis(g, j, 1)
+        np.testing.assert_allclose(tight, cost[i, j], atol=1e-12)
+
+    @pytest.mark.parametrize("c", [3, 4])
+    @pytest.mark.parametrize("centers", ["generic", "equal columns", "zero", "square"])
+    def test_vertex_set_equals_brute_force(self, rng, c, centers):
+        w2 = {"generic": rng.standard_normal((3, c)),
+              "equal columns": rng.standard_normal((3, c))[:, [0, 0] + list(range(2, c))],
+              "zero": np.zeros((3, c)),
+              "square": np.array([[0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]])[:, :c]}[centers]
+        cost = class_cost(w2)
+        f, g, _, _, walked = gradspace._dual_vertices(cost)
+        assert walked == math.comb(2 * c - 2, c - 1)
+        found = np.unique(np.round(np.concatenate([f, g], axis=1), 9), axis=0)
+        np.testing.assert_array_equal(found, brute_force_vertices(cost))
+
+    def test_plan_flows_meet_the_marginals(self, rng):
+        c = 4
+        cost = class_cost(rng.standard_normal((5, c)))
+        _, _, edges, flows, _ = gradspace._dual_vertices(cost)
+        a, b = rng.dirichlet(np.ones(c)), rng.dirichlet(np.ones(c))
+        for tree, flow in zip(edges, flows):
+            plan = np.zeros(c * c)
+            plan[tree] = flow @ np.concatenate([a, b])
+            plan = plan.reshape(c, c)
+            np.testing.assert_allclose(plan.sum(axis=1), a, atol=1e-12)
+            np.testing.assert_allclose(plan.sum(axis=0), b, atol=1e-12)
+
+
+class TestExactW2:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_property_matches_linear_program(self, data):
+        c = data.draw(st.integers(2, 5), label="classes")
+        w2 = data.draw(arrays(np.float64, (3, c), elements=st.floats(-3.0, 3.0)), label="w2")
+        raw = data.draw(arrays(np.float64, (3, c), elements=st.floats(0.0, 1.0)), label="raw")
+        raw[raw.sum(axis=1) == 0] = 1.0
+        probs = raw / raw.sum(axis=1, keepdims=True)
+        out = pairwise_w2_exact(probs, w2).entries
+        expected = pair_oracles(gradient_supports(probs, w2), probs, 2.0)
+        np.testing.assert_allclose(out, expected, rtol=1e-9,
+                                   atol=1e-10 * (1.0 + class_cost(w2).max()))
+
+    @pytest.mark.parametrize("c", [3, 4, 5])
+    def test_at_or_below_sinkhorn_plans(self, rng, c):
+        # Every rounded Sinkhorn plan is feasible, so its cost bounds the
+        # exact value from above.
+        w2, probs = rng.standard_normal((6, c)), rng.dirichlet(np.ones(c), 12)
+        exact = pairwise_w2_exact(probs, w2).entries
+        plans = pairwise_wasserstein(gradient_supports(probs, w2), probs).entries
+        assert np.all(exact <= plans + 1e-12)
+
+    @pytest.mark.parametrize("centers", ["equal columns", "zero"])
+    def test_degenerate_cost_matches_linear_program(self, rng, centers):
+        c = 6
+        w2 = rng.standard_normal((4, c))
+        w2 = w2[:, [0, 0, 2, 3, 4, 5]] if centers == "equal columns" else 0.0 * w2
+        probs = rng.dirichlet(np.full(c, 0.5), 6)
+        out = pairwise_w2_exact(probs, w2).entries
+        expected = pair_oracles(gradient_supports(probs, w2), probs, 2.0)
+        np.testing.assert_allclose(out, expected, rtol=1e-9, atol=1e-12)
+        if centers == "zero":
+            assert np.all(out == 0.0)
+
+    def test_two_classes_agree_with_closed_form(self, rng):
+        w2, probs = rng.standard_normal((64, 2)), confident_two_class(rng, 60)
+        probs[:20] = rng.dirichlet([1.0, 1.0], 20)
+        exact = pairwise_w2_exact(probs, w2).entries
+        closed = pairwise_wasserstein(gradient_supports(probs, w2), probs).entries
+        assert np.abs(exact - closed).max() <= 1e-12 * closed.max()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_long_double_error_no_worse_than_closed_form(self, seed):
+        # On a confident head, most pairs move most of their mass; the exact
+        # path sums nonnegative terms and the closed form takes its costs
+        # from a Gram product.
+        rng = np.random.default_rng(seed)
+        w2, probs = rng.standard_normal((64, 2)), confident_two_class(rng, 80)
+        reference = long_double_two_class(probs, w2)
+        exact = pairwise_w2_exact(probs, w2).entries
+        closed = pairwise_wasserstein(gradient_supports(probs, w2), probs).entries
+        for summary in (np.max, np.mean):
+            assert summary(np.abs(exact - reference)) <= summary(np.abs(closed - reference))
+
+    def test_duplicates_zero_diagonal_and_exact_symmetry(self, rng):
+        w2, probs = rng.standard_normal((5, 3)), rng.dirichlet(np.ones(3), 4)
+        order = [0, 1, 0, 2, 3, 1, 2]
+        out = pairwise_w2_exact(probs[order], w2, ids=list("abcdefg")).entries
+        assert out[0, 2] == out[1, 5] == out[3, 6] == 0.0
+        assert np.all(np.diag(out) == 0.0)
+        assert np.array_equal(out, out.T)
+        distinct = pairwise_w2_exact(probs, w2).entries
+        np.testing.assert_array_equal(out, distinct[np.ix_(order, order)])
+        assert np.all(distinct[~np.eye(4, dtype=bool)] > 0)
+
+    def test_logs_vertices_and_walk(self, rng, caplog):
+        with caplog.at_level(logging.DEBUG, logger="allwas.gradspace"):
+            pairwise_w2_exact(rng.dirichlet(np.ones(4), 5), rng.standard_normal((3, 4)))
+        assert "4 classes, 20 dual vertices from 20 trees" in caplog.text
+
+    @pytest.mark.parametrize("c", [2, 5])
+    def test_peak_memory_at_default_scale(self, rng, c):
+        # The default acquisition compares a 256-row subsample with up to
+        # 150 labeled rows. With the pair index arrays, their sort and the
+        # per-pair values, the peak measured 3.1 (C = 2) and 3.2 (C = 5)
+        # output matrices; one (N, N, C) or (N, N, K) array alone would be
+        # 5 or 70 at C = 5.
+        n = 406
+        w2, probs = rng.standard_normal((64, c)), rng.dirichlet(np.ones(c), n)
+        pairwise_w2_exact(probs[:5], w2)
+        tracemalloc.start()
+        try:
+            out = pairwise_w2_exact(probs, w2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * out.entries.nbytes
+
+
+class TestExactW2Inputs:
+    def test_w2_columns_must_match_classes(self, rng):
+        with pytest.raises(ShapeError):
+            pairwise_w2_exact(np.full((3, 2), 0.5), rng.standard_normal((4, 3)))
+
+    def test_nonfinite_w2_rejected(self, rng):
+        w2 = rng.standard_normal((4, 2))
+        w2[1, 1] = np.inf
+        with pytest.raises(AllwasError):
+            pairwise_w2_exact(np.full((3, 2), 0.5), w2)
+
+    @pytest.mark.parametrize("row", [[0.6, 0.6], [1.2, -0.2]])
+    def test_rows_off_simplex_rejected(self, rng, row):
+        probs = np.full((3, 2), 0.5)
+        probs[1] = row
+        with pytest.raises(AllwasError):
+            pairwise_w2_exact(probs, rng.standard_normal((4, 2)))
+
+    def test_empty_and_id_count_rejected(self, rng):
+        with pytest.raises(ShapeError):
+            pairwise_w2_exact(np.empty((0, 2)), rng.standard_normal((4, 2)))
+        with pytest.raises(ShapeError):
+            pairwise_w2_exact(np.full((3, 2), 0.5), rng.standard_normal((4, 2)), ids=[1, 2])

@@ -327,6 +327,9 @@ class TestSweep:
         with pytest.raises(ConfigError) as info:
             run_sweep(cfg, "strategy", ["random", "lc", "kcenter"])
         assert type(info.value) is ConfigError and str(info.value) == message
+        # As in a serial sweep, the error's cause is the failure in the cell:
+        # here the worker's formatted traceback.
+        assert "_run_repeat" in str(info.value.__cause__)
         assert multiprocessing.active_children() == []
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(cfg.to_canonical_json())

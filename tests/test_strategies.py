@@ -1,8 +1,10 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from allwas import strategies
 from allwas.errors import AllwasError, ConfigError
 from allwas.model import ClassifierHead, TrainingSet, predict_proba_batch, train
 from allwas.strategies import (
@@ -213,6 +215,39 @@ class TestAllwas:
     def test_bad_values_rejected(self, field, bad):
         with pytest.raises(ConfigError, match=f"ot {field} must be"):
             OTConfig(**{field: bad})
+
+    @pytest.mark.parametrize("p", [2.0, 1.0])
+    def test_distance_path_by_p(self, trained_head, rng, monkeypatch, p):
+        # At p = 2 the matrix comes from the probabilities and w2 alone;
+        # other p build the gradient measures and the generic matrix.
+        called = []
+
+        def spy(name):
+            real = getattr(strategies, name)
+
+            def wrapped(*args, **kwargs):
+                if p == 2:
+                    raise AssertionError(f"{name} called at p = 2")
+                called.append(name)
+                return real(*args, **kwargs)
+            return wrapped
+
+        for name in ("gradient_arrays", "pairwise_wasserstein"):
+            monkeypatch.setattr(strategies, name, spy(name))
+        ids, x = make_pool(rng, 8)
+        got = acquire_allwas(trained_head, ids, x, [100], rows(rng.standard_normal((2, 6))),
+                             k=3, ot=OTConfig(p=p))
+        assert len(set(got)) == 3
+        assert called == ([] if p == 2 else ["gradient_arrays", "pairwise_wasserstein"])
+
+    def test_head_past_vertex_cap_takes_generic_path(self, rng, monkeypatch):
+        # Eight classes have 3432 dual vertices, past the cap of 924.
+        head = ClassifierHead(input_dim=6, n_classes=8, hidden_dim=4, seed=0, epochs=1)
+        head = train(head, TrainingSet(rng.standard_normal((16, 6)), np.eye(8)[np.arange(16) % 8]))
+        assert math.comb(14, 7) > strategies._EXACT_MAX_VERTICES
+        monkeypatch.setattr(strategies, "pairwise_w2_exact", None)
+        ids, x = make_pool(rng, 5)
+        assert len(acquire_allwas(head, ids, x, *no_rows(), k=2, ot=OTConfig(max_iter=5))) == 2
 
     def test_distance_dump(self, trained_head, rng, tmp_path):
         ids, x = make_pool(rng, 5)

@@ -1,5 +1,6 @@
 import itertools
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -568,3 +569,27 @@ class TestBarycenter:
         groups = [[tokens.copy(), tokens.copy()]]
         out = wasserstein_barycenter_batch(groups, np.array([[0.3, 0.7]]), [4])
         np.testing.assert_allclose(out[0], tokens, atol=1e-6)
+
+    def test_batch_peak_memory_at_augmentation_knobs(self, rng):
+        # The augment-wasserstein knobs: pairs of 3-12-token clouds in 32
+        # dimensions, 3 outer passes of at most 60 Sinkhorn sweeps. The unit
+        # is one padded (B * g, n_max, s_max) float64 stack, the size of the
+        # batch's cost or kernel; the peak measured 21.4-22.2 units at 50, 200
+        # and 800 groups, so it grows with the batch and no faster.
+        groups = [[rng.standard_normal((rng.integers(3, 13), 32)) for _ in range(2)]
+                  for _ in range(300)]
+        lambdas = rng.dirichlet([1.0, 1.0], len(groups))
+        sizes = [barycenter_support_size([m.shape[0] for m in g], lam)
+                 for g, lam in zip(groups, lambdas)]
+        knobs = dict(outer_iter=3, sinkhorn_max_iter=60, sinkhorn_tol=AUG_SINKHORN_TOL,
+                     eps_scale=AUG_EPS_SCALE)
+        wasserstein_barycenter_batch(groups[:2], lambdas[:2], sizes[:2], **knobs)
+        tracemalloc.start()
+        try:
+            wasserstein_barycenter_batch(groups, lambdas, sizes, **knobs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n_max = max(m.shape[0] for g in groups for m in g)
+        unit = len(groups) * 2 * n_max * max(sizes) * 8
+        assert peak <= 24 * unit
