@@ -27,6 +27,9 @@ KDE_BANDWIDTH_FLOOR = 1e-3
 # Sinkhorn tolerance than the descent-grade barycenter defaults.
 AUG_EPS_SCALE = 0.05
 AUG_SINKHORN_TOL = 1e-6
+# Below this alpha, Generator.dirichlet draws by stick-breaking rather
+# than by normalizing one gamma draw per member.
+_STICK_BREAKING_ALPHA = 0.1
 
 
 @dataclass(frozen=True)
@@ -123,6 +126,18 @@ def _draw_group(rng, cfg, members, classes_arr, cdf, n_labeled) -> np.ndarray:
     return pool[rng.choice(len(pool), size=cfg.group_size, replace=replace)]
 
 
+def _normalize_rows(gammas: np.ndarray) -> None:
+    """Scale each row of gamma draws to sum 1 in place, as
+    ``Generator.dirichlet`` does: the row summed in member order, then
+    multiplied by the reciprocal of the sum. Rows of
+    ``standard_gamma(alpha, size=g)`` draws then equal ``dirichlet`` draws
+    bitwise (for alpha of at least ``_STICK_BREAKING_ALPHA``)."""
+    acc = gammas[:, 0].copy()
+    for j in range(1, gammas.shape[1]):
+        acc += gammas[:, j]
+    gammas *= (1.0 / acc)[:, None]
+
+
 def _no_rows(g: int) -> SyntheticSet:
     return SyntheticSet(np.zeros((0, 0)), np.zeros((0, 0)),
                         np.zeros((0, g), dtype=np.intp), np.zeros((0, g)))
@@ -147,10 +162,15 @@ def augment_wasserstein(labeled: TrainingSet, cfg: AugmentationConfig) -> Synthe
     count = cfg.factor * len(labeled)
     parents = np.empty((count, cfg.group_size), dtype=np.intp)
     lambdas = np.empty((count, cfg.group_size))
-    alpha = np.full(cfg.group_size, cfg.dirichlet_alpha)
+    alpha = cfg.dirichlet_alpha
     for r in range(count):
         parents[r] = _draw_group(rng, cfg, members, classes_arr, cdf, len(labeled))
-        lambdas[r] = rng.dirichlet(alpha)
+        if alpha < _STICK_BREAKING_ALPHA:
+            lambdas[r] = rng.dirichlet(np.full(cfg.group_size, alpha))
+        else:
+            rng.standard_gamma(alpha, size=cfg.group_size, out=lambdas[r])
+    if alpha >= _STICK_BREAKING_ALPHA:
+        _normalize_rows(lambdas)
     return SyntheticSet(_mix_rows(labeled.x, parents, lambdas),
                         _mix_rows(labeled.y, parents, lambdas), parents, lambdas)
 

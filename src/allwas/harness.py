@@ -16,7 +16,9 @@ Each repeat is a generator that yields its training requests, so a block
 of runs (a cell's pending repeats, or every pending repeat of a sweep
 worker's cells) advances in lockstep: each round, the heads of one shape
 train in one stacked call (``model.train_stack``), bitwise as they would
-alone.
+alone. A repeat whose strategy never reads the head (``HEAD_FREE``)
+issues its requests without waiting for their heads, so once only such
+runs are left, a round trains many iterations of each at once.
 
 Results land in <out_dir>/<label>.csv with a sidecar meta file carrying
 the config hash, written when the block ends; reruns with a matching hash
@@ -53,18 +55,24 @@ from .model import (
     ClassifierHead,
     TrainingSet,
     predict_proba_batch,
+    stack_bytes,
     stack_key,
     train,
     train_stack,
 )
 from .seeding import derive_seed
 from .stats import f1_macro, f1_target
-from .strategies import STRATEGY_NAMES, OTConfig, acquire
+from .strategies import HEAD_FREE, STRATEGY_NAMES, OTConfig, acquire
 
 SCHEMA_VERSION = 1
 CSV_HEADER = "setting,strategy,seed,iteration,labeled,f1,seconds"
 
 AUGMENTATION_MODES = ("none", "wasserstein", "l2-kde")
+
+# Byte budget of the requests that one round pulls ahead from runs that
+# do not wait for their heads: their training rows and what training them
+# adds to a stack (memory guard).
+_DRAIN_BYTES = 8 * 2**20
 
 # Keys each nested config dict accepts: the corpus source's, the head's
 # hyperparameters (the harness sets its dimensions and seed), OTConfig's
@@ -264,13 +272,26 @@ def _augmented(cfg: ExperimentConfig, repeat: int, iteration: int,
                        np.vstack([labeled.y, synthetic.labels]))
 
 
+def _prefixed(prefix: str, exc: AllwasError) -> AllwasError:
+    """``exc`` with ``prefix`` on its message, caused by ``exc``."""
+    error = type(exc)(f"{prefix}: {exc}")
+    error.__cause__ = exc
+    return error
+
+
 def _run_repeat(cfg: ExperimentConfig, corpus: Corpus, repeat: int):
     """Deterministic replay of one repeat, as a generator.
 
-    Each iteration yields its training request ``(head, data)`` and is sent
-    the trained head (or thrown the :class:`AllwasError` its training
-    raised); the generator returns the repeat's rows, one per iteration.
-    ``_lockstep`` drives it.
+    Each iteration yields its training request ``(head, data)``. The run
+    is sent the trained heads of its requests in request order (or thrown
+    the :class:`AllwasError` a training raised) and evaluates each as it
+    arrives. A run whose strategy reads the head is sent each head right
+    after its request, and acquires from it before it yields the next
+    request. A head-free run (strategy in ``HEAD_FREE``) yields None for
+    each head it is sent; sent None, it acquires without waiting for any
+    head and yields its next request, or None once all are out. The error
+    raised is that of the lowest failing iteration. The generator returns
+    the repeat's rows, one per iteration. ``_lockstep`` drives it.
     """
     ms = cfg.master_seed
     pool_corpus, val_corpus = train_val_split(
@@ -286,8 +307,20 @@ def _run_repeat(cfg: ExperimentConfig, corpus: Corpus, repeat: int):
     labeled = np.array([row_of[i] for i in labeled_ids], dtype=np.intp)
     unlabeled = np.array([row_of[i] for i in unlabeled_ids], dtype=np.intp)
     ot = cfg.ot_config()
+    head_free = cfg.strategy in HEAD_FREE
 
-    rows = []
+    counts, rows = [], []       # labeled count per request; row per evaluated head
+
+    def evaluate(head):
+        preds = predict_proba_batch(head, val_x).argmax(axis=1)
+        if cfg.metric == "macro-f1":
+            f1 = f1_macro(preds, val_truth, corpus.n_classes)
+        else:
+            f1 = f1_target(preds, val_truth, corpus.target_class)
+        rows.append(RunRow(cfg.setting, cfg.strategy, ms + repeat, len(rows),
+                           counts[len(rows)], f1, 0.0))
+
+    failure = None
     iteration = 0
     while True:
         try:
@@ -296,76 +329,122 @@ def _run_repeat(cfg: ExperimentConfig, corpus: Corpus, repeat: int):
             head = ClassifierHead(
                 input_dim=corpus.dim, n_classes=corpus.n_classes,
                 seed=derive_seed(ms, repeat, iteration, "train"), **cfg.model)
-            head = yield head, train_data
-            preds = predict_proba_batch(head, val_x).argmax(axis=1)
-            if cfg.metric == "macro-f1":
-                f1 = f1_macro(preds, val_truth, corpus.n_classes)
-            else:
-                f1 = f1_target(preds, val_truth, corpus.target_class)
-            rows.append(RunRow(cfg.setting, cfg.strategy, ms + repeat, iteration,
-                               len(labeled), f1, 0.0))
-            if len(labeled) >= cfg.budget:
-                break
+        except AllwasError as exc:
+            failure = _prefixed(f"repeat {repeat}, iteration {iteration}", exc)
+            break
+        counts.append(len(labeled))
+        try:
+            trained = yield head, train_data
+            while trained is not None:
+                evaluate(trained)
+                if not head_free:
+                    break
+                trained = yield None
+        except AllwasError as exc:
+            raise _prefixed(f"repeat {repeat}, iteration {len(rows)}", exc)
+        if len(labeled) >= cfg.budget:
+            break
+        try:
             picked = acquire(
-                cfg.strategy, head, [ids[r] for r in unlabeled], x[unlabeled],
-                [ids[r] for r in labeled], x[labeled], cfg.k,
+                cfg.strategy, trained, [ids[r] for r in unlabeled],
+                x[unlabeled], [ids[r] for r in labeled], x[labeled], cfg.k,
                 seed=derive_seed(ms, repeat, iteration, "acquire"),
                 ot=ot, passes=cfg.mc_passes)
-            picked = np.array([row_of[i] for i in picked], dtype=np.intp)
-            labeled = np.concatenate([labeled, picked])
-            unlabeled = unlabeled[~np.isin(unlabeled, picked)]
-            iteration += 1
         except AllwasError as exc:
-            raise type(exc)(
-                f"repeat {repeat}, iteration {iteration}: {exc}") from exc
+            failure = _prefixed(f"repeat {repeat}, iteration {iteration}", exc)
+            break
+        picked = np.array([row_of[i] for i in picked], dtype=np.intp)
+        labeled = np.concatenate([labeled, picked])
+        unlabeled = unlabeled[~np.isin(unlabeled, picked)]
+        iteration += 1
+    while len(rows) < len(counts):
+        try:
+            trained = yield None
+            if trained is not None:
+                evaluate(trained)
+        except AllwasError as exc:
+            raise _prefixed(f"repeat {repeat}, iteration {len(rows)}", exc)
+    if failure is not None:
+        raise failure
     return rows
 
 
-def _advance(run, trained=None):
-    """Step a ``_run_repeat`` generator with the trained head (or the error
-    its training raised): ``(request, None)`` while it runs, then
-    ``(None, outcome)``, its rows or the AllwasError it raised."""
+def _advance(run, sent=None):
+    """Step a ``_run_repeat`` generator with what it is sent (a trained
+    head, None, or the error its training raised): ``(request or None,
+    None)`` while it runs, then ``(None, outcome)``, its rows or the
+    AllwasError it raised."""
     try:
-        if isinstance(trained, AllwasError):
-            return run.throw(trained), None
-        return run.send(trained), None
+        if isinstance(sent, AllwasError):
+            return run.throw(sent), None
+        return run.send(sent), None
     except StopIteration as stop:
         return None, stop.value
     except AllwasError as exc:
         return None, exc
 
 
-def _lockstep(runs: list) -> list:
-    """Drive ``_run_repeat`` generators to their ends together.
+def _request_bytes(head: ClassifierHead, data: TrainingSet) -> int:
+    return data.x.nbytes + data.y.nbytes + stack_bytes(head, data)
 
-    Each round the pending training requests are grouped by ``stack_key``
-    (row count, dimensions and model hyperparameters), and each group
-    trains in one ``train_stack`` call; a one-run group calls ``train``.
-    Augmentation, evaluation and acquisition stay per run, and every head
-    is bitwise what it would be trained alone. Returns, per run, its rows
-    or the AllwasError it raised.
+
+def _lockstep(runs: list, head_free: list) -> list:
+    """Drive ``_run_repeat`` generators to their ends together;
+    ``head_free[i]`` says whether run i's strategy is in ``HEAD_FREE``.
+
+    Each round every run is sent the heads trained for it in the round
+    before, in request order, and the round's requests are collected: a
+    run that reads its head yields its next one. A head-free run is then
+    sent None for one request, and, once no run that reads its head is
+    left, for more until the round's requests hold ``_DRAIN_BYTES``.
+    The round's requests are grouped by ``stack_key`` (dimensions and
+    model hyperparameters), and each group trains in one ``train_stack``
+    call, a ragged stack where row counts differ; a one-request group
+    calls ``train``. Augmentation, evaluation and acquisition stay per
+    run, and every head is bitwise what it would be trained alone.
+    Returns, per run, its rows or the AllwasError it raised.
     """
     outcomes = [None] * len(runs)
-    sends = dict.fromkeys(range(len(runs)))     # run -> what it is sent next
+    sends = {i: [None] for i in range(len(runs))}     # run -> what it is sent next
     while sends:
-        requests = {}
-        for i, sent in sends.items():
-            request, outcomes[i] = _advance(runs[i], sent)
-            if request is not None:
-                requests[i] = request
+        requests = []                                   # (run, request), in order
+        for i, values in sends.items():
+            for sent in values:
+                request, outcomes[i] = _advance(runs[i], sent)
+                if request is not None:
+                    requests.append((i, request))
+                if outcomes[i] is not None:
+                    break
+        going = [i for i in sends if outcomes[i] is None]
+        draining = all(head_free[i] for i in going)
+        held = sum(_request_bytes(*request) for _, request in requests)
+        asked = {i for i, _ in requests}
+        for i in going:
+            pulled = i in asked
+            while head_free[i] and (not pulled or draining and held < _DRAIN_BYTES):
+                request, outcomes[i] = _advance(runs[i])
+                if request is None:
+                    break
+                requests.append((i, request))
+                held += _request_bytes(*request)
+                pulled = True
         groups = {}
-        for i, request in requests.items():
-            groups.setdefault(stack_key(*request), []).append(i)
-        sends = {}
+        for k, (_, request) in enumerate(requests):
+            groups.setdefault(stack_key(*request), []).append(k)
+        trained = [None] * len(requests)
         for members in groups.values():
-            heads = [requests[i][0] for i in members]
-            datas = [requests[i][1] for i in members]
+            heads = [requests[k][1][0] for k in members]
+            datas = [requests[k][1][1] for k in members]
             try:
-                trained = ([train(heads[0], datas[0])] if len(members) == 1
-                           else train_stack(heads, datas))
+                got = ([train(heads[0], datas[0])] if len(members) == 1
+                       else train_stack(heads, datas))
             except AllwasError as exc:
-                trained = [exc] * len(members)
-            sends.update(zip(members, trained))
+                got = [exc] * len(members)
+            for k, head in zip(members, got):
+                trained[k] = head
+        sends = {}
+        for (i, _), head in zip(requests, trained):
+            sends.setdefault(i, []).append(head)
     return outcomes
 
 
@@ -412,12 +491,6 @@ def _load_existing(cfg: ExperimentConfig):
     return [RunRow.from_csv(line) for line in lines[1:]]
 
 
-def _in_cell(cfg: ExperimentConfig, exc: AllwasError) -> AllwasError:
-    error = type(exc)(f"cell {cfg.label!r}: {exc}")
-    error.__cause__ = exc
-    return error
-
-
 def _run_cells(cells, corpus: Corpus) -> list:
     """Run (or resume) every pending repeat of ``cells`` as one block in
     lockstep, then write each cell's results.
@@ -428,12 +501,12 @@ def _run_cells(cells, corpus: Corpus) -> list:
     """
     outcomes = [None] * len(cells)
     rows = [[] for _ in cells]
-    runs, owners = [], []
+    runs, owners, head_free = [], [], []
     for k, cfg in enumerate(cells):
         try:
             existing = _load_existing(cfg)
         except AllwasError as exc:
-            outcomes[k] = _in_cell(cfg, exc)
+            outcomes[k] = _prefixed(f"cell {cfg.label!r}", exc)
             continue
         by_repeat = {}
         for row in existing:
@@ -447,12 +520,13 @@ def _run_cells(cells, corpus: Corpus) -> list:
             if repeat not in done:
                 runs.append(_run_repeat(cfg, corpus, repeat))
                 owners.append(k)
+                head_free.append(cfg.strategy in HEAD_FREE)
 
     ran = set()
-    for k, result in zip(owners, _lockstep(runs)):
+    for k, result in zip(owners, _lockstep(runs, head_free)):
         if isinstance(result, AllwasError):
             if outcomes[k] is None:
-                outcomes[k] = _in_cell(cells[k], result)
+                outcomes[k] = _prefixed(f"cell {cells[k].label!r}", result)
         else:
             rows[k].extend(result)
             ran.add(k)

@@ -5,8 +5,8 @@ linear softmax output. Training is plain mini-batch gradient descent on
 soft-label cross-entropy, re-initialized from scratch on every call so
 each round of an experiment trains a fresh model. Everything is
 deterministic given the head's seed. ``train_stack`` trains R heads of one
-shape in lockstep, each bitwise what ``train`` gives it alone; ``train``
-is its one-head case.
+shape in lockstep, on training sets of any row counts, each bitwise what
+``train`` gives it alone; ``train`` is its one-head case.
 
 The per-class gradients of the loss with respect to the last layer's
 input activation, weighted by the predicted class probabilities, form one
@@ -30,6 +30,11 @@ _WEIGHT_TOL = 1e-9
 
 # Byte budget for one chunk of heads trained in lockstep (memory guard).
 _CHUNK_BYTES = 64 * 2**20
+
+# Rows a head gathers and masks at a time: one window of steps, so a
+# stack holds no stacked copy of its training sets and no (n, H) block of
+# dropout masks per head.
+_WINDOW_ROWS = 256
 
 
 @dataclass
@@ -120,32 +125,42 @@ def train(head: ClassifierHead, data) -> ClassifierHead:
 
 def stack_key(head: ClassifierHead, data) -> tuple:
     """What heads trained in one stack share: the head's dimensions and
-    hyperparameters (not its seed) and the training set's shapes."""
+    hyperparameters (not its seed) and the training set's column counts
+    (not its row count)."""
     return (head.input_dim, head.n_classes, head.hidden_dim, head.dropout,
-            head.epochs, head.batch_size, head.lr, data.x.shape, data.y.shape)
+            head.epochs, head.batch_size, head.lr, data.x.shape[1], data.y.shape[1])
 
 
-def _heads_per_chunk(n: int, d: int, h: int, c: int, batch: int) -> int:
-    """Heads whose working arrays fit in ``_CHUNK_BYTES``: per head, the
-    epoch's (n, H) dropout masks and row order, the parameters and their
-    gradients, and about a dozen batch-sized temporaries."""
-    per_head = 8 * (n * (h + 1) + 2 * (d + c + 1) * (h + c)
-                    + batch * (2 * d + 2 * c + 6 * h + 6 * c))
-    return max(1, _CHUNK_BYTES // per_head)
+def _window_steps(batch: int) -> int:
+    """Steps whose rows and dropout masks a head draws at once."""
+    return max(1, _WINDOW_ROWS // batch)
+
+
+def stack_bytes(head: ClassifierHead, data) -> int:
+    """Working bytes that training ``head`` on ``data`` adds to a stack:
+    its epoch order, one window of gathered rows and labels, of dropout
+    masks and of the draws they come from, the parameters and their
+    gradients, and about a dozen batch-sized temporaries (not the training
+    set itself)."""
+    d, h, c, batch = head.input_dim, head.hidden_dim, head.n_classes, head.batch_size
+    window = _window_steps(batch) * batch
+    return 8 * (len(data) + window * (d + c + 2 * h) + 2 * (d + c + 1) * (h + c)
+                + batch * (2 * d + 2 * c + 6 * h + 6 * c))
 
 
 def train_stack(heads, datas) -> list:
     """Train fresh copies of R heads in lockstep, head r on ``datas[r]``.
 
-    The heads share their dimensions and hyperparameters, and the training
-    sets their row count; seeds differ. Each head draws from its own
-    generator and owns one slice of the (R, d, H) and (R, H, C) weight
-    stacks, so it ends bitwise equal to ``train(heads[r], datas[r])``,
-    whatever else shares its stack. Each batch is one stacked matmul per
-    product for all R heads. Stacks are cut into chunks under
-    ``_CHUNK_BYTES``. Returns, per head, the trained head or the
-    :class:`AllwasError` its training raised: a diverging head drops out
-    and the others go on.
+    The heads share their dimensions and hyperparameters; seeds and row
+    counts differ. Each head draws from its own generator and owns one
+    slice of the (R, d, H) and (R, H, C) weight stacks, so it ends bitwise
+    equal to ``train(heads[r], datas[r])``, whatever else shares its stack.
+    Each step is one stacked matmul per product for the heads that still
+    train; a head with fewer rows takes fewer steps and leaves the stack
+    when its last epoch ends. Heads are sorted by row count and cut into
+    chunks under ``_CHUNK_BYTES``. Returns, per head, the trained head or
+    the :class:`AllwasError` its training raised: a diverging head drops
+    out and the others go on.
     """
     heads, datas = list(heads), list(datas)
     if not heads or len(heads) != len(datas):
@@ -158,20 +173,70 @@ def train_stack(heads, datas) -> list:
         raise ShapeError("label classes do not match head", expected=head.n_classes,
                          actual=data.y.shape[1])
     if any(stack_key(*pair) != stack_key(head, data) for pair in zip(heads, datas)):
-        raise AllwasError("heads trained in lockstep must share dimensions, "
-                          "hyperparameters and row count")
-    step = _heads_per_chunk(len(data), head.input_dim, head.hidden_dim,
-                            head.n_classes, head.batch_size)
-    out = []
-    for start in range(0, len(heads), step):
-        out += _train_chunk(heads[start:start + step], datas[start:start + step])
+        raise AllwasError("heads trained in lockstep must share dimensions "
+                          "and hyperparameters")
+    # Largest first: a chunk's heads then leave its stack from the end.
+    chunks, used = [[]], 0
+    for i in sorted(range(len(heads)), key=lambda i: -len(datas[i])):
+        size = stack_bytes(heads[i], datas[i])
+        if chunks[-1] and used + size > _CHUNK_BYTES:
+            chunks.append([])
+            used = 0
+        chunks[-1].append(i)
+        used += size
+    out = [None] * len(heads)
+    for chunk in chunks:
+        trained = _train_chunk([heads[i] for i in chunk], [datas[i] for i in chunk])
+        for i, got in zip(chunk, trained):
+            out[i] = got
     return out
 
 
+def _sgd_step(xb, yb, w1, b1, w2, b2, loss, mask, lr):
+    """One mini-batch step of every head in the stacks, in place: head r
+    trains on rows ``xb[r]`` with labels ``yb[r]`` under dropout ``mask[r]``
+    (or none) and adds its batch's loss to ``-loss[r]``."""
+    r, m = xb.shape[:2]
+    hid = np.matmul(xb, w1)
+    hid += b1
+    np.tanh(hid, out=hid)
+    hid_d = hid if mask is None else hid * mask
+    logits = np.matmul(hid_d, w2)
+    logits += b2
+    logits -= np.maximum.reduce(logits, axis=2, keepdims=True)
+    log_probs = logits
+    log_probs -= np.log(np.add.reduce(np.exp(logits), axis=2, keepdims=True))
+    probs = np.exp(log_probs)
+    # Each head's loss is the flat sum of its (m, C) block.
+    loss -= np.add.reduce((yb * log_probs).reshape(r, -1), axis=1)
+
+    dlogits = probs
+    dlogits -= yb
+    dlogits /= m
+    dw2 = np.matmul(hid_d.transpose(0, 2, 1), dlogits)
+    db2 = np.add.reduce(dlogits, axis=1, keepdims=True)
+    dz1 = np.matmul(dlogits, w2.transpose(0, 2, 1))
+    if mask is not None:
+        dz1 *= mask
+    hid *= hid
+    np.subtract(1.0, hid, out=hid)
+    dz1 *= hid
+    dw1 = np.matmul(xb.transpose(0, 2, 1), dz1)
+    db1 = np.add.reduce(dz1, axis=1, keepdims=True)
+    for param, grad in ((w2, dw2), (b2, db2), (w1, dw1), (b1, db1)):
+        grad *= lr
+        param -= grad
+
+
 def _train_chunk(heads: list, datas: list) -> list:
+    """``train_stack`` on one chunk. A head leaves the stacks when its last
+    epoch ends or it diverges; with the heads sorted largest first, they
+    leave from the end."""
     head = heads[0]
     d, h, c = head.input_dim, head.hidden_dim, head.n_classes
-    n, batch, lr = len(datas[0]), head.batch_size, head.lr
+    batch, lr, epochs = head.batch_size, head.lr, head.epochs
+    ns = [len(rows) for rows in datas]
+    per_epoch = [-(-n // batch) for n in ns]           # steps per epoch
     rngs = [np.random.default_rng(other.seed) for other in heads]
     w1 = np.empty((len(heads), d, h))
     w2 = np.empty((len(heads), h, c))
@@ -180,88 +245,116 @@ def _train_chunk(heads: list, datas: list) -> list:
         w2[r] = rng.standard_normal((h, c)) / np.sqrt(h)
     b1 = np.zeros((len(heads), 1, h))
     b2 = np.zeros((len(heads), 1, c))
-    # Slot r's rows are block r of (R * n, .) matrices; one head's are its own.
-    if len(heads) == 1:
-        x, y = datas[0].x, datas[0].y
-    else:
-        x = np.concatenate([rows.x for rows in datas])
-        y = np.concatenate([rows.y for rows in datas])
 
-    live = list(range(len(heads)))          # slot -> head index
-    order = np.empty((len(heads), n), dtype=np.intp)
-    masks = np.empty((len(heads), n, h)) if head.dropout > 0 else None
+    # Slot r of the stacks belongs to head live[r]. xw[r, w], yw[w, r] and
+    # masks[w, r] hold a slot's batch at step s0 + w of the window starting
+    # at s0; a partial batch fills the first m rows. Labels and masks are
+    # step-major, so the elementwise products of a step read contiguous
+    # blocks.
+    window = _window_steps(batch)
+    live = list(range(len(heads)))
+    xw = np.empty((len(heads), window, batch, d))
+    yw = np.empty((window, len(heads), batch, c))
+    masks = np.zeros((window, len(heads), batch, h)) if head.dropout > 0 else None
+    rows = np.zeros((window, batch), dtype=np.intp)
+    draws = np.zeros((window, batch, h)) if head.dropout > 0 else None
+    orders = [None] * len(heads)        # each head's epoch order
+    loss = np.zeros(len(heads))
     losses = [[] for _ in heads]
     out = [None] * len(heads)
-    for _ in range(head.epochs):
+    next_end = min(per_epoch) - 1       # the next step that ends some epoch
+    s = 0
+    while live:
+        w = s % window
+        if w == 0:
+            for r, i in enumerate(live):
+                stop = min(s + window, epochs * per_epoch[i])
+                orders[i] = _draw_window(rngs[i], orders[i], len(datas[i]), per_epoch[i],
+                                         s, stop, rows, draws)
+                steps = stop - s
+                # Every index is in range; "clip" lets take write into a
+                # contiguous out without a buffered copy.
+                datas[i].x.take(rows[:steps], axis=0, out=xw[r, :steps], mode="clip")
+                datas[i].y.take(rows[:steps], axis=0, out=yw[:steps, r], mode="clip")
+                if masks is not None:
+                    np.greater_equal(draws[:steps], head.dropout, out=masks[:steps, r])
+            if masks is not None:
+                masks /= 1.0 - head.dropout
+        if s != next_end:
+            _sgd_step(xw[:, w], yw[w], w1, b1, w2, b2, loss,
+                      None if masks is None else masks[w], lr)
+            s += 1
+            continue
+
+        # Heads whose epoch ends here may have a partial last batch: step
+        # each run of slots with one batch size as its own stack.
+        ending = [(s + 1) % per_epoch[i] == 0 for i in live]
+        sizes = [ns[i] - (per_epoch[i] - 1) * batch if end else batch
+                 for i, end in zip(live, ending)]
+        a = 0
+        for b in range(1, len(live) + 1):
+            if b == len(live) or sizes[b] != sizes[a]:
+                m = sizes[a]
+                _sgd_step(xw[a:b, w, :m], yw[w, a:b, :m], w1[a:b], b1[a:b], w2[a:b],
+                          b2[a:b], loss[a:b], None if masks is None else masks[w, a:b, :m],
+                          lr)
+                a = b
+        keep = np.ones(len(live), dtype=bool)
         for r, i in enumerate(live):
-            order[r] = rngs[i].permutation(n)
-            if masks is not None:
-                # One draw per epoch, after the permutation: the same stream
-                # as one (m, H) draw per batch.
-                rngs[i].random(out=masks[r])
-        order += (np.arange(len(live)) * n)[:, None]
-        if masks is not None:
-            np.greater_equal(masks, head.dropout, out=masks)
-            masks /= 1.0 - head.dropout
-        epoch_loss = np.zeros(len(live))
-        for start in range(0, n, batch):
-            idx = order[:, start:start + batch]
-            m = idx.shape[1]
-            xb, yb = x.take(idx, axis=0), y.take(idx, axis=0)
-            hid = np.matmul(xb, w1)
-            hid += b1
-            np.tanh(hid, out=hid)
-            if masks is not None:
-                mask = masks[:, start:start + m]
-                hid_d = hid * mask
-            else:
-                hid_d = hid
-            logits = np.matmul(hid_d, w2)
-            logits += b2
-            logits -= np.maximum.reduce(logits, axis=2, keepdims=True)
-            log_probs = logits
-            log_probs -= np.log(np.add.reduce(np.exp(logits), axis=2, keepdims=True))
-            probs = np.exp(log_probs)
-            # Each head's loss is the flat sum of its (m, C) block.
-            epoch_loss -= np.add.reduce((yb * log_probs).reshape(len(live), -1), axis=1)
-
-            dlogits = probs
-            dlogits -= yb
-            dlogits /= m
-            dw2 = np.matmul(hid_d.transpose(0, 2, 1), dlogits)
-            db2 = np.add.reduce(dlogits, axis=1, keepdims=True)
-            dz1 = np.matmul(dlogits, w2.transpose(0, 2, 1))
-            if masks is not None:
-                dz1 *= mask
-            hid *= hid
-            np.subtract(1.0, hid, out=hid)
-            dz1 *= hid
-            dw1 = np.matmul(xb.transpose(0, 2, 1), dz1)
-            db1 = np.add.reduce(dz1, axis=1, keepdims=True)
-            for param, grad in ((w2, dw2), (b2, db2), (w1, dw1), (b1, db1)):
-                grad *= lr
-                param -= grad
-        for i, loss in zip(live, (epoch_loss / n).tolist()):
-            losses[i].append(loss)
-        finite = np.isfinite(w1).all(axis=(1, 2)) & np.isfinite(w2).all(axis=(1, 2))
-        if not finite.all():
-            for r in np.flatnonzero(~finite):
-                out[live[r]] = AllwasError("training diverged to non-finite parameters")
-            live = [i for i, ok in zip(live, finite) if ok]
-            if not live:
-                return out
-            w1, b1, w2, b2 = w1[finite], b1[finite], w2[finite], b2[finite]
-            order = order[finite]
-            masks = None if masks is None else masks[finite]
-            x = x.reshape(len(finite), n, d)[finite].reshape(-1, d)
-            y = y.reshape(len(finite), n, c)[finite].reshape(-1, c)
-
-    for r, i in enumerate(live):
-        out[i] = ClassifierHead(
-            input_dim=d, n_classes=c, hidden_dim=h, dropout=head.dropout,
-            epochs=head.epochs, batch_size=batch, lr=lr, seed=heads[i].seed,
-            w1=w1[r], b1=b1[r, 0], w2=w2[r], b2=b2[r, 0], loss_history=losses[i])
+            if not ending[r]:
+                continue
+            losses[i].append(float(loss[r]) / ns[i])
+            loss[r] = 0.0
+            if not (np.isfinite(w1[r]).all() and np.isfinite(w2[r]).all()):
+                out[i] = AllwasError("training diverged to non-finite parameters")
+                keep[r] = False
+            elif s + 1 == epochs * per_epoch[i]:
+                out[i] = ClassifierHead(
+                    input_dim=d, n_classes=c, hidden_dim=h, dropout=head.dropout,
+                    epochs=epochs, batch_size=batch, lr=lr, seed=heads[i].seed,
+                    w1=w1[r], b1=b1[r, 0], w2=w2[r], b2=b2[r, 0], loss_history=losses[i])
+                keep[r] = False
+        if not keep.all():
+            live = [i for i, kept in zip(live, keep) if kept]
+            w1, b1, w2, b2, loss, xw = (arr[keep] for arr in (w1, b1, w2, b2, loss, xw))
+            yw = yw[:, keep]
+            masks = None if masks is None else masks[:, keep]
+        s += 1
+        if live:
+            next_end = min((s // per_epoch[i] + 1) * per_epoch[i] - 1 for i in live)
     return out
+
+
+def _draw_window(rng, order, n, per_epoch, start, stop, rows, draws):
+    """Draw one head's window for its steps ``start`` to ``stop`` of an
+    n-row training set: each batch's row indices into ``rows`` (window,
+    batch) and its dropout draws into ``draws`` (window, batch, H), or
+    None. Draws follow the head's own stream: each epoch's permutation,
+    then one (m, H) draw per m-row batch; split draws give the stream of
+    one draw per epoch, since the next permutation comes after the
+    epoch's last mask row. ``order`` is the epoch order at step
+    ``start - 1``; returns the one at ``stop - 1``."""
+    batch = rows.shape[1]
+    s = start
+    while s < stop:
+        step = s % per_epoch
+        if step == 0:
+            order = rng.permutation(n)
+        end = min(stop, s - step + per_epoch)
+        lo, hi = step * batch, min(n, (step + end - s) * batch)
+        full = (hi - lo) // batch
+        w = s - start
+        rows[w:w + full] = order[lo:lo + full * batch].reshape(full, batch)
+        if draws is not None:
+            rng.random(out=draws[w:w + full].reshape(-1, draws.shape[2]))
+        if full < end - s:                  # the epoch's partial last batch
+            m = hi - lo - full * batch
+            rows[w + full, :m] = order[lo + full * batch:hi]
+            rows[w + full, m:] = 0
+            if draws is not None:
+                rng.random(out=draws[w + full, :m])
+        s = end
+    return order
 
 
 def predict_proba_batch(head: ClassifierHead, pooled: np.ndarray,

@@ -26,6 +26,9 @@ from .seeding import derive_seed
 
 STRATEGY_NAMES = ("random", "lc", "dropout", "egl", "kcenter", "allwas")
 
+# Strategies that never read the trained head: ``acquire`` takes None for it.
+HEAD_FREE = frozenset({"random", "kcenter"})
+
 # The exact p = 2 path takes heads whose class cost has at most this many
 # dual vertices (binom(2C - 2, C - 1): 924 at C = 7). Against
 # pairwise_wasserstein on 406 samples of random heads, H = 64, one BLAS

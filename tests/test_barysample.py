@@ -234,15 +234,22 @@ class TestDrawStream:
         assert np.array_equal(out.parents[:, 0], parents)
         assert np.array_equal(out.labels.argmax(axis=1), classes)
 
-    def test_wasserstein_matches_choice_stream(self, labeled):
-        cfg = AugmentationConfig(factor=80, group_size=3, seed=13)
+    # The lambdas are standard_gamma draws normalized as Generator.dirichlet
+    # normalizes them, or dirichlet itself below alpha 0.1, where it
+    # switches to stick-breaking: bitwise its draws either way.
+    @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("group_size", [2, 3, 4])
+    def test_wasserstein_matches_choice_stream(self, labeled, alpha, group_size):
+        cfg = AugmentationConfig(factor=80, group_size=group_size, dirichlet_alpha=alpha,
+                                 seed=13)
         members, keys, p = self.choice_weights(labeled, cfg.pairing)
         rng = np.random.default_rng(cfg.seed)
-        parents = []
+        parents, lambdas = [], []
         for _ in range(cfg.factor * len(labeled)):
             pool = members[keys[rng.choice(len(keys), p=p)]]
             replace = len(pool) < cfg.group_size
             parents.append(pool[rng.choice(len(pool), size=cfg.group_size, replace=replace)])
-            rng.dirichlet(np.full(cfg.group_size, cfg.dirichlet_alpha))
+            lambdas.append(rng.dirichlet(np.full(cfg.group_size, cfg.dirichlet_alpha)))
         out = augment_wasserstein(labeled, cfg)
         assert np.array_equal(out.parents, parents)
+        assert np.array_equal(out.lambdas, lambdas)

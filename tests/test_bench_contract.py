@@ -74,9 +74,11 @@ def test_traced_runs_bind_every_layer(perfbench, tmp_path):
     for record, layer in ((wass, "barysample.wasserstein"), (kde, "barysample.kde")):
         synthetic = [s.counts["synthetic"] for s in tracer.spans if s.name == layer]
         assert synthetic == [FACTOR * row.labeled for row in record.rows]
+    # The random cell never reads its heads, so both its iterations train
+    # in one ragged harness.train_stack call, which the benchmark does not
+    # wrap; model.train sees the allwas cell's heads only.
     trained = [s.counts["rows"] for s in tracer.spans if s.name == "model.train"]
-    assert trained == [(1 + FACTOR) * row.labeled * EPOCHS
-                       for row in wass.rows + kde.rows]
+    assert trained == [(1 + FACTOR) * row.labeled * EPOCHS for row in wass.rows]
 
     metrics = layers.summarize(tracer.spans, repeats=1, workers=1)
     assert metrics["barysample.wasserstein.synthetic"] == FACTOR * sum(

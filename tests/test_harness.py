@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -241,8 +242,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("axis, values, augmentation", [
         ("strategy", ["random", "lc", "kcenter"], {"mode": "none"}),
-        # Mixed shapes: each factor gives its own training row count, so a
-        # block of several cells holds several lockstep groups.
+        # Mixed row counts: each factor gives its own, so a block of several
+        # head-free cells trains ragged stacks.
         ("augmentation-factor", [0, 2, 3], {"mode": "l2-kde"})])
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_parallel_cells_match_serial(self, tmp_path, monkeypatch, method, axis, values,
@@ -285,8 +286,9 @@ class TestSweep:
         written = {path.name: path.read_bytes() for path in run_dir.iterdir()}
         run_dir.rename(tmp_path / "lockstep")
         drive = harness._lockstep
-        monkeypatch.setattr(harness, "_lockstep",
-                            lambda runs: [drive([run])[0] for run in runs])
+        monkeypatch.setattr(harness, "_lockstep", lambda runs, free: [
+            drive([run], [alone])[0] for run, alone in zip(runs, free)])
+        monkeypatch.setattr(harness, "_DRAIN_BYTES", 0)
         alone = run_sweep(cfg, "strategy", ["random", "lc"])
         assert stacks == [6, 6]
         assert [a.rows for a in alone] == [b.rows for b in lockstep]
@@ -294,13 +296,17 @@ class TestSweep:
         assert len(written) == 4
 
     def test_training_error_fails_its_own_run_only(self, tmp_path, monkeypatch):
-        # The head of repeat 1, iteration 1 fails inside a stack of three.
+        # The head of repeat 1, iteration 1 fails inside one ragged stack of
+        # all nine requests: random runs issue them without waiting for
+        # heads, so repeat 1's iteration 2 is already out when it fails.
         cfg = small_cfg(tmp_path, repeats=3)
         clean = run_experiment(replace(cfg, out_dir=str(tmp_path / "clean")))
         failing = derive_seed(cfg.master_seed, 1, 1, "train")
         train_stack = harness.train_stack
+        stacks = []
 
         def flaky(heads, datas):
+            stacks.append({head.seed for head in heads})
             out = train_stack(heads, datas)
             return [AllwasError("training diverged to non-finite parameters")
                     if head.seed == failing else got for head, got in zip(heads, out)]
@@ -308,6 +314,8 @@ class TestSweep:
         monkeypatch.setattr(harness, "train_stack", flaky)
         with pytest.raises(AllwasError) as info:
             run_experiment(cfg)
+        assert stacks == [{derive_seed(cfg.master_seed, r, i, "train")
+                           for r in range(3) for i in range(3)}]
         assert type(info.value) is AllwasError
         assert str(info.value) == ("cell 'cell': repeat 1, iteration 1: "
                                    "training diverged to non-finite parameters")
@@ -337,6 +345,149 @@ class TestSweep:
                          "--values", "random,lc,kcenter"]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert multiprocessing.active_children() == []
+
+
+def spy_stacks(monkeypatch) -> list:
+    """Record the head seeds of every ``train_stack`` call the harness
+    makes, one list per call."""
+    stacks = []
+    train_stack = harness.train_stack
+
+    def spy(heads, datas):
+        stacks.append([head.seed for head in heads])
+        return train_stack(heads, datas)
+
+    monkeypatch.setattr(harness, "train_stack", spy)
+    return stacks
+
+
+class TestHeadFree:
+    """random and kcenter never read the head: their runs issue requests
+    without waiting for heads, and once no run that reads its head is left
+    in a block, many of their iterations train in one ragged stack."""
+
+    @pytest.mark.parametrize("augmentation", [
+        {"mode": "none"}, {"mode": "wasserstein", "factor": 2},
+        {"mode": "l2-kde", "factor": 2}], ids=lambda aug: aug["mode"])
+    @pytest.mark.parametrize("strategy", ["random", "kcenter"])
+    def test_drained_cell_matches_one_request_per_round(self, tmp_path, monkeypatch,
+                                                        strategy, augmentation):
+        # Three repeats of four iterations. Drained, all twelve requests
+        # train in one stack; under a budget of a few requests, rounds
+        # mix runs' first and later iterations; with no budget, each round
+        # trains one request per run. Every way writes the same bytes.
+        cfg = small_cfg(tmp_path, strategy=strategy, repeats=3, budget=40,
+                        augmentation=augmentation)
+        stacks = spy_stacks(monkeypatch)
+        seeds = {derive_seed(cfg.master_seed, r, i, "train")
+                 for r in range(3) for i in range(4)}
+        # About five first-iteration requests.
+        few = 5 * harness._request_bytes(
+            harness.ClassifierHead(input_dim=6, n_classes=2, **cfg.model),
+            harness.TrainingSet(np.zeros((10, 6)), np.eye(2)[[0] * 10]))
+        run_dir = tmp_path / "runs"
+        written = []
+        for drain in (harness._DRAIN_BYTES, few, 0):
+            monkeypatch.setattr(harness, "_DRAIN_BYTES", drain)
+            stacks.clear()
+            run_experiment(cfg)
+            written.append({path.name: path.read_bytes() for path in run_dir.iterdir()})
+            run_dir.rename(tmp_path / f"drain{drain}")
+            assert {seed for stack in stacks for seed in stack} == seeds
+            if drain == few:
+                assert 1 < len(stacks) < 4
+            elif drain:
+                assert len(stacks) == 1
+            else:
+                assert stacks == [[derive_seed(cfg.master_seed, r, i, "train")
+                                   for r in range(3)] for i in range(4)]
+        assert written[0] == written[1] == written[2]
+        assert len(written[0]) == 2
+
+    def test_mixed_block_keeps_head_free_run_at_one_request_per_round(self, tmp_path,
+                                                                       monkeypatch):
+        # One block: a random cell of five iterations and an lc cell of
+        # three. While lc runs, random issues one request per round; then
+        # its last two train as one ragged stack.
+        random_cell = small_cfg(tmp_path, label="random", budget=50, repeats=1)
+        lc_cell = small_cfg(tmp_path, label="lc", strategy="lc", repeats=1)
+        stacks = spy_stacks(monkeypatch)
+        records = harness._run_cells([random_cell, lc_cell], load_corpus(SMALL_CORPUS))
+        assert [len(record.rows) for record in records] == [5, 3]
+        seed = [derive_seed(random_cell.master_seed, 0, i, "train") for i in range(5)]
+        assert stacks == [[seed[0]] * 2, [seed[1]] * 2, [seed[2]] * 2, [seed[3], seed[4]]]
+
+    @pytest.mark.parametrize("train_fails", [True, False])
+    @pytest.mark.parametrize("drain", [True, False])
+    def test_run_reports_its_lowest_failing_iteration(self, tmp_path, monkeypatch,
+                                                      train_fails, drain):
+        # Repeat 1's acquisition fails at iteration 2, after (drained) or
+        # before (one request per round) its iteration-1 head trains. If
+        # that training fails too, its error is the run's either way.
+        cfg = small_cfg(tmp_path, budget=40)
+        if not drain:
+            monkeypatch.setattr(harness, "_DRAIN_BYTES", 0)
+        acquire = harness.acquire
+
+        def failing_acquire(*args, seed, **kwargs):
+            if seed == derive_seed(cfg.master_seed, 1, 2, "acquire"):
+                raise AllwasError("no candidates left")
+            return acquire(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(harness, "acquire", failing_acquire)
+        train_stack = harness.train_stack
+        failing = derive_seed(cfg.master_seed, 1, 1, "train")
+
+        def flaky(heads, datas):
+            out = train_stack(heads, datas)
+            return [AllwasError("training diverged to non-finite parameters")
+                    if train_fails and head.seed == failing else got
+                    for head, got in zip(heads, out)]
+
+        monkeypatch.setattr(harness, "train_stack", flaky)
+        with pytest.raises(AllwasError) as info:
+            run_experiment(cfg)
+        cause = ("iteration 1: training diverged to non-finite parameters" if train_fails
+                 else "iteration 2: no candidates left")
+        assert str(info.value) == f"cell 'cell': repeat 1, {cause}"
+
+    def test_drained_rounds_stay_within_byte_budget(self, tmp_path, monkeypatch):
+        # A 10-repeat factor-20 random cell of three iterations, drained
+        # under a budget of half its requests' bytes, so in two rounds:
+        # each round holds the budget plus at most one request per run, and
+        # the cell's traced peak is at most the budget above that of one
+        # request per run and round.
+        cfg = small_cfg(tmp_path, repeats=10, model={"hidden_dim": 16, "epochs": 1},
+                        augmentation={"mode": "wasserstein", "factor": 20})
+        head = harness.ClassifierHead(input_dim=6, n_classes=2, **cfg.model)
+        # Iteration i trains 10 (i + 1) labeled rows and 20 synthetic ones each.
+        request = [harness._request_bytes(head, harness.TrainingSet(
+            np.zeros((n, 6)), np.eye(2)[[0] * n])) for n in (210, 420, 630)]
+        budget = cfg.repeats * sum(request) // 2
+        loaded = load_corpus(SMALL_CORPUS)
+        held = []
+        train_stack = harness.train_stack
+
+        def spy(heads, datas):
+            held.append(sum(harness._request_bytes(*pair) for pair in zip(heads, datas)))
+            return train_stack(heads, datas)
+
+        monkeypatch.setattr(harness, "train_stack", spy)
+        peaks = {}
+        for drain in (budget, 0):
+            monkeypatch.setattr(harness, "_DRAIN_BYTES", drain)
+            held.clear()
+            tracemalloc.start()
+            try:
+                run_experiment(replace(cfg, out_dir=str(tmp_path / f"drain{drain}")), loaded)
+                peaks[drain] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sum(held) == cfg.repeats * sum(request)
+            if drain:
+                assert len(held) == 2
+                assert max(held) <= budget + cfg.repeats * request[-1]
+        assert peaks[budget] <= peaks[0] + budget
 
 
 @pytest.mark.parametrize("error", [

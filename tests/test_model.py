@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -98,15 +99,16 @@ def assert_same_head(got, want):
 
 def stack_case(seed, r, n, d, h, c, batch, dropout, epochs, lr=0.05):
     """R heads of one shape, different seeds, each with its own soft-labeled
-    rows."""
+    rows: n of them, or ``n[i]`` for head i when n is a list."""
     rng = np.random.default_rng(seed)
     heads = [ClassifierHead(input_dim=d, n_classes=c, hidden_dim=h, dropout=dropout,
                             epochs=epochs, batch_size=batch, lr=lr,
                             seed=int(rng.integers(2**31))) for _ in range(r)]
     datas = []
-    for _ in range(r):
-        y = rng.random((n, c)) + 0.05
-        datas.append(TrainingSet(rng.standard_normal((n, d)), y / y.sum(axis=1, keepdims=True)))
+    for rows in (n if isinstance(n, list) else [n] * r):
+        y = rng.random((rows, c)) + 0.05
+        datas.append(TrainingSet(rng.standard_normal((rows, d)),
+                                 y / y.sum(axis=1, keepdims=True)))
     return heads, datas
 
 
@@ -184,22 +186,35 @@ class TestTraining:
 
 
 class TestLockstep:
-    @settings(derandomize=True, max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), r=st.sampled_from([1, 2, 3, 5]),
-           n=st.integers(1, 40), d=st.integers(1, 5), h=st.integers(1, 9),
-           c=st.integers(2, 4), batch=st.integers(1, 12),
-           dropout=st.sampled_from([0.0, 0.1, 0.5]), epochs=st.integers(1, 3))
-    @example(seed=1, r=3, n=23, d=4, h=5, c=3, batch=5, dropout=0.0, epochs=2)
-    @example(seed=2, r=5, n=26, d=3, h=6, c=2, batch=5, dropout=0.1, epochs=2)
-    def test_stack_equals_solo_trains(self, seed, r, n, d, h, c, batch, dropout, epochs):
-        # The examples pin a partial last batch (23 = 4 * 5 + 3, 26 = 5 * 5
-        # + 1) with and without dropout.
-        heads, datas = stack_case(seed, r, n, d, h, c, batch, dropout, epochs)
-        stacked = train_stack(heads, datas)
-        assert len(stacked) == r
-        for head, data, got in zip(heads, datas, stacked):
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), ns=st.lists(st.integers(1, 40), min_size=1,
+                                                       max_size=6),
+           d=st.integers(1, 5), h=st.integers(1, 9), c=st.integers(2, 4),
+           batch=st.integers(1, 12), dropout=st.sampled_from([0.0, 0.1, 0.5]),
+           epochs=st.integers(1, 3), window_rows=st.sampled_from([1, 7, 30, 256]))
+    @example(seed=1, ns=[23, 23, 23], d=4, h=5, c=3, batch=5, dropout=0.0, epochs=2,
+             window_rows=256)
+    @example(seed=2, ns=[26] * 5, d=3, h=6, c=2, batch=5, dropout=0.1, epochs=2,
+             window_rows=256)
+    @example(seed=3, ns=[3, 40, 17, 25, 9, 40], d=3, h=4, c=2, batch=5, dropout=0.1,
+             epochs=3, window_rows=7)
+    @example(seed=4, ns=[4, 11, 2], d=2, h=3, c=3, batch=12, dropout=0.0, epochs=2,
+             window_rows=30)
+    def test_stack_equals_solo_trains(self, seed, ns, d, h, c, batch, dropout, epochs,
+                                      window_rows):
+        # Row counts may differ (a ragged stack). The examples pin a partial
+        # last batch (23 = 4 * 5 + 3, 26 = 5 * 5 + 1) with and without
+        # dropout, a six-head ragged stack whose windows of steps end
+        # mid-epoch, and heads with fewer rows than a batch.
+        heads, datas = stack_case(seed, len(ns), ns, d, h, c, batch, dropout, epochs)
+        with mock.patch.object(model, "_WINDOW_ROWS", window_rows):
+            stacked = train_stack(heads, datas)
+            solo = [train(head, data) for head, data in zip(heads, datas)]
+        assert len(stacked) == len(ns)
+        for head, data, got, alone in zip(heads, datas, stacked, solo):
             assert got.seed == head.seed
-            assert_same_head(got, train(head, data))
+            assert_same_head(got, alone)
+            assert_same_head(got, reference_train(head, data))
 
     @pytest.mark.parametrize("n, batch, dropout, c", [
         (23, 5, 0.1, 2), (23, 5, 0.0, 3), (40, 40, 0.5, 4), (9, 25, 0.1, 2)])
@@ -236,13 +251,17 @@ class TestLockstep:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "same"
 
-    def test_diverging_head_fails_alone(self):
+    @pytest.mark.parametrize("ns", [[12, 12, 12], [12, 30, 7], [30, 12, 7]])
+    def test_diverging_head_fails_alone(self, ns):
         # At lr 1e308 the updates of a head with gradients overflow (tanh
         # saturation keeps smaller rates finite). A head on all-zero rows
         # labeled with its own uniform prediction has exactly zero gradients
-        # and stays finite beside it.
-        heads, datas = stack_case(5, 3, 12, 4, 6, 2, 5, 0.1, epochs=3, lr=1e308)
-        datas[0] = datas[2] = TrainingSet(np.zeros((12, 4)), np.full((12, 2), 0.5))
+        # and stays finite beside it. In the ragged stacks the diverging
+        # head has the most rows (it leaves the stack's first slot) or
+        # neither the most nor the fewest.
+        heads, datas = stack_case(5, 3, ns, 4, 6, 2, 5, 0.1, epochs=3, lr=1e308)
+        for k in (0, 2):
+            datas[k] = TrainingSet(np.zeros((ns[k], 4)), np.full((ns[k], 2), 0.5))
         with np.errstate(over="ignore", invalid="ignore"):
             stacked = train_stack(heads, datas)
             with pytest.raises(AllwasError, match="training diverged") as solo_error:
@@ -255,8 +274,10 @@ class TestLockstep:
 
     def test_mismatched_heads_rejected(self):
         heads, datas = stack_case(0, 2, 10, 3, 4, 2, 5, 0.1, epochs=1)
-        with pytest.raises(AllwasError, match="share dimensions"):
-            train_stack(heads, [datas[0], TrainingSet(datas[1].x[:9], datas[1].y[:9])])
+        # Row counts may differ: each head of a ragged stack trains as alone.
+        ragged = [datas[0], TrainingSet(datas[1].x[:9], datas[1].y[:9])]
+        for head, data, got in zip(heads, ragged, train_stack(heads, ragged)):
+            assert_same_head(got, reference_train(head, data))
         with pytest.raises(AllwasError, match="share dimensions"):
             train_stack([heads[0], small_head(d=3)], datas)
         with pytest.raises(AllwasError, match="one training set per head"):
@@ -268,9 +289,8 @@ class TestTrainingMemory:
     # plus 20x synthetic ones, d = 32, H = 64, batches of 25.
     N, D, H, C = 3150, 32, 64, 2
 
-    def group(self, r):
-        heads, datas = stack_case(0, r, self.N, self.D, self.H, self.C, 25, 0.1, epochs=1)
-        return heads, datas
+    def group(self, ns):
+        return stack_case(0, len(ns), ns, self.D, self.H, self.C, 25, 0.1, epochs=1)
 
     @staticmethod
     def peak(fn):
@@ -281,23 +301,25 @@ class TestTrainingMemory:
         finally:
             tracemalloc.stop()
 
+    # An equal-row group and a ragged one: the six training sets of one
+    # factor-20 repeat of 25 to 150 labeled rows.
+    @pytest.mark.parametrize("ns", [[N] * 5, [525 * k for k in range(1, 7)]])
     @pytest.mark.parametrize("budget_heads", [None, 2])
-    def test_lockstep_group_within_chunk_budget(self, monkeypatch, budget_heads):
-        heads, datas = self.group(5)
-        step = model._heads_per_chunk(self.N, self.D, self.H, self.C, 25)
+    def test_lockstep_group_within_chunk_budget(self, monkeypatch, ns, budget_heads):
+        heads, datas = self.group(ns)
         if budget_heads is not None:
-            # A budget of two heads cuts the group into chunks of 2, 2, 1.
-            monkeypatch.setattr(model, "_CHUNK_BYTES", model._CHUNK_BYTES * budget_heads // step)
-            step = model._heads_per_chunk(self.N, self.D, self.H, self.C, 25)
-            assert step == budget_heads
-        stacked_inputs = min(step, len(heads)) * self.N * (self.D + self.C) * 8
+            # Room for two of the largest heads: chunks of two or three.
+            largest = max(range(len(ns)), key=ns.__getitem__)
+            monkeypatch.setattr(model, "_CHUNK_BYTES", budget_heads * model.stack_bytes(
+                heads[largest], datas[largest]))
         peak = self.peak(lambda: train_stack(heads, datas))
-        assert peak <= model._CHUNK_BYTES + stacked_inputs
-        # Each chunk holds about one (n, H) mask buffer per head.
-        assert peak >= min(step, len(heads)) * self.N * self.H * 8
+        assert peak <= model._CHUNK_BYTES
+        # Each chunk holds one window of rows and dropout masks per head.
+        window = model._window_steps(25) * 25 * (self.D + self.C + self.H) * 8
+        assert peak >= min(budget_heads or len(ns), len(ns)) * window
 
     def test_one_head_adds_at_most_one_mask_buffer(self):
-        heads, datas = self.group(1)
+        heads, datas = self.group([self.N])
         reference_train(heads[0], datas[0])               # warm caches
         reference = self.peak(lambda: reference_train(heads[0], datas[0]))
         peak = self.peak(lambda: train(heads[0], datas[0]))
