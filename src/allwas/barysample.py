@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_types
 from .errors import AllwasError, ConfigError
 from .model import TrainingSet
 from .transport import barycenter_support_size, wasserstein_barycenter_batch
@@ -47,6 +48,7 @@ class AugmentationConfig:
     sinkhorn_max_iter: int = 60
 
     def __post_init__(self):
+        check_types(AugmentationConfig, vars(self), "augmentation ")
         if self.factor < 0:
             raise ConfigError("augmentation factor must be >= 0")
         if self.group_size < 2:
@@ -55,6 +57,9 @@ class AugmentationConfig:
             raise ConfigError(f"dirichlet_alpha must be > 0 (got {self.dirichlet_alpha})")
         if self.pairing not in ("within-class-minority-weighted", "any-pair"):
             raise ConfigError(f"unknown pairing mode {self.pairing!r}")
+        if self.outer_iter < 1 or self.sinkhorn_max_iter < 1:
+            raise ConfigError("augmentation outer_iter and sinkhorn_max_iter must be >= 1 "
+                              f"(got {self.outer_iter}, {self.sinkhorn_max_iter})")
 
 
 @dataclass(frozen=True)

@@ -45,10 +45,44 @@ def config_from(cls, knobs: dict, name: str):
     return cls(**knobs)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_types(cls, values: dict, prefix: str = "") -> None:
+    """Raise a ConfigError unless each of ``values`` that names an ``int``,
+    ``float`` or ``str`` field of the dataclass ``cls`` holds that kind, as
+    the field's annotation says: an int (not a bool), a number (not a bool)
+    or a string; a field annotated ``... | None`` may also hold None.
+    ``prefix`` leads each message."""
+    kinds = {"int": (_is_int, "an int"), "float": (_is_real, "a number"),
+             "str": (lambda v: isinstance(v, str), "a string")}
+    for name, value in values.items():
+        # Annotations are strings: the modules use postponed evaluation.
+        allowed = cls.__dataclass_fields__[name].type.split(" | ")
+        kind = next((k for k in allowed if k in kinds), None)
+        if kind is None or value is None and "None" in allowed:
+            continue
+        check, noun = kinds[kind]
+        if not check(value):
+            null = " or null" if "None" in allowed else ""
+            raise ConfigError(f"{prefix}{name} must be {noun}{null} (got {value!r})")
+
+
 @dataclass(frozen=True)
 class FeaturizerConfig:
     d: int = 64
     seed: int = 0
+
+    def __post_init__(self):
+        check_types(FeaturizerConfig, vars(self), "featurize ")
+        if self.d < 1 or self.seed < 0:
+            raise ConfigError(f"featurize needs d >= 1 and seed >= 0 "
+                              f"(got d={self.d}, seed={self.seed})")
 
 
 @dataclass(frozen=True)
@@ -272,14 +306,6 @@ def export_jsonl(corpus: Corpus, path) -> None:
             if text is not None:
                 obj["text"] = text
             fh.write(json.dumps(obj) + "\n")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,13 @@ Every random stage draws from a generator derived from
 (master seed, repeat, iteration, stage name), so outputs are a pure
 function of (config, master seed).
 
-Each repeat is a generator that yields its training requests, so a block
-of runs (a cell's pending repeats, or every pending repeat of a sweep
-worker's cells) advances in lockstep: each round, the heads of one shape
-train in one stacked call (``model.train_stack``), bitwise as they would
-alone. A repeat whose strategy never reads the head (``HEAD_FREE``)
-issues its requests without waiting for their heads, so once only such
+Each repeat is a generator of training requests that carry their own
+scoring, so a block of runs (a cell's pending repeats, or every pending
+repeat of a sweep worker's cells) advances in lockstep: each round,
+``_lockstep`` trains the round's heads in one stacked call
+(``model.train_stack``), bitwise as each would train alone, scores them,
+and sends a head back only to a run whose strategy reads it. A run whose strategy never does
+(``HEAD_FREE``) issues its requests without waiting, so once only such
 runs are left, a round trains many iterations of each at once.
 
 Results land in <out_dir>/<label>.csv with a sidecar meta file carrying
@@ -33,6 +34,7 @@ import json
 import os
 import traceback
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -42,9 +44,8 @@ from .data import (
     FeaturizerConfig,
     SeedSpec,
     SynthSpec,
-    _is_int,
-    _is_real,
     build_seed,
+    check_types,
     config_from,
     ingest_jsonl,
     make_synthetic,
@@ -56,7 +57,6 @@ from .model import (
     TrainingSet,
     predict_proba_batch,
     stack_bytes,
-    stack_key,
     train,
     train_stack,
 )
@@ -86,15 +86,6 @@ _NESTED_KEYS = {
                                if f != "seed")),
 }
 
-# Top-level fields by the type each must hold: (check, its name, fields).
-_FIELD_TYPES = (
-    (lambda v: isinstance(v, str), "a string",
-     ("out_dir", "label", "setting", "strategy", "metric")),
-    (_is_int, "an int",
-     ("seed_size", "budget", "k", "repeats", "master_seed", "mc_passes")),
-    (_is_real, "a number", ("minority_fraction", "radius_percentile", "val_fraction")),
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -118,11 +109,7 @@ class ExperimentConfig:
     mc_passes: int = 10
 
     def __post_init__(self):
-        for check, kind, names in _FIELD_TYPES:
-            for name in names:
-                value = getattr(self, name)
-                if not check(value):
-                    raise ConfigError(f"{name} must be {kind} (got {value!r})")
+        check_types(ExperimentConfig, vars(self))
         if self.strategy not in STRATEGY_NAMES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.k < 1 or self.k > self.budget:
@@ -147,6 +134,7 @@ class ExperimentConfig:
         self.augmentation_config(seed=0)
         self.ot_config()
         self.seed_spec(seed=0)
+        check_types(ClassifierHead, self.model, "model ")
         ClassifierHead(input_dim=1, n_classes=2, **self.model)
         if self.metric not in ("target-f1", "macro-f1"):
             raise ConfigError(f"unknown metric {self.metric!r}")
@@ -282,16 +270,14 @@ def _prefixed(prefix: str, exc: AllwasError) -> AllwasError:
 def _run_repeat(cfg: ExperimentConfig, corpus: Corpus, repeat: int):
     """Deterministic replay of one repeat, as a generator.
 
-    Each iteration yields its training request ``(head, data)``. The run
-    is sent the trained heads of its requests in request order (or thrown
-    the :class:`AllwasError` a training raised) and evaluates each as it
-    arrives. A run whose strategy reads the head is sent each head right
-    after its request, and acquires from it before it yields the next
-    request. A head-free run (strategy in ``HEAD_FREE``) yields None for
-    each head it is sent; sent None, it acquires without waiting for any
-    head and yields its next request, or None once all are out. The error
-    raised is that of the lowest failing iteration. The generator returns
-    the repeat's rows, one per iteration. ``_lockstep`` drives it.
+    Each iteration yields its training request ``(head, data, score)``;
+    ``_lockstep`` trains it and calls ``score`` with the trained head or
+    the :class:`AllwasError` training raised, which returns the
+    iteration's :class:`RunRow` or raises that error, prefixed with the
+    repeat and iteration. The run is then sent what its strategy acquires
+    from: the head, or None for a strategy in ``HEAD_FREE``, so its next
+    request can be pulled at once. It raises its own augmentation or
+    acquisition error, prefixed, when it meets it.
     """
     ms = cfg.master_seed
     pool_corpus, val_corpus = train_val_split(
@@ -307,20 +293,20 @@ def _run_repeat(cfg: ExperimentConfig, corpus: Corpus, repeat: int):
     labeled = np.array([row_of[i] for i in labeled_ids], dtype=np.intp)
     unlabeled = np.array([row_of[i] for i in unlabeled_ids], dtype=np.intp)
     ot = cfg.ot_config()
-    head_free = cfg.strategy in HEAD_FREE
 
-    counts, rows = [], []       # labeled count per request; row per evaluated head
+    def score(iteration, count, trained):
+        try:
+            if isinstance(trained, AllwasError):
+                raise trained
+            preds = predict_proba_batch(trained, val_x).argmax(axis=1)
+            if cfg.metric == "macro-f1":
+                f1 = f1_macro(preds, val_truth, corpus.n_classes)
+            else:
+                f1 = f1_target(preds, val_truth, corpus.target_class)
+        except AllwasError as exc:
+            raise _prefixed(f"repeat {repeat}, iteration {iteration}", exc)
+        return RunRow(cfg.setting, cfg.strategy, ms + repeat, iteration, count, f1, 0.0)
 
-    def evaluate(head):
-        preds = predict_proba_batch(head, val_x).argmax(axis=1)
-        if cfg.metric == "macro-f1":
-            f1 = f1_macro(preds, val_truth, corpus.n_classes)
-        else:
-            f1 = f1_target(preds, val_truth, corpus.target_class)
-        rows.append(RunRow(cfg.setting, cfg.strategy, ms + repeat, len(rows),
-                           counts[len(rows)], f1, 0.0))
-
-    failure = None
     iteration = 0
     while True:
         try:
@@ -329,59 +315,20 @@ def _run_repeat(cfg: ExperimentConfig, corpus: Corpus, repeat: int):
             head = ClassifierHead(
                 input_dim=corpus.dim, n_classes=corpus.n_classes,
                 seed=derive_seed(ms, repeat, iteration, "train"), **cfg.model)
-        except AllwasError as exc:
-            failure = _prefixed(f"repeat {repeat}, iteration {iteration}", exc)
-            break
-        counts.append(len(labeled))
-        try:
-            trained = yield head, train_data
-            while trained is not None:
-                evaluate(trained)
-                if not head_free:
-                    break
-                trained = yield None
-        except AllwasError as exc:
-            raise _prefixed(f"repeat {repeat}, iteration {len(rows)}", exc)
-        if len(labeled) >= cfg.budget:
-            break
-        try:
+            trained = yield head, train_data, partial(score, iteration, len(labeled))
+            if len(labeled) >= cfg.budget:
+                return
             picked = acquire(
                 cfg.strategy, trained, [ids[r] for r in unlabeled],
                 x[unlabeled], [ids[r] for r in labeled], x[labeled], cfg.k,
                 seed=derive_seed(ms, repeat, iteration, "acquire"),
                 ot=ot, passes=cfg.mc_passes)
         except AllwasError as exc:
-            failure = _prefixed(f"repeat {repeat}, iteration {iteration}", exc)
-            break
+            raise _prefixed(f"repeat {repeat}, iteration {iteration}", exc)
         picked = np.array([row_of[i] for i in picked], dtype=np.intp)
         labeled = np.concatenate([labeled, picked])
         unlabeled = unlabeled[~np.isin(unlabeled, picked)]
         iteration += 1
-    while len(rows) < len(counts):
-        try:
-            trained = yield None
-            if trained is not None:
-                evaluate(trained)
-        except AllwasError as exc:
-            raise _prefixed(f"repeat {repeat}, iteration {len(rows)}", exc)
-    if failure is not None:
-        raise failure
-    return rows
-
-
-def _advance(run, sent=None):
-    """Step a ``_run_repeat`` generator with what it is sent (a trained
-    head, None, or the error its training raised): ``(request or None,
-    None)`` while it runs, then ``(None, outcome)``, its rows or the
-    AllwasError it raised."""
-    try:
-        if isinstance(sent, AllwasError):
-            return run.throw(sent), None
-        return run.send(sent), None
-    except StopIteration as stop:
-        return None, stop.value
-    except AllwasError as exc:
-        return None, exc
 
 
 def _request_bytes(head: ClassifierHead, data: TrainingSet) -> int:
@@ -392,60 +339,70 @@ def _lockstep(runs: list, head_free: list) -> list:
     """Drive ``_run_repeat`` generators to their ends together;
     ``head_free[i]`` says whether run i's strategy is in ``HEAD_FREE``.
 
-    Each round every run is sent the heads trained for it in the round
-    before, in request order, and the round's requests are collected: a
-    run that reads its head yields its next one. A head-free run is then
-    sent None for one request, and, once no run that reads its head is
-    left, for more until the round's requests hold ``_DRAIN_BYTES``.
-    The round's requests are grouped by ``stack_key`` (dimensions and
-    model hyperparameters), and each group trains in one ``train_stack``
-    call, a ragged stack where row counts differ; a one-request group
-    calls ``train``. Augmentation, evaluation and acquisition stay per
-    run, and every head is bitwise what it would be trained alone.
-    Returns, per run, its rows or the AllwasError it raised.
+    Each round pulls requests, trains them and scores every head. The
+    first round pulls each run's first request in run order; a later one
+    first sends each run that reads its head the head trained for it in
+    the round before, which yields its next request. Each head-free run
+    is then pulled once more, and, once no run that reads its head is
+    left, more, until the round's requests hold ``_DRAIN_BYTES``. A
+    block's cells share one corpus and model, so a round's heads train in
+    one ``train_stack`` call, a ragged stack where row counts differ (a
+    lone request calls ``train``), each bitwise what it would be trained
+    alone. A run stops at its first failing score, which beats an error
+    the run raised itself: a run issues its requests in iteration order.
+    Returns, per run, its rows or its AllwasError.
     """
-    outcomes = [None] * len(runs)
-    sends = {i: [None] for i in range(len(runs))}     # run -> what it is sent next
-    while sends:
-        requests = []                                   # (run, request), in order
-        for i, values in sends.items():
-            for sent in values:
-                request, outcomes[i] = _advance(runs[i], sent)
-                if request is not None:
-                    requests.append((i, request))
-                if outcomes[i] is not None:
-                    break
-        going = [i for i in sends if outcomes[i] is None]
-        draining = all(head_free[i] for i in going)
-        held = sum(_request_bytes(*request) for _, request in requests)
-        asked = {i for i, _ in requests}
-        for i in going:
-            pulled = i in asked
-            while head_free[i] and (not pulled or draining and held < _DRAIN_BYTES):
-                request, outcomes[i] = _advance(runs[i])
-                if request is None:
-                    break
-                requests.append((i, request))
-                held += _request_bytes(*request)
+    rows = [[] for _ in runs]
+    failed = [None] * len(runs)                 # the error a run's score raised
+    raised = [None] * len(runs)                 # the error a run raised itself
+    live = dict.fromkeys(range(len(runs)))      # run -> what it is sent next
+    first = list(live)                          # runs pulled before head-free ones
+
+    def pull(i) -> bool:
+        """Add run i's next request to the round's; False once it ended."""
+        try:
+            requests.append((i, *runs[i].send(live[i])))
+            return True
+        except StopIteration:
+            pass
+        except AllwasError as exc:
+            raised[i] = exc
+        del live[i]
+        return False
+
+    while live:
+        requests = []                           # (run, head, data, score), in order
+        for i in first:
+            pull(i)
+        draining = all(head_free[i] for i in live)
+        held = sum(_request_bytes(head, data) for _, head, data, _ in requests)
+        for i in [i for i in live if head_free[i]]:
+            pulled = i in first
+            while (not pulled or draining and held < _DRAIN_BYTES) and pull(i):
+                held += _request_bytes(*requests[-1][1:3])
                 pulled = True
-        groups = {}
-        for k, (_, request) in enumerate(requests):
-            groups.setdefault(stack_key(*request), []).append(k)
-        trained = [None] * len(requests)
-        for members in groups.values():
-            heads = [requests[k][1][0] for k in members]
-            datas = [requests[k][1][1] for k in members]
-            try:
-                got = ([train(heads[0], datas[0])] if len(members) == 1
+        if not requests:
+            break
+        owners, heads, datas, scores = zip(*requests)
+        try:
+            trained = ([train(heads[0], datas[0])] if len(requests) == 1
                        else train_stack(heads, datas))
+        except AllwasError as exc:
+            trained = [exc] * len(requests)
+        for i, score, head in zip(owners, scores, trained):
+            if failed[i] is not None:
+                continue
+            try:
+                rows[i].append(score(head))
             except AllwasError as exc:
-                got = [exc] * len(members)
-            for k, head in zip(members, got):
-                trained[k] = head
-        sends = {}
-        for (i, _), head in zip(requests, trained):
-            sends.setdefault(i, []).append(head)
-    return outcomes
+                failed[i] = exc
+                runs[i].close()
+                live.pop(i, None)
+            else:
+                if not head_free[i]:
+                    live[i] = head
+        first = [i for i in live if not head_free[i]]
+    return [failed[i] or raised[i] or rows[i] for i in range(len(runs))]
 
 
 def _rows_path(cfg: ExperimentConfig) -> str:

@@ -64,6 +64,13 @@ class ClassifierHead:
             raise ConfigError(f"dropout must be in [0, 1) (got {self.dropout})")
         if self.input_dim < 1 or self.n_classes < 2 or self.hidden_dim < 1:
             raise ConfigError("head dimensions must be positive (>= 2 classes)")
+        # A head leaves the training stack only after its last epoch's step,
+        # so a head with no epochs or an empty batch would never leave it.
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ConfigError(f"epochs and batch_size must be >= 1 "
+                              f"(got {self.epochs}, {self.batch_size})")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be a finite number > 0 (got {self.lr})")
 
     @property
     def trained(self) -> bool:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coreset import default_s0_cost, greedy_select
+from .data import check_types
 from .errors import AllwasError, ConfigError
 from .gradspace import pairwise_w2_exact, pairwise_wasserstein, save_distance_csv
 from .model import ClassifierHead, gradient_arrays, predict_proba_batch
@@ -57,6 +58,7 @@ class OTConfig:
     dump_path: str | None = None
 
     def __post_init__(self):
+        check_types(OTConfig, vars(self), "ot ")
         # Each check is "not (valid)", so NaN fails too.
         if not self.p >= 1:
             raise ConfigError(f"ot p must be >= 1 (got {self.p})")

@@ -70,6 +70,11 @@ class TestConfig:
 
     @pytest.mark.parametrize("section, bad, message", [
         ("model", {"dropout": 1.5}, "dropout"),
+        # No epoch or an empty batch would never end training.
+        ("model", {"epochs": 0}, "epochs"), ("model", {"epochs": -2}, "epochs"),
+        ("model", {"batch_size": 0}, "batch_size"), ("model", {"lr": -0.5}, "lr"),
+        ("model", {"lr": 0}, "lr"), ("model", {"lr": float("inf")}, "lr"),
+        ("model", {"lr": float("nan")}, "lr"),
         ("augmentation", {"mode": "l2-kde", "factor": -1}, "factor")])
     def test_bad_nested_value_rejected_at_build(self, tmp_path, section, bad, message):
         with pytest.raises(ConfigError, match=message):
@@ -417,14 +422,16 @@ class TestHeadFree:
         seed = [derive_seed(random_cell.master_seed, 0, i, "train") for i in range(5)]
         assert stacks == [[seed[0]] * 2, [seed[1]] * 2, [seed[2]] * 2, [seed[3], seed[4]]]
 
+    @pytest.mark.parametrize("strategy", ["random", "lc"])
     @pytest.mark.parametrize("train_fails", [True, False])
     @pytest.mark.parametrize("drain", [True, False])
     def test_run_reports_its_lowest_failing_iteration(self, tmp_path, monkeypatch,
-                                                      train_fails, drain):
-        # Repeat 1's acquisition fails at iteration 2, after (drained) or
-        # before (one request per round) its iteration-1 head trains. If
+                                                      train_fails, drain, strategy):
+        # Repeat 1's acquisition fails at iteration 2. A random run meets it
+        # after (drained) or before (one request per round) its iteration-1
+        # head trains; an lc run, which reads its heads, always after. If
         # that training fails too, its error is the run's either way.
-        cfg = small_cfg(tmp_path, budget=40)
+        cfg = small_cfg(tmp_path, budget=40, strategy=strategy)
         if not drain:
             monkeypatch.setattr(harness, "_DRAIN_BYTES", 0)
         acquire = harness.acquire
@@ -450,6 +457,29 @@ class TestHeadFree:
         cause = ("iteration 1: training diverged to non-finite parameters" if train_fails
                  else "iteration 2: no candidates left")
         assert str(info.value) == f"cell 'cell': repeat 1, {cause}"
+
+    @pytest.mark.parametrize("strategy", ["random", "lc"])
+    @pytest.mark.parametrize("drain", [True, False])
+    def test_scoring_error_names_its_repeat_and_iteration(self, tmp_path, monkeypatch,
+                                                          drain, strategy):
+        # The head of repeat 1, iteration 1 trains, but evaluating it fails.
+        cfg = small_cfg(tmp_path, strategy=strategy)
+        if not drain:
+            monkeypatch.setattr(harness, "_DRAIN_BYTES", 0)
+        predict = harness.predict_proba_batch
+        failing = derive_seed(cfg.master_seed, 1, 1, "train")
+
+        def flaky(head, pooled, **kwargs):
+            if head.seed == failing:
+                raise AllwasError("validation rows unreadable")
+            return predict(head, pooled, **kwargs)
+
+        monkeypatch.setattr(harness, "predict_proba_batch", flaky)
+        with pytest.raises(AllwasError) as info:
+            run_experiment(cfg)
+        assert type(info.value) is AllwasError
+        assert str(info.value) == ("cell 'cell': repeat 1, iteration 1: "
+                                   "validation rows unreadable")
 
     def test_drained_rounds_stay_within_byte_budget(self, tmp_path, monkeypatch):
         # A 10-repeat factor-20 random cell of three iterations, drained
@@ -632,11 +662,52 @@ class TestCli:
 
     @pytest.mark.parametrize("field, bad", [
         ("eps", -1.0), ("max_iter", -5), ("tol", -1.0), ("subsample", 0),
-        ("p", 0.5), ("s0_cost", -1.0)])
+        ("p", 0.5), ("s0_cost", -1.0), ("p", "2"), ("eps", True), ("subsample", 10.5),
+        ("max_iter", 2.5), ("dump_path", 3)])
     def test_bad_ot_value_exits_2_before_corpus_loads(self, tmp_path, capsys,
                                                       monkeypatch, field, bad):
         assert self.run_before_corpus_loads(tmp_path, monkeypatch, ot={field: bad}) == 2
         assert f"ot {field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, knobs, message", [
+        ("model", {"dropout": "0.1"}, "model dropout must be a number"),
+        ("model", {"hidden_dim": "8"}, "model hidden_dim must be an int"),
+        ("model", {"hidden_dim": True}, "model hidden_dim must be an int"),
+        ("model", {"epochs": 2.5}, "model epochs must be an int"),
+        ("model", {"batch_size": 2.5}, "model batch_size must be an int"),
+        ("model", {"lr": "0.1"}, "model lr must be a number"),
+        ("model", {"epochs": 0}, "epochs and batch_size must be >= 1"),
+        ("model", {"batch_size": 0}, "epochs and batch_size must be >= 1"),
+        ("model", {"lr": -0.5}, "lr must be a finite number > 0"),
+        ("augmentation", {"factor": "3"}, "augmentation factor must be an int"),
+        ("augmentation", {"factor": 1.5}, "augmentation factor must be an int"),
+        ("augmentation", {"group_size": 2.5}, "augmentation group_size must be an int"),
+        ("augmentation", {"dirichlet_alpha": "1"}, "augmentation dirichlet_alpha must be a number"),
+        ("augmentation", {"outer_iter": -3}, "outer_iter and sinkhorn_max_iter must be >= 1"),
+        ("augmentation", {"sinkhorn_max_iter": 0}, "outer_iter and sinkhorn_max_iter must be >= 1"),
+        ("featurize", {"d": "8"}, "featurize d must be an int"),
+        ("featurize", {"d": 8.5}, "featurize d must be an int"),
+        ("featurize", {"seed": False}, "featurize seed must be an int"),
+        ("featurize", {"d": 0}, "featurize needs d >= 1 and seed >= 0"),
+        ("featurize", {"seed": -1}, "featurize needs d >= 1 and seed >= 0")])
+    def test_bad_nested_value_exits_2_before_corpus_loads(self, tmp_path, capsys, monkeypatch,
+                                                          section, knobs, message):
+        if section == "featurize":
+            entries = {"corpus": {"path": str(tmp_path / "c.jsonl"), "featurize": knobs}}
+        elif section == "augmentation":
+            entries = {section: {"mode": "wasserstein", **knobs}}
+        else:
+            entries = {section: knobs}
+        assert self.run_before_corpus_loads(tmp_path, monkeypatch, **entries) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("knobs", ["d=0", "d=-3", "seed=-1"])
+    def test_bad_featurize_value_exits_2_at_ingest(self, tmp_path, capsys, knobs):
+        corpus_path = tmp_path / "c.jsonl"
+        corpus_path.write_text("".join(json.dumps({"id": i, "text": f"row {i}", "label": i % 2})
+                                       + "\n" for i in range(6)))
+        assert cli_main(["ingest", str(corpus_path), "--featurize", knobs]) == 2
+        assert "featurize needs d >= 1 and seed >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, bad", [
         ("minority_fraction", 1.5), ("radius_percentile", 150), ("val_fraction", 1.0),

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from allwas import model
-from allwas.errors import AllwasError, ShapeError
+from allwas.errors import AllwasError, ConfigError, ShapeError
 from allwas.model import (
     ClassifierHead,
     TrainingSet,
@@ -143,6 +143,16 @@ class TestTraining:
         trained = train(head, blob_data(rng))
         assert np.all(np.isfinite(trained.w1))
         assert np.all(np.isfinite(trained.w2))
+
+    @pytest.mark.parametrize("knobs, message", [
+        ({"epochs": 0}, "epochs"), ({"epochs": -1}, "epochs"),
+        ({"batch_size": 0}, "batch_size"), ({"lr": -0.5}, "lr"), ({"lr": 0.0}, "lr"),
+        ({"lr": float("inf")}, "lr"), ({"lr": float("nan")}, "lr")])
+    def test_bad_training_hyperparameters_rejected(self, knobs, message):
+        # With no epochs a head would never leave the training stack, so the
+        # head is rejected when built, before anything trains it.
+        with pytest.raises(ConfigError, match=message):
+            small_head(**knobs)
 
     def test_empty_data_rejected(self):
         with pytest.raises(AllwasError):
