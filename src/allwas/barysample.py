@@ -14,6 +14,7 @@ deterministic for a fixed config seed.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,10 +109,10 @@ def _class_members(labeled: TrainingSet, cfg) -> dict:
     return {c: np.flatnonzero(classes == c) for c in np.unique(classes)}
 
 
-def _class_cdf(members, pairing: str) -> tuple[np.ndarray, np.ndarray]:
+def _class_cdf(members, pairing: str) -> tuple[np.ndarray, list]:
     """Classes and the cdf of their sampling distribution for the pairing
     mode, built as ``Generator.choice(p=)`` builds it, so that
-    ``cdf.searchsorted(rng.random(), side="right")`` draws its stream."""
+    ``bisect_right(cdf, rng.random())`` draws its stream."""
     classes = np.array(sorted(members))
     counts = np.array([len(members[c]) for c in classes], dtype=np.float64)
     if pairing == "within-class-minority-weighted":
@@ -120,15 +121,83 @@ def _class_cdf(members, pairing: str) -> tuple[np.ndarray, np.ndarray]:
         w = counts
     cdf = (w / w.sum()).cumsum()
     cdf /= cdf[-1]
-    return classes, cdf
+    return classes, cdf.tolist()
 
 
-def _draw_group(rng, cfg, members, classes_arr, cdf, n_labeled) -> np.ndarray:
-    if cfg.pairing == "any-pair":
-        return rng.choice(n_labeled, size=cfg.group_size, replace=False)
-    pool = members[classes_arr[cdf.searchsorted(rng.random(), side="right")]]
-    replace = len(pool) < cfg.group_size
-    return pool[rng.choice(len(pool), size=cfg.group_size, replace=replace)]
+class _RawDraws:
+    """``Generator.random()``, ``integers(0, n)`` and ``choice(n, g,
+    replace=n < g)`` streams of a PCG64 generator, rebuilt from its raw
+    64-bit words as numpy makes them, without a numpy call per draw.
+
+    A double is the top 53 bits of a word. A 32-bit draw is the low half
+    of a fresh word, whose high half numpy buffers for the next one. A
+    draw below n is Lemire's (2019) multiply-and-reject on 32-bit draws
+    (n <= 2**32). ``choice`` without replacement is Floyd's sample
+    (Bentley & Floyd 1987) and then the shuffle of its g entries, one draw
+    below j + 1 per step. The buffered half is numpy's ``has_uint32`` and
+    ``uinteger``: read when the draws start, and handed back by
+    :meth:`sync` before any numpy call that reads it and when they end.
+    Numpy calls that draw no 32-bit halves (``standard_gamma``,
+    ``dirichlet``, ``standard_normal``) may come in between unsynced.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._raw = rng.bit_generator.random_raw
+        self._load()
+
+    def _load(self) -> None:
+        state = self._rng.bit_generator.state
+        self._has, self._half = state["has_uint32"], state["uinteger"]
+
+    def sync(self) -> None:
+        """Hand the buffered half back to the generator."""
+        state = self._rng.bit_generator.state
+        state["has_uint32"], state["uinteger"] = self._has, self._half
+        self._rng.bit_generator.state = state
+
+    def random(self) -> float:
+        return (self._raw() >> 11) * 2.0**-53
+
+    def below(self, n: int) -> int:
+        """``rng.integers(0, n)``, which is a Floyd sample of one."""
+        return self.choice(n, 1)[0]
+
+    def choice(self, n: int, g: int) -> list:
+        """``rng.choice(n, size=g, replace=n < g)`` as a list."""
+        if n < g or (n > 10000 and g > n // 50):
+            # numpy's other branches: draws with replacement, or a shuffle
+            # of the tail of range(n).
+            self.sync()
+            picked = self._rng.choice(n, size=g, replace=n < g).tolist()
+            self._load()
+            return picked
+        raw, has, half = self._raw, self._has, self._half
+        picked = []
+        # Floyd's steps j < n draw below j + 1; then the shuffle's steps
+        # swap entry i = n + g - 1 - j with one drawn below i + 1.
+        for j in range(n - g, n + g - 1):
+            b = j + 1 if j < n else n + g - j
+            v = 0
+            if b > 1:
+                threshold = 2**32 % b
+                while True:
+                    if has:
+                        u, has = half, 0
+                    else:
+                        word = raw()
+                        u, has, half = word & 0xFFFFFFFF, 1, word >> 32
+                    m = u * b
+                    if m & 0xFFFFFFFF >= threshold:
+                        break
+                v = m >> 32
+            if j < n:
+                picked.append(j if v in picked else v)
+            else:
+                i = b - 1
+                picked[i], picked[v] = picked[v], picked[i]
+        self._has, self._half = has, half
+        return picked
 
 
 def _normalize_rows(gammas: np.ndarray) -> None:
@@ -162,20 +231,28 @@ def augment_wasserstein(labeled: TrainingSet, cfg: AugmentationConfig) -> Synthe
         return _no_rows(cfg.group_size)
     members = _class_members(labeled, cfg)
     rng = np.random.default_rng(cfg.seed)
-    classes_arr, cdf = _class_cdf(members, cfg.pairing)
+    if cfg.pairing == "any-pair":
+        cdf, pools = None, [range(len(labeled))]
+    else:
+        classes, cdf = _class_cdf(members, cfg.pairing)
+        pools = [members[c].tolist() for c in classes]
 
+    g, alpha = cfg.group_size, cfg.dirichlet_alpha
     count = cfg.factor * len(labeled)
-    parents = np.empty((count, cfg.group_size), dtype=np.intp)
-    lambdas = np.empty((count, cfg.group_size))
-    alpha = cfg.dirichlet_alpha
-    for r in range(count):
-        parents[r] = _draw_group(rng, cfg, members, classes_arr, cdf, len(labeled))
+    draws = _RawDraws(rng)
+    parents = []
+    lambdas = np.empty((count, g))
+    for row in lambdas:
+        pool = pools[0 if cdf is None else bisect_right(cdf, draws.random())]
+        parents += [pool[i] for i in draws.choice(len(pool), g)]
         if alpha < _STICK_BREAKING_ALPHA:
-            lambdas[r] = rng.dirichlet(np.full(cfg.group_size, alpha))
+            row[:] = rng.dirichlet(np.full(g, alpha))
         else:
-            rng.standard_gamma(alpha, size=cfg.group_size, out=lambdas[r])
+            rng.standard_gamma(alpha, out=row)
+    draws.sync()
     if alpha >= _STICK_BREAKING_ALPHA:
         _normalize_rows(lambdas)
+    parents = np.array(parents, dtype=np.intp).reshape(count, g)
     return SyntheticSet(_mix_rows(labeled.x, parents, lambdas),
                         _mix_rows(labeled.y, parents, lambdas), parents, lambdas)
 
@@ -230,15 +307,20 @@ def augment_l2_kde(labeled: TrainingSet, cfg: AugmentationConfig) -> SyntheticSe
 
     # Draws stay per row, in the order class, parent, noise.
     count = cfg.factor * len(labeled)
-    slot = np.empty(count, dtype=np.intp)
-    parents = np.empty((count, 1), dtype=np.intp)
+    pools = [members[c].tolist() for c in classes_arr]
+    draws = _RawDraws(rng)
+    slots, parents = [], []
     noise = np.empty((count, d))
-    for r in range(count):
-        slot[r] = cdf.searchsorted(rng.random(), side="right")
-        pool = members[classes_arr[slot[r]]]
-        parents[r, 0] = pool[rng.integers(0, len(pool))]
-        noise[r] = rng.standard_normal(d)
+    for row in noise:
+        slot = bisect_right(cdf, draws.random())
+        pool = pools[slot]
+        slots.append(slot)
+        parents.append(pool[draws.below(len(pool))])
+        rng.standard_normal(out=row)
+    draws.sync()
+    slots = np.array(slots, dtype=np.intp)
+    parents = np.array(parents, dtype=np.intp)[:, None]
     labels = np.zeros((count, labeled.y.shape[1]))
-    labels[np.arange(count), classes_arr[slot]] = 1.0
-    points = labeled.x[parents[:, 0]] + noise * bandwidths[slot]
+    labels[np.arange(count), classes_arr[slots]] = 1.0
+    points = labeled.x[parents[:, 0]] + noise * bandwidths[slots]
     return SyntheticSet(points, labels, parents, np.ones((count, 1)))

@@ -6,7 +6,10 @@ soft-label cross-entropy, re-initialized from scratch on every call so
 each round of an experiment trains a fresh model. Everything is
 deterministic given the head's seed. ``train_stack`` trains R heads of one
 shape in lockstep, on training sets of any row counts, each bitwise what
-``train`` gives it alone; ``train`` is its one-head case.
+``train`` gives it alone; ``train`` is its one-head case. A stack holds its
+heads' parameters as blocks of one flat buffer and its step temporaries
+preallocated, so a step issues the same few numpy calls whatever R is and
+updates every parameter with two.
 
 The per-class gradients of the loss with respect to the last layer's
 input activation, weighted by the predicted class probabilities, form one
@@ -60,6 +63,16 @@ class ClassifierHead:
     loss_history: list = field(default_factory=list)
 
     def __post_init__(self):
+        # numpy scalars count; a bool is neither an int nor a number here.
+        for name in ("input_dim", "n_classes", "hidden_dim", "epochs", "batch_size", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an int (got {value!r})")
+        for name in ("dropout", "lr"):
+            value = getattr(self, name)
+            if (not isinstance(value, (int, float, np.integer, np.floating))
+                    or isinstance(value, bool)):
+                raise ConfigError(f"{name} must be a number (got {value!r})")
         if not (0.0 <= self.dropout < 1.0):
             raise ConfigError(f"dropout must be in [0, 1) (got {self.dropout})")
         if self.input_dim < 1 or self.n_classes < 2 or self.hidden_dim < 1:
@@ -144,15 +157,18 @@ def _window_steps(batch: int) -> int:
 
 
 def stack_bytes(head: ClassifierHead, data) -> int:
-    """Working bytes that training ``head`` on ``data`` adds to a stack:
-    its epoch order, one window of gathered rows and labels, of dropout
-    masks and of the draws they come from, the parameters and their
-    gradients, and about a dozen batch-sized temporaries (not the training
-    set itself)."""
+    """Working bytes that training ``head`` on ``data`` adds to a stack
+    (not the training set itself): its epoch order; one window of gathered
+    rows and labels, of dropout masks, of the draws and the comparison
+    they come from; its parameters and gradients; its share of the step
+    temporaries (three (batch, H) blocks, three (batch, C) blocks and a
+    (batch, 1) reduction); and the copies of its parameters and window
+    that the stack takes when a head leaves it."""
     d, h, c, batch = head.input_dim, head.hidden_dim, head.n_classes, head.batch_size
     window = _window_steps(batch) * batch
-    return 8 * (len(data) + window * (d + c + 2 * h) + 2 * (d + c + 1) * (h + c)
-                + batch * (2 * d + 2 * c + 6 * h + 6 * c))
+    params = (d + 1) * h + (h + 1) * c
+    return (8 * (len(data) + window * (2 * d + 2 * c + 3 * h) + 3 * params
+                 + batch * (3 * h + 3 * c + 1) + 1) + window * h)
 
 
 def train_stack(heads, datas) -> list:
@@ -160,7 +176,7 @@ def train_stack(heads, datas) -> list:
 
     The heads share their dimensions and hyperparameters; seeds and row
     counts differ. Each head draws from its own generator and owns one
-    slice of the (R, d, H) and (R, H, C) weight stacks, so it ends bitwise
+    slot of the stacked (R, ·) parameter blocks, so it ends bitwise
     equal to ``train(heads[r], datas[r])``, whatever else shares its stack.
     Each step is one stacked matmul per product for the heads that still
     train; a head with fewer rows takes fewer steps and leaves the stack
@@ -199,40 +215,155 @@ def train_stack(heads, datas) -> list:
     return out
 
 
-def _sgd_step(xb, yb, w1, b1, w2, b2, loss, mask, lr):
-    """One mini-batch step of every head in the stacks, in place: head r
-    trains on rows ``xb[r]`` with labels ``yb[r]`` under dropout ``mask[r]``
-    (or none) and adds its batch's loss to ``-loss[r]``."""
-    r, m = xb.shape[:2]
-    hid = np.matmul(xb, w1)
-    hid += b1
+def _blocks(flat, r, d, h, c) -> list:
+    """The w1, b1, w2 and b2 of r heads as contiguous (r, d, H), (r, 1, H),
+    (r, H, C) and (r, 1, C) blocks of one flat buffer, in that order."""
+    blocks, start = [], 0
+    for shape in ((r, d, h), (r, 1, h), (r, h, c), (r, 1, c)):
+        stop = start + r * shape[1] * shape[2]
+        blocks.append(flat[start:stop].reshape(shape))
+        start = stop
+    return blocks
+
+
+class _Stack:
+    """Heads trained in lockstep: their parameters as contiguous (r, ·)
+    blocks of one flat buffer, their gradients as the same blocks of a
+    second one, and the temporaries of their steps, preallocated for the
+    chunk's heads on full batches. Slots leave by moving the kept ones to
+    the front, so the buffers are never allocated again."""
+
+    def __init__(self, r: int, d: int, h: int, c: int, batch: int, masked: bool):
+        self.dims, self.batch = (d, h, c), batch
+        size = r * ((d + 1) * h + (h + 1) * c)
+        self.params, self.grads = np.zeros(size), np.empty(size)
+        # A step of k slots on m-row batches uses the first k * m rows.
+        rows = r * batch
+        self.hid, self.dz1, self.logits, self.probs, self.prod = (
+            np.empty(rows * width) for width in (h, h, c, c, c))
+        self.hid_d = np.empty(rows * h) if masked else self.hid
+        self.red, self.sums = np.empty(rows), np.empty(r)
+        self._layout(r)
+
+    def _layout(self, r: int) -> None:
+        d, h, c = self.dims
+        self.size = r * ((d + 1) * h + (h + 1) * c)
+        self.blocks = _blocks(self.params[:self.size], r, d, h, c)
+        self.w1, self.b1, self.w2, self.b2 = self.blocks
+        self.grad_blocks = _blocks(self.grads[:self.size], r, d, h, c)
+        self._steps = {}
+        self.full = self.step(0, r, self.batch)
+
+    def step(self, a: int, b: int, m: int) -> _Step:
+        """The step of slots a to b on m-row batches, kept until slots leave."""
+        if (a, b, m) not in self._steps:
+            self._steps[a, b, m] = _Step(self, a, b, m)
+        return self._steps[a, b, m]
+
+    def keep(self, kept) -> None:
+        """Keep the slots where ``kept`` is true, in order."""
+        values = [block[kept] for block in self.blocks]
+        self._layout(len(values[0]))
+        for block, value in zip(self.blocks, values):
+            block[...] = value
+
+
+class _Step:
+    """What one step of slots a to b of a stack on m-row batches works in:
+    the parameters (and w2 transposed), gradients in their layout, the
+    (parameter, gradient) pairs of the update, and the temporaries, all
+    views of the stack's buffers. A step of the whole stack updates the
+    two flat buffers at once; a step of some of its slots, each parameter.
+    """
+
+    def __init__(self, stack: _Stack, a: int, b: int, m: int):
+        _, h, c = stack.dims
+        k = b - a
+        self.w1, self.b1, self.w2, self.b2 = blocks = [block[a:b] for block in stack.blocks]
+        self.w2t = self.w2.transpose(0, 2, 1)
+        self.dw1, self.db1, self.dw2, self.db2 = grads = [
+            block[a:b] for block in stack.grad_blocks]
+        if k == len(stack.w1):
+            self.updates = ((stack.params[:stack.size], stack.grads[:stack.size]),)
+        else:
+            self.updates = tuple(zip(blocks, grads))
+        self.m = m
+        self.hid, self.hid_d, self.dz1 = (
+            buf[:k * m * h].reshape(k, m, h) for buf in (stack.hid, stack.hid_d, stack.dz1))
+        self.hid_dt = self.hid_d.transpose(0, 2, 1)
+        self.logits, self.probs, self.prod = (
+            buf[:k * m * c].reshape(k, m, c) for buf in (stack.logits, stack.probs, stack.prod))
+        self.columns = [self.logits[:, :, j:j + 1] for j in range(c)]
+        self.prod_flat = self.prod.reshape(k, m * c)
+        self.red = stack.red[:k * m].reshape(k, m, 1)
+        self.sums = stack.sums[:k]
+
+
+def _sgd_step(st: _Step, xb, xbt, yb, mask, loss, lr):
+    """One mini-batch step of every head in the stack, in place: head r
+    trains on rows ``xb[r]`` (``xbt[r]`` transposed) with labels ``yb[r]``
+    under dropout ``mask[r]`` (or none) and adds its batch's loss to
+    ``-loss[r]``."""
+    hid, hid_d, logits, probs, red, dz1 = st.hid, st.hid_d, st.logits, st.probs, st.red, st.dz1
+    np.matmul(xb, st.w1, out=hid)
+    hid += st.b1
     np.tanh(hid, out=hid)
-    hid_d = hid if mask is None else hid * mask
-    logits = np.matmul(hid_d, w2)
-    logits += b2
-    logits -= np.maximum.reduce(logits, axis=2, keepdims=True)
+    if mask is not None:
+        np.multiply(hid, mask, out=hid_d)
+    np.matmul(hid_d, st.w2, out=logits)
+    logits += st.b2
+    # The row maxima, column by column in maximum.reduce's order.
+    first, second, *rest = st.columns
+    np.maximum(first, second, out=red)
+    for column in rest:
+        np.maximum(red, column, out=red)
+    logits -= red
+    np.exp(logits, out=probs)
     log_probs = logits
-    log_probs -= np.log(np.add.reduce(np.exp(logits), axis=2, keepdims=True))
-    probs = np.exp(log_probs)
+    log_probs -= np.log(np.add.reduce(probs, axis=2, keepdims=True, out=red), out=red)
+    np.exp(log_probs, out=probs)
     # Each head's loss is the flat sum of its (m, C) block.
-    loss -= np.add.reduce((yb * log_probs).reshape(r, -1), axis=1)
+    np.multiply(yb, log_probs, out=st.prod)
+    loss -= np.add.reduce(st.prod_flat, axis=1, out=st.sums)
 
     dlogits = probs
     dlogits -= yb
-    dlogits /= m
-    dw2 = np.matmul(hid_d.transpose(0, 2, 1), dlogits)
-    db2 = np.add.reduce(dlogits, axis=1, keepdims=True)
-    dz1 = np.matmul(dlogits, w2.transpose(0, 2, 1))
+    dlogits /= st.m
+    np.matmul(st.hid_dt, dlogits, out=st.dw2)
+    np.add.reduce(dlogits, axis=1, keepdims=True, out=st.db2)
+    np.matmul(dlogits, st.w2t, out=dz1)
     if mask is not None:
         dz1 *= mask
     hid *= hid
     np.subtract(1.0, hid, out=hid)
     dz1 *= hid
-    dw1 = np.matmul(xb.transpose(0, 2, 1), dz1)
-    db1 = np.add.reduce(dz1, axis=1, keepdims=True)
-    for param, grad in ((w2, dw2), (b2, db2), (w1, dw1), (b1, db1)):
+    np.matmul(xbt, dz1, out=st.dw1)
+    np.add.reduce(dz1, axis=1, keepdims=True, out=st.db1)
+    for param, grad in st.updates:
         grad *= lr
         param -= grad
+
+
+def _window_views(xw, yw, masks) -> list:
+    """Per step of a window: the stack's rows, their transpose, labels and
+    dropout masks (or None)."""
+    return [(xw[:, w], xw[:, w].transpose(0, 2, 1), yw[w], None if masks is None else masks[w])
+            for w in range(yw.shape[0])]
+
+
+def _step_runs(stack: _Stack, view, sizes: list, loss, lr) -> None:
+    """One step of a stack whose slot r has a ``sizes[r]``-row batch in
+    the step's ``view``: each run of slots with one batch size steps as
+    its own sub-stack. (A function, so that its views of the window die
+    with it and a compaction frees the old window.)"""
+    xb, _, yb, mask = view
+    a = 0
+    for b in range(1, len(sizes) + 1):
+        if b == len(sizes) or sizes[b] != sizes[a]:
+            m = sizes[a]
+            _sgd_step(stack.step(a, b, m), xb[a:b, :m], xb[a:b, :m].transpose(0, 2, 1),
+                      yb[a:b, :m], None if mask is None else mask[a:b, :m], loss[a:b], lr)
+            a = b
 
 
 def _train_chunk(heads: list, datas: list) -> list:
@@ -241,19 +372,16 @@ def _train_chunk(heads: list, datas: list) -> list:
     leave from the end."""
     head = heads[0]
     d, h, c = head.input_dim, head.hidden_dim, head.n_classes
-    batch, lr, epochs = head.batch_size, head.lr, head.epochs
+    batch, lr, epochs, dropout = head.batch_size, head.lr, head.epochs, head.dropout
     ns = [len(rows) for rows in datas]
     per_epoch = [-(-n // batch) for n in ns]           # steps per epoch
     rngs = [np.random.default_rng(other.seed) for other in heads]
-    w1 = np.empty((len(heads), d, h))
-    w2 = np.empty((len(heads), h, c))
+    stack = _Stack(len(heads), d, h, c, batch, dropout > 0)
     for r, rng in enumerate(rngs):
-        w1[r] = rng.standard_normal((d, h)) / np.sqrt(d)
-        w2[r] = rng.standard_normal((h, c)) / np.sqrt(h)
-    b1 = np.zeros((len(heads), 1, h))
-    b2 = np.zeros((len(heads), 1, c))
+        stack.w1[r] = rng.standard_normal((d, h)) / np.sqrt(d)
+        stack.w2[r] = rng.standard_normal((h, c)) / np.sqrt(h)
 
-    # Slot r of the stacks belongs to head live[r]. xw[r, w], yw[w, r] and
+    # Slot r of the stack belongs to head live[r]. xw[r, w], yw[w, r] and
     # masks[w, r] hold a slot's batch at step s0 + w of the window starting
     # at s0; a partial batch fills the first m rows. Labels and masks are
     # step-major, so the elementwise products of a step read contiguous
@@ -262,9 +390,11 @@ def _train_chunk(heads: list, datas: list) -> list:
     live = list(range(len(heads)))
     xw = np.empty((len(heads), window, batch, d))
     yw = np.empty((window, len(heads), batch, c))
-    masks = np.zeros((window, len(heads), batch, h)) if head.dropout > 0 else None
+    masks = np.zeros((window, len(heads), batch, h)) if dropout > 0 else None
+    views = _window_views(xw, yw, masks)
     rows = np.zeros((window, batch), dtype=np.intp)
-    draws = np.zeros((window, batch, h)) if head.dropout > 0 else None
+    draws = np.zeros((window, batch, h)) if dropout > 0 else None
+    scale = 1.0 / (1.0 - dropout)
     orders = [None] * len(heads)        # each head's epoch order
     loss = np.zeros(len(heads))
     losses = [[] for _ in heads]
@@ -284,48 +414,43 @@ def _train_chunk(heads: list, datas: list) -> list:
                 datas[i].x.take(rows[:steps], axis=0, out=xw[r, :steps], mode="clip")
                 datas[i].y.take(rows[:steps], axis=0, out=yw[:steps, r], mode="clip")
                 if masks is not None:
-                    np.greater_equal(draws[:steps], head.dropout, out=masks[:steps, r])
-            if masks is not None:
-                masks /= 1.0 - head.dropout
+                    # Bitwise the quotient by 1 - dropout: the entries are
+                    # 0 and 1.
+                    np.multiply(np.greater_equal(draws[:steps], dropout), scale,
+                                out=masks[:steps, r])
         if s != next_end:
-            _sgd_step(xw[:, w], yw[w], w1, b1, w2, b2, loss,
-                      None if masks is None else masks[w], lr)
+            _sgd_step(stack.full, *views[w], loss, lr)
             s += 1
             continue
 
-        # Heads whose epoch ends here may have a partial last batch: step
-        # each run of slots with one batch size as its own stack.
+        # Heads whose epoch ends here may have a partial last batch.
         ending = [(s + 1) % per_epoch[i] == 0 for i in live]
         sizes = [ns[i] - (per_epoch[i] - 1) * batch if end else batch
                  for i, end in zip(live, ending)]
-        a = 0
-        for b in range(1, len(live) + 1):
-            if b == len(live) or sizes[b] != sizes[a]:
-                m = sizes[a]
-                _sgd_step(xw[a:b, w, :m], yw[w, a:b, :m], w1[a:b], b1[a:b], w2[a:b],
-                          b2[a:b], loss[a:b], None if masks is None else masks[w, a:b, :m],
-                          lr)
-                a = b
+        _step_runs(stack, views[w], sizes, loss, lr)
         keep = np.ones(len(live), dtype=bool)
         for r, i in enumerate(live):
             if not ending[r]:
                 continue
             losses[i].append(float(loss[r]) / ns[i])
             loss[r] = 0.0
-            if not (np.isfinite(w1[r]).all() and np.isfinite(w2[r]).all()):
+            if not (np.isfinite(stack.w1[r]).all() and np.isfinite(stack.w2[r]).all()):
                 out[i] = AllwasError("training diverged to non-finite parameters")
                 keep[r] = False
             elif s + 1 == epochs * per_epoch[i]:
+                # Copies, so that no head keeps the stack's buffer alive.
                 out[i] = ClassifierHead(
-                    input_dim=d, n_classes=c, hidden_dim=h, dropout=head.dropout,
+                    input_dim=d, n_classes=c, hidden_dim=h, dropout=dropout,
                     epochs=epochs, batch_size=batch, lr=lr, seed=heads[i].seed,
-                    w1=w1[r], b1=b1[r, 0], w2=w2[r], b2=b2[r, 0], loss_history=losses[i])
+                    w1=stack.w1[r].copy(), b1=stack.b1[r, 0].copy(), w2=stack.w2[r].copy(),
+                    b2=stack.b2[r, 0].copy(), loss_history=losses[i])
                 keep[r] = False
         if not keep.all():
             live = [i for i, kept in zip(live, keep) if kept]
-            w1, b1, w2, b2, loss, xw = (arr[keep] for arr in (w1, b1, w2, b2, loss, xw))
-            yw = yw[:, keep]
+            stack.keep(keep)
+            loss, xw, yw = loss[keep], xw[keep], yw[:, keep]
             masks = None if masks is None else masks[:, keep]
+            views = _window_views(xw, yw, masks)
         s += 1
         if live:
             next_end = min((s // per_epoch[i] + 1) * per_epoch[i] - 1 for i in live)

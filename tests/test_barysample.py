@@ -1,11 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from allwas import barysample
 from allwas.barysample import (
     KDE_BANDWIDTH_FLOOR,
     AugmentationConfig,
+    _RawDraws,
     augment_l2_kde,
     augment_wasserstein,
     barycenter_tokens,
@@ -196,10 +200,70 @@ class TestL2Kde:
             assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
+class TestRawDraws:
+    """The raw-word draws against the numpy calls they rebuild, draw by
+    draw, and the generator's state after each sequence, the buffered
+    32-bit half included."""
+
+    @staticmethod
+    def pair(seed):
+        """Two generators of one seed, and the raw-word draws of the first."""
+        ours = np.random.default_rng(seed)
+        return ours, _RawDraws(ours), np.random.default_rng(seed)
+
+    @staticmethod
+    def assert_same_state(ours, draws, numpy_rng):
+        draws.sync()
+        assert ours.bit_generator.state == numpy_rng.bit_generator.state
+
+    # The last two bounds reject about half and a quarter of Lemire's
+    # 32-bit draws.
+    @pytest.mark.parametrize("n", [1, 2, 3, 135, 10_000, 2**31 + 1, 3 * 2**30])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_below_matches_integers(self, n, seed):
+        ours, draws, want = self.pair(seed)
+        # random() takes a whole word and leaves the buffered half alone.
+        for double in np.random.default_rng(seed + 100).random(300) < 0.3:
+            if double:
+                assert draws.random() == want.random()
+            else:
+                assert draws.below(n) == want.integers(0, n)
+        self.assert_same_state(ours, draws, want)
+
+    @pytest.mark.parametrize("g", range(2, 7))
+    def test_choice_matches_floyd_sample(self, g):
+        for n in sorted({g, g + 1, g + 2, 2 * g + 1, 16, 135, 1000, 9999, 10_000}):
+            ours, draws, want = self.pair(n * 10 + g)
+            for _ in range(20):
+                assert draws.choice(n, g) == want.choice(n, size=g, replace=False).tolist()
+            self.assert_same_state(ours, draws, want)
+
+    def test_numpy_branches_get_the_buffered_half(self):
+        # With replacement, or numpy's tail shuffle of range(n): each draws
+        # right after a bounded draw that left a half buffered.
+        ours, draws, want = self.pair(5)
+        for n, g in [(1, 3), (2, 5), (20_000, 500), (10_001, 201), (20_000, 3)]:
+            assert draws.below(7) == want.integers(0, 7)
+            assert draws.choice(n, g) == want.choice(n, size=g, replace=n < g).tolist()
+            assert draws.below(7) == want.integers(0, 7)
+        self.assert_same_state(ours, draws, want)
+
+    def test_gamma_and_normal_draws_skip_the_buffered_half(self):
+        ours, draws, want = self.pair(9)
+        for _ in range(50):
+            assert draws.below(135) == want.integers(0, 135)
+            assert np.array_equal(ours.standard_gamma(0.7, size=3),
+                                  want.standard_gamma(0.7, size=3))
+            assert np.array_equal(ours.dirichlet([0.05, 0.05]), want.dirichlet([0.05, 0.05]))
+            assert np.array_equal(ours.standard_normal(4), want.standard_normal(4))
+        self.assert_same_state(ours, draws, want)
+
+
 class TestDrawStream:
-    """The per-row draws use ``cdf.searchsorted(rng.random())`` and
-    ``rng.integers(0, n)`` in place of ``rng.choice(n, p=p)`` and
-    ``rng.choice(n)``; both pairs must give the very same stream."""
+    """The per-row draws are rebuilt from the generator's raw words, in
+    place of ``rng.choice(n, p=p)``, ``rng.choice(n)`` and ``rng.choice(n,
+    size=g, replace=...)``; both must give the very same stream and leave
+    the generator in the very same state."""
 
     @pytest.fixture
     def labeled(self, rng):
@@ -217,6 +281,21 @@ class TestDrawStream:
         w = 1.0 / counts if pairing == "within-class-minority-weighted" else counts
         return members, keys, w / w.sum()
 
+    @staticmethod
+    def drawn(augment, labeled, cfg):
+        """``augment``'s output and the generator it drew from."""
+        made = []
+        default_rng = np.random.default_rng
+
+        def spy(seed):
+            made.append(default_rng(seed))
+            return made[-1]
+
+        with mock.patch.object(barysample.np.random, "default_rng", spy):
+            out = augment(labeled, cfg)
+        (rng,) = made
+        return out, rng
+
     @pytest.mark.filterwarnings("ignore:.*degenerate embedding spread")
     @pytest.mark.parametrize("pairing", ["within-class-minority-weighted", "any-pair"])
     def test_kde_matches_choice_stream(self, labeled, pairing):
@@ -230,26 +309,34 @@ class TestDrawStream:
             parents.append(pool[rng.choice(len(pool))])
             classes.append(cls)
             rng.standard_normal(labeled.x.shape[1])
-        out = augment_l2_kde(labeled, cfg)
+        out, used = self.drawn(augment_l2_kde, labeled, cfg)
         assert np.array_equal(out.parents[:, 0], parents)
         assert np.array_equal(out.labels.argmax(axis=1), classes)
+        # A buffered 32-bit half not handed back would show only in a later
+        # draw.
+        assert used.bit_generator.state == rng.bit_generator.state
 
     # The lambdas are standard_gamma draws normalized as Generator.dirichlet
     # normalizes them, or dirichlet itself below alpha 0.1, where it
     # switches to stick-breaking: bitwise its draws either way.
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.5, 1.0, 2.5])
     @pytest.mark.parametrize("group_size", [2, 3, 4])
-    def test_wasserstein_matches_choice_stream(self, labeled, alpha, group_size):
+    @pytest.mark.parametrize("pairing", ["within-class-minority-weighted", "any-pair"])
+    def test_wasserstein_matches_choice_stream(self, labeled, alpha, group_size, pairing):
         cfg = AugmentationConfig(factor=80, group_size=group_size, dirichlet_alpha=alpha,
-                                 seed=13)
+                                 pairing=pairing, seed=13)
         members, keys, p = self.choice_weights(labeled, cfg.pairing)
         rng = np.random.default_rng(cfg.seed)
         parents, lambdas = [], []
         for _ in range(cfg.factor * len(labeled)):
-            pool = members[keys[rng.choice(len(keys), p=p)]]
+            if pairing == "any-pair":
+                pool = np.arange(len(labeled))
+            else:
+                pool = members[keys[rng.choice(len(keys), p=p)]]
             replace = len(pool) < cfg.group_size
             parents.append(pool[rng.choice(len(pool), size=cfg.group_size, replace=replace)])
             lambdas.append(rng.dirichlet(np.full(cfg.group_size, cfg.dirichlet_alpha)))
-        out = augment_wasserstein(labeled, cfg)
+        out, used = self.drawn(augment_wasserstein, labeled, cfg)
         assert np.array_equal(out.parents, parents)
         assert np.array_equal(out.lambdas, lambdas)
+        assert used.bit_generator.state == rng.bit_generator.state

@@ -147,12 +147,25 @@ class TestTraining:
     @pytest.mark.parametrize("knobs, message", [
         ({"epochs": 0}, "epochs"), ({"epochs": -1}, "epochs"),
         ({"batch_size": 0}, "batch_size"), ({"lr": -0.5}, "lr"), ({"lr": 0.0}, "lr"),
-        ({"lr": float("inf")}, "lr"), ({"lr": float("nan")}, "lr")])
+        ({"lr": float("inf")}, "lr"), ({"lr": float("nan")}, "lr"),
+        ({"epochs": 2.5}, "epochs"), ({"batch_size": 2.5}, "batch_size"),
+        ({"hidden_dim": 4.0}, "hidden_dim"), ({"input_dim": 8.0}, "input_dim"),
+        ({"n_classes": "2"}, "n_classes"), ({"seed": 1.5}, "seed"),
+        ({"epochs": True}, "epochs"), ({"seed": False}, "seed"),
+        ({"dropout": "0.1"}, "dropout"), ({"dropout": None}, "dropout"),
+        ({"lr": "0.01"}, "lr"), ({"lr": True}, "lr")])
     def test_bad_training_hyperparameters_rejected(self, knobs, message):
         # With no epochs a head would never leave the training stack, so the
         # head is rejected when built, before anything trains it.
         with pytest.raises(ConfigError, match=message):
-            small_head(**knobs)
+            ClassifierHead(**{"input_dim": 8, "n_classes": 2, "seed": 3, **knobs})
+
+    def test_numpy_integer_sizes_accepted(self, rng):
+        data = blob_data(rng, n=60)
+        head = ClassifierHead(input_dim=np.int64(8), n_classes=np.int32(2),
+                              hidden_dim=np.int64(16), epochs=np.int64(2),
+                              lr=np.float64(0.05), seed=np.uint32(3))
+        assert_same_head(train(head, data), train(small_head(epochs=2, lr=0.05), data))
 
     def test_empty_data_rejected(self):
         with pytest.raises(AllwasError):
@@ -281,6 +294,23 @@ class TestLockstep:
         for k in (0, 2):
             assert_same_head(stacked[k], train(heads[k], datas[k]))
             assert np.array_equal(stacked[k].w1, reference_train(heads[k], datas[k])[0])
+
+    def test_returned_heads_own_their_parameters(self):
+        # Each head copies its slots out of the stack's flat buffers: no head
+        # shares memory with another, nor keeps the stack alive.
+        d, h, c = 4, 6, 3
+        heads, datas = stack_case(8, 3, [23, 40, 9], d, h, c, 5, 0.1, epochs=2)
+        stacked = train_stack(heads, datas)
+        params = [(got.w1, got.b1, got.w2, got.b2) for got in stacked]
+        for arrays in params:
+            for arr, shape in zip(arrays, [(d, h), (h,), (h, c), (c,)]):
+                assert arr.shape == shape
+                assert arr.flags.c_contiguous and arr.flags.owndata
+        flat = [arr for arrays in params for arr in arrays]
+        for k, arr in enumerate(flat):
+            assert not any(np.shares_memory(arr, other) for other in flat[k + 1:])
+        for head, data, got in zip(heads, datas, stacked):
+            assert_same_head(got, train(head, data))
 
     def test_mismatched_heads_rejected(self):
         heads, datas = stack_case(0, 2, 10, 3, 4, 2, 5, 0.1, epochs=1)
