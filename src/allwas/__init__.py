@@ -25,13 +25,7 @@ from .data import (
 )
 from .gradspace import DistanceMatrix, pairwise_wasserstein
 from .harness import ExperimentConfig, RunRecord, run_experiment, run_sweep
-from .model import (
-    ClassifierHead,
-    TrainingSet,
-    load_head,
-    save_head,
-    train,
-)
+from .model import ClassifierHead, TrainingSet, train
 from .report import report, validate_svg
 from .stats import bonferroni, f1_macro, f1_target, wilcoxon_signed_rank
 from .strategies import OTConfig, acquire
@@ -39,7 +33,6 @@ from .transport import (
     DiscreteMeasure,
     TransportPlan,
     barycenter_support_size,
-    exact_distance_oracle,
     ground_cost,
     sinkhorn_distance,
     wasserstein_barycenter,
@@ -54,12 +47,11 @@ __all__ = [
     "train_val_split",
     "DistanceMatrix", "pairwise_wasserstein",
     "ExperimentConfig", "RunRecord", "run_experiment", "run_sweep",
-    "ClassifierHead", "TrainingSet", "load_head", "save_head", "train",
+    "ClassifierHead", "TrainingSet", "train",
     "report", "validate_svg",
     "bonferroni", "f1_macro", "f1_target", "wilcoxon_signed_rank",
     "OTConfig", "acquire",
     "DiscreteMeasure", "TransportPlan", "barycenter_support_size",
-    "exact_distance_oracle", "ground_cost", "sinkhorn_distance",
-    "wasserstein_barycenter",
+    "ground_cost", "sinkhorn_distance", "wasserstein_barycenter",
     "__version__",
 ]

@@ -2,7 +2,7 @@
 
     allwas ingest <jsonl> [--featurize d=64,seed=0] [--out normalized.jsonl]
     allwas synth <spec.json> [--out corpus.jsonl]
-    allwas run <config.json> [--dump-distances]
+    allwas run <config.json>
     allwas sweep <config.json> --axis <axis> --values v1,v2,...
     allwas report <run-dir> [--out <dir>]
     allwas stats <run-dir> --pairs labelA:labelB[,labelC:labelD...]
@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import replace
 
 from .data import (FeaturizerConfig, SynthSpec, config_from, export_jsonl, ingest_jsonl,
                    make_synthetic)
@@ -76,10 +74,6 @@ def _cmd_synth(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
-    if args.dump_distances:
-        ot = dict(cfg.ot)
-        ot["dump_path"] = os.path.join(cfg.out_dir, f"{cfg.label}_distances.csv")
-        cfg = replace(cfg, ot=ot)
     record = run_experiment(cfg)
     final = record.curve()[max(record.curve())]
     print(f"cell {record.label}: {len(record.rows)} rows, "
@@ -147,8 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run one experiment cell")
     p.add_argument("config")
-    p.add_argument("--dump-distances", action="store_true",
-                   help="dump the acquisition distance matrix to CSV")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("sweep", help="paired sweep along one axis")

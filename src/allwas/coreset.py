@@ -69,12 +69,11 @@ def greedy_select(
     k: int,
     warm_start=(),
     s0_cost: float | None = None,
-    method: str = "lazy",
 ) -> SelectionState:
     """Append k elements greedily, each maximizing the marginal coverage
     gain given the warm start (already-selected ids) and the auxiliary
-    element. Ties break to the lowest id. ``method="naive"`` re-evaluates
-    every candidate each step and is used to validate the lazy path.
+    element. Ties break to the lowest id. A lazy heap of upper bounds skips
+    most gain evaluations and selects what naive greedy would.
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
@@ -93,38 +92,23 @@ def greedy_select(
     candidates = [i for i in matrix.ids if i not in taken]
     selected = []
 
-    if method == "naive":
-        for _ in range(k):
-            best_id, best_gain = None, -1.0
-            for cand in candidates:
-                if cand in taken:
-                    continue
-                gain = _gain(minima, matrix.entries[:, matrix.index_of(cand)])
-                if gain > best_gain:
-                    best_id, best_gain = cand, gain
-            selected.append(best_id)
-            taken.add(best_id)
-            np.minimum(minima, matrix.entries[:, matrix.index_of(best_id)], out=minima)
-    elif method == "lazy":
-        # Heap of (-upper bound, id, stamp); a popped entry whose bound was
-        # recomputed in the current round is the exact argmax, and the
-        # (-gain, id) ordering reproduces naive's lowest-id tie-breaking.
-        cols = {i: matrix.entries[:, matrix.index_of(i)] for i in candidates}
-        heap = [(-_gain(minima, cols[i]), i, 0) for i in candidates]
-        heapq.heapify(heap)
-        for round_no in range(1, k + 1):
-            while True:
-                neg_gain, cand, stamp = heapq.heappop(heap)
-                if cand in taken:
-                    continue
-                if stamp == round_no or (round_no == 1 and stamp == 0):
-                    selected.append(cand)
-                    taken.add(cand)
-                    np.minimum(minima, cols[cand], out=minima)
-                    break
-                heapq.heappush(heap, (-_gain(minima, cols[cand]), cand, round_no))
-    else:
-        raise ConfigError(f"unknown greedy method {method!r}")
+    # Heap of (-upper bound, id, stamp); a popped entry whose bound was
+    # recomputed in the current round is the exact argmax, and the
+    # (-gain, id) ordering reproduces naive greedy's lowest-id tie-breaking.
+    cols = {i: matrix.entries[:, matrix.index_of(i)] for i in candidates}
+    heap = [(-_gain(minima, cols[i]), i, 0) for i in candidates]
+    heapq.heapify(heap)
+    for round_no in range(1, k + 1):
+        while True:
+            neg_gain, cand, stamp = heapq.heappop(heap)
+            if cand in taken:
+                continue
+            if stamp == round_no or (round_no == 1 and stamp == 0):
+                selected.append(cand)
+                taken.add(cand)
+                np.minimum(minima, cols[cand], out=minima)
+                break
+            heapq.heappush(heap, (-_gain(minima, cols[cand]), cand, round_no))
 
     value = matrix.n * s0_cost - float(minima.sum())
     return SelectionState(tuple(selected), minima, value, float(s0_cost))

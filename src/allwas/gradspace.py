@@ -18,7 +18,6 @@ functions build it:
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 
@@ -383,11 +382,3 @@ def pairwise_w2_exact(probs, w2, ids=None) -> DistanceMatrix:
     np.maximum(dist, 0.0, out=dist)
     return DistanceMatrix(dist if u == n else dist[np.ix_(inverse, inverse)], tuple(ids))
 
-
-def save_distance_csv(matrix: DistanceMatrix, path) -> None:
-    """Debug dump: header row of ids, then one row per sample."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + [str(i) for i in matrix.ids])
-        for sample_id, row in zip(matrix.ids, matrix.entries):
-            writer.writerow([str(sample_id)] + [f"{v:.9g}" for v in row])

@@ -19,7 +19,6 @@ unit of geometry for the transport-based acquisition strategy.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -525,46 +524,3 @@ def gradient_arrays(head: ClassifierHead, pooled: np.ndarray):
     grads = wp[:, None, :] - head.w2.T[None, :, :]
     return grads, probs
 
-
-# ---------------------------------------------------------------------------
-# Checkpoint serialization
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"ALWS"
-_FORMAT_VERSION = 1
-
-
-def save_head(head: ClassifierHead, path) -> None:
-    """Versioned binary checkpoint: magic, version, dims, row-major f64."""
-    head._require_trained()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IIIII", _FORMAT_VERSION, head.input_dim,
-                             head.hidden_dim, head.n_classes, head.batch_size))
-        fh.write(struct.pack("<ddIQ", head.dropout, head.lr, head.epochs, head.seed))
-        for arr in (head.w1, head.b1, head.w2, head.b2):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def load_head(path) -> ClassifierHead:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise AllwasError(f"not a head checkpoint (magic {magic!r})")
-        version, d, h, c, batch = struct.unpack("<IIIII", fh.read(20))
-        if version != _FORMAT_VERSION:
-            raise AllwasError(f"unsupported checkpoint version {version}")
-        dropout, lr, epochs, seed = struct.unpack("<ddIQ", fh.read(28))
-        shapes = [(d, h), (h,), (h, c), (c,)]
-        arrays = []
-        for shape in shapes:
-            count = int(np.prod(shape))
-            buf = fh.read(8 * count)
-            if len(buf) != 8 * count:
-                raise AllwasError("truncated checkpoint")
-            arrays.append(np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
-    return ClassifierHead(
-        input_dim=d, n_classes=c, hidden_dim=h, dropout=dropout,
-        epochs=epochs, batch_size=batch, lr=lr, seed=seed,
-        w1=arrays[0], b1=arrays[1], w2=arrays[2], b2=arrays[3],
-    )

@@ -21,7 +21,7 @@ import numpy as np
 from .coreset import default_s0_cost, greedy_select
 from .data import check_types
 from .errors import AllwasError, ConfigError
-from .gradspace import pairwise_w2_exact, pairwise_wasserstein, save_distance_csv
+from .gradspace import pairwise_w2_exact, pairwise_wasserstein
 from .model import ClassifierHead, gradient_arrays, predict_proba_batch
 from .seeding import derive_seed
 
@@ -41,12 +41,15 @@ _EXACT_MAX_VERTICES = 924
 
 @dataclass(frozen=True)
 class OTConfig:
-    """Transport knobs for the coreset strategy.
+    """Transport knobs for the coreset strategy; its fields are the only
+    keys of an experiment config's ``ot`` section.
 
     ``eps``, ``max_iter`` and ``tol`` configure Sinkhorn, which runs only
     for heads of more than two classes, and then only at ``p`` != 2 or past
     the exact path's vertex cap (more than seven classes). Every other
-    distance is exact.
+    distance is exact. ``subsample`` caps the pool rows the distances are
+    taken over, and ``s0_cost`` overrides the auxiliary element's flat
+    coverage cost (default: just above the largest distance).
     """
 
     p: float = 2.0
@@ -55,7 +58,6 @@ class OTConfig:
     max_iter: int = 300
     tol: float = 1e-6
     s0_cost: float | None = None
-    dump_path: str | None = None
 
     def __post_init__(self):
         check_types(OTConfig, vars(self), "ot ")
@@ -183,8 +185,6 @@ def acquire_allwas(head: ClassifierHead, ids, x: np.ndarray, labeled_ids,
         matrix = pairwise_wasserstein(grads, probs, p=ot.p, eps=ot.eps,
                                       ids=ids + labeled_ids, max_iter=ot.max_iter,
                                       tol=ot.tol)
-    if ot.dump_path:
-        save_distance_csv(matrix, ot.dump_path)
     s0 = ot.s0_cost if ot.s0_cost is not None else default_s0_cost(matrix)
     state = greedy_select(matrix, k=k, warm_start=labeled_ids, s0_cost=s0)
     return list(state.selected)

@@ -1,9 +1,8 @@
 """Discrete optimal transport over weighted point clouds.
 
 Provides Euclidean ground costs, entropically regularized transport plans
-via log-domain Sinkhorn iterations (stable for small regularization),
-exact small-instance solvers used as test oracles, and free-support
-barycenters computed by fixed-point iteration.
+via log-domain Sinkhorn iterations (stable for small regularization), and
+free-support barycenters computed by fixed-point iteration.
 
 All costs are reported as W_p^p (no p-th root); callers needing the
 distance proper take the root themselves. Barycenters are W_2^2 only: their
@@ -396,57 +395,6 @@ def sinkhorn_distance(
 
 
 # ---------------------------------------------------------------------------
-# Exact oracles
-# ---------------------------------------------------------------------------
-
-
-def _is_uniform(m: DiscreteMeasure) -> bool:
-    return bool(np.allclose(m.weights, 1.0 / m.n, atol=1e-12))
-
-
-def exact_distance_oracle(a: DiscreteMeasure, b: DiscreteMeasure, p: float = 2.0) -> float:
-    """Exact W_p^p for shapes where closed-form solutions exist.
-
-    Supported: both measures 1D (sorted quantile coupling, any weights), or
-    both uniform with equal support sizes n <= 64 (minimum-cost assignment).
-    """
-    _check_pair(a, b)
-    if a.dim == 1:
-        return _exact_1d(a, b, p)
-    if _is_uniform(a) and _is_uniform(b) and a.n == b.n and a.n <= 64:
-        from scipy.optimize import linear_sum_assignment  # oracle-only; keeps scipy off import
-
-        cost = ground_cost(a, b, p)
-        rows, cols = linear_sum_assignment(cost)
-        return float(cost[rows, cols].sum() / a.n)
-    raise AllwasError(
-        "exact oracle supports only 1D measures or uniform equal-size measures "
-        "with n <= 64; use sinkhorn_distance for general shapes"
-    )
-
-
-def _exact_1d(a: DiscreteMeasure, b: DiscreteMeasure, p: float) -> float:
-    """Monotone (quantile) coupling, optimal in 1D for convex |x-y|^p."""
-    ia = np.argsort(a.support[:, 0], kind="stable")
-    ib = np.argsort(b.support[:, 0], kind="stable")
-    xs, ws = a.support[ia, 0], a.weights[ia].copy()
-    ys, vs = b.support[ib, 0], b.weights[ib].copy()
-    cost = 0.0
-    i = j = 0
-    while i < len(xs) and j < len(ys):
-        mass = min(ws[i], vs[j])
-        if mass > 0:
-            cost += mass * abs(xs[i] - ys[j]) ** p
-        ws[i] -= mass
-        vs[j] -= mass
-        if ws[i] <= 1e-15:
-            i += 1
-        if vs[j] <= 1e-15:
-            j += 1
-    return float(cost)
-
-
-# ---------------------------------------------------------------------------
 # Free-support barycenters
 # ---------------------------------------------------------------------------
 
@@ -459,13 +407,6 @@ def barycenter_support_size(sizes, lambdas) -> int:
     total = float(np.dot(np.asarray(lambdas, dtype=np.float64),
                          np.asarray(sizes, dtype=np.float64)))
     return max(1, int(np.rint(total)))
-
-
-def _check_simplex(lambdas: np.ndarray) -> np.ndarray:
-    lambdas = np.asarray(lambdas, dtype=np.float64).ravel()
-    if np.any(lambdas < -_WEIGHT_TOL) or abs(lambdas.sum() - 1.0) > _WEIGHT_TOL:
-        raise ConfigError("lambdas must be nonnegative and sum to 1")
-    return np.clip(lambdas, 0.0, None)
 
 
 def wasserstein_barycenter(
@@ -488,16 +429,12 @@ def wasserstein_barycenter(
     measures = list(measures)
     if len(measures) < 2:
         raise ConfigError("barycenter needs at least two measures")
-    lambdas = _check_simplex(lambdas)
+    lambdas = np.asarray(lambdas, dtype=np.float64).ravel()
     if lambdas.shape[0] != len(measures):
         raise ShapeError("one lambda per measure", expected=len(measures),
                          actual=lambdas.shape[0])
-    for m in measures[1:]:
-        _check_pair(measures[0], m)
     if support_size is None:
         support_size = barycenter_support_size([m.n for m in measures], lambdas)
-    if support_size < 1:
-        raise ConfigError("support_size must be >= 1")
 
     objectives = None if trace is None else []
     support = _barycenter_fixed_point(
@@ -550,6 +487,10 @@ def wasserstein_barycenter_batch(
     weighted plan costs is appended at the initial supports and after every
     outer iteration (a stopped group repeats its last value); it is
     non-increasing up to small entropic slack.
+
+    Raises ConfigError when a lambda row is off the simplex or a support
+    size is below 1, and ShapeError when the shapes disagree or the
+    members are not (n, d) matrices of one dimension d.
     """
     return _barycenter_fixed_point(
         groups, None, lambdas, support_sizes, outer_iter,
@@ -558,9 +499,9 @@ def wasserstein_barycenter_batch(
 
 def _barycenter_fixed_point(groups, weights, lambdas, support_sizes, outer_iter,
                             sinkhorn_max_iter, sinkhorn_tol, trace, eps_scale):
-    """The fixed point behind both barycenter functions. ``weights`` is None
-    (uniform members) or, like ``groups``, a B x g nesting of weight
-    vectors."""
+    """The fixed point behind both barycenter functions, and the one place
+    their inputs are checked. ``weights`` is None (uniform members) or, like
+    ``groups``, a B x g nesting of weight vectors."""
     B = len(groups)
     if B == 0:
         return []
@@ -569,8 +510,22 @@ def _barycenter_fixed_point(groups, weights, lambdas, support_sizes, outer_iter,
     if lambdas.shape != (B, g) or any(len(group) != g for group in groups):
         raise ShapeError("lambdas must be (groups, members) with g members in every group",
                          expected=(B, g), actual=lambdas.shape)
+    # Written as "not (valid)", so NaN fails too.
+    if not (np.all(lambdas >= -_WEIGHT_TOL)
+            and np.all(np.abs(lambdas.sum(axis=1) - 1.0) <= _WEIGHT_TOL)):
+        raise ConfigError("lambdas must be nonnegative and sum to 1")
+    lambdas = np.clip(lambdas, 0.0, None)
     sizes = np.asarray(support_sizes, dtype=np.int64)
-    dim = groups[0][0].shape[1]
+    if sizes.shape != (B,):
+        raise ShapeError("one support size per group", expected=(B,), actual=sizes.shape)
+    if np.any(sizes < 1):
+        raise ConfigError("support_size must be >= 1")
+    members = [m for group in groups for m in group]
+    dim = members[0].shape[-1]
+    for m in members:
+        if m.shape[1:] != (dim,):
+            raise ShapeError("measures live in different dimensions",
+                             expected=f"(n, {dim})", actual=m.shape)
     s_max = int(sizes.max())
 
     # Padded barycenter state: invalid rows carry zero weight, so their plan
@@ -582,7 +537,6 @@ def _barycenter_fixed_point(groups, weights, lambdas, support_sizes, outer_iter,
 
     # Member i of group b is lane b*g + i of one stack padded to the largest
     # token count. Members with exactly uniform weights keep -log(count).
-    members = [m for group in groups for m in group]
     member_w = [w for ws in weights for w in ws] if weights is not None else [None] * B * g
     counts = np.array([m.shape[0] for m in members])
     X = np.zeros((B * g, int(counts.max()), dim))

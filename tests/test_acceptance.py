@@ -21,12 +21,12 @@ from allwas.stats import wilcoxon_signed_rank
 from allwas.transport import (
     DiscreteMeasure,
     barycenter_support_size,
-    exact_distance_oracle,
     ground_cost,
     sinkhorn_distance,
     wasserstein_barycenter,
     wasserstein_barycenter_batch,
 )
+from oracles import exact_distance_oracle, naive_greedy
 
 
 def conclude(num: int, name: str, ok: bool, detail: str = ""):
@@ -212,8 +212,8 @@ def test_c04_greedy_guarantee():
         k = int(rng.integers(1, 4))
         m = _random_matrix(rng, n)
         s0 = default_s0_cost(m)
-        lazy = greedy_select(m, k=k, s0_cost=s0, method="lazy")
-        naive = greedy_select(m, k=k, s0_cost=s0, method="naive")
+        lazy = greedy_select(m, k=k, s0_cost=s0)
+        naive = naive_greedy(m, k=k, s0_cost=s0)
         ok &= lazy.selected == naive.selected
         _, opt = brute_force_opt(m, k=k, s0_cost=s0)
         ratio = lazy.value / opt if opt > 0 else 1.0

@@ -12,6 +12,7 @@ from allwas.coreset import (
 )
 from allwas.errors import AllwasError, ConfigError
 from allwas.gradspace import DistanceMatrix
+from oracles import naive_greedy
 
 
 def line_matrix():
@@ -78,8 +79,8 @@ class TestGreedy:
             n = int(rng.integers(4, 12))
             k = int(rng.integers(1, n))
             m = random_matrix(rng, n)
-            lazy = greedy_select(m, k=k, method="lazy")
-            naive = greedy_select(m, k=k, method="naive")
+            lazy = greedy_select(m, k=k)
+            naive = naive_greedy(m, k=k)
             assert lazy.selected == naive.selected
             assert lazy.value == naive.value
 

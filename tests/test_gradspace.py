@@ -12,18 +12,9 @@ from scipy.optimize import linprog
 
 from allwas import gradspace
 from allwas.errors import AllwasError, ShapeError
-from allwas.gradspace import (
-    DistanceMatrix,
-    pairwise_w2_exact,
-    pairwise_wasserstein,
-    save_distance_csv,
-)
-from allwas.transport import (
-    DiscreteMeasure,
-    exact_distance_oracle,
-    ground_cost,
-    sinkhorn_distance,
-)
+from allwas.gradspace import DistanceMatrix, pairwise_w2_exact, pairwise_wasserstein
+from allwas.transport import DiscreteMeasure, ground_cost, sinkhorn_distance
+from oracles import exact_distance_oracle
 
 
 def random_gradient_measure(rng, c, h):
@@ -173,15 +164,6 @@ class TestPairwise:
         finally:
             tracemalloc.stop()
         assert peak <= gradspace._CHUNK_BYTES + 2 * out.entries.nbytes
-
-    def test_csv_dump(self, rng, tmp_path):
-        grads = [random_gradient_measure(rng, 2, 3) for _ in range(3)]
-        out = pairwise_wasserstein(*stack(grads), ids=[4, 5, 6])
-        path = tmp_path / "dist.csv"
-        save_distance_csv(out, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "id,4,5,6"
-        assert len(lines) == 4
 
 
 class TestInputChecks:

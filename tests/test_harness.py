@@ -62,6 +62,23 @@ class TestConfig:
             with pytest.raises(ConfigError, match=key):
                 ExperimentConfig.from_json(path)
 
+    def test_hash_of_unset_keys_is_stable(self):
+        # The acceptance allwas cell: retiring a key it does not set must
+        # leave its hash, and so a resume of its run directory, alone.
+        cfg = ExperimentConfig(
+            label="allwas", strategy="allwas", out_dir="runs",
+            augmentation={"mode": "none"},
+            corpus={"synthetic": {"n": 2000, "d": 32, "priors": [0.9, 0.1],
+                                  "clusters_per_class": 4, "noise": 1.2,
+                                  "separation": 5.0, "seed": 1234}},
+            setting="imbalanced", seed_size=25, budget=150, k=25, repeats=10,
+            master_seed=100, val_fraction=0.2,
+            model={"hidden_dim": 64, "dropout": 0.1, "epochs": 30, "batch_size": 25,
+                   "lr": 0.03},
+            ot={"subsample": 256, "max_iter": 120, "tol": 1e-6})
+        assert cfg.config_hash() == (
+            "e437af60077084ba0b4609c75f67738ec0b576fc72be516af07b072415e2b6e1")
+
     def test_config_json_must_be_an_object(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("5")
@@ -663,11 +680,24 @@ class TestCli:
     @pytest.mark.parametrize("field, bad", [
         ("eps", -1.0), ("max_iter", -5), ("tol", -1.0), ("subsample", 0),
         ("p", 0.5), ("s0_cost", -1.0), ("p", "2"), ("eps", True), ("subsample", 10.5),
-        ("max_iter", 2.5), ("dump_path", 3)])
+        ("max_iter", 2.5)])
     def test_bad_ot_value_exits_2_before_corpus_loads(self, tmp_path, capsys,
                                                       monkeypatch, field, bad):
         assert self.run_before_corpus_loads(tmp_path, monkeypatch, ot={field: bad}) == 2
         assert f"ot {field} must be" in capsys.readouterr().err
+
+    def test_retired_distance_dump_exits_2_before_corpus_loads(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # The distance dump is retired: its config key and its flag are
+        # both config errors.
+        assert self.run_before_corpus_loads(tmp_path, monkeypatch, ot={"dump_path": "x"}) == 2
+        assert "unknown ot config keys: ['dump_path']" in capsys.readouterr().err
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"corpus": SMALL_CORPUS, "out_dir": str(tmp_path / "o")}))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", str(cfg_path), "--dump-distances"])
+        assert exc.value.code == 2
+        assert "--dump-distances" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, knobs, message", [
         ("model", {"dropout": "0.1"}, "model dropout must be a number"),

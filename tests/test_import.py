@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -9,21 +10,55 @@ import pytest
 import allwas
 
 
-def modules_loaded_by_import(*prefixes):
-    """The modules under ``prefixes`` that a fresh ``import allwas`` loads."""
+def run_python(code: str, cwd=None) -> str:
+    """Stdout of ``code`` run by a fresh interpreter that imports this
+    checkout's allwas."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(allwas.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys, allwas; print(sorted(m for m in sys.modules if m.startswith({prefixes})))"],
-        env=env, capture_output=True, text=True, check=True).stdout
-    return out.strip()
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
+def modules_loaded_by_import(*prefixes):
+    """The modules under ``prefixes`` that a fresh ``import allwas`` loads."""
+    return run_python(
+        f"import sys, allwas; print(sorted(m for m in sys.modules if m.startswith({prefixes})))")
 
 
 def test_import_loads_no_scipy():
     # scipy serves only the test oracles; importing the package must not
     # pay for it.
     assert modules_loaded_by_import("scipy") == "[]"
+
+
+def test_runs_without_scipy(tmp_path):
+    # numpy is the package's one runtime dependency: with scipy unimportable,
+    # the acquisition, augmentation and reporting paths all run.
+    corpus = {"synthetic": {"n": 260, "d": 6, "priors": [0.7, 0.3], "seed": 3}}
+    base = {"corpus": corpus, "out_dir": "runs", "seed_size": 10, "budget": 30,
+            "k": 10, "repeats": 1, "model": {"hidden_dim": 8, "epochs": 2}}
+    cells = {
+        "allwas-p2": {"strategy": "allwas", "ot": {"p": 2.0},
+                      "augmentation": {"mode": "wasserstein", "factor": 2}},
+        "allwas-p1": {"strategy": "allwas", "ot": {"p": 1.0},
+                      "augmentation": {"mode": "l2-kde", "factor": 2}},
+        "egl": {"strategy": "egl"},
+    }
+    for label, cell in cells.items():
+        (tmp_path / f"{label}.json").write_text(json.dumps({**base, "label": label, **cell}))
+    out = run_python(
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from allwas.cli import main\n"
+        f"codes = [main(['run', f'{{label}}.json']) for label in {list(cells)}]\n"
+        "codes.append(main(['report', 'runs']))\n"
+        "codes.append(main(['stats', 'runs', '--pairs', 'allwas-p2:egl,allwas-p1:egl']))\n"
+        "print(codes)\n", cwd=tmp_path)
+    assert out.splitlines()[-1] == "[0, 0, 0, 0, 0]"
+    assert "allwas-p1,egl," in out
+    for label in cells:
+        assert (tmp_path / "runs" / f"{label}.csv").exists()
+    assert (tmp_path / "runs" / "significance.csv").exists()
 
 
 def test_import_loads_no_process_pool():

@@ -16,9 +16,7 @@ from allwas.model import (
     ClassifierHead,
     TrainingSet,
     gradient_arrays,
-    load_head,
     predict_proba_batch,
-    save_head,
     train,
     train_stack,
 )
@@ -455,30 +453,3 @@ class TestGradients:
         with pytest.raises(AllwasError):
             gradient_arrays(small_head(), one_row(rng.standard_normal((1, 8))))
 
-
-class TestCheckpoint:
-    def test_round_trip(self, rng, tmp_path):
-        head = train(small_head(), blob_data(rng, n=40))
-        path = tmp_path / "head.alws"
-        save_head(head, path)
-        loaded = load_head(path)
-        assert np.array_equal(loaded.w1, head.w1)
-        assert np.array_equal(loaded.b1, head.b1)
-        assert np.array_equal(loaded.w2, head.w2)
-        assert np.array_equal(loaded.b2, head.b2)
-        assert loaded.dropout == head.dropout
-        x = one_row(rng.standard_normal((2, 8)))
-        np.testing.assert_array_equal(
-            predict_proba_batch(loaded, x), predict_proba_batch(head, x))
-
-    def test_magic_bytes(self, rng, tmp_path):
-        head = train(small_head(), blob_data(rng, n=40))
-        path = tmp_path / "head.alws"
-        save_head(head, path)
-        assert path.read_bytes()[:4] == b"ALWS"
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "junk.alws"
-        path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(AllwasError):
-            load_head(path)

@@ -249,14 +249,6 @@ class TestAllwas:
         ids, x = make_pool(rng, 5)
         assert len(acquire_allwas(head, ids, x, *no_rows(), k=2, ot=OTConfig(max_iter=5))) == 2
 
-    def test_distance_dump(self, trained_head, rng, tmp_path):
-        ids, x = make_pool(rng, 5)
-        dump = tmp_path / "d.csv"
-        cfg = OTConfig(dump_path=str(dump))
-        acquire_allwas(trained_head, ids, x, *no_rows(), k=2, ot=cfg)
-        assert dump.exists()
-        assert dump.read_text().startswith("id,")
-
 
 def assert_invariant_to_pool_order(name, head, rng):
     # String ids, every row twice: the picks and their order must follow
