@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_types
-from .errors import AllwasError, ConfigError
+from .errors import AllwasError, ConfigError, check_types
 from .model import TrainingSet
 from .transport import barycenter_support_size, wasserstein_barycenter_batch
 

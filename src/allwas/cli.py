@@ -20,9 +20,8 @@ import argparse
 import json
 import sys
 
-from .data import (FeaturizerConfig, SynthSpec, config_from, export_jsonl, ingest_jsonl,
-                   make_synthetic)
-from .errors import AllwasError, ConfigError, DataError
+from .data import FeaturizerConfig, SynthSpec, export_jsonl, ingest_jsonl, make_synthetic
+from .errors import AllwasError, ConfigError, DataError, config_from
 from .harness import ExperimentConfig, run_experiment, run_sweep
 from .report import load_records, pair_test, report
 from .stats import bonferroni

@@ -20,57 +20,18 @@ vector drawn from a generator seeded with fnv1a64(token) XOR seed.
 from __future__ import annotations
 
 import json
-import numbers
 import re
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError
+from .errors import (ConfigError, DataError, ShapeError, _is_int, _is_real, check_simplex,
+                     check_types)
 from .seeding import fnv1a64, rng_for
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-def config_from(cls, knobs: dict, name: str):
-    """``cls(**knobs)`` for a config dataclass, once every key names one of
-    its fields; unknown keys raise a ConfigError that lists them."""
-    if not isinstance(knobs, dict):
-        raise ConfigError(f"{name} must be a JSON object (got {knobs!r})")
-    unknown = sorted(set(knobs) - set(cls.__dataclass_fields__))
-    if unknown:
-        raise ConfigError(f"unknown {name} keys: {unknown}")
-    return cls(**knobs)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def check_types(cls, values: dict, prefix: str = "") -> None:
-    """Raise a ConfigError unless each of ``values`` that names an ``int``,
-    ``float`` or ``str`` field of the dataclass ``cls`` holds that kind, as
-    the field's annotation says: an int (not a bool), a number (not a bool)
-    or a string; a field annotated ``... | None`` may also hold None.
-    ``prefix`` leads each message."""
-    kinds = {"int": (_is_int, "an int"), "float": (_is_real, "a number"),
-             "str": (lambda v: isinstance(v, str), "a string")}
-    for name, value in values.items():
-        # Annotations are strings: the modules use postponed evaluation.
-        allowed = cls.__dataclass_fields__[name].type.split(" | ")
-        kind = next((k for k in allowed if k in kinds), None)
-        if kind is None or value is None and "None" in allowed:
-            continue
-        check, noun = kinds[kind]
-        if not check(value):
-            null = " or null" if "None" in allowed else ""
-            raise ConfigError(f"{prefix}{name} must be {noun}{null} (got {value!r})")
 
 
 @dataclass(frozen=True)
@@ -331,9 +292,10 @@ class SynthSpec:
                 and all(_is_real(p) for p in self.priors)):
             raise ConfigError(f"priors must be a list of numbers (got {self.priors!r})")
         priors = tuple(float(p) for p in self.priors)
+        check_simplex(priors, ConfigError, "priors")
         # Each check is "not (valid)", so NaN fails too.
-        if not (abs(sum(priors) - 1.0) <= 1e-9 and all(p > 0 for p in priors)):
-            raise ConfigError("priors must be positive and sum to 1")
+        if not all(p > 0 for p in priors):
+            raise ConfigError(f"priors must be positive (got {priors!r})")
         if not (_is_real(self.noise) and 0 <= self.noise < np.inf):
             raise ConfigError(f"noise must be a finite number >= 0 (got {self.noise!r})")
         if not (_is_real(self.separation) and np.isfinite(self.separation)):

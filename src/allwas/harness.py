@@ -45,13 +45,11 @@ from .data import (
     SeedSpec,
     SynthSpec,
     build_seed,
-    check_types,
-    config_from,
     ingest_jsonl,
     make_synthetic,
     train_val_split,
 )
-from .errors import AllwasError, ConfigError
+from .errors import AllwasError, ConfigError, check_keys, check_types, config_from
 from .model import (
     ClassifierHead,
     TrainingSet,
@@ -75,13 +73,13 @@ AUGMENTATION_MODES = ("none", "wasserstein", "l2-kde")
 _DRAIN_BYTES = 8 * 2**20
 
 # Keys each nested config dict accepts: the corpus source's, the head's
-# hyperparameters (the harness sets its dimensions and seed), OTConfig's
-# fields, and the augmentation mode plus AugmentationConfig's fields but the
-# seed, which the harness derives per (master seed, repeat, iteration).
+# hyperparameters (the harness sets its dimensions and seed), and the
+# augmentation mode plus AugmentationConfig's fields but the seed, which the
+# harness derives per (master seed, repeat, iteration). The ``ot`` section's
+# keys are OTConfig's fields, checked where ``ot_config`` builds it.
 _NESTED_KEYS = {
     "corpus": ("synthetic", "path", "featurize", "class_names", "target_class"),
     "model": ("hidden_dim", "dropout", "epochs", "batch_size", "lr"),
-    "ot": tuple(OTConfig.__dataclass_fields__),
     "augmentation": ("mode", *(f for f in AugmentationConfig.__dataclass_fields__
                                if f != "seed")),
 }
@@ -119,12 +117,7 @@ class ExperimentConfig:
         if self.budget < self.seed_size:
             raise ConfigError("budget must be >= seed size")
         for name, known in _NESTED_KEYS.items():
-            section = getattr(self, name)
-            if not isinstance(section, dict):
-                raise ConfigError(f"{name} config must be a JSON object (got {section!r})")
-            unknown = sorted(set(section) - set(known))
-            if unknown:
-                raise ConfigError(f"unknown {name} config keys: {unknown}")
+            check_keys(getattr(self, name), known, f"{name} config")
         mode = self.augmentation.get("mode", "none")
         if mode not in AUGMENTATION_MODES:
             raise ConfigError(f"unknown augmentation mode {mode!r}")
@@ -150,12 +143,7 @@ class ExperimentConfig:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"bad config JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config must be a JSON object (got {raw!r})")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        check_keys(raw, cls.__dataclass_fields__, "config")
         missing = {"corpus", "out_dir"} - set(raw)
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
@@ -172,7 +160,7 @@ class ExperimentConfig:
         return AugmentationConfig(**knobs, seed=seed)
 
     def ot_config(self) -> OTConfig:
-        return OTConfig(**self.ot)
+        return config_from(OTConfig, self.ot, "ot config")
 
     def seed_spec(self, seed: int) -> SeedSpec:
         return SeedSpec(setting=self.setting, seed_size=self.seed_size, seed=seed,

@@ -23,12 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllwasError, ConfigError, ShapeError
+from .errors import AllwasError, ConfigError, ShapeError, check_simplex, check_types
 
 # Learning rate that suits this small head.
 DEFAULT_LR = 1e-2
-
-_WEIGHT_TOL = 1e-9
 
 # Byte budget for one chunk of heads trained in lockstep (memory guard).
 _CHUNK_BYTES = 64 * 2**20
@@ -62,16 +60,7 @@ class ClassifierHead:
     loss_history: list = field(default_factory=list)
 
     def __post_init__(self):
-        # numpy scalars count; a bool is neither an int nor a number here.
-        for name in ("input_dim", "n_classes", "hidden_dim", "epochs", "batch_size", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an int (got {value!r})")
-        for name in ("dropout", "lr"):
-            value = getattr(self, name)
-            if (not isinstance(value, (int, float, np.integer, np.floating))
-                    or isinstance(value, bool)):
-                raise ConfigError(f"{name} must be a number (got {value!r})")
+        check_types(ClassifierHead, vars(self))
         if not (0.0 <= self.dropout < 1.0):
             raise ConfigError(f"dropout must be in [0, 1) (got {self.dropout})")
         if self.input_dim < 1 or self.n_classes < 2 or self.hidden_dim < 1:
@@ -119,8 +108,7 @@ class TrainingSet:
             raise AllwasError("training data is empty")
         if not np.all(np.isfinite(x)):
             raise AllwasError("training embeddings contain non-finite entries")
-        if np.any(y < -_WEIGHT_TOL) or np.any(np.abs(y.sum(axis=1) - 1.0) > _WEIGHT_TOL):
-            raise AllwasError("training label rows must be probability vectors")
+        check_simplex(y, AllwasError, "training label rows")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coreset import default_s0_cost, greedy_select
-from .data import check_types
-from .errors import AllwasError, ConfigError
+from .errors import AllwasError, ConfigError, check_types
 from .gradspace import pairwise_w2_exact, pairwise_wasserstein
 from .model import ClassifierHead, gradient_arrays, predict_proba_batch
 from .seeding import derive_seed

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllwasError, ConfigError, ShapeError
+from .errors import AllwasError, ConfigError, ShapeError, check_simplex
 
 logger = logging.getLogger(__name__)
 
-_WEIGHT_TOL = 1e-9
 EPS_FLOOR = 1e-6
 EPS_MEDIAN_SCALE = 0.05
 # Barycenter fixed points use tighter regularization: the objective-descent
@@ -39,8 +38,9 @@ _CHECK_EVERY = 10
 
 
 def checked_weights(support: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weights (..., n) of supports (..., n, d) once the support is finite and
-    the weights pass ``checked_simplex``."""
+    """Weights (..., n) of supports (..., n, d), clipped at 0, once the
+    support is finite and every weight row is a probability vector
+    (``checked_simplex``); an AllwasError otherwise."""
     if not np.all(np.isfinite(support)):
         raise AllwasError("measure support contains non-finite coordinates")
     if weights.shape != support.shape[:-1]:
@@ -50,13 +50,9 @@ def checked_weights(support: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def checked_simplex(weights: np.ndarray) -> np.ndarray:
-    """Weights (..., n) once each row is nonnegative and sums to 1 (both
-    within 1e-9); clipped at 0."""
-    if not np.all(weights >= -_WEIGHT_TOL):
-        raise AllwasError("measure weights must be nonnegative")
-    off = np.abs(weights.sum(axis=-1) - 1.0)
-    if np.any(off > _WEIGHT_TOL):
-        raise AllwasError(f"measure weights must sum to 1 (off by {off.max()!r})")
+    """Weights (..., n), clipped at 0, once every row passes
+    ``errors.check_simplex``; an AllwasError otherwise."""
+    check_simplex(weights, AllwasError, "measure weights")
     return np.clip(weights, 0.0, None)
 
 
@@ -510,10 +506,7 @@ def _barycenter_fixed_point(groups, weights, lambdas, support_sizes, outer_iter,
     if lambdas.shape != (B, g) or any(len(group) != g for group in groups):
         raise ShapeError("lambdas must be (groups, members) with g members in every group",
                          expected=(B, g), actual=lambdas.shape)
-    # Written as "not (valid)", so NaN fails too.
-    if not (np.all(lambdas >= -_WEIGHT_TOL)
-            and np.all(np.abs(lambdas.sum(axis=1) - 1.0) <= _WEIGHT_TOL)):
-        raise ConfigError("lambdas must be nonnegative and sum to 1")
+    check_simplex(lambdas, ConfigError, "lambdas")
     lambdas = np.clip(lambdas, 0.0, None)
     sizes = np.asarray(support_sizes, dtype=np.int64)
     if sizes.shape != (B,):

@@ -13,7 +13,6 @@ import pytest
 
 from allwas.coreset import brute_force_opt, default_s0_cost, greedy_select, objective_L
 from allwas.barysample import AugmentationConfig, augment_wasserstein, mix_labels
-from allwas.data import SynthSpec, make_synthetic
 from allwas.gradspace import DistanceMatrix
 from allwas.harness import ExperimentConfig, run_experiment, run_sweep, load_corpus
 from allwas.model import ClassifierHead, TrainingSet, gradient_arrays, train

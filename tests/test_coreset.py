@@ -3,14 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from allwas.coreset import (
-    SelectionState,
-    brute_force_opt,
-    default_s0_cost,
-    greedy_select,
-    objective_L,
-)
-from allwas.errors import AllwasError, ConfigError
+from allwas.coreset import brute_force_opt, default_s0_cost, greedy_select, objective_L
+from allwas.errors import AllwasError
 from allwas.gradspace import DistanceMatrix
 from oracles import naive_greedy
 

@@ -1,6 +1,5 @@
 import json
 import multiprocessing
-import os
 import pickle
 import tracemalloc
 from dataclasses import replace

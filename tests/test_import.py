@@ -85,3 +85,9 @@ def test_corpus_and_head_modules_import_only_errors_and_seeding(module):
     # the transport, augmentation or acquisition layers.
     path = Path(allwas.__file__).parent / f"{module}.py"
     assert sibling_imports(path) <= {"errors", "seeding"}
+
+
+def test_errors_module_imports_no_sibling():
+    # Every module imports errors.py for its exception types and input
+    # checks, so a sibling import there would load that layer everywhere.
+    assert sibling_imports(Path(allwas.__file__).parent / "errors.py") == set()

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -164,6 +165,23 @@ class TestTraining:
                               hidden_dim=np.int64(16), epochs=np.int64(2),
                               lr=np.float64(0.05), seed=np.uint32(3))
         assert_same_head(train(head, data), train(small_head(epochs=2, lr=0.05), data))
+
+    def test_numpy_scalars_accepted(self):
+        head = ClassifierHead(input_dim=np.int64(8), n_classes=np.uint8(2),
+                              dropout=np.float32(0.25), lr=np.float32(0.5), seed=np.uint8(1))
+        assert (head.input_dim, head.n_classes, head.dropout, head.lr) == (8, 2, 0.25, 0.5)
+
+    @pytest.mark.parametrize("knobs, message", [
+        ({"epochs": True}, "epochs must be an int (got True)"),
+        ({"epochs": np.True_}, f"epochs must be an int (got {np.True_!r})"),
+        ({"epochs": 2.0}, "epochs must be an int (got 2.0)"),
+        ({"lr": Fraction(1, 10)}, "lr must be a number (got Fraction(1, 10))")])
+    def test_type_errors_name_the_field(self, knobs, message):
+        # A head built directly reports the bare field name; the config
+        # path adds the "model " prefix.
+        with pytest.raises(ConfigError) as exc:
+            ClassifierHead(**{"input_dim": 8, "n_classes": 2, **knobs})
+        assert str(exc.value) == message
 
     def test_empty_data_rejected(self):
         with pytest.raises(AllwasError):
