@@ -8,6 +8,9 @@
     allwas stats <run-dir> --pairs labelA:labelB[,labelC:labelD...]
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 runtime failure.
+A cell's results are <label>.csv and <label>.meta.json: run resumes from
+them, report and stats read them, and a malformed one is a data error.
+stats prints significance.csv's rows for the given pairs (Bonferroni over them).
 ALLWAS_THREADS is the number of worker processes a sweep runs its cells in
 (default 1: serial); they start with fork where the platform has it, else
 spawn. Each worker runs its block of cells in lockstep, and results are
@@ -22,9 +25,8 @@ import sys
 
 from .data import FeaturizerConfig, SynthSpec, export_jsonl, ingest_jsonl, make_synthetic
 from .errors import AllwasError, ConfigError, DataError, config_from
-from .harness import ExperimentConfig, run_experiment, run_sweep
-from .report import load_records, pair_test, report
-from .stats import bonferroni
+from .harness import SWEEP_AXES, ExperimentConfig, run_experiment, run_sweep
+from .report import load_records, report, significance_table
 
 
 def _parse_kv(text: str) -> dict:
@@ -74,7 +76,7 @@ def _cmd_synth(args) -> int:
 def _cmd_run(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
     record = run_experiment(cfg)
-    final = record.curve()[max(record.curve())]
+    final = list(record.curve().values())[-1]
     print(f"cell {record.label}: {len(record.rows)} rows, "
           f"final mean f1 {final:.4f} -> {cfg.out_dir}")
     return 0
@@ -85,7 +87,7 @@ def _cmd_sweep(args) -> int:
     values = [v for v in args.values.split(",") if v]
     records = run_sweep(cfg, args.axis, values)
     for rec in records:
-        final = rec.curve()[max(rec.curve())]
+        final = list(rec.curve().values())[-1]
         print(f"cell {rec.label}: final mean f1 {final:.4f}")
     return 0
 
@@ -99,25 +101,18 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    records = {rec.label: rec for rec in load_records(args.directory)}
-    pairs = []
-    for chunk in args.pairs.split(","):
-        if not chunk:
-            continue
-        if ":" not in chunk:
-            raise ConfigError(f"expected labelA:labelB, got {chunk!r}")
-        a, b = chunk.split(":", 1)
-        for name in (a, b):
-            if name not in records:
-                raise DataError(f"no cell named {name!r} in {args.directory}")
-        pairs.append((a, b))
+    records = load_records(args.directory)
+    labels = {rec.label for rec in records}
+    pairs = [chunk.split(":", 1) for chunk in args.pairs.split(",") if chunk]
     if not pairs:
         raise ConfigError("no pairs given")
-    m = len(pairs)
-    print("cell_a,cell_b,n,statistic,p,p_bonferroni")
-    for a, b in pairs:
-        xs, _, stat, p = pair_test(records[a], records[b])
-        print(f"{a},{b},{len(xs)},{stat:.10g},{p:.10g},{bonferroni(p, m):.10g}")
+    for pair in pairs:
+        if len(pair) != 2:
+            raise ConfigError(f"expected labelA:labelB, got {pair[0]!r}")
+        for name in pair:
+            if name not in labels:
+                raise DataError(f"no cell named {name!r} in {args.directory}")
+    significance_table(records, sys.stdout, pairs)
     return 0
 
 
@@ -144,9 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="paired sweep along one axis")
     p.add_argument("config")
-    p.add_argument("--axis", required=True,
-                   choices=("augmentation-factor", "barycenter-group-size",
-                            "strategy"))
+    p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p.add_argument("--values", required=True)
     p.set_defaults(func=_cmd_sweep)
 
@@ -173,10 +166,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except AllwasError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
+    except (AllwasError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -340,6 +340,7 @@ class SeedSpec:
     radius_percentile: float = 10.0
 
     def __post_init__(self):
+        check_types(SeedSpec, vars(self), "seed spec ")
         if self.setting not in ("balanced", "imbalanced", "imbalanced-practical"):
             raise ConfigError(f"unknown seed setting {self.setting!r}")
         if self.seed_size < 1:

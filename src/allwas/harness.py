@@ -24,7 +24,8 @@ runs are left, a round trains many iterations of each at once.
 Results land in <out_dir>/<label>.csv with a sidecar meta file carrying
 the config hash, written when the block ends; reruns with a matching hash
 skip completed repeats and recompute partial or missing ones
-(deterministic replay makes that exact).
+(deterministic replay makes that exact). ``cell_csv`` renders a cell CSV
+and ``read_cell`` is the one reader of both files.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import hashlib
 import json
 import os
 import traceback
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
@@ -49,7 +51,8 @@ from .data import (
     make_synthetic,
     train_val_split,
 )
-from .errors import AllwasError, ConfigError, check_keys, check_types, config_from
+from .errors import (AllwasError, ConfigError, DataError, check_keys, check_types,
+                     config_from)
 from .model import (
     ClassifierHead,
     TrainingSet,
@@ -190,9 +193,9 @@ class RunRow:
 
     @classmethod
     def from_csv(cls, line: str) -> "RunRow":
-        parts = line.split(",")
-        return cls(parts[0], parts[1], int(parts[2]), int(parts[3]),
-                   int(parts[4]), float(parts[5]), float(parts[6]))
+        setting, strategy, seed, iteration, labeled, f1, seconds = line.split(",")
+        return cls(setting, strategy, int(seed), int(iteration), int(labeled),
+                   float(f1), float(seconds))
 
 
 @dataclass(frozen=True)
@@ -393,14 +396,6 @@ def _lockstep(runs: list, head_free: list) -> list:
     return [failed[i] or raised[i] or rows[i] for i in range(len(runs))]
 
 
-def _rows_path(cfg: ExperimentConfig) -> str:
-    return os.path.join(cfg.out_dir, f"{cfg.label}.csv")
-
-
-def _meta_path(cfg: ExperimentConfig) -> str:
-    return os.path.join(cfg.out_dir, f"{cfg.label}.meta.json")
-
-
 def _replace_file(path: str, text: str) -> None:
     """Write through a sibling .tmp and os.replace, so readers never see a
     partial file."""
@@ -410,39 +405,74 @@ def _replace_file(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_rows(cfg: ExperimentConfig, rows) -> None:
-    os.makedirs(cfg.out_dir, exist_ok=True)
+def cell_csv(rows) -> str:
+    """A cell CSV's text: the header, then ``rows`` by (seed, iteration)."""
     ordered = sorted(rows, key=lambda r: (r.seed, r.iteration))
     lines = [CSV_HEADER] + [row.to_csv() for row in ordered]
-    _replace_file(_rows_path(cfg), "".join(line + "\n" for line in lines))
+    return "".join(line + "\n" for line in lines)
+
+
+def _write_rows(cfg: ExperimentConfig, rows) -> None:
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    base = os.path.join(cfg.out_dir, cfg.label)
+    _replace_file(base + ".csv", cell_csv(rows))
     meta = {"config_hash": cfg.config_hash(), "schema": SCHEMA_VERSION,
             "label": cfg.label, "config": json.loads(cfg.to_canonical_json())}
-    _replace_file(_meta_path(cfg), json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _replace_file(base + ".meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def _load_existing(cfg: ExperimentConfig):
-    path = _rows_path(cfg)
-    meta = _meta_path(cfg)
-    if not (os.path.exists(path) and os.path.exists(meta)):
-        return []
-    with open(meta) as fh:
-        info = json.load(fh)
-    if info.get("config_hash") != cfg.config_hash():
+def read_cell(directory, label: str) -> RunRecord | None:
+    """Cell ``label``'s record from its CSV and meta file under ``directory``
+    (None when either is missing), or a DataError naming the cell unless
+    both are well-formed."""
+    base = os.path.join(directory, label)
+    try:
+        with open(base + ".csv") as rows_fh, open(base + ".meta.json") as meta_fh:
+            lines, meta_text = rows_fh.read().splitlines(), meta_fh.read()
+    except FileNotFoundError:
+        return None
+    where = f"cell {label!r}: {label}"
+    if not lines or lines[0] != CSV_HEADER:
+        raise DataError(f"{where}.csv does not start with the header {CSV_HEADER!r}")
+    rows = []
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            rows.append(RunRow.from_csv(line))
+        except ValueError:
+            raise DataError(f"{where}.csv line {number} is not 7 fields that parse: "
+                            f"{line!r}") from None
+    try:
+        meta = json.loads(meta_text)
+        valid = (meta["schema"] == SCHEMA_VERSION
+                 and all(isinstance(meta[key], str) for key in ("label", "config_hash")))
+    except (ValueError, TypeError, KeyError):
+        valid = False
+    if not valid:
+        raise DataError(f"{where}.meta.json is not a JSON object with string 'label' "
+                        f"and 'config_hash' and schema {SCHEMA_VERSION}")
+    return RunRecord(meta["label"], meta["config_hash"], tuple(rows))
+
+
+def _load_existing(cfg: ExperimentConfig) -> tuple:
+    """The rows already written for ``cfg``'s cell, () when there are none;
+    a cell written by another config is a ConfigError."""
+    record = read_cell(cfg.out_dir, cfg.label)
+    if record is None:
+        return ()
+    if record.config_hash != cfg.config_hash():
         raise ConfigError(
-            f"existing results at {path} were produced by a different config; "
-            "move them or change out_dir/label")
-    with open(path) as fh:
-        lines = fh.read().strip().splitlines()
-    return [RunRow.from_csv(line) for line in lines[1:]]
+            f"cell {cfg.label!r}: existing results in {cfg.out_dir} were produced "
+            "by a different config; move them or change out_dir/label")
+    return record.rows
 
 
 def _run_cells(cells, corpus: Corpus) -> list:
     """Run (or resume) every pending repeat of ``cells`` as one block in
     lockstep, then write each cell's results.
 
-    Returns, per cell, its :class:`RunRecord` or the AllwasError of its
-    lowest failing repeat, prefixed with the cell's label. A failing cell
-    keeps the repeats that finished.
+    Returns, per cell, its :class:`RunRecord` or the AllwasError, naming
+    the cell, of its results on disk or its lowest failing repeat. A
+    failing cell keeps the repeats that finished.
     """
     outcomes = [None] * len(cells)
     rows = [[] for _ in cells]
@@ -451,18 +481,14 @@ def _run_cells(cells, corpus: Corpus) -> list:
         try:
             existing = _load_existing(cfg)
         except AllwasError as exc:
-            outcomes[k] = _prefixed(f"cell {cfg.label!r}", exc)
+            outcomes[k] = exc
             continue
-        by_repeat = {}
-        for row in existing:
-            by_repeat.setdefault(row.seed - cfg.master_seed, []).append(row)
-        per_repeat = cfg.iterations_per_repeat()
-        for repeat, got in by_repeat.items():
-            if len(got) == per_repeat:
-                rows[k].extend(got)
-        done = {row.seed - cfg.master_seed for row in rows[k]}
+        # A repeat is done once all its rows are written.
+        count = Counter(row.seed for row in existing)
+        done = {seed for seed, n in count.items() if n == cfg.iterations_per_repeat()}
+        rows[k] = [row for row in existing if row.seed in done]
         for repeat in range(cfg.repeats):
-            if repeat not in done:
+            if cfg.master_seed + repeat not in done:
                 runs.append(_run_repeat(cfg, corpus, repeat))
                 owners.append(k)
                 head_free.append(cfg.strategy in HEAD_FREE)

@@ -7,15 +7,15 @@ pure function of the records: identical runs give byte-identical files.
 
 from __future__ import annotations
 
-import json
 import os
 import xml.etree.ElementTree as ET
+from functools import partial
 from itertools import combinations
 
 import numpy as np
 
 from .errors import AllwasError, DataError
-from .harness import CSV_HEADER, RunRecord, RunRow
+from .harness import RunRecord, cell_csv, read_cell
 from .stats import bonferroni, wilcoxon_signed_rank
 
 EXACT_WILCOXON_LIMIT = 60
@@ -25,24 +25,10 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 
 
 def load_records(directory) -> list:
-    """Read every cell CSV (with its meta sidecar) under a directory."""
-    records = []
-    for name in sorted(os.listdir(directory)):
-        if not name.endswith(".csv") or name.endswith(".tmp"):
-            continue
-        label = name[:-4]
-        meta_path = os.path.join(directory, f"{label}.meta.json")
-        if not os.path.exists(meta_path):
-            continue
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-        with open(os.path.join(directory, name)) as fh:
-            lines = fh.read().strip().splitlines()
-        if not lines or lines[0] != CSV_HEADER:
-            raise DataError(f"{name}: unexpected CSV header")
-        rows = tuple(RunRow.from_csv(line) for line in lines[1:])
-        records.append(RunRecord(meta.get("label", label),
-                                 meta.get("config_hash", ""), rows))
+    """The record of every cell under a directory (``harness.read_cell``):
+    each ``<label>.csv`` with a meta file, in file-name order."""
+    labels = [name[:-4] for name in sorted(os.listdir(directory)) if name.endswith(".csv")]
+    records = [rec for rec in map(partial(read_cell, directory), labels) if rec is not None]
     if not records:
         raise DataError(f"no run records found in {directory}")
     return records
@@ -51,11 +37,9 @@ def load_records(directory) -> list:
 def paired_f1(a: RunRecord, b: RunRecord):
     """F1 vectors aligned on the (seed, iteration) cells both records share."""
     index_a = {(r.seed, r.iteration): r.f1 for r in a.rows}
-    index_b = {(r.seed, r.iteration): r.f1 for r in b.rows}
-    keys = [(r.seed, r.iteration) for r in b.rows if (r.seed, r.iteration) in index_a]
-    xs = np.array([index_a[k] for k in keys])
-    ys = np.array([index_b[k] for k in keys])
-    return xs, ys
+    shared = [r for r in b.rows if (r.seed, r.iteration) in index_a]
+    return (np.array([index_a[r.seed, r.iteration] for r in shared]),
+            np.array([r.f1 for r in shared]))
 
 
 def pair_test(a: RunRecord, b: RunRecord):
@@ -72,11 +56,16 @@ def pair_test(a: RunRecord, b: RunRecord):
     return xs, ys, stat, p
 
 
-def significance_table(records, out_path=None):
-    """Pairwise signed-rank comparisons over all record pairs, Bonferroni
-    corrected by the number of pairs; each row carries a direction flag for
-    which cell had the higher mean."""
-    pairs = list(combinations(records, 2))
+def significance_table(records, out=None, pairs=None):
+    """Signed-rank comparisons of the records' ``pairs`` of labels (default:
+    every pair of records), Bonferroni corrected by their number; each row
+    names the cell with the higher mean F1 (or "none") as ``better``.
+    Writes the table as CSV to the text stream ``out``, if given, and
+    returns its rows ``(cell_a, cell_b, n, statistic, p, p_bonferroni,
+    better)``."""
+    by_label = {rec.label: rec for rec in records}
+    pairs = (list(combinations(records, 2)) if pairs is None
+             else [(by_label[a], by_label[b]) for a, b in pairs])
     m = max(1, len(pairs))
     lines = ["cell_a,cell_b,n,statistic,p,p_bonferroni,better"]
     results = []
@@ -88,10 +77,8 @@ def significance_table(records, out_path=None):
         results.append((a.label, b.label, len(xs), stat, p, p_adj, better))
         lines.append(f"{a.label},{b.label},{len(xs)},{stat:.10g},"
                      f"{p:.10g},{p_adj:.10g},{better}")
-    text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+    if out is not None:
+        out.write("\n".join(lines) + "\n")
     return results
 
 
@@ -198,23 +185,15 @@ def report(records, out_dir) -> list:
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for rec in records:
-        path = os.path.join(out_dir, f"cell_{rec.label}.csv")
-        with open(path, "w", newline="") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for row in sorted(rec.rows, key=lambda r: (r.seed, r.iteration)):
-                fh.write(row.to_csv() + "\n")
-        written.append(path)
+        written.append(os.path.join(out_dir, f"cell_{rec.label}.csv"))
+        with open(written[-1], "w", newline="") as fh:
+            fh.write(cell_csv(rec.rows))
+    written.append(os.path.join(out_dir, "significance.csv"))
+    with open(written[-1], "w", newline="") as fh:
+        significance_table(records, fh)
 
-    sig_path = os.path.join(out_dir, "significance.csv")
-    significance_table(records, out_path=sig_path)
-    written.append(sig_path)
-
-    by_setting = {}
-    for rec in records:
-        settings = {row.setting for row in rec.rows}
-        for s in settings:
-            by_setting.setdefault(s, []).append(rec)
-    for setting, recs in sorted(by_setting.items()):
+    for setting in sorted({row.setting for rec in records for row in rec.rows}):
+        recs = [rec for rec in records if any(row.setting == setting for row in rec.rows)]
         svg = learning_curve_svg(recs, title=f"learning curves ({setting})")
         validate_svg(svg)
         path = os.path.join(out_dir, f"curves_{setting}.svg")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from allwas.barysample import AugmentationConfig
-from allwas.data import SynthSpec
+from allwas.data import SeedSpec, SynthSpec
 from allwas.errors import AllwasError, ConfigError
 from allwas.gradspace import pairwise_w2_exact
 from allwas.model import TrainingSet
@@ -51,3 +51,17 @@ def test_number_fields_take_only_ints_and_floats(build, message):
     # A Fraction is a numbers.Real, but numpy's ufuncs reject it mid-run.
     with pytest.raises(ConfigError, match=message):
         build()
+
+
+@pytest.mark.parametrize("knobs, message", [
+    ({"seed_size": 2.5}, "seed spec seed_size must be an int"),
+    ({"seed_size": "5"}, "seed spec seed_size must be an int"),
+    ({"seed": 1.5}, "seed spec seed must be an int"),
+    ({"seed": True}, "seed spec seed must be an int"),
+    ({"minority_fraction": "0.5"}, "seed spec minority_fraction must be a number"),
+    ({"radius_percentile": None}, "seed spec radius_percentile must be a number"),
+    ({"setting": 1}, "seed spec setting must be a string")])
+def test_seed_spec_fields_checked(knobs, message):
+    # Built directly, a SeedSpec runs the type check every config section runs.
+    with pytest.raises(ConfigError, match=message):
+        SeedSpec(**knobs)

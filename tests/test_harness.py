@@ -1,3 +1,4 @@
+import importlib
 import json
 import multiprocessing
 import pickle
@@ -9,10 +10,13 @@ import pytest
 
 from allwas import harness
 from allwas.cli import main as cli_main
-from allwas.errors import AllwasError, ConfigError, ShapeError
+from allwas.errors import AllwasError, ConfigError, DataError, ShapeError
+from allwas.data import train_val_split
 from allwas.harness import ExperimentConfig, load_corpus, run_experiment, run_sweep
 from allwas.seeding import derive_seed
+from allwas.stats import f1_macro, f1_target, wilcoxon_signed_rank
 from allwas.report import (
+    EXACT_WILCOXON_LIMIT,
     learning_curve_svg,
     load_records,
     paired_f1,
@@ -20,6 +24,9 @@ from allwas.report import (
     significance_table,
     validate_svg,
 )
+
+# The module: the package's ``report`` attribute is the function.
+report_module = importlib.import_module("allwas.report")
 
 SMALL_CORPUS = {"synthetic": {"n": 260, "d": 6, "priors": [0.7, 0.3],
                               "noise": 0.8, "seed": 11}}
@@ -831,3 +838,165 @@ class TestCli:
                          "--values", "random,lc"]) == 0
         assert (tmp_path / "sweep" / "s_random.csv").exists()
         assert (tmp_path / "sweep" / "s_lc.csv").exists()
+
+
+def _write_cell_config(tmp_path, label="demo", **kw):
+    cfg_path = tmp_path / f"{label}.json"
+    cfg_path.write_text(json.dumps({
+        "corpus": SMALL_CORPUS, "out_dir": str(tmp_path / "runs"), "label": label,
+        "seed_size": 10, "budget": 20, "k": 10, "repeats": 1,
+        "model": {"hidden_dim": 4, "epochs": 1}, **kw}))
+    return cfg_path
+
+
+def _drop_key(key):
+    def edit(meta):
+        data = json.loads(meta)
+        del data[key]
+        return json.dumps(data)
+    return edit
+
+
+# Each way a cell's files can be malformed: (edit of the CSV text, edit of
+# the meta file's text).
+MALFORMED_CELLS = {
+    "wrong header": (lambda csv: csv.replace("seconds", "secs", 1), None),
+    "no header": (lambda csv: "", None),
+    "truncated row": (lambda csv: csv[:csv.rstrip().rindex(",")] + "\n", None),
+    "extra field": (lambda csv: csv.rstrip() + ",1\n", None),
+    "unparseable field": (lambda csv: csv.replace(",0,", ",zero,", 1), None),
+    "meta not JSON": (None, lambda meta: meta[:-5]),
+    "meta not an object": (None, lambda meta: "[1, 2]\n"),
+    "meta lacks label": (None, _drop_key("label")),
+    "meta lacks config_hash": (None, _drop_key("config_hash")),
+    "meta lacks schema": (None, _drop_key("schema")),
+    "meta of another schema": (None, lambda meta: meta.replace('"schema": 1', '"schema": 2')),
+}
+
+
+class TestCellFiles:
+    """harness.read_cell is the one reader of a cell's CSV and meta file,
+    for resume, report and stats alike."""
+
+    @pytest.mark.parametrize("case", MALFORMED_CELLS)
+    def test_malformed_cell_exits_3_naming_it(self, tmp_path, capsys, case):
+        cfg_path = _write_cell_config(tmp_path)
+        assert cli_main(["run", str(cfg_path)]) == 0
+        run_dir = tmp_path / "runs"
+        for suffix, edit in zip((".csv", ".meta.json"), MALFORMED_CELLS[case]):
+            path = run_dir / f"demo{suffix}"
+            if edit is not None:
+                edited = edit(path.read_text())
+                assert edited != path.read_text()
+                path.write_text(edited)
+        with pytest.raises(DataError, match="cell 'demo': demo"):
+            harness.read_cell(run_dir, "demo")
+        capsys.readouterr()
+        for argv in (["run", str(cfg_path)], ["report", str(run_dir)],
+                     ["stats", str(run_dir), "--pairs", "demo:demo"]):
+            assert cli_main(argv) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("data error: cell 'demo': demo")
+            assert "Traceback" not in err
+
+    def test_cell_of_another_config_still_exits_2(self, tmp_path, capsys):
+        assert cli_main(["run", str(_write_cell_config(tmp_path))]) == 0
+        capsys.readouterr()
+        assert cli_main(["run", str(_write_cell_config(tmp_path, master_seed=9))]) == 2
+        assert "config error: cell 'demo': existing results" in capsys.readouterr().err
+
+    def test_missing_file_reads_as_no_cell(self, tmp_path):
+        assert cli_main(["run", str(_write_cell_config(tmp_path))]) == 0
+        assert harness.read_cell(tmp_path / "runs", "other") is None
+        (tmp_path / "runs" / "demo.meta.json").unlink()
+        assert harness.read_cell(tmp_path / "runs", "demo") is None
+
+    def test_report_copies_cell_csv_byte_for_byte(self, tmp_path):
+        cfg = small_cfg(tmp_path, budget=20, k=10)
+        records = run_sweep(cfg, "strategy", ["random", "lc"])
+        report(load_records(tmp_path / "runs"), tmp_path / "report")
+        for rec in records:
+            written = (tmp_path / "runs" / f"{rec.label}.csv").read_bytes()
+            assert (tmp_path / "report" / f"cell_{rec.label}.csv").read_bytes() == written
+            assert harness.read_cell(tmp_path / "runs", rec.label) == rec
+
+
+def _record(label, f1s):
+    rows = tuple(harness.RunRow("balanced", "random", seed, 0, 10, float(f1), 0.0)
+                 for seed, f1 in enumerate(f1s))
+    return harness.RunRecord(label, f"hash-{label}", rows)
+
+
+class TestSignificance:
+    """The signed-rank test through report's table and ``allwas stats``,
+    on records with enough differing cells to run it."""
+
+    @pytest.mark.parametrize("n, mode", [(12, "exact"),
+                                         (EXACT_WILCOXON_LIMIT + 20, "normal-approx")])
+    def test_table_and_stats_match_signed_rank_test(self, tmp_path, capsys, monkeypatch,
+                                                    n, mode):
+        rng = np.random.default_rng(n)
+        base = rng.uniform(0.2, 0.8, n)
+        records = [_record("a", base), _record("b", base + rng.normal(0.02, 0.05, n)),
+                   _record("c", base - rng.uniform(0.001, 0.02, n))]
+        by_label = {rec.label: rec for rec in records}
+        modes = []
+        real = report_module.wilcoxon_signed_rank
+        monkeypatch.setattr(report_module, "wilcoxon_signed_rank",
+                            lambda x, y, mode: modes.append(mode) or real(x, y, mode=mode))
+
+        def expected(a, b, m):
+            xs, ys = paired_f1(by_label[a], by_label[b])
+            stat, p = wilcoxon_signed_rank(xs, ys, mode=mode)
+            better = a if np.mean(xs - ys) > 0 else b
+            return (a, b, n, stat, p, min(1.0, m * p), better)
+
+        results = significance_table(records)
+        assert results == [expected(a, b, 3) for a, b in ("ab", "ac", "bc")]
+        assert modes == [mode] * 3
+
+        run_dir = tmp_path / "runs"
+        run_dir.mkdir()
+        for rec in records:
+            (run_dir / f"{rec.label}.csv").write_text(harness.cell_csv(rec.rows))
+            (run_dir / f"{rec.label}.meta.json").write_text(json.dumps(
+                {"label": rec.label, "config_hash": rec.config_hash,
+                 "schema": harness.SCHEMA_VERSION}))
+        assert load_records(run_dir) == records
+        report(records, tmp_path / "report")
+        table = (tmp_path / "report" / "significance.csv").read_text()
+        capsys.readouterr()
+        # Over every pair, stats prints the report's table exactly.
+        assert cli_main(["stats", str(run_dir), "--pairs", "a:b,a:c,b:c"]) == 0
+        assert capsys.readouterr().out == table
+        # Over some pairs, it corrects for those pairs only.
+        assert cli_main(["stats", str(run_dir), "--pairs", "b:a,a:c"]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert header == table.splitlines()[0]
+        for line, (a, b) in zip(lines, ("ba", "ac"), strict=True):
+            _, _, _, stat, p, p_adj, better = expected(a, b, 2)
+            assert line == f"{a},{b},{n},{stat:.10g},{p:.10g},{p_adj:.10g},{better}"
+
+
+def test_macro_f1_metric_scores_each_head_on_macro_f1(tmp_path, monkeypatch):
+    # Each row's f1 is f1_macro of its head's validation predictions, over
+    # all three classes; target-class F1 is never scored.
+    calls = []
+
+    def spy(preds, truth, n_classes):
+        calls.append((preds, truth, n_classes, f1_macro(preds, truth, n_classes)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(harness, "f1_macro", spy)
+    monkeypatch.setattr(harness, "f1_target", lambda *a: pytest.fail("target F1 scored"))
+    corpus = {"synthetic": {"n": 240, "d": 5, "priors": [0.4, 0.3, 0.3],
+                            "noise": 0.8, "seed": 4}}
+    cfg = small_cfg(tmp_path, corpus=corpus, metric="macro-f1", strategy="lc", repeats=1)
+    record = run_experiment(cfg)
+    assert [row.f1 for row in record.rows] == [f1 for *_, f1 in calls]
+    _, val = train_val_split(load_corpus(corpus), cfg.val_fraction,
+                             seed=derive_seed(cfg.master_seed, 0, "split"))
+    for preds, truth, n_classes, _ in calls:
+        assert n_classes == 3 and np.array_equal(truth, val.labels)
+        assert preds.shape == truth.shape
+    assert any(f1 != f1_target(preds, truth, 0) for preds, truth, _, f1 in calls)
