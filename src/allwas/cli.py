@@ -10,6 +10,7 @@
 Exit codes: 0 ok, 2 config error, 3 data error, 4 runtime failure.
 A cell's results are <label>.csv and <label>.meta.json: run resumes from
 them, report and stats read them, and a malformed one is a data error.
+report refuses to write over a cell's CSV (a config error): pass --out.
 stats prints significance.csv's rows for the given pairs (Bonferroni over them).
 ALLWAS_THREADS is the number of worker processes a sweep runs its cells in
 (default 1: serial); they start with fork where the platform has it, else

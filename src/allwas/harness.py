@@ -111,6 +111,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_types(ExperimentConfig, vars(self))
+        # The label names the cell's files inside out_dir.
+        if self.label in ("", ".", "..") or self.label != os.path.basename(self.label):
+            raise ConfigError(f"label must be a file name (got {self.label!r})")
         if self.strategy not in STRATEGY_NAMES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.k < 1 or self.k > self.budget:
@@ -310,8 +313,8 @@ def _run_repeat(cfg: ExperimentConfig, corpus: Corpus, repeat: int):
             if len(labeled) >= cfg.budget:
                 return
             picked = acquire(
-                cfg.strategy, trained, [ids[r] for r in unlabeled],
-                x[unlabeled], [ids[r] for r in labeled], x[labeled], cfg.k,
+                cfg.strategy, trained, [ids[r] for r in unlabeled], x[unlabeled],
+                [ids[r] for r in labeled], x[labeled], min(cfg.k, cfg.budget - len(labeled)),
                 seed=derive_seed(ms, repeat, iteration, "acquire"),
                 ot=ot, passes=cfg.mc_passes)
         except AllwasError as exc:
@@ -330,12 +333,10 @@ def _lockstep(runs: list, head_free: list) -> list:
     """Drive ``_run_repeat`` generators to their ends together;
     ``head_free[i]`` says whether run i's strategy is in ``HEAD_FREE``.
 
-    Each round pulls requests, trains them and scores every head. The
-    first round pulls each run's first request in run order; a later one
-    first sends each run that reads its head the head trained for it in
-    the round before, which yields its next request. Each head-free run
-    is then pulled once more, and, once no run that reads its head is
-    left, more, until the round's requests hold ``_DRAIN_BYTES``. A
+    Each round pulls every live run once, in run order, sending a run that
+    reads its head the head trained for it in the round before; once no
+    such run is left, it pulls more until its requests hold
+    ``_DRAIN_BYTES``. It then trains the requests and scores every head. A
     block's cells share one corpus and model, so a round's heads train in
     one ``train_stack`` call, a ragged stack where row counts differ (a
     lone request calls ``train``), each bitwise what it would be trained
@@ -347,7 +348,6 @@ def _lockstep(runs: list, head_free: list) -> list:
     failed = [None] * len(runs)                 # the error a run's score raised
     raised = [None] * len(runs)                 # the error a run raised itself
     live = dict.fromkeys(range(len(runs)))      # run -> what it is sent next
-    first = list(live)                          # runs pulled before head-free ones
 
     def pull(i) -> bool:
         """Add run i's next request to the round's; False once it ended."""
@@ -363,15 +363,13 @@ def _lockstep(runs: list, head_free: list) -> list:
 
     while live:
         requests = []                           # (run, head, data, score), in order
-        for i in first:
+        for i in list(live):
             pull(i)
-        draining = all(head_free[i] for i in live)
-        held = sum(_request_bytes(head, data) for _, head, data, _ in requests)
-        for i in [i for i in live if head_free[i]]:
-            pulled = i in first
-            while (not pulled or draining and held < _DRAIN_BYTES) and pull(i):
-                held += _request_bytes(*requests[-1][1:3])
-                pulled = True
+        if all(head_free[i] for i in live):
+            held = sum(_request_bytes(head, data) for _, head, data, _ in requests)
+            for i in list(live):
+                while held < _DRAIN_BYTES and pull(i):
+                    held += _request_bytes(*requests[-1][1:3])
         if not requests:
             break
         owners, heads, datas, scores = zip(*requests)
@@ -392,7 +390,6 @@ def _lockstep(runs: list, head_free: list) -> list:
             else:
                 if not head_free[i]:
                     live[i] = head
-        first = [i for i in live if not head_free[i]]
     return [failed[i] or raised[i] or rows[i] for i in range(len(runs))]
 
 
@@ -468,7 +465,7 @@ def _load_existing(cfg: ExperimentConfig) -> tuple:
 
 def _run_cells(cells, corpus: Corpus) -> list:
     """Run (or resume) every pending repeat of ``cells`` as one block in
-    lockstep, then write each cell's results.
+    lockstep, then write the results of each cell in which a repeat ran.
 
     Returns, per cell, its :class:`RunRecord` or the AllwasError, naming
     the cell, of its results on disk or its lowest failing repeat. A
@@ -502,7 +499,7 @@ def _run_cells(cells, corpus: Corpus) -> list:
             rows[k].extend(result)
             ran.add(k)
     for k, cfg in enumerate(cells):
-        if outcomes[k] is None or k in ran:
+        if k in ran:
             _write_rows(cfg, rows[k])
         if outcomes[k] is None:
             ordered = tuple(sorted(rows[k], key=lambda r: (r.seed, r.iteration)))
@@ -542,7 +539,10 @@ def _cell_for(base: ExperimentConfig, axis: str, value) -> ExperimentConfig:
         aug = dict(base.augmentation)
         if aug.get("mode", "none") == "none":
             aug["mode"] = "wasserstein"
-        aug[key] = int(value)
+        try:
+            aug[key] = int(str(value))
+        except ValueError:
+            raise ConfigError(f"{axis} values must be integers (got {value!r})") from None
         return replace(base, augmentation=aug, label=f"{base.label}_{tag}{value}")
     if axis == "strategy":
         return replace(base, strategy=str(value),

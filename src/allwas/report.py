@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import AllwasError, DataError
+from .errors import AllwasError, ConfigError, DataError
 from .harness import RunRecord, cell_csv, read_cell
 from .stats import bonferroni, wilcoxon_signed_rank
 
@@ -181,14 +181,20 @@ def validate_svg(text: str) -> None:
 
 def report(records, out_dir) -> list:
     """Write canonical per-cell CSVs, the significance table, and one
-    learning-curve SVG per seed setting. Returns the written paths."""
+    learning-curve SVG per seed setting. Returns the written paths.
+
+    A CSV it would write that is a cell's (the cell's meta file is beside
+    it) is a ConfigError, raised before anything is written."""
+    names = [f"cell_{rec.label}" for rec in records] + ["significance"]
+    for name in names:
+        if os.path.exists(os.path.join(out_dir, name + ".meta.json")):
+            raise ConfigError(f"{out_dir} holds cell {name!r}, which the report would "
+                              "overwrite; write the report elsewhere with --out")
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-    for rec in records:
-        written.append(os.path.join(out_dir, f"cell_{rec.label}.csv"))
-        with open(written[-1], "w", newline="") as fh:
+    written = [os.path.join(out_dir, name + ".csv") for name in names]
+    for rec, path in zip(records, written):
+        with open(path, "w", newline="") as fh:
             fh.write(cell_csv(rec.rows))
-    written.append(os.path.join(out_dir, "significance.csv"))
     with open(written[-1], "w", newline="") as fh:
         significance_table(records, fh)
 

@@ -40,21 +40,10 @@ def f1_macro(preds, truth, n_classes: int) -> float:
 
 
 def _signed_ranks(diffs: np.ndarray):
-    """Average ranks of |d| with the positive-rank sum and tie group sizes."""
-    mags = np.abs(diffs)
-    order = np.argsort(mags, kind="stable")
-    ranks = np.empty(len(mags))
-    sorted_mags = mags[order]
-    i = 0
-    ties = []
-    while i < len(sorted_mags):
-        j = i
-        while j + 1 < len(sorted_mags) and sorted_mags[j + 1] == sorted_mags[i]:
-            j += 1
-        avg = (i + j) / 2 + 1
-        ranks[order[i:j + 1]] = avg
-        ties.append(j - i + 1)
-        i = j + 1
+    """Average ranks of |d| with the positive-rank sum and tie group sizes:
+    a group of t ties that starts at sorted index i has rank i + (t + 1) / 2."""
+    _, group, ties = np.unique(np.abs(diffs), return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(ties) - ties + (ties + 1) / 2)[group]
     w_plus = float(ranks[diffs > 0].sum())
     return ranks, w_plus, ties
 

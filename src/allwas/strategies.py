@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coreset import default_s0_cost, greedy_select
+from .coreset import greedy_select
 from .errors import AllwasError, ConfigError, check_types
 from .gradspace import pairwise_w2_exact, pairwise_wasserstein
 from .model import ClassifierHead, gradient_arrays, predict_proba_batch
@@ -43,36 +43,29 @@ class OTConfig:
     """Transport knobs for the coreset strategy; its fields are the only
     keys of an experiment config's ``ot`` section.
 
-    ``eps``, ``max_iter`` and ``tol`` configure Sinkhorn, which runs only
-    for heads of more than two classes, and then only at ``p`` != 2 or past
-    the exact path's vertex cap (more than seven classes). Every other
-    distance is exact. ``subsample`` caps the pool rows the distances are
-    taken over, and ``s0_cost`` overrides the auxiliary element's flat
-    coverage cost (default: just above the largest distance).
+    ``max_iter`` and ``tol`` configure Sinkhorn, which runs only for heads
+    of more than two classes, and then only at ``p`` != 2 or past the exact
+    path's vertex cap (more than seven classes); it runs at eps = 5% of
+    each pair's median cost. Every other distance is exact. ``subsample``
+    caps the pool rows the distances are taken over.
     """
 
     p: float = 2.0
-    eps: float | None = None
     subsample: int | None = 2000
     max_iter: int = 300
     tol: float = 1e-6
-    s0_cost: float | None = None
 
     def __post_init__(self):
         check_types(OTConfig, vars(self), "ot ")
         # Each check is "not (valid)", so NaN fails too.
         if not self.p >= 1:
             raise ConfigError(f"ot p must be >= 1 (got {self.p})")
-        if self.eps is not None and not self.eps > 0:
-            raise ConfigError(f"ot eps must be > 0 or null (got {self.eps})")
         if self.subsample is not None and not self.subsample >= 1:
             raise ConfigError(f"ot subsample must be >= 1 or null (got {self.subsample})")
         if not self.max_iter >= 1:
             raise ConfigError(f"ot max_iter must be >= 1 (got {self.max_iter})")
         if not self.tol > 0:
             raise ConfigError(f"ot tol must be > 0 (got {self.tol})")
-        if self.s0_cost is not None and not self.s0_cost >= 0:
-            raise ConfigError(f"ot s0_cost must be >= 0 or null (got {self.s0_cost})")
 
 
 def _check_k(ids, k: int) -> None:
@@ -181,11 +174,9 @@ def acquire_allwas(head: ClassifierHead, ids, x: np.ndarray, labeled_ids,
                                    ids=ids + labeled_ids)
     else:
         grads, probs = gradient_arrays(head, x)
-        matrix = pairwise_wasserstein(grads, probs, p=ot.p, eps=ot.eps,
-                                      ids=ids + labeled_ids, max_iter=ot.max_iter,
-                                      tol=ot.tol)
-    s0 = ot.s0_cost if ot.s0_cost is not None else default_s0_cost(matrix)
-    state = greedy_select(matrix, k=k, warm_start=labeled_ids, s0_cost=s0)
+        matrix = pairwise_wasserstein(grads, probs, p=ot.p, ids=ids + labeled_ids,
+                                      max_iter=ot.max_iter, tol=ot.tol)
+    state = greedy_select(matrix, k=k, warm_start=labeled_ids)
     return list(state.selected)
 
 

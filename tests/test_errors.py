@@ -43,7 +43,7 @@ def test_row_within_tolerance_accepted(site):
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: OTConfig(eps=Fraction(1, 100)), "ot eps must be a number or null"),
+    (lambda: OTConfig(p=Fraction(2, 1)), "ot p must be a number"),
     (lambda: AugmentationConfig(dirichlet_alpha=Fraction(1, 2)),
      "augmentation dirichlet_alpha must be a number"),
     (lambda: OTConfig(tol=np.True_), "ot tol must be a number")])

@@ -103,6 +103,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match=message):
             small_cfg(tmp_path, **{section: bad})
 
+    @pytest.mark.parametrize("label", ["", ".", "..", "../escaped", "a/b", "/abs"])
+    def test_label_must_be_a_file_name(self, tmp_path, label):
+        with pytest.raises(ConfigError, match="label must be a file name"):
+            small_cfg(tmp_path, label=label)
+
     def test_iterations_per_repeat(self, tmp_path):
         cfg = small_cfg(tmp_path)
         assert cfg.iterations_per_repeat() == 3
@@ -178,6 +183,31 @@ class TestRunExperiment:
         changed = small_cfg(tmp_path, master_seed=6)
         with pytest.raises(ConfigError, match="different config"):
             run_experiment(changed)
+
+    def test_last_acquisition_stops_at_budget(self, tmp_path):
+        cfg = small_cfg(tmp_path, k=15)
+        record = run_experiment(cfg)
+        for repeat in range(cfg.repeats):
+            rows = [r for r in record.rows if r.seed == cfg.master_seed + repeat]
+            assert [r.labeled for r in rows] == [10, 25, 30]
+
+    def test_budget_of_the_whole_pool_labels_it(self, tmp_path):
+        # The pool split holds 208 of the 260 rows; the last of nine
+        # acquisitions takes the 23 rows left.
+        cfg = small_cfg(tmp_path, k=25, budget=208, repeats=1)
+        record = run_experiment(cfg)
+        assert [r.labeled for r in record.rows] == [10 + 25 * i for i in range(8)] + [208]
+        assert len(record.rows) == cfg.iterations_per_repeat()
+
+    def test_rerun_of_a_complete_cell_writes_nothing(self, tmp_path, monkeypatch):
+        cfg = small_cfg(tmp_path)
+        record = run_experiment(cfg)
+
+        def refuse(cfg_, rows_):
+            raise AssertionError("a complete cell was rewritten")
+
+        monkeypatch.setattr(harness, "_write_rows", refuse)
+        assert run_experiment(cfg) == record
 
     def test_budget_exceeding_pool_rejected(self, tmp_path):
         cfg = small_cfg(tmp_path, budget=250, k=10)
@@ -445,6 +475,18 @@ class TestHeadFree:
         seed = [derive_seed(random_cell.master_seed, 0, i, "train") for i in range(5)]
         assert stacks == [[seed[0]] * 2, [seed[1]] * 2, [seed[2]] * 2, [seed[3], seed[4]]]
 
+    def test_round_pulls_live_runs_in_run_order(self, tmp_path, monkeypatch):
+        # As above, but the lc cell has its own master seed, so each stack
+        # shows its order: every round pulls the live runs in run order,
+        # whether or not they read their heads.
+        random_cell = small_cfg(tmp_path, label="random", budget=50, repeats=1)
+        lc_cell = small_cfg(tmp_path, label="lc", strategy="lc", repeats=1, master_seed=6)
+        stacks = spy_stacks(monkeypatch)
+        harness._run_cells([random_cell, lc_cell], load_corpus(SMALL_CORPUS))
+        r = [derive_seed(random_cell.master_seed, 0, i, "train") for i in range(5)]
+        lc = [derive_seed(lc_cell.master_seed, 0, i, "train") for i in range(3)]
+        assert stacks == [[r[0], lc[0]], [r[1], lc[1]], [r[2], lc[2]], [r[3], r[4]]]
+
     @pytest.mark.parametrize("strategy", ["random", "lc"])
     @pytest.mark.parametrize("train_fails", [True, False])
     @pytest.mark.parametrize("drain", [True, False])
@@ -684,13 +726,39 @@ class TestCli:
         return code
 
     @pytest.mark.parametrize("field, bad", [
-        ("eps", -1.0), ("max_iter", -5), ("tol", -1.0), ("subsample", 0),
-        ("p", 0.5), ("s0_cost", -1.0), ("p", "2"), ("eps", True), ("subsample", 10.5),
-        ("max_iter", 2.5)])
+        ("max_iter", -5), ("tol", -1.0), ("tol", 0.0), ("subsample", 0),
+        ("p", 0.5), ("p", "2"), ("p", True), ("subsample", 10.5), ("max_iter", 2.5)])
     def test_bad_ot_value_exits_2_before_corpus_loads(self, tmp_path, capsys,
                                                       monkeypatch, field, bad):
         assert self.run_before_corpus_loads(tmp_path, monkeypatch, ot={field: bad}) == 2
         assert f"ot {field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("eps", 0.01), ("s0_cost", 1.0)])
+    def test_retired_ot_key_exits_2_before_corpus_loads(self, tmp_path, capsys,
+                                                        monkeypatch, key, value):
+        # Sinkhorn's eps is adaptive and the coverage cost the default: a
+        # config that sets either names an unknown key.
+        assert self.run_before_corpus_loads(tmp_path, monkeypatch, ot={key: value}) == 2
+        assert f"unknown ot config keys: ['{key}']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", ["../escaped", "a/b"])
+    def test_label_that_is_not_a_file_name_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                   label):
+        assert self.run_before_corpus_loads(tmp_path, monkeypatch, label=label) == 2
+        assert "label must be a file name" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("values", ["2,abc", "1.5"])
+    def test_non_integer_sweep_value_exits_2(self, tmp_path, capsys, monkeypatch, values):
+        monkeypatch.setattr("allwas.harness.load_corpus",
+                            lambda spec: pytest.fail("corpus loaded"))
+        cfg_path = _write_cell_config(tmp_path)
+        assert cli_main(["sweep", str(cfg_path), "--axis", "augmentation-factor",
+                         "--values", values]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: augmentation-factor values must be integers")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "runs").exists()
 
     def test_retired_distance_dump_exits_2_before_corpus_loads(self, tmp_path, capsys,
                                                                monkeypatch):
@@ -910,6 +978,23 @@ class TestCellFiles:
         assert harness.read_cell(tmp_path / "runs", "other") is None
         (tmp_path / "runs" / "demo.meta.json").unlink()
         assert harness.read_cell(tmp_path / "runs", "demo") is None
+
+    def test_report_never_overwrites_a_cell(self, tmp_path, capsys):
+        # report writes cell_<label>.csv and significance.csv, which are
+        # also the CSVs of cells labeled so.
+        for label in ("demo", "cell_demo", "significance"):
+            assert cli_main(["run", str(_write_cell_config(tmp_path, label))]) == 0
+        run_dir = tmp_path / "runs"
+        before = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+        capsys.readouterr()
+        assert cli_main(["report", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "cell 'cell_demo'" in err
+        assert "--out" in err
+        assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == before
+        assert cli_main(["report", str(run_dir), "--out", str(tmp_path / "report")]) == 0
+        assert ((tmp_path / "report" / "cell_cell_demo.csv").read_bytes()
+                == before["cell_demo.csv"])
 
     def test_report_copies_cell_csv_byte_for_byte(self, tmp_path):
         cfg = small_cfg(tmp_path, budget=20, k=10)

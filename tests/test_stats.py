@@ -1,11 +1,12 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.stats
 
 from allwas.errors import AllwasError
-from allwas.stats import bonferroni, f1_macro, f1_target, wilcoxon_signed_rank
+from allwas.stats import _signed_ranks, bonferroni, f1_macro, f1_target, wilcoxon_signed_rank
 
 
 class TestF1:
@@ -110,6 +111,25 @@ class TestWilcoxon:
         assert 0.0 <= p <= 1.0
         _, p_norm = wilcoxon_signed_rank(x, y, mode="normal-approx")
         assert 0.0 <= p_norm <= 1.0
+
+    def test_tied_ranks_and_tie_correction_match_scipy(self, rng):
+        # Quarter-step differences tie often: the average ranks equal
+        # scipy's bitwise, the tie sizes are the magnitudes' counts in
+        # sorted order, and the tie-corrected normal approximation is
+        # scipy's.
+        for _ in range(200):
+            diffs = rng.integers(-5, 6, size=int(rng.integers(5, 70))) / 4.0
+            diffs = diffs[diffs != 0]
+            if len(diffs) < 5:
+                continue
+            ranks, w_plus, ties = _signed_ranks(diffs)
+            assert ranks.tobytes() == scipy.stats.rankdata(np.abs(diffs)).tobytes()
+            assert w_plus == ranks[diffs > 0].sum()
+            counts = Counter(np.abs(diffs).tolist())
+            assert [int(t) for t in ties] == [counts[m] for m in sorted(counts)]
+            _, p = wilcoxon_signed_rank(diffs, np.zeros(len(diffs)), mode="normal-approx")
+            ref = scipy.stats.wilcoxon(diffs, method="approx", correction=True).pvalue
+            assert p == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
 
 class TestBonferroni:

@@ -209,9 +209,9 @@ class TestAllwas:
         assert len(set(a)) == 3
 
     @pytest.mark.parametrize("field, bad", [
-        ("eps", -1.0), ("eps", 0.0), ("max_iter", -5), ("max_iter", 0),
-        ("tol", -1.0), ("tol", 0.0), ("tol", float("nan")), ("subsample", 0),
-        ("p", 0.5), ("s0_cost", -0.1)])
+        ("max_iter", -5), ("max_iter", 0), ("tol", -1.0), ("tol", 0.0),
+        ("tol", float("nan")), ("subsample", 0), ("subsample", -3), ("p", 0.5),
+        ("p", float("nan"))])
     def test_bad_values_rejected(self, field, bad):
         with pytest.raises(ConfigError, match=f"ot {field} must be"):
             OTConfig(**{field: bad})
