@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import AllwasError, ConfigError, check_types
 from .model import TrainingSet
-from .transport import barycenter_support_size, wasserstein_barycenter_batch
+from .transport import _sum_lead, barycenter_support_size, wasserstein_barycenter_batch
 
 KDE_BANDWIDTH_FLOOR = 1e-3
 # Barycenter solves for augmentation favor speed: a looser adaptive eps and
@@ -80,18 +80,10 @@ class SyntheticSet:
         return self.pooled.shape[0]
 
 
-def mix_labels(labels, lambdas) -> np.ndarray:
-    """Canonical lambda-weighted average of label rows, summed in member
-    order so provenance reconstructs the result bitwise."""
-    acc = np.zeros_like(labels[0], dtype=np.float64)
-    for lam, label in zip(lambdas, labels):
-        acc = acc + lam * label
-    return acc
-
-
 def _mix_rows(rows, parents, lambdas) -> np.ndarray:
     """Row r is sum_j lambdas[r, j] * rows[parents[r, j]], summed in member
-    order as in :func:`mix_labels`, so each row equals it bitwise."""
+    order from zero, so provenance reconstructs each row bitwise, as the
+    one-row reference ``tests/oracles.mix_labels`` does."""
     acc = np.zeros((parents.shape[0], rows.shape[1]))
     for j in range(parents.shape[1]):
         acc = acc + lambdas[:, j, None] * rows[parents[:, j]]
@@ -199,18 +191,6 @@ class _RawDraws:
         return picked
 
 
-def _normalize_rows(gammas: np.ndarray) -> None:
-    """Scale each row of gamma draws to sum 1 in place, as
-    ``Generator.dirichlet`` does: the row summed in member order, then
-    multiplied by the reciprocal of the sum. Rows of
-    ``standard_gamma(alpha, size=g)`` draws then equal ``dirichlet`` draws
-    bitwise (for alpha of at least ``_STICK_BREAKING_ALPHA``)."""
-    acc = gammas[:, 0].copy()
-    for j in range(1, gammas.shape[1]):
-        acc += gammas[:, j]
-    gammas *= (1.0 / acc)[:, None]
-
-
 def _no_rows(g: int) -> SyntheticSet:
     return SyntheticSet(np.zeros((0, 0)), np.zeros((0, 0)),
                         np.zeros((0, g), dtype=np.intp), np.zeros((0, g)))
@@ -250,7 +230,10 @@ def augment_wasserstein(labeled: TrainingSet, cfg: AugmentationConfig) -> Synthe
             rng.standard_gamma(alpha, out=row)
     draws.sync()
     if alpha >= _STICK_BREAKING_ALPHA:
-        _normalize_rows(lambdas)
+        # Each row to sum 1 as Generator.dirichlet does it (the gamma draws
+        # summed in member order, times the reciprocal of the sum), so the
+        # rows equal dirichlet draws bitwise.
+        lambdas *= (1.0 / _sum_lead(lambdas, 1))[:, None]
     parents = np.array(parents, dtype=np.intp).reshape(count, g)
     return SyntheticSet(_mix_rows(labeled.x, parents, lambdas),
                         _mix_rows(labeled.y, parents, lambdas), parents, lambdas)

@@ -329,11 +329,14 @@ def make_synthetic(spec: SynthSpec) -> Corpus:
     return Corpus(range(spec.n), tokens, classes, (None,) * spec.n, names, target)
 
 
+SEED_SETTINGS = ("balanced", "imbalanced", "imbalanced-practical")
+
+
 @dataclass(frozen=True)
 class SeedSpec:
     """Initial labeled-set construction regime."""
 
-    setting: str = "balanced"   # balanced | imbalanced | imbalanced-practical
+    setting: str = "balanced"   # one of SEED_SETTINGS
     seed_size: int = 25
     seed: int = 0
     minority_fraction: float = 0.5
@@ -341,7 +344,7 @@ class SeedSpec:
 
     def __post_init__(self):
         check_types(SeedSpec, vars(self), "seed spec ")
-        if self.setting not in ("balanced", "imbalanced", "imbalanced-practical"):
+        if self.setting not in SEED_SETTINGS:
             raise ConfigError(f"unknown seed setting {self.setting!r}")
         if self.seed_size < 1:
             raise ConfigError("seed_size must be >= 1")

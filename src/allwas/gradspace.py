@@ -25,11 +25,11 @@ import numpy as np
 
 from .errors import AllwasError, ShapeError
 from .transport import (
-    EPS_FLOOR,
-    EPS_MEDIAN_SCALE,
+    _log_weights,
     _pairwise_sq,
     checked_simplex,
     checked_weights,
+    default_epsilon,
     sinkhorn_plans_batched,
 )
 
@@ -97,6 +97,15 @@ def _distinct_rows(keys: np.ndarray):
     return keep, np.searchsorted(keep, first[inverse.reshape(-1)])
 
 
+def _expanded(dist: np.ndarray, inverse: np.ndarray, ids) -> DistanceMatrix:
+    """The matrix over every input of the distances ``dist`` (u, u) between
+    the distinct ones (``_distinct_rows``), floored at 0 in place."""
+    np.maximum(dist, 0.0, out=dist)
+    if len(ids) > len(dist):
+        dist = dist[np.ix_(inverse, inverse)]
+    return DistanceMatrix(dist, tuple(ids))
+
+
 def _two_class_exact(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact W_p^p of 2x2 problems, cost (P, 2, 2) and marginals (P, 2): a
     coupling has one free entry t = P[0, 0] in [max(0, b0 - a1), min(a0, b0)]
@@ -122,7 +131,7 @@ def pairwise_wasserstein(
 
     With C = 2 each entry is exact (closed form, ``eps``, ``max_iter`` and
     ``tol`` unused). Otherwise each is the cost of a Sinkhorn plan at
-    ``eps`` (``None``: 5% of the pair's median cost) within ``max_iter``
+    ``eps`` (``None``: ``default_epsilon`` of the pair's cost) within ``max_iter``
     and ``tol``; ``sinkhorn_plans_batched`` rounds every plan onto the
     transport polytope, so each entry is a feasible plan's cost and at
     least the exact W_p^p.
@@ -167,21 +176,15 @@ def pairwise_wasserstein(
         if c == 2:
             vals = _two_class_exact(cost, a, b)
         else:
-            eps_arr = eps
-            if eps is None:
-                med = np.median(cost.reshape(len(si), -1), axis=1)
-                eps_arr = np.maximum(EPS_MEDIAN_SCALE * med, EPS_FLOOR)
-            with np.errstate(divide="ignore"):
-                plans, err, _, _, _ = sinkhorn_plans_batched(
-                    np.log(a), np.log(b), cost, eps_arr, max_iter=max_iter, tol=tol)
+            plans, err, _, _, _ = sinkhorn_plans_batched(
+                _log_weights(a), _log_weights(b), cost,
+                default_epsilon(cost) if eps is None else eps, max_iter=max_iter, tol=tol)
             unconverged += int(np.count_nonzero(err > tol))
             vals = np.einsum("bcd,bcd->b", plans, cost)
         dist[si, sj] = dist[sj, si] = vals
     logger.debug("pairwise_wasserstein: %d pairs in %d chunks, unconverged %.4f",
                  pairs, -(-pairs // chunk), unconverged / max(pairs, 1))
-
-    np.clip(dist, 0.0, None, out=dist)
-    return DistanceMatrix(dist if u == n else dist[np.ix_(inverse, inverse)], tuple(ids))
+    return _expanded(dist, inverse, ids)
 
 
 def _lexmin(rows: np.ndarray) -> int:
@@ -379,6 +382,5 @@ def pairwise_w2_exact(probs, w2, ids=None) -> DistanceMatrix:
     dist = np.zeros((u, u))
     np.put(dist, rows * u + cols, entries)
     np.put(dist, cols * u + rows, entries)
-    np.maximum(dist, 0.0, out=dist)
-    return DistanceMatrix(dist if u == n else dist[np.ix_(inverse, inverse)], tuple(ids))
+    return _expanded(dist, inverse, ids)
 

@@ -42,6 +42,7 @@ import numpy as np
 
 from .barysample import AugmentationConfig, augment_l2_kde, augment_wasserstein
 from .data import (
+    SEED_SETTINGS,
     Corpus,
     FeaturizerConfig,
     SeedSpec,
@@ -421,7 +422,8 @@ def _write_rows(cfg: ExperimentConfig, rows) -> None:
 def read_cell(directory, label: str) -> RunRecord | None:
     """Cell ``label``'s record from its CSV and meta file under ``directory``
     (None when either is missing), or a DataError naming the cell unless
-    both are well-formed."""
+    both are well-formed and every row names a seed setting of
+    ``SEED_SETTINGS`` and a strategy of ``STRATEGY_NAMES``."""
     base = os.path.join(directory, label)
     try:
         with open(base + ".csv") as rows_fh, open(base + ".meta.json") as meta_fh:
@@ -434,10 +436,14 @@ def read_cell(directory, label: str) -> RunRecord | None:
     rows = []
     for number, line in enumerate(lines[1:], start=2):
         try:
-            rows.append(RunRow.from_csv(line))
+            row = RunRow.from_csv(line)
         except ValueError:
             raise DataError(f"{where}.csv line {number} is not 7 fields that parse: "
                             f"{line!r}") from None
+        if row.setting not in SEED_SETTINGS or row.strategy not in STRATEGY_NAMES:
+            raise DataError(f"{where}.csv line {number} names an unknown seed setting "
+                            f"or strategy: {line!r}")
+        rows.append(row)
     try:
         meta = json.loads(meta_text)
         valid = (meta["schema"] == SCHEMA_VERSION
@@ -543,7 +549,7 @@ def _cell_for(base: ExperimentConfig, axis: str, value) -> ExperimentConfig:
             aug[key] = int(str(value))
         except ValueError:
             raise ConfigError(f"{axis} values must be integers (got {value!r})") from None
-        return replace(base, augmentation=aug, label=f"{base.label}_{tag}{value}")
+        return replace(base, augmentation=aug, label=f"{base.label}_{tag}{aug[key]}")
     if axis == "strategy":
         return replace(base, strategy=str(value),
                        label=f"{base.label}_{value}")

@@ -7,6 +7,7 @@ pure function of the records: identical runs give byte-identical files.
 
 from __future__ import annotations
 
+import io
 import os
 import xml.etree.ElementTree as ET
 from functools import partial
@@ -97,7 +98,10 @@ def _svg_polygon(points, color, opacity=0.15):
 
 def learning_curve_svg(records, title: str) -> str:
     """One SVG: per record the mean F1 curve over labeled counts with a
-    min-max band across repeats."""
+    min-max band across repeats. The title and the labels are escaped."""
+    # Imported here, as xml.sax.saxutils loads urllib.request, http and email.
+    from xml.sax.saxutils import escape
+
     width, height = 640, 420
     left, right, top, bottom = 60, 150, 40, 50
     plot_w = width - left - right
@@ -120,7 +124,7 @@ def learning_curve_svg(records, title: str) -> str:
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white" />',
         f'<text x="{left}" y="24" font-size="15" font-family="sans-serif">'
-        f'{title}</text>',
+        f'{escape(title)}</text>',
     ]
     # Axes and ticks.
     parts.append(_svg_polyline([(left, top), (left, top + plot_h),
@@ -158,7 +162,7 @@ def learning_curve_svg(records, title: str) -> str:
         lx = left + plot_w + 12
         parts.append(_svg_polyline([(lx, ly - 4), (lx + 22, ly - 4)], color))
         parts.append(f'<text x="{lx + 28:.2f}" y="{ly:.2f}" font-size="11" '
-                     f'font-family="sans-serif">{rec.label}</text>')
+                     f'font-family="sans-serif">{escape(rec.label)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -183,27 +187,24 @@ def report(records, out_dir) -> list:
     """Write canonical per-cell CSVs, the significance table, and one
     learning-curve SVG per seed setting. Returns the written paths.
 
-    A CSV it would write that is a cell's (the cell's meta file is beside
-    it) is a ConfigError, raised before anything is written."""
-    names = [f"cell_{rec.label}" for rec in records] + ["significance"]
-    for name in names:
-        if os.path.exists(os.path.join(out_dir, name + ".meta.json")):
-            raise ConfigError(f"{out_dir} holds cell {name!r}, which the report would "
+    Every file is rendered, and every SVG validated, before the first is
+    written, so a failure writes nothing. A CSV it would write that is a
+    cell's (the cell's meta file is beside it) is a ConfigError."""
+    table = io.StringIO()
+    significance_table(records, table)
+    files = {f"cell_{rec.label}.csv": cell_csv(rec.rows) for rec in records}
+    files["significance.csv"] = table.getvalue()
+    for name in files:
+        if os.path.exists(os.path.join(out_dir, name[:-4] + ".meta.json")):
+            raise ConfigError(f"{out_dir} holds cell {name[:-4]!r}, which the report would "
                               "overwrite; write the report elsewhere with --out")
-    os.makedirs(out_dir, exist_ok=True)
-    written = [os.path.join(out_dir, name + ".csv") for name in names]
-    for rec, path in zip(records, written):
-        with open(path, "w", newline="") as fh:
-            fh.write(cell_csv(rec.rows))
-    with open(written[-1], "w", newline="") as fh:
-        significance_table(records, fh)
-
     for setting in sorted({row.setting for rec in records for row in rec.rows}):
         recs = [rec for rec in records if any(row.setting == setting for row in rec.rows)]
         svg = learning_curve_svg(recs, title=f"learning curves ({setting})")
         validate_svg(svg)
-        path = os.path.join(out_dir, f"curves_{setting}.svg")
-        with open(path, "w") as fh:
-            fh.write(svg)
-        written.append(path)
-    return written
+        files[f"curves_{setting}.svg"] = svg
+    os.makedirs(out_dir, exist_ok=True)
+    for name, text in files.items():
+        with open(os.path.join(out_dir, name), "w", newline="") as fh:
+            fh.write(text)
+    return [os.path.join(out_dir, name) for name in files]

@@ -84,10 +84,7 @@ class DiscreteMeasure:
 
     @classmethod
     def uniform(cls, support) -> "DiscreteMeasure":
-        support = np.asarray(support, dtype=np.float64)
-        if support.ndim == 1:
-            support = support[:, None]
-        n = support.shape[0]
+        n = len(support)
         return cls(support, np.full(n, 1.0 / n))
 
     @classmethod
@@ -140,10 +137,14 @@ def ground_cost(a: DiscreteMeasure, b: DiscreteMeasure, p: float = 2.0) -> np.nd
     return sq if p == 2 else sq ** (p / 2.0)
 
 
-def default_epsilon(cost_entries: np.ndarray) -> float:
-    """Scale-adaptive entropic regularization: 5% of the median cost, floored."""
-    med = float(np.median(cost_entries))
-    return max(EPS_MEDIAN_SCALE * med, EPS_FLOOR)
+def default_epsilon(cost: np.ndarray, scale: float = EPS_MEDIAN_SCALE):
+    """Scale-adaptive entropic regularization of each cost matrix in the
+    last two axes: ``scale`` times its median cost, floored at
+    ``EPS_FLOOR``. NaN cells (padding) stay out of the median. A (n, m)
+    matrix gives a scalar, a (B, n, m) batch a (B,) array."""
+    cost = np.asarray(cost)
+    med = np.nanmedian(cost.reshape(cost.shape[:-2] + (-1,)), axis=-1)
+    return np.maximum(scale * med, EPS_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +352,9 @@ def sinkhorn_distance(
     coupling, zero cost) and single-atom measures, whose coupling is forced
     by the marginal constraints.
     """
-    _check_pair(a, b)
+    cost = ground_cost(a, b, p)
     if eps is not None and eps <= 0:
         raise ConfigError(f"eps must be positive (got {eps})")
-    cost = ground_cost(a, b, p)
     if not np.all(np.isfinite(cost)):
         raise AllwasError("non-finite cost entries")
 
@@ -551,7 +551,7 @@ def _barycenter_fixed_point(groups, weights, lambdas, support_sizes, outer_iter,
     # potentials start cold, as in the core, and warm-start the next pass.
     valid = bary_rows[:, :, None] & (np.arange(X.shape[1]) < counts[:, None])[:, None, :]
     cost = np.where(valid, _pairwise_sq(np.repeat(supports, g, axis=0), X), np.nan)
-    eps = np.maximum(eps_scale * np.nanmedian(cost.reshape(B * g, -1), axis=1), EPS_FLOOR)
+    eps = default_epsilon(cost, eps_scale)
     warm_f = np.zeros(log_bary_w.shape)
     warm_g = np.where(np.isfinite(log_w), 0.0, -np.inf)
 

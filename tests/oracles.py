@@ -3,7 +3,8 @@
 ``exact_distance_oracle`` gives exact W_p^p where a closed form exists, for
 the Sinkhorn and pairwise-distance checks. ``naive_greedy`` re-evaluates
 every candidate each step, the selection that ``coreset.greedy_select``'s
-lazy heap must reproduce.
+lazy heap must reproduce. ``mix_labels`` rebuilds one synthetic row from
+its provenance, as ``barysample`` mixes it.
 """
 
 import numpy as np
@@ -81,3 +82,12 @@ def naive_greedy(matrix, k: int, s0_cost: float | None = None) -> SelectionState
         np.minimum(minima, matrix.entries[:, matrix.index_of(best_id)], out=minima)
     value = matrix.n * s0_cost - float(minima.sum())
     return SelectionState(tuple(selected), minima, value, float(s0_cost))
+
+
+def mix_labels(labels, lambdas) -> np.ndarray:
+    """Canonical lambda-weighted average of label rows, summed in member
+    order from zero, so provenance reconstructs the result bitwise."""
+    acc = np.zeros_like(labels[0], dtype=np.float64)
+    for lam, label in zip(lambdas, labels):
+        acc = acc + lam * label
+    return acc

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from allwas.coreset import brute_force_opt, default_s0_cost, greedy_select, objective_L
-from allwas.barysample import AugmentationConfig, augment_wasserstein, mix_labels
+from allwas.barysample import AugmentationConfig, augment_wasserstein
 from allwas.gradspace import DistanceMatrix
 from allwas.harness import ExperimentConfig, run_experiment, run_sweep, load_corpus
 from allwas.model import ClassifierHead, TrainingSet, gradient_arrays, train
@@ -25,7 +25,7 @@ from allwas.transport import (
     wasserstein_barycenter,
     wasserstein_barycenter_batch,
 )
-from oracles import exact_distance_oracle, naive_greedy
+from oracles import exact_distance_oracle, mix_labels, naive_greedy
 
 
 def conclude(num: int, name: str, ok: bool, detail: str = ""):

@@ -13,11 +13,11 @@ from allwas.barysample import (
     augment_l2_kde,
     augment_wasserstein,
     barycenter_tokens,
-    mix_labels,
 )
 from allwas.errors import AllwasError, ConfigError
 from allwas.model import TrainingSet
 from allwas.transport import barycenter_support_size
+from oracles import mix_labels
 
 
 def labeled_rows(tokens, classes, n_classes=2):

@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import pickle
 import tracemalloc
+import xml.etree.ElementTree as ET
 from dataclasses import replace
 
 import numpy as np
@@ -760,6 +761,16 @@ class TestCli:
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "runs").exists()
 
+    def test_sweep_values_equal_as_integers_exit_2(self, tmp_path, capsys, monkeypatch):
+        # A cell is labelled with the integer it sets, so 3 and 03 clash.
+        monkeypatch.setattr("allwas.harness.load_corpus",
+                            lambda spec: pytest.fail("corpus loaded"))
+        cfg_path = _write_cell_config(tmp_path)
+        assert cli_main(["sweep", str(cfg_path), "--axis", "augmentation-factor",
+                         "--values", "3,03"]) == 2
+        assert "duplicate cell labels ['demo_factor3']" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_retired_distance_dump_exits_2_before_corpus_loads(self, tmp_path, capsys,
                                                                monkeypatch):
         # The distance dump is retired: its config key and its flag are
@@ -933,6 +944,9 @@ MALFORMED_CELLS = {
     "truncated row": (lambda csv: csv[:csv.rstrip().rindex(",")] + "\n", None),
     "extra field": (lambda csv: csv.rstrip() + ",1\n", None),
     "unparseable field": (lambda csv: csv.replace(",0,", ",zero,", 1), None),
+    # report() names a curves file after the setting.
+    "unknown setting": (lambda csv: csv.replace("\nbalanced,", "\n../../escaped,", 1), None),
+    "unknown strategy": (lambda csv: csv.replace(",random,", ",greedy,", 1), None),
     "meta not JSON": (None, lambda meta: meta[:-5]),
     "meta not an object": (None, lambda meta: "[1, 2]\n"),
     "meta lacks label": (None, _drop_key("label")),
@@ -995,6 +1009,23 @@ class TestCellFiles:
         assert cli_main(["report", str(run_dir), "--out", str(tmp_path / "report")]) == 0
         assert ((tmp_path / "report" / "cell_cell_demo.csv").read_bytes()
                 == before["cell_demo.csv"])
+
+    def test_report_escapes_labels_and_writes_nothing_on_failure(self, tmp_path,
+                                                                 monkeypatch):
+        assert cli_main(["run", str(_write_cell_config(tmp_path, "a&b"))]) == 0
+        run_dir, out = tmp_path / "runs", tmp_path / "report"
+        assert cli_main(["report", str(run_dir), "--out", str(out)]) == 0
+        svg = ET.parse(out / "curves_balanced.svg").getroot()
+        assert "a&b" in [text.text for text in svg.iter("{http://www.w3.org/2000/svg}text")]
+
+        def fail(text):
+            raise AllwasError("SVG is not well-formed XML")
+
+        monkeypatch.setattr(report_module, "validate_svg", fail)
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert cli_main(["report", str(run_dir), "--out", str(empty)]) == 4
+        assert list(empty.iterdir()) == []
 
     def test_report_copies_cell_csv_byte_for_byte(self, tmp_path):
         cfg = small_cfg(tmp_path, budget=20, k=10)

@@ -66,6 +66,12 @@ def test_import_loads_no_process_pool():
     assert modules_loaded_by_import("multiprocessing", "concurrent.futures.process") == "[]"
 
 
+def test_import_loads_no_sax_utilities():
+    # Only rendering an SVG escapes text, and xml.sax.saxutils loads the
+    # urllib.request, http.client and email packages.
+    assert modules_loaded_by_import("xml.sax", "urllib.request", "http", "email") == "[]"
+
+
 def sibling_imports(path):
     """The allwas modules a source file imports."""
     dotted = []
@@ -85,6 +91,30 @@ def test_corpus_and_head_modules_import_only_errors_and_seeding(module):
     # the transport, augmentation or acquisition layers.
     path = Path(allwas.__file__).parent / f"{module}.py"
     assert sibling_imports(path) <= {"errors", "seeding"}
+
+
+def names_in(path):
+    """Every name a source file uses, as a variable, an attribute or an
+    import."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
+def test_only_transport_names_the_eps_constants():
+    # The adaptive eps has one implementation, transport.default_epsilon:
+    # no other module rebuilds its rule from the constants.
+    constants = {"EPS_MEDIAN_SCALE", "EPS_FLOOR"}
+    package = Path(allwas.__file__).parent
+    assert names_in(package / "transport.py") >= constants
+    assert sorted(path.name for path in package.glob("*.py")
+                  if path.name != "transport.py" and names_in(path) & constants) == []
 
 
 def test_errors_module_imports_no_sibling():

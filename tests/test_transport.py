@@ -159,6 +159,23 @@ class TestSinkhorn:
         assert costs[1] <= costs[0] + 1e-8
         assert costs[2] <= costs[1] + 1e-8
 
+    @pytest.mark.parametrize("scale", [transport.EPS_MEDIAN_SCALE, transport.BARY_EPS_SCALE])
+    def test_default_epsilon_per_problem_of_padded_batch(self, rng, scale):
+        # One eps per problem of a NaN-padded batch, each the scalar rule on
+        # that problem's own cells; the last problem's costs are tiny, so
+        # the floor binds there.
+        shapes = [(3, 5), (6, 2), (4, 4), (2, 3)]
+        cost = np.full((len(shapes), 6, 5), np.nan)
+        for k, (n, m) in enumerate(shapes):
+            cost[k, :n, :m] = rng.exponential(size=(n, m)) * (1e-7 if k == 3 else 10.0 ** k)
+        eps = default_epsilon(cost, scale)
+        assert eps.shape == (len(shapes),)
+        for k, (n, m) in enumerate(shapes):
+            valid = cost[k, :n, :m]
+            assert eps[k] == max(scale * float(np.median(valid)), transport.EPS_FLOOR)
+            assert eps[k] == default_epsilon(valid, scale)
+        assert eps[-1] == transport.EPS_FLOOR
+
     def test_single_atom_closed_form(self):
         a = DiscreteMeasure.dirac([0.0, 0.0])
         b = DiscreteMeasure.uniform(np.array([[1.0, 0.0], [3.0, 0.0]]))
