@@ -38,6 +38,13 @@ logger = logging.getLogger(__name__)
 # Byte budget for one chunk of pair problems (memory guard).
 _CHUNK_BYTES = 64 * 2**20
 
+# Cells of an (N, N) matrix that one block of row-blocked work covers: the
+# exact matrix's blocks of pairs and the symmetry check's blocks of rows.
+# An exact block's working set is about 26 bytes per cell (its sort order,
+# its sums in sorted and in cell order, byte-wide vertex indices and
+# masks), so about 0.3 MiB whatever N is.
+_BLOCK_CELLS = 12288
+
 
 def _pairs_per_chunk(c: int) -> int:
     """Pairs whose working arrays fit in ``_CHUNK_BYTES``: per pair, three
@@ -64,12 +71,14 @@ class DistanceMatrix:
             raise ShapeError("one id per row", expected=n, actual=len(self.ids))
         if np.abs(np.diag(entries)).max(initial=0.0) > 1e-8:
             raise AllwasError("distance matrix diagonal must be zero")
-        # Compared in row blocks, so the check's temporaries stay small
-        # next to the matrix.
-        step = max(1, n // 8)
+        # Compared in blocks of rows, through one buffer of about
+        # _BLOCK_CELLS entries (one row at least).
+        step = max(1, _BLOCK_CELLS // max(n, 1))
+        gap = np.empty((min(step, n), n))
         for r0 in range(0, n, step):
-            block = entries[r0:r0 + step]
-            if np.abs(block - entries[:, r0:r0 + step].T).max() > 1e-6:
+            block = gap[:min(step, n - r0)]
+            np.subtract(entries[r0:r0 + step], entries[:, r0:r0 + step].T, out=block)
+            if np.abs(block, out=block).max() > 1e-6:
                 raise AllwasError("distance matrix must be symmetric")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "ids", tuple(self.ids))
@@ -305,17 +314,68 @@ def _dual_vertices(cost: np.ndarray):
             np.stack(flows), len(queue))
 
 
-def _attaining_vertex(probs, f, g, rows, cols) -> np.ndarray:
-    """For each pair (rows[p], cols[p]), the vertex k with the largest
-    f_k . p_row + g_k . p_col, one vertex at a time."""
-    top = np.take(probs @ f[0], rows) + np.take(probs @ g[0], cols)
-    best = np.zeros(len(rows), dtype=np.min_scalar_type(len(f) - 1))
-    for k in range(1, len(f)):
-        value = np.take(probs @ f[k], rows)
-        value += np.take(probs @ g[k], cols)
-        np.copyto(best, k, where=value > top)
-        np.maximum(top, value, out=top)
+def _attaining_vertex(probs, f, g, r0: int, r1: int) -> np.ndarray:
+    """For the pairs (i, j) of rows r0 <= i < r1 and columns j > r0, as an
+    (r1 - r0, N - r0 - 1) array, the vertex k with the largest
+    f_k . p_i + g_k . p_j, the first on ties, one vertex at a time."""
+    # Row 0 of ``left`` holds f_k . p and row 1 of ``right`` g_k . p for
+    # every row p, the other rows are ones, so the pair values are one
+    # rank-2 product, each entry rounded once as the sum of the two is.
+    # The products run over the whole pool, because BLAS rounds them by
+    # row count: so the vertex chosen does not depend on the block.
+    n = len(probs)
+    left, right = np.ones((2, n)), np.ones((2, n))
+    block = (left[:, r0:r1].T, right[:, r0 + 1:])
+    top, value = np.empty((2, r1 - r0, n - r0 - 1))
+    best = np.zeros(top.shape, dtype=np.min_scalar_type(len(f)))
+    ahead = np.empty_like(best)
+    for k in range(len(f)):
+        np.matmul(probs, f[k], out=left[0])
+        np.matmul(probs, g[k], out=right[1])
+        np.matmul(*block, out=value if k else top)
+        if k:
+            # Vertices come in increasing k, so k is above every index
+            # stored so far.
+            np.greater(value, top, out=ahead)
+            np.maximum(top, value, out=top)
+            np.multiply(ahead, k, out=ahead)
+            np.maximum(best, ahead, out=best)
     return best
+
+
+def _exact_block(dist, probs, r0: int, r1: int, f, g, flows, gaps) -> None:
+    """Write the entries of the pairs i < j with r0 <= i < r1 into both
+    halves of ``dist`` (``pairwise_w2_exact``)."""
+    # The block is the rectangle of rows [r0, r1) and columns (r0, N); its
+    # pairs are the cells on or above its diagonal. They are grouped by the
+    # vertex that attains their OT_D, the other cells by one past the last.
+    width, c = len(probs) - r0 - 1, probs.shape[1]
+    upper = np.arange(width) >= np.arange(r1 - r0)[:, None]
+    best = _attaining_vertex(probs, f, g, r0, r1)
+    best[~upper] = len(f)
+    by_vertex = np.argsort(best, axis=None, kind="stable")
+    bounds = np.searchsorted(best.ravel()[by_vertex], np.arange(len(f) + 1)).tolist()
+    del best
+    # Each vertex's sums in place in the sorted order, then all scattered
+    # back to their cells at once. A vertex's pairs go through its plan in
+    # slices, so their (pairs, 2C - 1) temporaries stay a fraction of the
+    # block's working set when one vertex takes most of the block.
+    sums = np.empty(bounds[-1])
+    below, beyond = probs[r0:], probs[r0 + 1:]
+    step = max(1, _BLOCK_CELLS // 8)
+    for k in np.flatnonzero(np.diff(bounds)).tolist():
+        for lo in range(bounds[k], bounds[k + 1], step):
+            hi = min(lo + step, bounds[k + 1])
+            i = by_vertex[lo:hi] // width
+            j = by_vertex[lo:hi] - i * width
+            plan = below.take(i, axis=0) @ flows[k, :, :c].T
+            plan += beyond.take(j, axis=0) @ flows[k, :, c:].T
+            np.einsum("ps,ps->p", plan @ gaps[k], plan, out=sums[lo:hi])
+    sums /= 2
+    entries = np.empty(upper.shape)
+    entries.ravel()[by_vertex[:len(sums)]] = sums
+    np.copyto(dist[r0:r1, r0 + 1:], entries, where=upper)
+    np.copyto(dist[r0 + 1:, r0:r1].T, entries, where=upper)
 
 
 def pairwise_w2_exact(probs, w2, ids=None) -> DistanceMatrix:
@@ -336,7 +396,13 @@ def pairwise_w2_exact(probs, w2, ids=None) -> DistanceMatrix:
     sum over s < s' of pi_s pi_s' ||e_s - e_s'||^2. Its terms are
     nonnegative, where OT_D - ||t_n - t_m||^2 loses digits to cancellation
     when most of the mass moves. Duplicate probability rows lie exactly 0
-    apart, and the working set is a few (N, N) arrays.
+    apart.
+
+    The upper triangle is walked in blocks of whole rows covering at most
+    ``_BLOCK_CELLS`` cells, and each block's entries go straight into both
+    halves of the matrix, so the matrix is the only (N, N) array: the rest
+    of the working set is one block's (a few dozen bytes per cell) and a
+    few arrays per dual vertex (at most 924 of them).
     """
     probs = np.asarray(probs, dtype=np.float64)
     w2 = np.asarray(w2, dtype=np.float64)
@@ -359,28 +425,13 @@ def pairwise_w2_exact(probs, w2, ids=None) -> DistanceMatrix:
     f, g, edges, flows, walked = _dual_vertices((steps ** 2).sum(axis=1).reshape(c, c))
     logger.debug("pairwise_w2_exact: %d classes, %d dual vertices from %d trees",
                  c, len(f), walked)
+    # ||e_s - e_s'||^2 between the steps of each vertex's tree (K, 2C - 1, 2C - 1).
+    gaps = np.stack([((steps[e, None] - steps[None, e]) ** 2).sum(axis=-1) for e in edges])
 
-    # The pairs n < m, sorted by the vertex that attains their OT_D.
-    rows, cols = np.triu_indices(u, 1)
-    best = _attaining_vertex(probs, f, g, rows, cols)
-    by_vertex = np.argsort(best, kind="stable")
-    rows, cols = np.take(rows, by_vertex), np.take(cols, by_vertex)
-    bounds = np.searchsorted(np.take(best, by_vertex), np.arange(len(f) + 1))
-    del best, by_vertex
-
-    # Each pair from its vertex's plan, in slices of about (N, N) floats.
-    entries = np.empty(len(rows))
-    width = max(1, u * u // (4 * edges.shape[1]))
-    for k in range(len(f)):
-        gaps = ((steps[edges[k], None] - steps[None, edges[k]]) ** 2).sum(axis=-1)
-        out_flow, in_flow = probs @ flows[k, :, :c].T, probs @ flows[k, :, c:].T
-        for lo in range(bounds[k], bounds[k + 1], width):
-            hi = min(lo + width, bounds[k + 1])
-            plan = np.take(out_flow, rows[lo:hi], axis=0)
-            plan += np.take(in_flow, cols[lo:hi], axis=0)
-            entries[lo:hi] = np.einsum("ps,ps->p", plan @ gaps, plan) / 2
     dist = np.zeros((u, u))
-    np.put(dist, rows * u + cols, entries)
-    np.put(dist, cols * u + rows, entries)
+    r0 = 0
+    while r0 < u - 1:
+        r1 = min(u - 1, r0 + max(1, _BLOCK_CELLS // (u - r0 - 1)))
+        _exact_block(dist, probs, r0, r1, f, g, flows, gaps)
+        r0 = r1
     return _expanded(dist, inverse, ids)
-

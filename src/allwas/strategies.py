@@ -37,6 +37,10 @@ HEAD_FREE = frozenset({"random", "kcenter"})
 # 1.8-1.9 s vs 1.7-2.1 s at C = 8 (K = 3432), where it no longer wins.
 _EXACT_MAX_VERTICES = 924
 
+# The largest transport-distance matrix acquisition may build: N x N float64
+# entries over the (subsampled) pool and the labeled rows (memory guard).
+_MATRIX_BYTES = 2**30
+
 
 @dataclass(frozen=True)
 class OTConfig:
@@ -154,9 +158,17 @@ def acquire_allwas(head: ClassifierHead, ids, x: np.ndarray, labeled_ids,
 
     When the pool exceeds ``ot.subsample``, a seeded subsample of pool
     candidates caps the quadratic pair sweep; labeled points always stay.
+    A matrix over more rows than ``_MATRIX_BYTES`` holds is a ConfigError,
+    raised before anything is computed.
     """
     _check_k(ids, k)
     ot = ot or OTConfig()
+    n = len(labeled_ids) + (len(ids) if ot.subsample is None else min(len(ids), ot.subsample))
+    if 8 * n * n > _MATRIX_BYTES:
+        raise ConfigError(
+            f"ot.subsample: the distance matrix over N = {n} rows (pool and labeled) "
+            f"would take {8 * n * n / 2**20:.1f} MiB, over the {_MATRIX_BYTES / 2**20:g} MiB "
+            f"cap; lower ot.subsample")
     ids, x = _by_id(ids, x)
     labeled_ids, labeled_x = _by_id(labeled_ids, labeled_x)
 

@@ -85,7 +85,8 @@ class DiscreteMeasure:
     @classmethod
     def uniform(cls, support) -> "DiscreteMeasure":
         n = len(support)
-        return cls(support, np.full(n, 1.0 / n))
+        # An empty support gets no weights, and the constructor's shape check.
+        return cls(support, np.full(n, 1.0 / max(n, 1)))
 
     @classmethod
     def dirac(cls, point) -> "DiscreteMeasure":

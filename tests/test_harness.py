@@ -1,7 +1,10 @@
 import importlib
 import json
 import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -742,6 +745,15 @@ class TestCli:
         assert self.run_before_corpus_loads(tmp_path, monkeypatch, ot={key: value}) == 2
         assert f"unknown ot config keys: ['{key}']" in capsys.readouterr().err
 
+    def test_oversize_distance_matrix_exits_2(self, tmp_path, capsys, monkeypatch):
+        # Acquisition refuses a matrix over its byte cap as a config error.
+        monkeypatch.setattr("allwas.strategies._MATRIX_BYTES", 2**10)
+        cfg_path = _write_cell_config(tmp_path, strategy="allwas")
+        assert cli_main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cell 'demo': repeat 0, iteration 0: "
+                              "ot.subsample: the distance matrix over N = 208 rows")
+
     @pytest.mark.parametrize("label", ["../escaped", "a/b"])
     def test_label_that_is_not_a_file_name_exits_2(self, tmp_path, capsys, monkeypatch,
                                                    label):
@@ -1116,3 +1128,35 @@ def test_macro_f1_metric_scores_each_head_on_macro_f1(tmp_path, monkeypatch):
         assert n_classes == 3 and np.array_equal(truth, val.labels)
         assert preds.shape == truth.shape
     assert any(f1 != f1_target(preds, truth, 0) for preds, truth, _, f1 in calls)
+
+
+def test_result_csvs_independent_of_blas_threads(tmp_path):
+    # At this scale OpenBLAS splits the larger products (the head on the
+    # whole pool) between two threads; an allwas cell (exact acquisition
+    # distances) and a random cell with Wasserstein augmentation must
+    # write the same bytes either way.
+    corpus = {"synthetic": {"n": 1000, "d": 32, "priors": [0.8, 0.2],
+                            "clusters_per_class": 4, "noise": 1.2, "seed": 7}}
+    base = {"corpus": corpus, "out_dir": "runs", "seed_size": 20, "budget": 70, "k": 25,
+            "repeats": 1, "model": {"hidden_dim": 64, "epochs": 10},
+            "ot": {"subsample": 256}}
+    cells = {"allwas": {"strategy": "allwas"},
+             "random_wasserstein": {"strategy": "random",
+                                    "augmentation": {"mode": "wasserstein", "factor": 5}}}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    csvs = []
+    for threads in ("1", "2"):
+        work = tmp_path / f"blas{threads}"
+        work.mkdir()
+        for label, cell in cells.items():
+            (work / f"{label}.json").write_text(json.dumps({**base, "label": label, **cell}))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\nfrom allwas.cli import main\n"
+             "sys.exit(max(main(['run', f'{label}.json']) for label in sys.argv[1:]))",
+             *cells], cwd=work, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        csvs.append({label: (work / "runs" / f"{label}.csv").read_bytes() for label in cells})
+    assert csvs[0] == csvs[1]

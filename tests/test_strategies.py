@@ -240,6 +240,23 @@ class TestAllwas:
         assert len(set(got)) == 3
         assert called == ([] if p == 2 else ["gradient_arrays", "pairwise_wasserstein"])
 
+    @pytest.mark.parametrize("subsample, n", [(None, 31), (10, 11)])
+    def test_oversize_matrix_refused_before_any_work(self, trained_head, rng, monkeypatch,
+                                                     subsample, n):
+        # N is the (subsampled) pool plus the labeled row. One byte under
+        # its N x N float64 matrix, nothing is predicted or computed.
+        ids, x = make_pool(rng, 30)
+        labeled = ([100], rows(rng.standard_normal((2, 6))))
+        cfg = OTConfig(subsample=subsample)
+        monkeypatch.setattr(strategies, "_MATRIX_BYTES", 8 * n * n)
+        assert len(acquire_allwas(trained_head, ids, x, *labeled, k=3, ot=cfg)) == 3
+        monkeypatch.setattr(strategies, "_MATRIX_BYTES", 8 * n * n - 1)
+        for name in ("predict_proba_batch", "gradient_arrays", "pairwise_w2_exact",
+                     "pairwise_wasserstein"):
+            monkeypatch.setattr(strategies, name, None)
+        with pytest.raises(ConfigError, match=rf"^ot\.subsample: .* N = {n} rows"):
+            acquire_allwas(trained_head, ids, x, *labeled, k=3, ot=cfg)
+
     def test_head_past_vertex_cap_takes_generic_path(self, rng, monkeypatch):
         # Eight classes have 3432 dual vertices, past the cap of 924.
         head = ClassifierHead(input_dim=6, n_classes=8, hidden_dim=4, seed=0, epochs=1)

@@ -72,6 +72,14 @@ class TestMeasureValidation:
         m = DiscreteMeasure.uniform(np.array([0.0, 1.0]))
         assert m.support.shape == (2, 1)
 
+    @pytest.mark.parametrize("build", [
+        lambda: DiscreteMeasure(np.zeros((0, 2)), []),
+        lambda: DiscreteMeasure(np.zeros((2, 2, 2)), [0.5, 0.5]),
+        lambda: DiscreteMeasure.uniform(np.zeros((0, 2)))])
+    def test_empty_or_misshapen_support_is_a_shape_error(self, build):
+        with pytest.raises(ShapeError, match="non-empty"):
+            build()
+
 
 class TestSinkhorn:
     def test_identical_measures_zero_cost(self, rng):
