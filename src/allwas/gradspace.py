@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import AllwasError, ShapeError
 from .transport import (
+    _DIFF_BYTES,
     _log_weights,
-    _pairwise_sq,
     checked_simplex,
     checked_weights,
     default_epsilon,
@@ -47,11 +47,27 @@ _BLOCK_CELLS = 12288
 
 
 def _pairs_per_chunk(c: int) -> int:
-    """Pairs whose working arrays fit in ``_CHUNK_BYTES``: per pair, three
-    temporaries of up to two (C, C) squared-distance blocks, the gathered
-    cost, about ten (C, C) arrays for a Sinkhorn solve, and a few scalars."""
-    per_pair = 8 * (17 * c * c + 8)
-    return max(1, _CHUNK_BYTES // per_pair)
+    """Pairs whose working arrays fit in ``_CHUNK_BYTES``. Two
+    ``_DIFF_BYTES`` go to one block of support differences and the supports
+    gathered for it (``_pair_sq_distances``); the rest to, per pair, the
+    (C, C) squared distances and cost, about ten (C, C) arrays for a
+    Sinkhorn solve, and a few scalars."""
+    per_pair = 8 * (12 * c * c + 8)
+    return max(1, (_CHUNK_BYTES - 2 * _DIFF_BYTES) // per_pair)
+
+
+def _pair_sq_distances(supports: np.ndarray, si: np.ndarray, sj: np.ndarray) -> np.ndarray:
+    """Squared distances (P, C, C) between the support points of measures
+    si[k] and sj[k] of supports (N, C, H), summed from their differences
+    within ``_DIFF_BYTES`` a block of pairs at a time, so that close
+    supports keep their digits."""
+    _, c, h = supports.shape
+    out = np.empty((len(si), c, c))
+    step = max(1, _DIFF_BYTES // (8 * c * c * h))
+    for lo in range(0, len(si), step):
+        diff = supports[si[lo:lo + step], :, None] - supports[sj[lo:lo + step], None]
+        np.einsum("pijh,pijh->pij", diff, diff, out=out[lo:lo + step])
+    return out
 
 
 @dataclass(frozen=True)
@@ -143,7 +159,9 @@ def pairwise_wasserstein(
     ``eps`` (``None``: ``default_epsilon`` of the pair's cost) within ``max_iter``
     and ``tol``; ``sinkhorn_plans_batched`` rounds every plan onto the
     transport polytope, so each entry is a feasible plan's cost and at
-    least the exact W_p^p.
+    least the exact W_p^p. The ground costs come from the supports'
+    differences (``_pair_sq_distances``), not a Gram product, so
+    close supports keep their digits.
     Identical measures are merged up front and lie exactly 0 apart.
     """
     supports = np.asarray(supports, dtype=np.float64)
@@ -159,8 +177,7 @@ def pairwise_wasserstein(
 
     # Solve between distinct measures only.
     keep, inverse = _distinct_rows(np.concatenate([supports.reshape(n, -1), weights], axis=1))
-    rows = supports[keep].reshape(-1, h)           # (u * C, H)
-    weights = weights[keep]
+    supports, weights = supports[keep], weights[keep]
     u = len(keep)
 
     dist = np.zeros((u, u))
@@ -176,10 +193,7 @@ def pairwise_wasserstein(
         si -= 1
         sj -= first[si]
         sj += si + 1
-        # One Gram product: this chunk's rows against every later sample.
-        r0, r1, j0 = si[0], si[-1] + 1, si[0] + 1
-        sq = _pairwise_sq(rows[r0 * c:r1 * c], rows[j0 * c:])
-        sq = sq.reshape(r1 - r0, c, u - j0, c)[si - r0, :, sj - j0, :]
+        sq = _pair_sq_distances(supports, si, sj)
         cost = sq if p == 2 else sq ** (p / 2.0)
         a, b = weights[si], weights[sj]
         if c == 2:

@@ -227,14 +227,38 @@ def _corpus_source(spec: dict):
     raise ConfigError("corpus config needs 'synthetic' or 'path'")
 
 
+# The last synthetic corpus load_corpus built, as (SynthSpec, corpus); None
+# when there is none.
+_loaded = None
+
+
 def load_corpus(spec: dict) -> Corpus:
-    """Corpus from an experiment config's ``corpus`` entry."""
+    """Corpus from an experiment config's ``corpus`` entry.
+
+    A synthetic corpus is a pure function of its checked ``SynthSpec``, so
+    the process keeps the last one built here in one slot, and a call with
+    an equal ``SynthSpec`` returns that same object: a caller that loads a
+    spec and then sweeps it (``run_sweep`` loads through here) holds one
+    corpus, not two. Every caller of the spec shares it, so its arrays
+    (``pooled``, ``labels`` and each token matrix) are made read-only. The
+    slot keeps its corpus alive after its callers drop it, until another
+    synthetic spec replaces it; a failing build caches nothing. A ``path``
+    spec reads its file on every call.
+    """
+    global _loaded
     source = _corpus_source(spec)
-    if isinstance(source, SynthSpec):
-        return make_synthetic(source)
-    return ingest_jsonl(spec["path"], featurizer=source,
-                        class_names=spec.get("class_names"),
-                        target_class=spec.get("target_class"))
+    if not isinstance(source, SynthSpec):
+        return ingest_jsonl(spec["path"], featurizer=source,
+                            class_names=spec.get("class_names"),
+                            target_class=spec.get("target_class"))
+    if _loaded is not None and _loaded[0] == source:
+        return _loaded[1]
+    _loaded = None                              # free the old corpus before the build
+    corpus = make_synthetic(source)
+    for array in (corpus.pooled, corpus.labels, *corpus.tokens):
+        array.flags.writeable = False
+    _loaded = source, corpus
+    return corpus
 
 
 def _augmented(cfg: ExperimentConfig, repeat: int, iteration: int,
@@ -573,9 +597,12 @@ def run_sweep(base: ExperimentConfig, axis: str, values) -> list:
 
     The cells are dealt into ``min(ALLWAS_THREADS, cells)`` blocks (cell i
     to block i mod blocks), and each block runs every pending repeat of its
-    cells in lockstep (``_run_cells``). One block runs in this process.
-    More run in that many worker processes, started with ``fork`` where
-    the platform has it and ``spawn`` elsewhere. Forking a process that
+    cells in lockstep (``_run_cells``). A single block runs in this
+    process. Two or more each run in a worker process of their own, started
+    with ``fork`` where the platform has it and ``spawn`` elsewhere, while
+    this process only waits for them. The corpus comes from
+    ``load_corpus``, so a caller that loaded the same spec shares it
+    (forked workers inherit it too). Forking a process that
     runs other threads is unsafe, so call this from a single-threaded
     process. Under ``spawn`` each worker re-imports the caller's main
     module, which must guard its entry point with

@@ -129,12 +129,34 @@ def _pairwise_sq(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.clip(sq, 0.0, None)
 
 
+# Byte budget for the support differences built at once, here and in
+# ``gradspace.pairwise_wasserstein``. A block should stay in cache: on a
+# Xeon with 4 MiB of L2, ``pairwise_wasserstein`` (N = 1200, C = 2,
+# H = 64) ran alike with blocks of 256 KiB to 8 MiB, and took 1.8 times
+# as long with 32 MiB blocks.
+_DIFF_BYTES = 2**21
+
+
+def _sq_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances (n, m) between the rows of x (n, H) and
+    of y (m, H), summed from their differences a block of x's rows at a
+    time: each is exact to a few ulps, where a Gram product
+    (``_pairwise_sq``) loses digits between close rows."""
+    out = np.empty((len(x), len(y)))
+    step = max(1, _DIFF_BYTES // (8 * max(1, y.size)))
+    for lo in range(0, len(x), step):
+        diff = x[lo:lo + step, None] - y
+        np.einsum("ijh,ijh->ij", diff, diff, out=out[lo:lo + step])
+    return out
+
+
 def ground_cost(a: DiscreteMeasure, b: DiscreteMeasure, p: float = 2.0) -> np.ndarray:
-    """Matrix (n, m) of ||x_j - y_k||_2^p between the two supports."""
+    """Matrix (n, m) of ||x_j - y_k||_2^p between the two supports, from
+    their differences."""
     _check_pair(a, b)
     if p < 1:
         raise ConfigError(f"ground cost order p must be >= 1 (got {p})")
-    sq = _pairwise_sq(a.support, b.support)
+    sq = _sq_distances(a.support, b.support)
     return sq if p == 2 else sq ** (p / 2.0)
 
 

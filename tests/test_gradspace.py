@@ -152,6 +152,7 @@ class TestPairwise:
         whole = pairwise_wasserstein(*stack(grads))
         # A budget this small leaves a few pairs per chunk.
         monkeypatch.setattr(gradspace, "_CHUNK_BYTES", 3000)
+        monkeypatch.setattr(gradspace, "_DIFF_BYTES", 500)
         per_chunk = gradspace._pairs_per_chunk(3)
         assert per_chunk < 66
         with caplog.at_level(logging.DEBUG, logger="allwas.gradspace"):
@@ -169,6 +170,7 @@ class TestPairwise:
         supports, weights = stack([random_gradient_measure(rng, 3, 4) for _ in range(100)])
         pairwise_wasserstein(supports[:5], weights[:5], max_iter=2)   # lazy imports
         monkeypatch.setattr(gradspace, "_CHUNK_BYTES", 2**18)
+        monkeypatch.setattr(gradspace, "_DIFF_BYTES", 2**15)
         assert gradspace._pairs_per_chunk(3) < 4950 // 20
         tracemalloc.start()
         try:
@@ -177,6 +179,39 @@ class TestPairwise:
         finally:
             tracemalloc.stop()
         assert peak <= gradspace._CHUNK_BYTES + 2 * out.entries.nbytes
+
+    @pytest.mark.parametrize("c", [2, 3, 4])
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_entries_match_long_double_between_close_supports(self, rng, monkeypatch, c, p):
+        # Supports 1e-3 apart and 10 from the origin: costs taken from a
+        # Gram product put errors of 7e-9 to 4e-8 into the entries. Each is
+        # priced against the long-double cost of its pair: the closed form
+        # at C = 2, the plan Sinkhorn returned beyond.
+        n = 12
+        supports = 10.0 + 1e-3 * rng.standard_normal((n, c, 16))
+        weights = rng.dirichlet(np.ones(c), n)
+        if c == 2:
+            weights = confident_two_class(rng, n)
+        plans = []
+        solve = gradspace.sinkhorn_plans_batched
+
+        def spy(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            plans.append(out[0])
+            return out
+
+        monkeypatch.setattr(gradspace, "sinkhorn_plans_batched", spy)
+        entries = pairwise_wasserstein(supports, weights, p=p).entries
+        i, j = np.triu_indices(n, 1)
+        s = supports.astype(np.longdouble)
+        cost = ((s[i][:, :, None] - s[j][:, None]) ** 2).sum(axis=-1) ** (p / 2)
+        if c == 2:
+            w = weights.astype(np.longdouble)
+            reference = gradspace._two_class_exact(cost, w[i], w[j])
+        else:
+            (plan,) = plans
+            reference = np.einsum("bcd,bcd->b", plan.astype(np.longdouble), cost)
+        assert np.max(np.abs(entries[i, j] - reference) / reference) <= 1e-14
 
 
 class TestInputChecks:

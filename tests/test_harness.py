@@ -15,7 +15,7 @@ import pytest
 from allwas import harness
 from allwas.cli import main as cli_main
 from allwas.errors import AllwasError, ConfigError, DataError, ShapeError
-from allwas.data import train_val_split
+from allwas.data import SynthSpec, make_synthetic, train_val_split
 from allwas.harness import ExperimentConfig, load_corpus, run_experiment, run_sweep
 from allwas.seeding import derive_seed
 from allwas.stats import f1_macro, f1_target, wilcoxon_signed_rank
@@ -252,6 +252,112 @@ class TestRunExperiment:
                         augmentation={"mode": mode, "factor": 2})
         record = run_experiment(cfg)
         assert [row.labeled for row in record.rows] == [10, 20, 30]
+
+
+def write_jsonl(path, rows) -> None:
+    path.write_text("".join(json.dumps({"id": i, "embedding": emb, "label": label}) + "\n"
+                            for i, (emb, label) in enumerate(rows)))
+
+
+class TestCorpusCache:
+    def test_equal_spec_returns_the_same_corpus(self):
+        first = load_corpus(SMALL_CORPUS)
+        tracemalloc.start()
+        try:
+            again = load_corpus(json.loads(json.dumps(SMALL_CORPUS)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again is first
+        assert peak < 64 * 2**10
+
+    def test_other_seed_loads_a_new_corpus(self):
+        first = load_corpus(SMALL_CORPUS)
+        other = load_corpus({"synthetic": {**SMALL_CORPUS["synthetic"], "seed": 12}})
+        assert other is not first
+        assert not np.array_equal(other.pooled, first.pooled)
+
+    def test_path_spec_reads_its_file_each_time(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, [([0.0, 1.0], "a"), ([1.0, 0.0], "b")])
+        spec = {"path": str(path)}
+        first = load_corpus(spec)
+        write_jsonl(path, [([0.0, 2.0], "a"), ([2.0, 0.0], "b")])
+        assert load_corpus(spec).pooled.tolist() == [[0.0, 2.0], [2.0, 0.0]]
+        assert first.pooled.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+    def test_rejected_spec_leaves_the_slot(self):
+        first = load_corpus(SMALL_CORPUS)
+        with pytest.raises(ConfigError):
+            load_corpus({"synthetic": {**SMALL_CORPUS["synthetic"], "n": 0}})
+        assert load_corpus(SMALL_CORPUS) is first
+
+    @pytest.mark.parametrize("column", ["pooled", "labels", "tokens"])
+    def test_loaded_arrays_are_read_only(self, column):
+        corpus = load_corpus(SMALL_CORPUS)
+        array = corpus.tokens[0] if column == "tokens" else getattr(corpus, column)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+        # A corpus built by a library caller stays writeable.
+        built = make_synthetic(SynthSpec(n=20, d=2))
+        assert built.pooled.flags.writeable and built.tokens[0].flags.writeable
+
+    def test_numpy_values_in_the_spec_load(self):
+        spec = {"synthetic": {**SMALL_CORPUS["synthetic"], "priors": np.array([0.7, 0.3]),
+                              "n": np.int64(260)}}
+        corpus = load_corpus(spec)
+        assert load_corpus(spec) is corpus
+        assert load_corpus(SMALL_CORPUS) is corpus
+        assert corpus.pooled.shape == (260, 6)
+
+
+# Run by a fresh interpreter: a sweep after a load of its spec, then the
+# calling process's traced memory over three more sweeps (its forked
+# workers stop tracing). Prints the corpus's bytes and the measurements.
+SWEEP_MEMORY = """
+import gc, json, os, sys, tracemalloc
+from dataclasses import replace
+from allwas.harness import ExperimentConfig, load_corpus, run_sweep
+
+cfg = ExperimentConfig(**json.loads(sys.argv[1]))
+corpus = load_corpus(cfg.corpus)
+
+def sweep(name):
+    run_sweep(replace(cfg, out_dir=os.path.join(cfg.out_dir, name)), "strategy", ["random", "lc"])
+
+sweep("warm-up")                        # imports the process pool
+os.register_at_fork(after_in_child=tracemalloc.stop)
+tracemalloc.start()
+sweep("first")
+gc.collect()                            # the pool's reference cycles
+current, peak = tracemalloc.get_traced_memory()
+sweep("second")
+sweep("third")
+gc.collect()
+after = tracemalloc.get_traced_memory()[0]
+print(json.dumps({"shared": load_corpus(cfg.corpus) is corpus, "peak": peak,
+                  "growth": after - current,
+                  "corpus": sum(t.nbytes for t in (corpus.pooled, corpus.labels, *corpus.tokens))}))
+"""
+
+
+def test_sweep_shares_the_loaded_corpus(tmp_path):
+    # Two workers, so the calling process only waits: its traced peak over
+    # a sweep stays below one corpus of about 1 MiB, and two more sweeps
+    # leave its traced memory where one left it, but for a few KiB of the
+    # interpreter's and numpy's own caches.
+    cfg = small_cfg(tmp_path, budget=20, k=10, repeats=1,
+                    corpus={"synthetic": {"n": 1000, "d": 16, "priors": [0.7, 0.3], "seed": 4}})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    done = subprocess.run([sys.executable, "-c", SWEEP_MEMORY, cfg.to_canonical_json()],
+                          env=dict(os.environ, PYTHONPATH=src, ALLWAS_THREADS="2"),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    measured = json.loads(done.stdout.splitlines()[-1])
+    assert measured["shared"]
+    assert measured["corpus"] > 2**20
+    assert measured["peak"] < measured["corpus"]
+    assert measured["growth"] < 16 * 2**10
 
 
 class TestSweep:

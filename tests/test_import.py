@@ -117,6 +117,26 @@ def test_only_transport_names_the_eps_constants():
                   if path.name != "transport.py" and names_in(path) & constants) == []
 
 
+def calls_in(path):
+    """The names of the functions a source file calls, by name or as an
+    attribute."""
+    return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+def test_only_the_spec_loader_and_cli_build_corpora():
+    # Every config-driven load goes through harness.load_corpus and its
+    # one-slot cache; the CLI's ingest and synth commands build a corpus
+    # from their own arguments.
+    builders = {"make_synthetic", "ingest_jsonl"}
+    package = Path(allwas.__file__).parent
+    assert calls_in(package / "harness.py") >= builders
+    assert sorted(path.name for path in package.glob("*.py")
+                  if path.name not in ("harness.py", "cli.py")
+                  and calls_in(path) & builders) == []
+
+
 def test_errors_module_imports_no_sibling():
     # Every module imports errors.py for its exception types and input
     # checks, so a sibling import there would load that layer everywhere.
