@@ -50,7 +50,8 @@ def _cmd_ingest(args) -> int:
     if args.featurize:
         featurizer = config_from(FeaturizerConfig, _parse_kv(args.featurize), "featurize")
     class_names = args.class_names.split(",") if args.class_names else None
-    corpus = ingest_jsonl(args.path, featurizer=featurizer, class_names=class_names)
+    corpus = ingest_jsonl(args.path, featurizer=featurizer, class_names=class_names,
+                          keep_tokens=bool(args.out))
     print(f"ingested {corpus.n} examples, d={corpus.dim}, "
           f"classes={list(corpus.class_names)}, "
           f"target={corpus.class_names[corpus.target_class]}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -46,39 +46,70 @@ class FeaturizerConfig:
                               f"(got d={self.d}, seed={self.seed})")
 
 
+def _pool(clouds, n: int, keep: bool):
+    """``(pooled, clouds)`` of ``n`` rows' clouds, read once in row order:
+    each row's pooled vector is its cloud's token mean, and the clouds come
+    back as a tuple when ``keep``, else None."""
+    pooled = None
+    kept = []
+    count = 0
+    for cloud in clouds:
+        cloud = np.asarray(cloud, dtype=np.float64)
+        if cloud.ndim != 2 or cloud.shape[0] == 0:
+            raise DataError("every row's tokens must be a non-empty (n, d) matrix")
+        if count == n:
+            raise ShapeError("corpus columns need one entry per id", expected=n,
+                             actual=f"more than {n} token matrices")
+        if pooled is None:
+            pooled = np.empty((n, cloud.shape[1]))
+        elif cloud.shape[1] != pooled.shape[1]:
+            raise DataError("mixed embedding dimensions in corpus: "
+                            f"{sorted({pooled.shape[1], cloud.shape[1]})}")
+        pooled[count] = cloud.mean(axis=0)
+        if keep:
+            kept.append(cloud)
+        count += 1
+    if count != n:
+        raise ShapeError("corpus columns need one entry per id", expected=n,
+                         actual=f"{count} token matrices")
+    return pooled, tuple(kept) if keep else None
+
+
 @dataclass(frozen=True)
 class Corpus:
     """The corpus as columns, one entry per row: ``ids``, ``tokens`` (each an
-    (n_i, d) token matrix), ``labels`` (class indices) and ``texts`` (None for
-    rows given as embeddings). ``pooled`` (N, d) holds each row's token mean;
-    it is derived here, never passed in."""
+    (n_i, d) token matrix, the row's cloud), ``labels`` (class indices) and
+    ``texts`` (None for rows given as embeddings). ``pooled`` (N, d) holds
+    each row's token mean; it is derived here, never passed in.
+
+    ``tokens`` may be any iterable; it is read once, in row order, and each
+    cloud is pooled as it is read. With ``keep_tokens=False`` the clouds are
+    dropped once pooled and ``tokens`` is None: the experiment loop reads
+    pooled vectors only, so ``harness.load_corpus`` builds its corpora that
+    way. Exporting a corpus (``export_jsonl``) and
+    ``barysample.barycenter_tokens`` need the clouds kept."""
 
     ids: tuple
-    tokens: tuple
+    tokens: tuple | None
     labels: np.ndarray
     texts: tuple
     class_names: tuple
     target_class: int
     pooled: np.ndarray = field(init=False, repr=False)
+    keep_tokens: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, keep_tokens):
         ids, texts = tuple(self.ids), tuple(self.texts)
-        tokens = tuple(np.asarray(t, dtype=np.float64) for t in self.tokens)
         labels = np.asarray(self.labels)
         n = len(ids)
         if n == 0:
             raise DataError("corpus has no rows")
-        if not (len(tokens) == len(texts) == n and labels.shape == (n,)):
+        if not (len(texts) == n and labels.shape == (n,)):
             raise ShapeError("corpus columns need one entry per id", expected=n,
-                             actual=(len(tokens), labels.shape, len(texts)))
+                             actual=(labels.shape, len(texts)))
         if len(set(ids)) != n:
             raise DataError("corpus ids are not unique")
-        if any(t.ndim != 2 or t.shape[0] == 0 for t in tokens):
-            raise DataError("every row's tokens must be a non-empty (n, d) matrix")
-        dims = {t.shape[1] for t in tokens}
-        if len(dims) > 1:
-            raise DataError(f"mixed embedding dimensions in corpus: {sorted(dims)}")
-        pooled = np.stack([t.mean(axis=0) for t in tokens])
+        pooled, tokens = _pool(self.tokens, n, keep_tokens)
         # A non-finite token makes its row's mean non-finite, so this one
         # check covers every token.
         if not np.all(np.isfinite(pooled)):
@@ -106,15 +137,22 @@ class Corpus:
         return len(self.class_names)
 
     def take(self, rows) -> "Corpus":
-        """The corpus of the given distinct row indices, in that order. The
-        columns, ``pooled`` included, are sliced; nothing is re-derived or
+        """The corpus of the given distinct row indices in ``[0, n)``, in that
+        order. The columns, ``pooled`` included, are sliced (``tokens`` stays
+        None on a corpus without clouds); nothing is re-derived or
         re-checked, since every check holds for a subset of rows."""
         rows = np.asarray(rows, dtype=np.intp)
-        if len(np.unique(rows)) != len(rows):
-            raise DataError("take needs distinct rows")
+        outside = rows[(rows < 0) | (rows >= self.n)]
+        if len(outside):
+            raise DataError(f"take needs rows in [0, {self.n}); "
+                            f"got {sorted(set(outside.tolist()))}")
+        values, counts = np.unique(rows, return_counts=True)
+        if len(values) != len(rows):
+            raise DataError(f"take needs distinct rows; repeated {values[counts > 1].tolist()}")
+        tokens = None if self.tokens is None else tuple(self.tokens[r] for r in rows)
         sub = object.__new__(Corpus)
         for name, value in (("ids", tuple(self.ids[r] for r in rows)),
-                            ("tokens", tuple(self.tokens[r] for r in rows)),
+                            ("tokens", tokens),
                             ("labels", self.labels[rows]),
                             ("texts", tuple(self.texts[r] for r in rows)),
                             ("class_names", self.class_names),
@@ -161,6 +199,7 @@ def ingest_jsonl(
     featurizer: FeaturizerConfig | None = None,
     class_names=None,
     target_class=None,
+    keep_tokens: bool = True,
 ) -> Corpus:
     """Read a JSONL corpus, featurizing text rows when no embedding is given.
 
@@ -168,6 +207,11 @@ def ingest_jsonl(
     otherwise names are inferred from the observed labels. ``target_class``
     may be an index or a class name; the default is the rarest class
     (lowest index on ties).
+
+    Text rows are featurized one at a time as the corpus pools them. With
+    ``keep_tokens=False`` (how ``harness.load_corpus`` reads a file) each
+    embedding is reduced to its token mean as its line is parsed, and the
+    corpus holds no clouds; ``allwas ingest --out`` keeps them to export.
     """
     rows = []
     errors = []
@@ -199,6 +243,8 @@ def ingest_jsonl(
                             f"line {line_no}: both text and embedding given; "
                             "embedding wins")
                     tokens = _parse_embedding(emb_raw, line_no)
+                    if not keep_tokens:
+                        tokens = tokens.mean(axis=0, keepdims=True)
                 elif featurizer is None:
                     raise ValueError(
                         f"line {line_no}: text-only row but no featurizer configured")
@@ -248,14 +294,21 @@ def ingest_jsonl(
     else:
         target_idx = int(target_class)
     ids, texts, tokens, _, _ = zip(*rows)
-    tokens = [featurize_text(text, featurizer.d, featurizer.seed) if t is None else t
-              for text, t in zip(texts, tokens)]
-    return Corpus(ids, tokens, np.array(label_idx), texts, class_names, target_idx)
+    del rows                                    # the columns hold all the corpus needs
+    clouds = (featurize_text(text, featurizer.d, featurizer.seed) if t is None else t
+              for text, t in zip(texts, tokens))
+    return Corpus(ids, clouds, np.array(label_idx), texts, class_names, target_idx,
+                  keep_tokens=keep_tokens)
 
 
 def export_jsonl(corpus: Corpus, path) -> None:
     """Write the corpus in the ingest schema; a round trip is an identity
-    (embeddings are materialized)."""
+    (embeddings are materialized). The corpus must hold its clouds: one
+    built with ``keep_tokens=False``, as every experiment corpus is, is
+    refused."""
+    if corpus.tokens is None:
+        raise DataError("this corpus holds no token clouds to export; rebuild it "
+                        "with keep_tokens=True")
     with open(path, "w", encoding="utf-8") as fh:
         for ex_id, tokens, label, text in zip(corpus.ids, corpus.tokens, corpus.labels,
                                               corpus.texts):
@@ -309,9 +362,14 @@ class SynthSpec:
         object.__setattr__(self, "token_count_range", tuple(counts))
 
 
-def make_synthetic(spec: SynthSpec) -> Corpus:
+def make_synthetic(spec: SynthSpec, keep_tokens: bool = True) -> Corpus:
     """Desk-scale corpus surrogate; ``noise=0`` makes classes separable by
-    their nearest cluster centroid. Target class is the lowest prior."""
+    their nearest cluster centroid. Target class is the lowest prior.
+
+    Each row's cloud is drawn just before the corpus pools it. With
+    ``keep_tokens=False`` (how ``harness.load_corpus`` builds a spec) it is
+    dropped once pooled and the corpus holds no clouds; ``allwas synth``
+    keeps them to export."""
     rng = np.random.default_rng(spec.seed)
     n_classes = len(spec.priors)
     sigma = spec.separation / np.sqrt(2 * spec.d)
@@ -322,11 +380,12 @@ def make_synthetic(spec: SynthSpec) -> Corpus:
     lo, hi = spec.token_count_range
     counts = rng.integers(lo, hi + 1, size=spec.n)
 
-    tokens = [centers[classes[i], clusters[i]]
-              + spec.noise * rng.standard_normal((counts[i], spec.d)) for i in range(spec.n)]
+    clouds = (centers[classes[i], clusters[i]]
+              + spec.noise * rng.standard_normal((counts[i], spec.d)) for i in range(spec.n))
     names = tuple(f"class{c}" for c in range(n_classes))
     target = int(np.argmin(spec.priors))
-    return Corpus(range(spec.n), tokens, classes, (None,) * spec.n, names, target)
+    return Corpus(range(spec.n), clouds, classes, (None,) * spec.n, names, target,
+                  keep_tokens=keep_tokens)
 
 
 SEED_SETTINGS = ("balanced", "imbalanced", "imbalanced-practical")
@@ -359,13 +418,20 @@ class SeedSpec:
 
 def _pairwise_distance_percentile(pooled: np.ndarray, percentile: float,
                                   rng: np.random.Generator) -> float:
-    """Percentile of pairwise row distances, over at most 1000 seeded rows."""
+    """Percentile of pairwise row distances, over at most 1000 seeded rows.
+    The distances fill one buffer, row by row, and the percentile partitions
+    it in place."""
     n = pooled.shape[0]
     if n > 1000:
         pooled = pooled[rng.choice(n, size=1000, replace=False)]
-    dist = [np.sqrt(np.sum((pooled[i + 1:] - pooled[i]) ** 2, axis=1))
-            for i in range(pooled.shape[0] - 1)]
-    return float(np.percentile(np.concatenate(dist), percentile))
+        n = 1000
+    dist = np.empty(n * (n - 1) // 2)
+    start = 0
+    for i in range(n - 1):
+        stop = start + n - 1 - i
+        np.sqrt(np.sum((pooled[i + 1:] - pooled[i]) ** 2, axis=1), out=dist[start:stop])
+        start = stop
+    return float(np.percentile(dist, percentile, overwrite_input=True))
 
 
 def build_seed(corpus: Corpus, spec: SeedSpec):

@@ -233,30 +233,37 @@ _loaded = None
 
 
 def load_corpus(spec: dict) -> Corpus:
-    """Corpus from an experiment config's ``corpus`` entry.
+    """Corpus from an experiment config's ``corpus`` entry, without its
+    token clouds.
+
+    The experiment loop reads pooled vectors only, so the corpus is built
+    with ``keep_tokens=False``: it holds ``pooled``, ``labels``, ``ids``
+    and ``texts``, and never more than one row's cloud at a time during
+    the build (``barysample.barycenter_tokens`` needs a corpus built with
+    its clouds, by ``make_synthetic`` or ``ingest_jsonl``).
 
     A synthetic corpus is a pure function of its checked ``SynthSpec``, so
     the process keeps the last one built here in one slot, and a call with
     an equal ``SynthSpec`` returns that same object: a caller that loads a
     spec and then sweeps it (``run_sweep`` loads through here) holds one
     corpus, not two. Every caller of the spec shares it, so its arrays
-    (``pooled``, ``labels`` and each token matrix) are made read-only. The
-    slot keeps its corpus alive after its callers drop it, until another
-    synthetic spec replaces it; a failing build caches nothing. A ``path``
-    spec reads its file on every call.
+    (``pooled`` and ``labels``) are made read-only. The slot keeps its
+    corpus alive after its callers drop it, until another synthetic spec
+    replaces it; a failing build caches nothing. A ``path`` spec reads its
+    file on every call.
     """
     global _loaded
     source = _corpus_source(spec)
     if not isinstance(source, SynthSpec):
         return ingest_jsonl(spec["path"], featurizer=source,
                             class_names=spec.get("class_names"),
-                            target_class=spec.get("target_class"))
+                            target_class=spec.get("target_class"), keep_tokens=False)
     if _loaded is not None and _loaded[0] == source:
         return _loaded[1]
     _loaded = None                              # free the old corpus before the build
-    corpus = make_synthetic(source)
-    for array in (corpus.pooled, corpus.labels, *corpus.tokens):
-        array.flags.writeable = False
+    corpus = make_synthetic(source, keep_tokens=False)
+    corpus.pooled.flags.writeable = False
+    corpus.labels.flags.writeable = False
     _loaded = source, corpus
     return corpus
 

@@ -4,7 +4,9 @@
 the Sinkhorn and pairwise-distance checks. ``naive_greedy`` re-evaluates
 every candidate each step, the selection that ``coreset.greedy_select``'s
 lazy heap must reproduce. ``mix_labels`` rebuilds one synthetic row from
-its provenance, as ``barysample`` mixes it.
+its provenance, as ``barysample`` mixes it. ``pairwise_distance_percentile``
+is the seed radius as first written, per-row arrays concatenated, that
+``data._pairwise_distance_percentile`` must equal bitwise.
 """
 
 import numpy as np
@@ -91,3 +93,15 @@ def mix_labels(labels, lambdas) -> np.ndarray:
     for lam, label in zip(lambdas, labels):
         acc = acc + lam * label
     return acc
+
+
+def pairwise_distance_percentile(pooled, percentile: float, rng) -> float:
+    """Percentile of pairwise row distances, over at most 1000 seeded rows:
+    one distance array per row, concatenated, and ``np.percentile`` of a
+    copy."""
+    n = pooled.shape[0]
+    if n > 1000:
+        pooled = pooled[rng.choice(n, size=1000, replace=False)]
+    dist = [np.sqrt(np.sum((pooled[i + 1:] - pooled[i]) ** 2, axis=1))
+            for i in range(pooled.shape[0] - 1)]
+    return float(np.percentile(np.concatenate(dist), percentile))

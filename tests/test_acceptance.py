@@ -36,7 +36,7 @@ def conclude(num: int, name: str, ok: bool, detail: str = ""):
 
 
 # ---------------------------------------------------------------------------
-# Criterion 7/8/10 shared experiment cells
+# Criterion 7/8/10 shared experiment cells (criterion 11 reuses the corpus)
 # ---------------------------------------------------------------------------
 
 # Minority split over several clusters with sizeable noise makes labeled
@@ -305,6 +305,41 @@ def test_c08_ablation_shape(e2e):
                - _per_repeat(records["cell_factor0"], budget)).mean()
     conclude(8, "augmentation gap shrinks with data", gap_start > gap_end,
              f"gap@{seed_size} {gap_start:.3f} vs gap@{budget} {gap_end:.3f}")
+
+
+def test_c11_beyond_two_classes(tmp_path):
+    # The shared corpus with four classes: the exact acquisition path walks
+    # more than two simplex vertices. Scored by macro-F1.
+    corpus = {"synthetic": {**CORPUS_SPEC["synthetic"], "priors": [0.7, 0.1, 0.1, 0.1]}}
+    base = dict(E2E_BASE, corpus=corpus, metric="macro-f1", augmentation={"mode": "none"},
+                ot={**E2E_BASE["ot"], "p": 2})
+    records = {strategy: run_experiment(ExperimentConfig(label=strategy, strategy=strategy,
+                                                         out_dir=str(tmp_path), **base))
+               for strategy in ("random", "allwas")}
+    rand_final = _per_repeat(records["random"], base["budget"])
+    allw_final = _per_repeat(records["allwas"], base["budget"])
+    _, p_final = wilcoxon_signed_rank(allw_final, rand_final, mode="exact")
+
+    def curve_areas(record):
+        """Per repeat, the trapezoid area under F1 against labeled count,
+        over budget - seed size."""
+        by_seed = {}
+        for row in record.rows:
+            by_seed.setdefault(row.seed, []).append((row.labeled, row.f1))
+        areas = []
+        for _, points in sorted(by_seed.items()):
+            points.sort()
+            areas.append(sum((x1 - x0) * (y0 + y1) / 2
+                             for (x0, y0), (x1, y1) in zip(points, points[1:])))
+        return np.array(areas) / (base["budget"] - base["seed_size"])
+
+    rand_curve, allw_curve = curve_areas(records["random"]), curve_areas(records["allwas"])
+    _, p_curve = wilcoxon_signed_rank(allw_curve, rand_curve, mode="exact")
+    ok = (allw_final.mean() > rand_final.mean() and p_final < 0.05
+          and allw_curve.mean() > rand_curve.mean() and p_curve < 0.05)
+    conclude(11, "allwas beats random with four classes", bool(ok),
+             f"budget p={p_final:.4f} means {allw_final.mean():.3f}>{rand_final.mean():.3f}; "
+             f"curve p={p_curve:.4f} means {allw_curve.mean():.3f}>{rand_curve.mean():.3f}")
 
 
 def test_c09_wilcoxon_exact():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from allwas.data import (
 )
 from allwas.data import _pairwise_distance_percentile
 from allwas.errors import ConfigError, DataError, ShapeError
+from oracles import pairwise_distance_percentile
 
 
 def write_jsonl(path, rows):
@@ -77,6 +79,82 @@ class TestCorpus:
         assert (sub.class_names, sub.target_class) == (corpus.class_names, corpus.target_class)
         with pytest.raises(DataError, match="distinct"):
             corpus.take([1, 1])
+
+    def test_take_rejects_rows_outside_the_corpus(self):
+        # A negative row once wrapped around: take([4, -1]) gave ids (4, 4).
+        corpus = make_synthetic(SynthSpec(n=5, d=2))
+        for rows in ([4, -1], [7], [0, 5, -6, -6]):
+            with pytest.raises(DataError, match="rows in \\[0, 5\\)") as exc:
+                corpus.take(rows)
+            assert str(sorted({r for r in rows if not 0 <= r < 5})) in str(exc.value)
+
+    def test_take_names_repeated_rows(self):
+        corpus = make_synthetic(SynthSpec(n=5, d=2))
+        with pytest.raises(DataError, match=r"repeated \[1, 3\]"):
+            corpus.take([3, 1, 0, 3, 1])
+
+    def test_clouds_read_once_from_an_iterator(self, rng):
+        cols = columns(rng)
+        clouds = cols["tokens"]
+        corpus = Corpus(**{**cols, "tokens": iter(clouds)})
+        assert all(a is b for a, b in zip(corpus.tokens, clouds))
+        assert np.array_equal(corpus.pooled, np.stack([t.mean(axis=0) for t in clouds]))
+
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_cloud_count_must_match_the_ids(self, rng, count):
+        cols = columns(rng)
+        clouds = (rng.standard_normal((2, 3)) for _ in range(count))
+        with pytest.raises(ShapeError, match="one entry per id"):
+            Corpus(**{**cols, "tokens": clouds})
+
+
+def assert_same_columns(corpus, other):
+    """Every column but ``tokens`` equal, ``pooled`` bitwise."""
+    assert corpus.ids == other.ids and corpus.texts == other.texts
+    assert (corpus.class_names, corpus.target_class) == (other.class_names, other.target_class)
+    assert corpus.labels.dtype == other.labels.dtype
+    assert np.array_equal(corpus.labels, other.labels)
+    assert corpus.pooled.shape == other.pooled.shape
+    assert corpus.pooled.tobytes() == other.pooled.tobytes()
+
+
+class TestWithoutClouds:
+    def test_synthetic_columns_equal_the_default_build(self):
+        spec = SynthSpec(n=300, d=5, priors=(0.6, 0.3, 0.1), seed=8)
+        free = make_synthetic(spec, keep_tokens=False)
+        assert free.tokens is None
+        assert_same_columns(make_synthetic(spec), free)
+
+    def test_jsonl_columns_equal_the_default_build(self, tmp_path, rng):
+        rows = []
+        for i in range(30):
+            if i % 3 == 0:
+                rows.append({"id": f"t{i}", "text": f"row {i} about topic {i % 4}",
+                             "label": "a" if i % 2 else "b"})
+            else:
+                emb = rng.standard_normal((int(rng.integers(1, 6)), 4))
+                rows.append({"id": f"e{i}", "label": "a" if i % 2 else "b",
+                             "embedding": (emb[0] if i % 5 == 1 else emb).tolist()})
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, rows)
+        featurizer = FeaturizerConfig(d=4, seed=2)
+        free = ingest_jsonl(path, featurizer=featurizer, keep_tokens=False)
+        assert free.tokens is None
+        full = ingest_jsonl(path, featurizer=featurizer)
+        assert {t.shape[0] for t in full.tokens} != {1}
+        assert_same_columns(full, free)
+
+    def test_take_carries_no_clouds(self):
+        corpus = make_synthetic(SynthSpec(n=20, d=3), keep_tokens=False)
+        sub = corpus.take([5, 2])
+        assert sub.tokens is None and sub.ids == (5, 2)
+
+    def test_export_refuses_a_corpus_without_clouds(self, tmp_path):
+        corpus = make_synthetic(SynthSpec(n=20, d=3), keep_tokens=False)
+        out = tmp_path / "out.jsonl"
+        with pytest.raises(DataError, match="keep_tokens=True"):
+            export_jsonl(corpus, out)
+        assert not out.exists()
 
 
 class TestFeaturize:
@@ -313,6 +391,30 @@ class TestDistancePercentile:
         x = np.random.default_rng(3).standard_normal((40, 6))
         got = _pairwise_distance_percentile(x, percentile, np.random.default_rng(0))
         assert got == pytest.approx(self.brute_force(x, percentile), rel=1e-12)
+
+    @pytest.mark.parametrize("n, seed", [(2, 0), (60, 1), (1000, 2), (1600, 3)])
+    @pytest.mark.parametrize("percentile", [0.0, 10.0, 37.5, 100.0])
+    def test_equals_the_concatenating_reference_bitwise(self, n, seed, percentile):
+        x = np.random.default_rng(seed).standard_normal((n, 8))
+        got = _pairwise_distance_percentile(x, percentile, np.random.default_rng(seed + 10))
+        want = pairwise_distance_percentile(x, percentile, np.random.default_rng(seed + 10))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_peak_is_one_distance_buffer(self):
+        # The benchmark corpus's pool split, 1,600 rows: the radius reads
+        # 1,000 seeded rows, whose 499,500 distances fill one buffer.
+        corpus = make_synthetic(SynthSpec(n=2000, d=32, priors=(0.9, 0.1),
+                                          clusters_per_class=4, noise=1.2,
+                                          separation=5.0, seed=1234), keep_tokens=False)
+        pooled = train_val_split(corpus, val_fraction=0.2, seed=100)[0].pooled
+        assert pooled.shape[0] == 1600
+        tracemalloc.start()
+        try:
+            _pairwise_distance_percentile(pooled, 10.0, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * (1000 * 999 // 2)
 
     def test_large_input_uses_seeded_subsample(self):
         x = np.random.default_rng(4).standard_normal((1200, 2))

@@ -15,10 +15,11 @@ import pytest
 from allwas import harness
 from allwas.cli import main as cli_main
 from allwas.errors import AllwasError, ConfigError, DataError, ShapeError
-from allwas.data import SynthSpec, make_synthetic, train_val_split
+from allwas.data import SynthSpec, ingest_jsonl, make_synthetic, train_val_split
 from allwas.harness import ExperimentConfig, load_corpus, run_experiment, run_sweep
 from allwas.seeding import derive_seed
 from allwas.stats import f1_macro, f1_target, wilcoxon_signed_rank
+from allwas.strategies import STRATEGY_NAMES
 from allwas.report import (
     EXACT_WILCOXON_LIMIT,
     learning_curve_svg,
@@ -292,15 +293,20 @@ class TestCorpusCache:
             load_corpus({"synthetic": {**SMALL_CORPUS["synthetic"], "n": 0}})
         assert load_corpus(SMALL_CORPUS) is first
 
-    @pytest.mark.parametrize("column", ["pooled", "labels", "tokens"])
+    @pytest.mark.parametrize("column", ["pooled", "labels"])
     def test_loaded_arrays_are_read_only(self, column):
         corpus = load_corpus(SMALL_CORPUS)
-        array = corpus.tokens[0] if column == "tokens" else getattr(corpus, column)
         with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0
-        # A corpus built by a library caller stays writeable.
+            getattr(corpus, column)[0] = 0
+        # A corpus built by a library caller stays writeable, clouds too.
         built = make_synthetic(SynthSpec(n=20, d=2))
         assert built.pooled.flags.writeable and built.tokens[0].flags.writeable
+
+    def test_loaded_corpus_holds_no_clouds(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(path, [([[0.0, 1.0], [2.0, 3.0]], "a"), ([1.0, 0.0], "b")])
+        for spec in (SMALL_CORPUS, {"path": str(path)}):
+            assert load_corpus(spec).tokens is None
 
     def test_numpy_values_in_the_spec_load(self):
         spec = {"synthetic": {**SMALL_CORPUS["synthetic"], "priors": np.array([0.7, 0.3]),
@@ -309,6 +315,70 @@ class TestCorpusCache:
         assert load_corpus(spec) is corpus
         assert load_corpus(SMALL_CORPUS) is corpus
         assert corpus.pooled.shape == (260, 6)
+
+
+class TestCorpusWithoutClouds:
+    """Experiment corpora are built without their token clouds."""
+
+    @pytest.mark.parametrize("mode", ["none", "wasserstein", "l2-kde"])
+    def test_csvs_do_not_depend_on_the_clouds(self, tmp_path, mode):
+        spec = SynthSpec(**SMALL_CORPUS["synthetic"])
+        built = {"clouds": make_synthetic(spec), "free": make_synthetic(spec, keep_tokens=False)}
+        assert built["free"].tokens is None
+        for strategy in STRATEGY_NAMES:
+            written = []
+            for name, corpus in built.items():
+                cfg = small_cfg(tmp_path, out_dir=str(tmp_path / name), strategy=strategy,
+                                label=f"{strategy}-{mode}",
+                                augmentation={"mode": mode, "factor": 2, "group_size": 2})
+                run_experiment(cfg, corpus)
+                written.append((tmp_path / name / f"{cfg.label}.csv").read_bytes())
+            assert written[0] == written[1], strategy
+
+    def test_synthetic_load_peaks_under_two_corpora(self, monkeypatch):
+        # The benchmark's corpus: its clouds are drawn, pooled and dropped
+        # row by row, so the build peaks under twice what the corpus keeps
+        # (5.6 MiB when it kept its clouds). A small build first does the
+        # imports a process's first build makes.
+        monkeypatch.setattr(harness, "_loaded", None)
+        load_corpus(SMALL_CORPUS)
+        spec = {"synthetic": {"n": 2000, "d": 32, "priors": [0.9, 0.1],
+                              "clusters_per_class": 4, "noise": 1.2,
+                              "separation": 5.0, "seed": 1234}}
+        tracemalloc.start()
+        try:
+            corpus = load_corpus(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert corpus.tokens is None
+        assert peak < 2 * (corpus.pooled.nbytes + corpus.labels.nbytes)
+        built = make_synthetic(SynthSpec(**spec["synthetic"]))
+        assert corpus.pooled.tobytes() == built.pooled.tobytes()
+
+    def test_jsonl_load_holds_one_cloud_at_a_time(self, tmp_path):
+        # Each line's cloud is pooled as it is parsed, so a file of 50-token
+        # rows peaks above the file of those rows' means by one line's
+        # parse, under two pooled matrices here; holding the clouds would
+        # add 49.
+        rng = np.random.default_rng(6)
+        clouds = [rng.standard_normal((50, 16)) for _ in range(500)]
+        labels = ["a" if i % 3 else "b" for i in range(len(clouds))]
+        peaks, loaded = [], []
+        for name, rows in (("clouds", clouds), ("means", [c.mean(axis=0) for c in clouds])):
+            path = tmp_path / f"{name}.jsonl"
+            write_jsonl(path, [(row.tolist(), label) for row, label in zip(rows, labels)])
+            tracemalloc.start()
+            try:
+                loaded.append(load_corpus({"path": str(path)}))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        pooled = loaded[0].pooled
+        assert loaded[0].tokens is None
+        assert pooled.tobytes() == loaded[1].pooled.tobytes()
+        assert pooled.tobytes() == ingest_jsonl(tmp_path / "clouds.jsonl").pooled.tobytes()
+        assert peaks[0] - peaks[1] < 2 * pooled.nbytes
 
 
 # Run by a fresh interpreter: a sweep after a load of its spec, then the
@@ -337,17 +407,18 @@ gc.collect()
 after = tracemalloc.get_traced_memory()[0]
 print(json.dumps({"shared": load_corpus(cfg.corpus) is corpus, "peak": peak,
                   "growth": after - current,
-                  "corpus": sum(t.nbytes for t in (corpus.pooled, corpus.labels, *corpus.tokens))}))
+                  "corpus": corpus.pooled.nbytes + corpus.labels.nbytes}))
 """
 
 
 def test_sweep_shares_the_loaded_corpus(tmp_path):
     # Two workers, so the calling process only waits: its traced peak over
-    # a sweep stays below one corpus of about 1 MiB, and two more sweeps
+    # a sweep stays below one corpus (its 1.2 MiB of pooled vectors and
+    # labels: a loaded corpus holds no clouds), and two more sweeps
     # leave its traced memory where one left it, but for a few KiB of the
     # interpreter's and numpy's own caches.
     cfg = small_cfg(tmp_path, budget=20, k=10, repeats=1,
-                    corpus={"synthetic": {"n": 1000, "d": 16, "priors": [0.7, 0.3], "seed": 4}})
+                    corpus={"synthetic": {"n": 1000, "d": 160, "priors": [0.7, 0.3], "seed": 4}})
     src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
     done = subprocess.run([sys.executable, "-c", SWEEP_MEMORY, cfg.to_canonical_json()],
                           env=dict(os.environ, PYTHONPATH=src, ALLWAS_THREADS="2"),
