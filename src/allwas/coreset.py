@@ -4,6 +4,9 @@ maximizer.
 The coverage value of a selection S is the total distance saved relative
 to an auxiliary element s0 that covers everything at a flat cost:
 F(S) = L({s0}) - L(S ∪ {s0}) with L(S) = sum_i min_{j in S} d(i, j).
+Selection always prices s0 at 1.01 x the largest entry
+(``default_s0_cost``); in exact arithmetic any cost at or above the largest
+entry gives the same picks.
 F is monotone and submodular for any nonnegative matrix, so lazy greedy
 with an upper-bound heap returns the same sequence as naive greedy while
 skipping most gain evaluations.
@@ -64,16 +67,12 @@ def _gain(minima: np.ndarray, col: np.ndarray) -> float:
     return float(np.maximum(minima - col, 0.0).sum())
 
 
-def greedy_select(
-    matrix: DistanceMatrix,
-    k: int,
-    warm_start=(),
-    s0_cost: float | None = None,
-) -> SelectionState:
+def greedy_select(matrix: DistanceMatrix, k: int, warm_start=()) -> SelectionState:
     """Append k elements greedily, each maximizing the marginal coverage
     gain given the warm start (already-selected ids) and the auxiliary
-    element. Ties break to the lowest id. A lazy heap of upper bounds skips
-    most gain evaluations and selects what naive greedy would.
+    element, whose cost is ``default_s0_cost`` (1.01 x the largest entry).
+    Ties break to the lowest id. A lazy heap of upper bounds skips most
+    gain evaluations and selects what naive greedy would.
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
@@ -82,28 +81,24 @@ def greedy_select(
         raise AllwasError(
             f"cannot select {k} beyond warm start of {len(warm_start)} "
             f"from {matrix.n} elements")
-    if s0_cost is None:
-        s0_cost = default_s0_cost(matrix)
-    if s0_cost <= 0:
-        raise ConfigError("s0_cost must be positive")
-
+    s0_cost = default_s0_cost(matrix)
     minima = _minima(matrix, warm_start, s0_cost)
     taken = set(warm_start)
     candidates = [i for i in matrix.ids if i not in taken]
     selected = []
 
-    # Heap of (-upper bound, id, stamp); a popped entry whose bound was
-    # recomputed in the current round is the exact argmax, and the
-    # (-gain, id) ordering reproduces naive greedy's lowest-id tie-breaking.
+    # Heap of (-upper bound, id, stamp), stamped with the round the bound
+    # was computed for: a popped entry of the current round is the exact
+    # argmax, and the (-gain, id) order gives naive greedy's lowest-id ties.
     cols = {i: matrix.entries[:, matrix.index_of(i)] for i in candidates}
-    heap = [(-_gain(minima, cols[i]), i, 0) for i in candidates]
+    heap = [(-_gain(minima, cols[i]), i, 1) for i in candidates]
     heapq.heapify(heap)
     for round_no in range(1, k + 1):
         while True:
             neg_gain, cand, stamp = heapq.heappop(heap)
             if cand in taken:
                 continue
-            if stamp == round_no or (round_no == 1 and stamp == 0):
+            if stamp == round_no:
                 selected.append(cand)
                 taken.add(cand)
                 np.minimum(minima, cols[cand], out=minima)
@@ -114,13 +109,13 @@ def greedy_select(
     return SelectionState(tuple(selected), minima, value, float(s0_cost))
 
 
-def brute_force_opt(matrix: DistanceMatrix, k: int, s0_cost: float | None = None):
-    """Exact maximizer of the coverage objective by subset enumeration.
+def brute_force_opt(matrix: DistanceMatrix, k: int):
+    """Exact maximizer of the coverage objective at ``default_s0_cost`` by
+    subset enumeration.
 
     Returns (ids, value). Refuses instances with more than 2e6 subsets.
     """
-    if s0_cost is None:
-        s0_cost = default_s0_cost(matrix)
+    s0_cost = default_s0_cost(matrix)
     n = matrix.n
     if k < 1 or k > n:
         raise ConfigError(f"k={k} out of range for {n} elements")

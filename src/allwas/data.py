@@ -8,9 +8,9 @@ JSONL is the single corpus format. One JSON object per line with fields:
     embedding  optional; list of floats (one token) or list of rows
     label      class name (string) or class index (int)
 
-Lines need text or embedding; when both are present the embedding wins and
-a warning is logged. Malformed lines are collected into one error report
-and the whole ingest aborts if any line is bad.
+Lines need text or embedding; when both are present the embedding wins, and
+one warning per file counts such lines. Malformed lines are collected into
+one error report and the whole ingest aborts if any line is bad.
 
 Text featurization is deterministic across runs and machines: tokens are
 lowercased alphanumeric runs, and each distinct token maps to a Gaussian
@@ -194,6 +194,17 @@ def _parse_embedding(value, line_no: int):
     return arr
 
 
+def check_class_keys(class_names, target_class) -> None:
+    """Raise a ConfigError unless ``class_names`` is None or a list of
+    strings, and ``target_class`` is None, an int (not a bool) or a class
+    name."""
+    if class_names is not None and not (isinstance(class_names, (list, tuple))
+                                        and all(isinstance(c, str) for c in class_names)):
+        raise ConfigError(f"class_names must be a list of strings (got {class_names!r})")
+    if not (target_class is None or _is_int(target_class) or isinstance(target_class, str)):
+        raise ConfigError(f"target_class must be an int or a class name (got {target_class!r})")
+
+
 def ingest_jsonl(
     path,
     featurizer: FeaturizerConfig | None = None,
@@ -206,16 +217,20 @@ def ingest_jsonl(
     ``class_names`` fixes the label set (unknown labels become errors);
     otherwise names are inferred from the observed labels. ``target_class``
     may be an index or a class name; the default is the rarest class
-    (lowest index on ties).
+    (lowest index on ties). Both are checked (``check_class_keys``) before
+    the file is opened. Rows that give both text and embedding take the
+    embedding, with one warning for the file.
 
     Text rows are featurized one at a time as the corpus pools them. With
     ``keep_tokens=False`` (how ``harness.load_corpus`` reads a file) each
     embedding is reduced to its token mean as its line is parsed, and the
     corpus holds no clouds; ``allwas ingest --out`` keeps them to export.
     """
+    check_class_keys(class_names, target_class)
     rows = []
     errors = []
     seen_ids = set()
+    both = []                                   # line numbers of text + embedding rows
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -239,9 +254,7 @@ def ingest_jsonl(
                     raise ValueError(f"line {line_no}: needs text or embedding")
                 if emb_raw is not None:
                     if text is not None:
-                        warnings.warn(
-                            f"line {line_no}: both text and embedding given; "
-                            "embedding wins")
+                        both.append(line_no)
                     tokens = _parse_embedding(emb_raw, line_no)
                     if not keep_tokens:
                         tokens = tokens.mean(axis=0, keepdims=True)
@@ -258,6 +271,9 @@ def ingest_jsonl(
         raise DataError("bad corpus lines:\n  " + "\n  ".join(errors))
     if not rows:
         raise DataError("no examples in corpus file")
+    if both:
+        warnings.warn(f"both text and embedding given on {len(both)} line(s), the first "
+                      f"line {both[0]}; embedding wins")
 
     labels = [r[3] for r in rows]
     if class_names is None:

@@ -40,9 +40,9 @@ _CHUNK_BYTES = 64 * 2**20
 
 # Cells of an (N, N) matrix that one block of row-blocked work covers: the
 # exact matrix's blocks of pairs and the symmetry check's blocks of rows.
-# An exact block's working set is about 26 bytes per cell (its sort order,
-# its sums in sorted and in cell order, byte-wide vertex indices and
-# masks), so about 0.3 MiB whatever N is.
+# An exact block's traced peak is 25-31 bytes per cell at C = 2-7 (its
+# sort order, its entries, a byte-wide mask and one slice's plans), so at
+# most about 0.36 MiB whatever N is.
 _BLOCK_CELLS = 12288
 
 
@@ -370,24 +370,20 @@ def _exact_block(dist, probs, r0: int, r1: int, f, g, flows, gaps) -> None:
     by_vertex = np.argsort(best, axis=None, kind="stable")
     bounds = np.searchsorted(best.ravel()[by_vertex], np.arange(len(f) + 1)).tolist()
     del best
-    # Each vertex's sums in place in the sorted order, then all scattered
-    # back to their cells at once. A vertex's pairs go through its plan in
-    # slices, so their (pairs, 2C - 1) temporaries stay a fraction of the
-    # block's working set when one vertex takes most of the block.
-    sums = np.empty(bounds[-1])
+    # A vertex's pairs go through its plan in slices, so their
+    # (pairs, 2C - 1) temporaries stay a fraction of the block's working set
+    # when one vertex takes most of the block; each slice's halved sums go
+    # straight to their cells.
+    entries = np.empty(upper.shape)
     below, beyond = probs[r0:], probs[r0 + 1:]
     step = max(1, _BLOCK_CELLS // 8)
     for k in np.flatnonzero(np.diff(bounds)).tolist():
         for lo in range(bounds[k], bounds[k + 1], step):
-            hi = min(lo + step, bounds[k + 1])
-            i = by_vertex[lo:hi] // width
-            j = by_vertex[lo:hi] - i * width
+            cells = by_vertex[lo:min(lo + step, bounds[k + 1])]
+            i = cells // width
             plan = below.take(i, axis=0) @ flows[k, :, :c].T
-            plan += beyond.take(j, axis=0) @ flows[k, :, c:].T
-            np.einsum("ps,ps->p", plan @ gaps[k], plan, out=sums[lo:hi])
-    sums /= 2
-    entries = np.empty(upper.shape)
-    entries.ravel()[by_vertex[:len(sums)]] = sums
+            plan += beyond.take(cells - i * width, axis=0) @ flows[k, :, c:].T
+            entries.ravel()[cells] = np.einsum("ps,ps->p", plan @ gaps[k], plan) / 2
     np.copyto(dist[r0:r1, r0 + 1:], entries, where=upper)
     np.copyto(dist[r0 + 1:, r0:r1].T, entries, where=upper)
 

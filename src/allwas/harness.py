@@ -48,6 +48,7 @@ from .data import (
     SeedSpec,
     SynthSpec,
     build_seed,
+    check_class_keys,
     ingest_jsonl,
     make_synthetic,
     train_val_split,
@@ -87,6 +88,13 @@ _NESTED_KEYS = {
     "augmentation": ("mode", *(f for f in AugmentationConfig.__dataclass_fields__
                                if f != "seed")),
 }
+
+
+def _plain(value):
+    """``json.dumps`` hook: a numpy scalar or array as a plain value."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 @dataclass(frozen=True)
@@ -157,7 +165,11 @@ class ExperimentConfig:
         return cls(**raw)
 
     def to_canonical_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        """Sorted-key JSON of the config. numpy scalars and arrays, which the
+        checks accept, are written as the plain numbers and lists they hold,
+        so such a config hashes equal to its plain twin."""
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"),
+                          default=_plain)
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_canonical_json().encode()).hexdigest()
@@ -222,6 +234,7 @@ def _corpus_source(spec: dict):
     if "synthetic" in spec:
         return config_from(SynthSpec, spec["synthetic"], "corpus synthetic")
     if "path" in spec:
+        check_class_keys(spec.get("class_names"), spec.get("target_class"))
         feat = spec.get("featurize")
         return config_from(FeaturizerConfig, feat, "corpus featurize") if feat else None
     raise ConfigError("corpus config needs 'synthetic' or 'path'")

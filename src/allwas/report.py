@@ -83,16 +83,15 @@ def significance_table(records, out=None, pairs=None):
     return results
 
 
-def _svg_polyline(points, color, width=2.0, dasharray=None):
+def _svg_polyline(points, color, width=2.0):
     coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
-    dash = f' stroke-dasharray="{dasharray}"' if dasharray else ""
     return (f'<polyline fill="none" stroke="{color}" stroke-width="{width}"'
-            f'{dash} points="{coords}" />')
+            f' points="{coords}" />')
 
 
-def _svg_polygon(points, color, opacity=0.15):
+def _svg_polygon(points, color):
     coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
-    return (f'<polygon fill="{color}" fill-opacity="{opacity}" '
+    return (f'<polygon fill="{color}" fill-opacity="0.15" '
             f'stroke="none" points="{coords}" />')
 
 

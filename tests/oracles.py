@@ -62,12 +62,11 @@ def _exact_1d(a: DiscreteMeasure, b: DiscreteMeasure, p: float) -> float:
     return float(cost)
 
 
-def naive_greedy(matrix, k: int, s0_cost: float | None = None) -> SelectionState:
+def naive_greedy(matrix, k: int) -> SelectionState:
     """Greedy coverage selection that re-evaluates every candidate each
-    step, ties to the lowest id. It updates the minima and sums the value
-    as ``greedy_select`` does, so the two values agree exactly."""
-    if s0_cost is None:
-        s0_cost = default_s0_cost(matrix)
+    step, ties to the lowest id. It prices s0, updates the minima and sums
+    the value as ``greedy_select`` does, so the two values agree exactly."""
+    s0_cost = default_s0_cost(matrix)
     minima = _minima(matrix, (), s0_cost)
     taken = set()
     selected = []

@@ -193,7 +193,7 @@ def test_c03_submodularity():
     for _ in range(100):
         m = _random_matrix(rng, 8)
         s0 = default_s0_cost(m)
-        state = greedy_select(m, k=7, s0_cost=s0)
+        state = greedy_select(m, k=7)
         values = [8 * s0 - objective_L(m, state.selected[:j], s0)
                   for j in range(len(state.selected) + 1)]
         ok &= all(b2 >= a2 - 1e-12 for a2, b2 in zip(values, values[1:]))
@@ -210,11 +210,10 @@ def test_c04_greedy_guarantee():
         n = int(rng.integers(5, 11))
         k = int(rng.integers(1, 4))
         m = _random_matrix(rng, n)
-        s0 = default_s0_cost(m)
-        lazy = greedy_select(m, k=k, s0_cost=s0)
-        naive = naive_greedy(m, k=k, s0_cost=s0)
+        lazy = greedy_select(m, k=k)
+        naive = naive_greedy(m, k=k)
         ok &= lazy.selected == naive.selected
-        _, opt = brute_force_opt(m, k=k, s0_cost=s0)
+        _, opt = brute_force_opt(m, k=k)
         ratio = lazy.value / opt if opt > 0 else 1.0
         worst_ratio = min(worst_ratio, ratio)
         ok &= lazy.value >= bound * opt - 1e-9

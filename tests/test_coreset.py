@@ -57,7 +57,7 @@ class TestGreedy:
     def test_select_everything_reaches_max(self):
         m = line_matrix()
         s0 = default_s0_cost(m)
-        state = greedy_select(m, k=4, s0_cost=s0)
+        state = greedy_select(m, k=4)
         assert state.value == pytest.approx(4 * s0)
         assert objective_L(m, state.selected, s0) == pytest.approx(0.0)
 
@@ -65,7 +65,7 @@ class TestGreedy:
         for _ in range(200):
             m = random_matrix(rng, 8)
             state = greedy_select(m, k=3)
-            _, opt = brute_force_opt(m, k=3, s0_cost=state.s0_cost)
+            _, opt = brute_force_opt(m, k=3)
             assert state.value >= (1 - 1 / np.e) * opt - 1e-9
 
     def test_lazy_equals_naive(self, rng):
@@ -113,14 +113,14 @@ class TestBruteForce:
     def test_full_k_gives_total_cover(self):
         m = line_matrix()
         s0 = default_s0_cost(m)
-        _, value = brute_force_opt(m, k=4, s0_cost=s0)
+        _, value = brute_force_opt(m, k=4)
         assert value == pytest.approx(4 * s0)
 
     def test_agrees_with_greedy_on_symmetric_instance(self):
         entries = 3.0 * (np.ones((5, 5)) - np.eye(5))
         m = DistanceMatrix(entries, ids=tuple(range(5)))
-        state = greedy_select(m, k=2, s0_cost=10.0)
-        _, opt = brute_force_opt(m, k=2, s0_cost=10.0)
+        state = greedy_select(m, k=2)
+        _, opt = brute_force_opt(m, k=2)
         assert state.value == pytest.approx(opt)
 
     def test_rejects_huge_instances(self, rng):

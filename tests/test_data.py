@@ -1,5 +1,7 @@
 import json
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -284,6 +286,38 @@ class TestIngest:
         write_jsonl(path, rows)
         corpus = ingest_jsonl(path)
         assert corpus.class_names[corpus.target_class] == "small"
+
+
+    def test_normalized_export_warns_once(self, tmp_path):
+        # An export writes text and embedding on every text row; loading it
+        # warns once for the file, not once per row.
+        path, out = tmp_path / "c.jsonl", tmp_path / "out.jsonl"
+        write_jsonl(path, [{"id": i, "text": f"row {i}", "label": i % 2} for i in range(50)])
+        export_jsonl(ingest_jsonl(path, featurizer=FeaturizerConfig(d=4)), out)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ingest_jsonl(out)
+        assert [str(w.message) for w in caught] == [
+            "both text and embedding given on 50 line(s), the first line 1; embedding wins"]
+
+    @pytest.mark.parametrize("keys, message", [
+        ({"target_class": 0.6}, "target_class must be an int or a class name (got 0.6)"),
+        ({"target_class": 1.9}, "target_class must be an int or a class name (got 1.9)"),
+        ({"target_class": True}, "target_class must be an int or a class name (got True)"),
+        ({"target_class": [1]}, "target_class must be an int or a class name (got [1])"),
+        ({"class_names": "ab"}, "class_names must be a list of strings (got 'ab')"),
+        ({"class_names": ["a", 1]}, "class_names must be a list of strings (got ['a', 1])")])
+    def test_class_keys_checked_before_the_file_is_read(self, tmp_path, keys, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ingest_jsonl(tmp_path / "missing.jsonl", **keys)
+
+    @pytest.mark.parametrize("target", [1, np.int64(1), "small"])
+    def test_target_class_by_index_or_name(self, tmp_path, target):
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [{"id": 0, "embedding": [[0.0]], "label": "big"},
+                           {"id": 1, "embedding": [[1.0]], "label": "small"}])
+        corpus = ingest_jsonl(path, class_names=["big", "small"], target_class=target)
+        assert corpus.target_class == 1
 
 
 class TestSynthetic:

@@ -15,7 +15,8 @@ import pytest
 from allwas import harness
 from allwas.cli import main as cli_main
 from allwas.errors import AllwasError, ConfigError, DataError, ShapeError
-from allwas.data import SynthSpec, ingest_jsonl, make_synthetic, train_val_split
+from allwas.data import (FeaturizerConfig, SynthSpec, ingest_jsonl, make_synthetic,
+                         train_val_split)
 from allwas.harness import ExperimentConfig, load_corpus, run_experiment, run_sweep
 from allwas.seeding import derive_seed
 from allwas.stats import f1_macro, f1_target, wilcoxon_signed_rank
@@ -112,6 +113,19 @@ class TestConfig:
     def test_label_must_be_a_file_name(self, tmp_path, label):
         with pytest.raises(ConfigError, match="label must be a file name"):
             small_cfg(tmp_path, label=label)
+
+    @pytest.mark.parametrize("key, value", [("priors", np.array([0.7, 0.3])),
+                                            ("n", np.int64(260))])
+    def test_numpy_values_hash_as_plain_values(self, tmp_path, key, value):
+        # The checks accept numpy values; the canonical JSON writes them as
+        # the plain numbers and lists they hold.
+        plain = small_cfg(tmp_path, repeats=1)
+        cfg = small_cfg(tmp_path, repeats=1,
+                        corpus={"synthetic": {**SMALL_CORPUS["synthetic"], key: value}})
+        assert cfg.to_canonical_json() == plain.to_canonical_json()
+        assert cfg.config_hash() == plain.config_hash()
+        assert run_experiment(cfg).rows == run_experiment(
+            replace(plain, out_dir=str(tmp_path / "plain"))).rows
 
     def test_iterations_per_repeat(self, tmp_path):
         cfg = small_cfg(tmp_path)
@@ -565,6 +579,19 @@ class TestSweep:
         monkeypatch.setattr(harness, "train_stack", train_stack)
         assert run_experiment(cfg).rows == clean.rows
 
+    def test_lone_training_error_fails_the_run(self, tmp_path, monkeypatch):
+        # A one-repeat lc cell trains one head per round, through ``train``,
+        # which raises where ``train_stack`` returns the error.
+        def fail(head, data):
+            raise AllwasError("training diverged to non-finite parameters")
+
+        monkeypatch.setattr(harness, "train", fail)
+        with pytest.raises(AllwasError) as info:
+            run_experiment(small_cfg(tmp_path, strategy="lc", repeats=1))
+        assert str(info.value) == ("cell 'cell': repeat 0, iteration 0: "
+                                   "training diverged to non-finite parameters")
+        assert not (tmp_path / "runs" / "cell.csv").exists()
+
     def test_parallel_failure_keeps_error_type_and_cell(self, tmp_path, monkeypatch, capsys):
         # Every cell fails in its first repeat (the pool split has 208 rows); the
         # first cell's error is raised, and no worker process is left over.
@@ -864,6 +891,42 @@ class TestCli:
             [by_label["demo"], by_label["demo2"]])
         assert printed[:3] == ["demo", "demo2", str(n)]
         assert printed[4] == f"{p:.10g}"
+
+    def test_ingest_out_round_trip(self, tmp_path, capsys):
+        # Featurized text rows and embedding rows: the normalized file loads
+        # to the same columns, and exporting it again is byte-identical.
+        source, out, again = (tmp_path / name for name in ("c.jsonl", "out.jsonl",
+                                                           "again.jsonl"))
+        source.write_text("".join(json.dumps(
+            {"id": f"r{i}", "text": f"row {i} of {i % 3}", "label": "ab"[i % 2]}
+            if i % 3 else
+            {"id": f"r{i}", "embedding": [[0.5 * i, -1.0, 2.0], [1.0, 0.25, i / 3]],
+             "label": "ab"[i % 2]}) + "\n" for i in range(12)))
+        assert cli_main(["ingest", str(source), "--featurize", "d=3,seed=4",
+                         "--out", str(out)]) == 0
+        with pytest.warns(UserWarning, match="embedding wins"):
+            assert cli_main(["ingest", str(out), "--out", str(again)]) == 0
+        assert f"wrote {out}" in capsys.readouterr().out
+        original = ingest_jsonl(source, featurizer=FeaturizerConfig(d=3, seed=4))
+        with pytest.warns(UserWarning, match="embedding wins"):
+            loaded = ingest_jsonl(out)
+        assert loaded.ids == original.ids and loaded.texts == original.texts
+        assert loaded.texts[1] == "row 1 of 1" and loaded.texts[0] is None
+        assert np.array_equal(loaded.labels, original.labels)
+        assert loaded.pooled.tobytes() == original.pooled.tobytes()
+        assert again.read_bytes() == out.read_bytes()
+
+    @pytest.mark.parametrize("key, bad, message", [
+        ("target_class", 0.6, "target_class must be an int or a class name (got 0.6)"),
+        ("target_class", 1.9, "target_class must be an int or a class name (got 1.9)"),
+        ("target_class", True, "target_class must be an int or a class name (got True)"),
+        ("target_class", [1], "target_class must be an int or a class name (got [1])"),
+        ("class_names", "ab", "class_names must be a list of strings (got 'ab')")])
+    def test_bad_class_key_exits_2_before_corpus_loads(self, tmp_path, capsys, monkeypatch,
+                                                       key, bad, message):
+        corpus = {"path": str(tmp_path / "c.jsonl"), key: bad}
+        assert self.run_before_corpus_loads(tmp_path, monkeypatch, corpus=corpus) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_exit_code_config_error(self, tmp_path):
         bad = tmp_path / "bad.json"
