@@ -90,14 +90,12 @@ def _mix_rows(rows, parents, lambdas) -> np.ndarray:
     return acc
 
 
-def _class_members(labeled: TrainingSet, cfg) -> dict:
-    """Row indices per hard class of a labeled set that can feed ``cfg``."""
-    if len(labeled) < cfg.group_size:
-        raise AllwasError(
-            f"need at least group_size={cfg.group_size} labeled examples "
-            f"(got {len(labeled)})")
+def _class_members(labeled: TrainingSet) -> dict:
+    """Row indices per hard class of a labeled set, for the classes present,
+    keyed in ascending order. The keys come from ``bincount``, as
+    ``np.unique`` would load ``numpy.ma``."""
     classes = labeled.y.argmax(axis=1)
-    return {c: np.flatnonzero(classes == c) for c in np.unique(classes)}
+    return {c: np.flatnonzero(classes == c) for c in np.flatnonzero(np.bincount(classes))}
 
 
 def _class_cdf(members, pairing: str) -> tuple[np.ndarray, list]:
@@ -208,7 +206,11 @@ def augment_wasserstein(labeled: TrainingSet, cfg: AugmentationConfig) -> Synthe
     """
     if cfg.factor == 0:
         return _no_rows(cfg.group_size)
-    members = _class_members(labeled, cfg)
+    if len(labeled) < cfg.group_size:
+        raise AllwasError(
+            f"need at least group_size={cfg.group_size} labeled examples "
+            f"(got {len(labeled)})")
+    members = _class_members(labeled)
     rng = np.random.default_rng(cfg.seed)
     if cfg.pairing == "any-pair":
         cdf, pools = None, [range(len(labeled))]
@@ -263,12 +265,13 @@ def augment_l2_kde(labeled: TrainingSet, cfg: AugmentationConfig) -> SyntheticSe
     """Euclidean baseline: per-class Gaussian KDE over pooled embeddings
     (Scott's rule, diagonal bandwidth), sampled with hard class labels in
     proportion to the pairing weights. Each row has one parent, the KDE
-    centre, with lambda 1. Degenerate classes (one member or zero spread)
-    get the bandwidth floor with a warning.
+    centre, with lambda 1, so one labeled row is enough. Degenerate
+    classes (one member or zero spread) get the bandwidth floor with a
+    warning.
     """
     if cfg.factor == 0:
         return _no_rows(1)
-    members = _class_members(labeled, cfg)
+    members = _class_members(labeled)
     rng = np.random.default_rng(cfg.seed)
     classes_arr, cdf = _class_cdf(members, cfg.pairing)
 

@@ -196,11 +196,15 @@ def _parse_embedding(value, line_no: int):
 
 def check_class_keys(class_names, target_class) -> None:
     """Raise a ConfigError unless ``class_names`` is None or a list of
-    strings, and ``target_class`` is None, an int (not a bool) or a class
-    name."""
-    if class_names is not None and not (isinstance(class_names, (list, tuple))
-                                        and all(isinstance(c, str) for c in class_names)):
-        raise ConfigError(f"class_names must be a list of strings (got {class_names!r})")
+    distinct strings, and ``target_class`` is None, an int (not a bool) or
+    a class name."""
+    if class_names is not None:
+        if not (isinstance(class_names, (list, tuple))
+                and all(isinstance(c, str) for c in class_names)):
+            raise ConfigError(f"class_names must be a list of strings (got {class_names!r})")
+        repeats = sorted({c for c in class_names if class_names.count(c) > 1})
+        if repeats:
+            raise ConfigError(f"class_names repeats {repeats} (got {list(class_names)!r})")
     if not (target_class is None or _is_int(target_class) or isinstance(target_class, str)):
         raise ConfigError(f"target_class must be an int or a class name (got {target_class!r})")
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import io
 import os
-import xml.etree.ElementTree as ET
 from functools import partial
 from itertools import combinations
 
@@ -169,6 +168,9 @@ def learning_curve_svg(records, title: str) -> str:
 def validate_svg(text: str) -> None:
     """Minimal internal schema: parses as XML, svg root with viewBox, at
     least one polyline."""
+    # Imported here, so that importing allwas loads no xml.etree or pyexpat.
+    import xml.etree.ElementTree as ET
+
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:

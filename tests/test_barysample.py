@@ -9,6 +9,7 @@ from allwas import barysample
 from allwas.barysample import (
     KDE_BANDWIDTH_FLOOR,
     AugmentationConfig,
+    _class_members,
     _RawDraws,
     augment_l2_kde,
     augment_wasserstein,
@@ -162,6 +163,17 @@ class TestL2Kde:
         # Gaussian tail bound: all draws within 5 floored bandwidths.
         assert np.all(np.abs(out.pooled - point) <= 5 * KDE_BANDWIDTH_FLOOR)
 
+    def test_single_row_floors_bandwidth(self, rng):
+        # One parent per row, so one labeled row feeds the KDE, whatever
+        # group_size says.
+        point = rng.standard_normal(4)
+        with pytest.warns(UserWarning, match="class 1: degenerate embedding spread"):
+            out = augment_l2_kde(labeled_rows([point[None, :]], [1]),
+                                 AugmentationConfig(factor=50, group_size=3, seed=2))
+        assert len(out) == 50
+        assert np.all(out.parents == 0) and np.all(out.labels == [0.0, 1.0])
+        assert np.all(np.abs(out.pooled - point) <= 5 * KDE_BANDWIDTH_FLOOR)
+
     def test_factor_zero_is_empty(self, rng):
         out = augment_l2_kde(labeled_set(rng)[1], AugmentationConfig(factor=0))
         assert len(out) == 0
@@ -198,6 +210,23 @@ class TestL2Kde:
         b = augment_l2_kde(labeled, cfg)
         for field in ("pooled", "labels", "parents", "lambdas"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data(), n_classes=st.integers(2, 6))
+def test_class_members_match_unique_form(data, n_classes):
+    # Keys from bincount, in place of np.unique: the same values and dtype,
+    # in the same order, with the same members, classes left out included.
+    present = data.draw(st.sets(st.integers(0, n_classes - 1), min_size=1), label="present")
+    labels = data.draw(st.lists(st.sampled_from(sorted(present)), min_size=1, max_size=40),
+                       label="labels")
+    labeled = TrainingSet(np.zeros((len(labels), 2)), np.eye(n_classes)[labels])
+    classes = labeled.y.argmax(axis=1)
+    expected = {c: np.flatnonzero(classes == c) for c in np.unique(classes)}
+    members = _class_members(labeled)
+    assert [(k.item(), k.dtype) for k in members] == [(k.item(), k.dtype) for k in expected]
+    for got, want in zip(members.values(), expected.values()):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestRawDraws:

@@ -306,7 +306,10 @@ class TestIngest:
         ({"target_class": True}, "target_class must be an int or a class name (got True)"),
         ({"target_class": [1]}, "target_class must be an int or a class name (got [1])"),
         ({"class_names": "ab"}, "class_names must be a list of strings (got 'ab')"),
-        ({"class_names": ["a", 1]}, "class_names must be a list of strings (got ['a', 1])")])
+        ({"class_names": ["a", 1]}, "class_names must be a list of strings (got ['a', 1])"),
+        ({"class_names": ["a", "a", "b"]}, "class_names repeats ['a'] (got ['a', 'a', 'b'])"),
+        ({"class_names": ("b", "a", "b", "a", "c")},
+         "class_names repeats ['a', 'b'] (got ['b', 'a', 'b', 'a', 'c'])")])
     def test_class_keys_checked_before_the_file_is_read(self, tmp_path, keys, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             ingest_jsonl(tmp_path / "missing.jsonl", **keys)

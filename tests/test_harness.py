@@ -921,7 +921,8 @@ class TestCli:
         ("target_class", 1.9, "target_class must be an int or a class name (got 1.9)"),
         ("target_class", True, "target_class must be an int or a class name (got True)"),
         ("target_class", [1], "target_class must be an int or a class name (got [1])"),
-        ("class_names", "ab", "class_names must be a list of strings (got 'ab')")])
+        ("class_names", "ab", "class_names must be a list of strings (got 'ab')"),
+        ("class_names", ["a", "a", "b"], "class_names repeats ['a'] (got ['a', 'a', 'b'])")])
     def test_bad_class_key_exits_2_before_corpus_loads(self, tmp_path, capsys, monkeypatch,
                                                        key, bad, message):
         corpus = {"path": str(tmp_path / "c.jsonl"), key: bad}

@@ -19,10 +19,19 @@ def run_python(code: str, cwd=None) -> str:
                           capture_output=True, text=True, check=True).stdout.strip()
 
 
-def modules_loaded_by_import(*prefixes):
-    """The modules under ``prefixes`` that a fresh ``import allwas`` loads."""
+def modules_loaded(code: str, *packages, cwd=None) -> str:
+    """The modules in or under ``packages`` that a fresh interpreter holds
+    after running ``code``, as the printed sorted list."""
+    below = tuple(package + "." for package in packages)
     return run_python(
-        f"import sys, allwas; print(sorted(m for m in sys.modules if m.startswith({prefixes})))")
+        f"{code}\nimport sys\n"
+        f"print(sorted(m for m in sys.modules if m in {packages} or m.startswith({below})))",
+        cwd=cwd).splitlines()[-1]
+
+
+def modules_loaded_by_import(*packages):
+    """The modules in or under ``packages`` that a fresh ``import allwas`` loads."""
+    return modules_loaded("import allwas", *packages)
 
 
 def test_import_loads_no_scipy():
@@ -70,6 +79,25 @@ def test_import_loads_no_sax_utilities():
     # Only rendering an SVG escapes text, and xml.sax.saxutils loads the
     # urllib.request, http.client and email packages.
     assert modules_loaded_by_import("xml.sax", "urllib.request", "http", "email") == "[]"
+
+
+def test_import_loads_no_xml_parser():
+    # Only report validates an SVG; xml.etree loads the pyexpat parser.
+    assert modules_loaded_by_import("xml.etree", "pyexpat") == "[]"
+
+
+@pytest.mark.parametrize("mode", ["wasserstein", "l2-kde"])
+def test_augmented_cell_loads_no_masked_arrays_or_scipy(tmp_path, mode):
+    # np.unique loads numpy.ma; an augmenting run calls nothing that needs it.
+    config = {"corpus": {"synthetic": {"n": 260, "d": 6, "priors": [0.7, 0.3], "seed": 3}},
+              "out_dir": "runs", "seed_size": 10, "budget": 30, "k": 10, "repeats": 1,
+              "model": {"hidden_dim": 8, "epochs": 2},
+              "augmentation": {"mode": mode, "factor": 2}}
+    code = ("from allwas.harness import ExperimentConfig, run_experiment\n"
+            f"record = run_experiment(ExperimentConfig(**{config!r}))\n"
+            "assert len(record.rows) == 3")
+    assert modules_loaded(code, "numpy.ma", "scipy", cwd=tmp_path) == "[]"
+    assert (tmp_path / "runs" / "cell.csv").exists()
 
 
 def sibling_imports(path):
