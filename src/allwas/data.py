@@ -49,7 +49,13 @@ class FeaturizerConfig:
 def _pool(clouds, n: int, keep: bool):
     """``(pooled, clouds)`` of ``n`` rows' clouds, read once in row order:
     each row's pooled vector is its cloud's token mean, and the clouds come
-    back as a tuple when ``keep``, else None."""
+    back as a tuple when ``keep``, else None. One-token clouds given as one
+    (n, 1, d) array are their own means: ``pooled`` is a view of it."""
+    if isinstance(clouds, np.ndarray) and clouds.ndim == 3 and clouds.shape[1] == 1 and not keep:
+        if len(clouds) != n:
+            raise ShapeError("corpus columns need one entry per id", expected=n,
+                             actual=f"{len(clouds)} token matrices")
+        return np.asarray(clouds[:, 0], dtype=np.float64), None
     pooled = None
     kept = []
     count = 0
@@ -225,13 +231,24 @@ def ingest_jsonl(
     the file is opened. Rows that give both text and embedding take the
     embedding, with one warning for the file.
 
-    Text rows are featurized one at a time as the corpus pools them. With
-    ``keep_tokens=False`` (how ``harness.load_corpus`` reads a file) each
-    embedding is reduced to its token mean as its line is parsed, and the
-    corpus holds no clouds; ``allwas ingest --out`` keeps them to export.
+    Every row must have the first row's width (a text row's is the
+    featurizer's ``d``); a row that does not is a bad line. Text rows are
+    featurized one at a time, after every line has passed. With
+    ``keep_tokens=False`` (how ``harness.load_corpus`` reads a file) a first
+    pass counts the lines, and each row's token mean goes into one (N, d)
+    store as its line is parsed: that store becomes ``pooled``, and the
+    corpus holds no clouds. ``allwas ingest --out`` keeps them to export.
     """
     check_class_keys(class_names, target_class)
-    rows = []
+    if not keep_tokens:
+        # The store of token means takes one row per non-blank line.
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = sum(1 for line in fh if line.strip())
+    ids, texts, labels, line_nos = [], [], [], []
+    clouds = []                                 # keep_tokens: the embedding, or None for text
+    pooled = None                               # otherwise: the token means
+    pending = []                                # and the text rows, pooled at the end
+    width = None                                # the first row's dimension
     errors = []
     seen_ids = set()
     both = []                                   # line numbers of text + embedding rows
@@ -247,7 +264,7 @@ def ingest_jsonl(
                 ex_id = obj["id"]
                 if type(ex_id) not in (int, str):
                     raise ValueError(f"line {line_no}: id must be an int or a string")
-                if rows and type(ex_id) is not type(rows[0][0]):
+                if ids and type(ex_id) is not type(ids[0]):
                     raise ValueError(f"line {line_no}: id {ex_id!r} mixes ints and strings")
                 if ex_id in seen_ids:
                     raise ValueError(f"line {line_no}: duplicate id {ex_id!r}")
@@ -260,26 +277,42 @@ def ingest_jsonl(
                     if text is not None:
                         both.append(line_no)
                     tokens = _parse_embedding(emb_raw, line_no)
-                    if not keep_tokens:
-                        tokens = tokens.mean(axis=0, keepdims=True)
                 elif featurizer is None:
                     raise ValueError(
                         f"line {line_no}: text-only row but no featurizer configured")
                 else:
                     tokens = None
-                rows.append((ex_id, text, tokens, obj["label"], line_no))
+                d = featurizer.d if tokens is None else tokens.shape[1]
+                width = d if width is None else width
+                if d != width:
+                    raise ValueError(f"line {line_no}: mixed embedding dimensions in corpus: "
+                                     f"{sorted({width, d})}")
             except (ValueError, TypeError, json.JSONDecodeError) as exc:
                 errors.append(str(exc) if str(exc).startswith("line")
                               else f"line {line_no}: {exc}")
+                continue
+            if keep_tokens:
+                clouds.append(tokens)
+            else:
+                if pooled is None:
+                    pooled = np.empty((lines, width))
+                if tokens is None:
+                    pending.append(len(ids))
+                else:
+                    pooled[len(ids)] = tokens.mean(axis=0)
+            ids.append(ex_id)
+            texts.append(text)
+            labels.append(obj["label"])
+            line_nos.append(line_no)
+    del seen_ids                                # bookkeeping goes before the corpus is built
     if errors:
         raise DataError("bad corpus lines:\n  " + "\n  ".join(errors))
-    if not rows:
+    if not ids:
         raise DataError("no examples in corpus file")
     if both:
         warnings.warn(f"both text and embedding given on {len(both)} line(s), the first "
                       f"line {both[0]}; embedding wins")
 
-    labels = [r[3] for r in rows]
     if class_names is None:
         if all(isinstance(l, int) for l in labels):
             class_names = [str(i) for i in range(max(labels) + 1)]
@@ -289,7 +322,7 @@ def ingest_jsonl(
     name_to_idx = {name: i for i, name in enumerate(class_names)}
 
     label_idx = []
-    for _, _, _, label, line_no in rows:
+    for label, line_no in zip(labels, line_nos):
         if isinstance(label, int) and not isinstance(label, bool):
             if not (0 <= label < len(class_names)):
                 errors.append(f"line {line_no}: label index {label} out of range")
@@ -301,6 +334,7 @@ def ingest_jsonl(
                 errors.append(f"line {line_no}: unknown label {label!r}")
                 continue
             label_idx.append(name_to_idx[key])
+    del labels, line_nos
     if errors:
         raise DataError("bad corpus lines:\n  " + "\n  ".join(errors))
 
@@ -313,10 +347,13 @@ def ingest_jsonl(
         target_idx = name_to_idx[target_class]
     else:
         target_idx = int(target_class)
-    ids, texts, tokens, _, _ = zip(*rows)
-    del rows                                    # the columns hold all the corpus needs
-    clouds = (featurize_text(text, featurizer.d, featurizer.seed) if t is None else t
-              for text, t in zip(texts, tokens))
+    if keep_tokens:
+        clouds = (featurize_text(text, featurizer.d, featurizer.seed) if t is None else t
+                  for text, t in zip(texts, clouds))
+    else:
+        for r in pending:
+            pooled[r] = featurize_text(texts[r], featurizer.d, featurizer.seed).mean(axis=0)
+        clouds = pooled[:, None]
     return Corpus(ids, clouds, np.array(label_idx), texts, class_names, target_idx,
                   keep_tokens=keep_tokens)
 

@@ -7,9 +7,11 @@ caps the pair count by subsampling (``strategies.acquire_allwas``). Two
 functions build it:
 
 - ``pairwise_w2_exact`` (W_2^2): exact, from the probabilities (N, C) and
-  the head's ``w2`` alone. All pairs share one C x C class cost; a pivot
-  walk finds the vertices of its transport dual once per call, and each
-  entry is summed from the plan of the vertex that attains it.
+  the head's ``w2`` alone. All pairs share one C x C class cost. At C = 2
+  each entry is a closed-form product of its pair's probabilities, in one
+  elementwise pass; beyond, a pivot walk finds the vertices of the cost's
+  transport dual once per call, and each entry is summed from the plan of
+  the vertex that attains it.
 - ``pairwise_wasserstein`` (any p): from the measures as arrays (supports
   (N, C, H), weights (N, C)) from ``model.gradient_arrays``; exact for
   C = 2, rounded Sinkhorn plans otherwise. It is the generic function and
@@ -40,9 +42,9 @@ _CHUNK_BYTES = 64 * 2**20
 
 # Cells of an (N, N) matrix that one block of row-blocked work covers: the
 # exact matrix's blocks of pairs and the symmetry check's blocks of rows.
-# An exact block's traced peak is 25-31 bytes per cell at C = 2-7 (its
-# sort order, its entries, a byte-wide mask and one slice's plans), so at
-# most about 0.36 MiB whatever N is.
+# An exact block's traced peak is 8 bytes per cell at C = 2 (one buffer)
+# and 25-31 at C = 3-7 (its sort order, its entries, a byte-wide mask and
+# one slice's plans), so at most about 0.36 MiB whatever N is.
 _BLOCK_CELLS = 12288
 
 
@@ -397,22 +399,31 @@ def pairwise_w2_exact(probs, w2, ids=None) -> DistanceMatrix:
     ``w2`` and t_n = sum_c p_n[c] u_c (``model.gradient_arrays``). Every
     coupling of two such measures moves them by t_n - t_m on average, so
     W_2^2(mu_n, mu_m) = OT_D(p_n, p_m) - ||t_n - t_m||^2, where the class
-    cost D[c, c'] = ||u_c - u_c'||^2 is shared by every pair. OT_D is a max
-    over the vertices of D's transport dual (``_dual_vertices``), so a pass
-    over the vertices finds the one that attains it for each pair. The
-    entry is then summed from the plan on that vertex's tree, with flows
-    pi_s on its edges and steps e_s = u_i - u_j, as the variance of the
-    steps under the plan (their mean is t_n - t_m):
+    cost D[c, c'] = ||u_c - u_c'||^2 is shared by every pair. Each entry is
+    the variance of the steps e_s = u_i - u_j under an optimal plan with
+    flows pi_s (their mean is t_n - t_m):
     sum over s < s' of pi_s pi_s' ||e_s - e_s'||^2. Its terms are
     nonnegative, where OT_D - ||t_n - t_m||^2 loses digits to cancellation
     when most of the mass moves. Duplicate probability rows lie exactly 0
     apart.
 
-    The upper triangle is walked in blocks of whole rows covering at most
-    ``_BLOCK_CELLS`` cells, and each block's entries go straight into both
-    halves of the matrix, so the matrix is the only (N, N) array: the rest
-    of the working set is one block's (a few dozen bytes per cell) and a
-    few arrays per dual vertex (at most 924 of them).
+    At C = 2 the optimal plan keeps min(p_c, q_c) on each class and moves
+    |p_0 - q_0| across the one gap (Peyre & Cuturi 2019, sections 2-3), so
+    the entry is D_01 |p_0 - q_0| (min(p_0, q_0) + min(p_1, q_1)): every
+    factor nonnegative, and each entry a function of its pair alone,
+    bitwise symmetric. The matrix is filled in blocks of whole rows of at
+    most ``_BLOCK_CELLS`` cells, with one block-sized buffer beside it.
+
+    Beyond, OT_D is a max over the vertices of D's transport dual
+    (``_dual_vertices``), so a pass over the vertices finds the one that
+    attains it for each pair, and the entry is summed from the plan on that
+    vertex's tree. The upper triangle is walked in blocks of whole rows
+    covering at most ``_BLOCK_CELLS`` cells, and each block's entries go
+    straight into both halves of the matrix, so the matrix is the only
+    (N, N) array: the rest of the working set is one block's (a few dozen
+    bytes per cell) and a few arrays per dual vertex (at most 924 of them).
+    Its vertex values and plan products come from BLAS, which rounds them
+    by row count, so an entry may move at roundoff with the other rows.
     """
     probs = np.asarray(probs, dtype=np.float64)
     w2 = np.asarray(w2, dtype=np.float64)
@@ -431,6 +442,24 @@ def pairwise_w2_exact(probs, w2, ids=None) -> DistanceMatrix:
     keep, inverse = _distinct_rows(probs)
     probs = probs[keep]
     u = len(keep)
+    dist = np.zeros((u, u))
+    if c == 2:
+        logger.debug("pairwise_w2_exact: 2 classes, %d rows, closed form", u)
+        d01 = ((w2[:, 0] - w2[:, 1]) ** 2).sum()
+        step = max(1, _BLOCK_CELLS // u)
+        stay = np.empty((min(step, u), u))      # the mass each pair keeps in place
+        for r0 in range(0, u, step):
+            rows = dist[r0:r0 + step]
+            block, kept = probs[r0:r0 + step, :, None], stay[:len(rows)]
+            np.minimum(block[:, 0], probs[:, 0], out=kept)
+            np.minimum(block[:, 1], probs[:, 1], out=rows)
+            kept += rows
+            np.subtract(block[:, 0], probs[:, 0], out=rows)
+            np.abs(rows, out=rows)
+            rows *= d01
+            rows *= kept
+        return _expanded(dist, inverse, ids)
+
     steps = (w2.T[:, None, :] - w2.T[None, :, :]).reshape(c * c, -1)
     f, g, edges, flows, walked = _dual_vertices((steps ** 2).sum(axis=1).reshape(c, c))
     logger.debug("pairwise_w2_exact: %d classes, %d dual vertices from %d trees",
@@ -438,7 +467,6 @@ def pairwise_w2_exact(probs, w2, ids=None) -> DistanceMatrix:
     # ||e_s - e_s'||^2 between the steps of each vertex's tree (K, 2C - 1, 2C - 1).
     gaps = np.stack([((steps[e, None] - steps[None, e]) ** 2).sum(axis=-1) for e in edges])
 
-    dist = np.zeros((u, u))
     r0 = 0
     while r0 < u - 1:
         r1 = min(u - 1, r0 + max(1, _BLOCK_CELLS // (u - r0 - 1)))

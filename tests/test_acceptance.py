@@ -62,22 +62,24 @@ E2E_BASE = dict(
 AUG_KNOBS = {"group_size": 2, "outer_iter": 3, "sinkhorn_max_iter": 60}
 
 
-def _e2e_cells(out_dir: str):
-    """Criterion 7's command: the factor sweep plus the allwas and KDE cells."""
+def _e2e_cells(out_dir: str, master_seed: int = MASTER_SEED):
+    """Criterion 7's command: the factor sweep plus the allwas and KDE cells.
+    ``master_seed`` is MASTER_SEED here; ``scripts/claims.py`` varies it."""
+    e2e = dict(E2E_BASE, master_seed=master_seed)
     corpus = load_corpus(CORPUS_SPEC)
     base = ExperimentConfig(
         label="cell", strategy="random", out_dir=out_dir,
         augmentation={"mode": "wasserstein", "factor": 20, **AUG_KNOBS},
-        **E2E_BASE)
+        **e2e)
     records = {rec.label: rec
                for rec in run_sweep(base, "augmentation-factor", [0, 5, 20])}
     allwas_cfg = ExperimentConfig(
         label="allwas", strategy="allwas", out_dir=out_dir,
-        augmentation={"mode": "none"}, **E2E_BASE)
+        augmentation={"mode": "none"}, **e2e)
     records["allwas"] = run_experiment(allwas_cfg, corpus)
     l2_cfg = ExperimentConfig(
         label="l2kde", strategy="random", out_dir=out_dir,
-        augmentation={"mode": "l2-kde", "factor": 20, **AUG_KNOBS}, **E2E_BASE)
+        augmentation={"mode": "l2-kde", "factor": 20, **AUG_KNOBS}, **e2e)
     records["l2kde"] = run_experiment(l2_cfg, corpus)
     return records
 
@@ -91,6 +93,100 @@ def e2e(tmp_path_factory):
 def _per_repeat(record, labeled_count):
     rows = [r for r in record.rows if r.labeled == labeled_count]
     return np.array([r.f1 for r in sorted(rows, key=lambda r: r.seed)])
+
+
+# Each comparison below is (holds, margin, p, detail): the margin is the
+# first mean less the second, p the exact signed-rank p value (None where
+# the criterion runs no test).
+
+def c07_comparisons(records):
+    """Criterion 7's comparisons (a), (b) and (c) of the shared cells."""
+    budget = E2E_BASE["budget"]
+    seed_size = E2E_BASE["seed_size"]
+
+    rand_final = _per_repeat(records["cell_factor0"], budget)
+    allw_final = _per_repeat(records["allwas"], budget)
+    _, p_a = wilcoxon_signed_rank(allw_final, rand_final, mode="exact")
+    ok_a = allw_final.mean() >= rand_final.mean() and p_a < 0.05
+
+    aug_start = _per_repeat(records["cell_factor20"], seed_size)
+    none_start = _per_repeat(records["cell_factor0"], seed_size)
+    _, p_b = wilcoxon_signed_rank(aug_start, none_start, mode="exact")
+    ok_b = aug_start.mean() > none_start.mean() and p_b < 0.05
+
+    # Compared in the few-sample regime the augmenters target.
+    l2_start = _per_repeat(records["l2kde"], seed_size)
+    ok_c = aug_start.mean() >= l2_start.mean()
+
+    return {
+        "c07a": (ok_a, allw_final.mean() - rand_final.mean(), p_a,
+                 f"(a) p={p_a:.4f} means {allw_final.mean():.3f}>={rand_final.mean():.3f}"),
+        "c07b": (ok_b, aug_start.mean() - none_start.mean(), p_b,
+                 f"(b) p={p_b:.4f} means {aug_start.mean():.3f}>{none_start.mean():.3f}"),
+        "c07c": (ok_c, aug_start.mean() - l2_start.mean(), None,
+                 f"(c) {aug_start.mean():.3f}>={l2_start.mean():.3f}"),
+    }
+
+
+def c08_comparison(records):
+    """Criterion 8: the augmentation gap at the seed size against the gap
+    at the budget."""
+    budget = E2E_BASE["budget"]
+    seed_size = E2E_BASE["seed_size"]
+    gap_start = (_per_repeat(records["cell_factor20"], seed_size)
+                 - _per_repeat(records["cell_factor0"], seed_size)).mean()
+    gap_end = (_per_repeat(records["cell_factor20"], budget)
+               - _per_repeat(records["cell_factor0"], budget)).mean()
+    return (gap_start > gap_end, gap_start - gap_end, None,
+            f"gap@{seed_size} {gap_start:.3f} vs gap@{budget} {gap_end:.3f}")
+
+
+def _c11_base(master_seed: int = MASTER_SEED):
+    """Criterion 11's cell settings: the shared corpus with four classes, so
+    the exact acquisition path walks more than two simplex vertices, scored
+    by macro-F1."""
+    corpus = {"synthetic": {**CORPUS_SPEC["synthetic"], "priors": [0.7, 0.1, 0.1, 0.1]}}
+    return dict(E2E_BASE, corpus=corpus, metric="macro-f1", augmentation={"mode": "none"},
+                ot={**E2E_BASE["ot"], "p": 2}, master_seed=master_seed)
+
+
+def _c11_cells(out_dir: str, master_seed: int = MASTER_SEED):
+    """Criterion 11's random and allwas cells."""
+    base = _c11_base(master_seed)
+    return {strategy: run_experiment(ExperimentConfig(label=strategy, strategy=strategy,
+                                                      out_dir=out_dir, **base))
+            for strategy in ("random", "allwas")}
+
+
+def c11_comparison(records):
+    """Criterion 11: allwas against random at the budget and over the
+    learning curve. The margin is the budget's; p is the larger of the
+    two, since both must be below 0.05."""
+    base = _c11_base()
+    rand_final = _per_repeat(records["random"], base["budget"])
+    allw_final = _per_repeat(records["allwas"], base["budget"])
+    _, p_final = wilcoxon_signed_rank(allw_final, rand_final, mode="exact")
+
+    def curve_areas(record):
+        """Per repeat, the trapezoid area under F1 against labeled count,
+        over budget - seed size."""
+        by_seed = {}
+        for row in record.rows:
+            by_seed.setdefault(row.seed, []).append((row.labeled, row.f1))
+        areas = []
+        for _, points in sorted(by_seed.items()):
+            points.sort()
+            areas.append(sum((x1 - x0) * (y0 + y1) / 2
+                             for (x0, y0), (x1, y1) in zip(points, points[1:])))
+        return np.array(areas) / (base["budget"] - base["seed_size"])
+
+    rand_curve, allw_curve = curve_areas(records["random"]), curve_areas(records["allwas"])
+    _, p_curve = wilcoxon_signed_rank(allw_curve, rand_curve, mode="exact")
+    ok = (allw_final.mean() > rand_final.mean() and p_final < 0.05
+          and allw_curve.mean() > rand_curve.mean() and p_curve < 0.05)
+    return (ok, allw_final.mean() - rand_final.mean(), max(p_final, p_curve),
+            f"budget p={p_final:.4f} means {allw_final.mean():.3f}>{rand_final.mean():.3f}; "
+            f"curve p={p_curve:.4f} means {allw_curve.mean():.3f}>{rand_curve.mean():.3f}")
 
 
 # ---------------------------------------------------------------------------
@@ -270,75 +366,20 @@ def test_c06_label_mixing_exact():
 
 def test_c07_end_to_end_directional(e2e):
     _, records = e2e
-    budget = E2E_BASE["budget"]
-    seed_size = E2E_BASE["seed_size"]
-
-    rand_final = _per_repeat(records["cell_factor0"], budget)
-    allw_final = _per_repeat(records["allwas"], budget)
-    _, p_a = wilcoxon_signed_rank(allw_final, rand_final, mode="exact")
-    ok_a = allw_final.mean() >= rand_final.mean() and p_a < 0.05
-
-    aug_start = _per_repeat(records["cell_factor20"], seed_size)
-    none_start = _per_repeat(records["cell_factor0"], seed_size)
-    _, p_b = wilcoxon_signed_rank(aug_start, none_start, mode="exact")
-    ok_b = aug_start.mean() > none_start.mean() and p_b < 0.05
-
-    # Compared in the few-sample regime the augmenters target.
-    l2_start = _per_repeat(records["l2kde"], seed_size)
-    ok_c = aug_start.mean() >= l2_start.mean()
-
-    conclude(7, "end-to-end directional",
-             bool(ok_a and ok_b and ok_c),
-             f"(a) p={p_a:.4f} means {allw_final.mean():.3f}>={rand_final.mean():.3f}; "
-             f"(b) p={p_b:.4f} means {aug_start.mean():.3f}>{none_start.mean():.3f}; "
-             f"(c) {aug_start.mean():.3f}>={l2_start.mean():.3f}")
+    parts = c07_comparisons(records).values()
+    conclude(7, "end-to-end directional", bool(all(ok for ok, _, _, _ in parts)),
+             "; ".join(detail for _, _, _, detail in parts))
 
 
 def test_c08_ablation_shape(e2e):
     _, records = e2e
-    budget = E2E_BASE["budget"]
-    seed_size = E2E_BASE["seed_size"]
-    gap_start = (_per_repeat(records["cell_factor20"], seed_size)
-                 - _per_repeat(records["cell_factor0"], seed_size)).mean()
-    gap_end = (_per_repeat(records["cell_factor20"], budget)
-               - _per_repeat(records["cell_factor0"], budget)).mean()
-    conclude(8, "augmentation gap shrinks with data", gap_start > gap_end,
-             f"gap@{seed_size} {gap_start:.3f} vs gap@{budget} {gap_end:.3f}")
+    ok, _, _, detail = c08_comparison(records)
+    conclude(8, "augmentation gap shrinks with data", ok, detail)
 
 
 def test_c11_beyond_two_classes(tmp_path):
-    # The shared corpus with four classes: the exact acquisition path walks
-    # more than two simplex vertices. Scored by macro-F1.
-    corpus = {"synthetic": {**CORPUS_SPEC["synthetic"], "priors": [0.7, 0.1, 0.1, 0.1]}}
-    base = dict(E2E_BASE, corpus=corpus, metric="macro-f1", augmentation={"mode": "none"},
-                ot={**E2E_BASE["ot"], "p": 2})
-    records = {strategy: run_experiment(ExperimentConfig(label=strategy, strategy=strategy,
-                                                         out_dir=str(tmp_path), **base))
-               for strategy in ("random", "allwas")}
-    rand_final = _per_repeat(records["random"], base["budget"])
-    allw_final = _per_repeat(records["allwas"], base["budget"])
-    _, p_final = wilcoxon_signed_rank(allw_final, rand_final, mode="exact")
-
-    def curve_areas(record):
-        """Per repeat, the trapezoid area under F1 against labeled count,
-        over budget - seed size."""
-        by_seed = {}
-        for row in record.rows:
-            by_seed.setdefault(row.seed, []).append((row.labeled, row.f1))
-        areas = []
-        for _, points in sorted(by_seed.items()):
-            points.sort()
-            areas.append(sum((x1 - x0) * (y0 + y1) / 2
-                             for (x0, y0), (x1, y1) in zip(points, points[1:])))
-        return np.array(areas) / (base["budget"] - base["seed_size"])
-
-    rand_curve, allw_curve = curve_areas(records["random"]), curve_areas(records["allwas"])
-    _, p_curve = wilcoxon_signed_rank(allw_curve, rand_curve, mode="exact")
-    ok = (allw_final.mean() > rand_final.mean() and p_final < 0.05
-          and allw_curve.mean() > rand_curve.mean() and p_curve < 0.05)
-    conclude(11, "allwas beats random with four classes", bool(ok),
-             f"budget p={p_final:.4f} means {allw_final.mean():.3f}>{rand_final.mean():.3f}; "
-             f"curve p={p_curve:.4f} means {allw_curve.mean():.3f}>{rand_curve.mean():.3f}")
+    ok, _, _, detail = c11_comparison(_c11_cells(str(tmp_path)))
+    conclude(11, "allwas beats random with four classes", bool(ok), detail)
 
 
 def test_c09_wilcoxon_exact():

@@ -146,6 +146,41 @@ class TestWithoutClouds:
         assert {t.shape[0] for t in full.tokens} != {1}
         assert_same_columns(full, free)
 
+    def test_jsonl_load_peaks_near_one_pooled_matrix(self, tmp_path, rng):
+        # Each row's mean goes into one pooled-sized store as its line is
+        # parsed: 1.31 measured. Holding each row's mean as its own (1, d)
+        # array until the corpus copied them into a fresh matrix peaked at
+        # 2.7.
+        rows = [{"id": i, "label": int(i % 10 == 0),
+                 "embedding": rng.standard_normal((int(rng.integers(1, 4)), 64)).tolist()}
+                for i in range(2000)]
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, rows)
+        ingest_jsonl(path, keep_tokens=False)                   # lazy imports
+        tracemalloc.start()
+        try:
+            corpus = ingest_jsonl(path, keep_tokens=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert corpus.pooled.shape == (2000, 64)
+        assert peak <= 1.5 * corpus.pooled.nbytes + corpus.labels.nbytes
+        assert_same_columns(ingest_jsonl(path), corpus)
+
+    @pytest.mark.parametrize("keep_tokens", [True, False])
+    def test_width_off_the_first_rows_names_its_line(self, tmp_path, keep_tokens):
+        # The featurizer fixes a text row's width; an embedding of another
+        # width is a bad line whichever way the corpus is kept.
+        rows = [{"id": 0, "text": "two words", "label": 0},
+                {"id": 1, "embedding": [[0.0, 1.0]], "label": 1},
+                {"id": 2, "embedding": [[0.0, 1.0, 2.0]], "label": 0}]
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, rows)
+        with pytest.raises(DataError, match=r"line 2: mixed embedding dimensions in corpus: "
+                                            r"\[2, 3\]") as exc:
+            ingest_jsonl(path, featurizer=FeaturizerConfig(d=3), keep_tokens=keep_tokens)
+        assert "line 3" not in str(exc.value)
+
     def test_take_carries_no_clouds(self):
         corpus = make_synthetic(SynthSpec(n=20, d=3), keep_tokens=False)
         sub = corpus.take([5, 2])

@@ -427,6 +427,8 @@ class TestExactW2:
             assert np.all(out == 0.0)
 
     def test_two_classes_agree_with_closed_form(self, rng):
+        # The reference is pairwise_wasserstein's two-class solver
+        # (_two_class_exact) on the measures' supports.
         w2, probs = rng.standard_normal((64, 2)), confident_two_class(rng, 60)
         probs[:20] = rng.dirichlet([1.0, 1.0], 20)
         exact = pairwise_w2_exact(probs, w2).entries
@@ -435,9 +437,10 @@ class TestExactW2:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_long_double_error_no_worse_than_closed_form(self, seed):
-        # On a confident head, most pairs move most of their mass; the exact
-        # path sums nonnegative terms and the closed form takes its costs
-        # from a Gram product.
+        # On a confident head, most pairs move most of their mass. The exact
+        # path multiplies nonnegative factors; the reference it must not
+        # trail, pairwise_wasserstein's _two_class_exact, prices each pair
+        # from the measures' support differences.
         rng = np.random.default_rng(seed)
         w2, probs = rng.standard_normal((64, 2)), confident_two_class(rng, 80)
         reference = long_double_two_class(probs, w2)
@@ -462,13 +465,35 @@ class TestExactW2:
             pairwise_w2_exact(rng.dirichlet(np.ones(4), 5), rng.standard_normal((3, 4)))
         assert "4 classes, 20 dual vertices from 20 trees" in caplog.text
 
+    def test_logs_two_class_closed_form(self, rng, caplog):
+        # One line, with the distinct rows the matrix is built over.
+        probs = rng.dirichlet(np.ones(2), 6)
+        with caplog.at_level(logging.DEBUG, logger="allwas.gradspace"):
+            pairwise_w2_exact(probs[[0, 1, 2, 3, 4, 5, 0]], rng.standard_normal((3, 2)))
+        assert caplog.messages == ["pairwise_w2_exact: 2 classes, 6 rows, closed form"]
+
+    @pytest.mark.parametrize("order", ["pool", "shuffled"])
+    def test_two_class_entries_depend_only_on_their_pair(self, rng, order):
+        # Any 20 rows of a 381-row pool, in pool order or shuffled, give
+        # bitwise the full matrix's entries for their pairs. The dual-vertex
+        # walk gave 116 of 400 different entries on the shuffled one.
+        w2, probs = rng.standard_normal((64, 2)), rng.dirichlet(np.ones(2), 381)
+        probs[:100] = confident_two_class(rng, 100)
+        full = pairwise_w2_exact(probs, w2).entries
+        sub = np.sort(rng.choice(381, size=20, replace=False))
+        if order == "shuffled":
+            sub = rng.permutation(sub)
+        part = pairwise_w2_exact(probs[sub], w2).entries
+        assert np.array_equal(part, full[np.ix_(sub, sub)])
+
     @pytest.mark.parametrize("c", [2, 5])
     @pytest.mark.parametrize("cells", [1, 97])
     def test_independent_of_block_size(self, rng, monkeypatch, c, cells):
         # Blocks of one row, and of a prime number of cells (so blocks
-        # straddle no fixed row count), against the default: at C = 2 every
-        # entry is bitwise the same; beyond, a vertex's plan products may
-        # round differently with the number of pairs it has in a block.
+        # straddle no fixed row count), against the default: at C = 2 each
+        # entry is a function of its pair alone, so bitwise the same; beyond,
+        # a vertex's plan products may round differently with the number of
+        # pairs it has in a block.
         w2, probs = rng.standard_normal((16, c)), rng.dirichlet(np.ones(c), 90)
         if c == 2:
             probs[:40] = confident_two_class(rng, 40)
@@ -485,7 +510,7 @@ class TestExactW2:
         # The default acquisition compares a 256-row subsample with up to
         # 150 labeled rows. The matrix is the only (N, N) array, blocks of
         # at most _BLOCK_CELLS cells hold the rest, and the peak measured
-        # 1.27 (C = 2) and 1.36 (C = 5) output matrices; one (N, N, C) or
+        # 1.22 (C = 2) and 1.33 (C = 5) output matrices; one (N, N, C) or
         # (N, N, K) array alone would be 5 or 70 at C = 5.
         n = 406
         w2, probs = rng.standard_normal((64, c)), rng.dirichlet(np.ones(c), n)
