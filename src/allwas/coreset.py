@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllwasError, ConfigError
-from .gradspace import DistanceMatrix
+from .gradspace import _BLOCK_CELLS, DistanceMatrix
 
 _BRUTE_FORCE_LIMIT = 2_000_000
 
@@ -62,9 +62,26 @@ def _minima(matrix: DistanceMatrix, selected, s0_cost: float) -> np.ndarray:
     return minima
 
 
-def _gain(minima: np.ndarray, col: np.ndarray) -> float:
-    """Marginal gain of adding the element with distance column ``col``."""
-    return float(np.maximum(minima - col, 0.0).sum())
+def _gain(minima: np.ndarray, col: np.ndarray, out: np.ndarray | None = None) -> float:
+    """Marginal gain of adding the element with distance column ``col``,
+    worked out in ``out`` (the shape of ``minima``) when one is given."""
+    diff = np.subtract(minima, col, out=out)
+    return float(np.maximum(diff, 0.0, out=diff).sum())
+
+
+def _first_gains(matrix: DistanceMatrix, minima: np.ndarray, candidates) -> list:
+    """``_gain`` of every candidate, a block of candidates at a time: a
+    block's columns are gathered as the rows of one array of at most
+    ``_BLOCK_CELLS`` entries, and each row sums as ``_gain`` sums its
+    column, so the gains are the same."""
+    positions = np.array([matrix.index_of(i) for i in candidates], dtype=np.intp)
+    step = max(1, _BLOCK_CELLS // max(matrix.n, 1))
+    gains = []
+    for lo in range(0, len(positions), step):
+        rows = matrix.entries.T[positions[lo:lo + step]]
+        np.subtract(minima, rows, out=rows)
+        gains += np.maximum(rows, 0.0, out=rows).sum(axis=1).tolist()
+    return gains
 
 
 def greedy_select(matrix: DistanceMatrix, k: int, warm_start=()) -> SelectionState:
@@ -90,20 +107,22 @@ def greedy_select(matrix: DistanceMatrix, k: int, warm_start=()) -> SelectionSta
     # Heap of (-upper bound, id, stamp), stamped with the round the bound
     # was computed for: a popped entry of the current round is the exact
     # argmax, and the (-gain, id) order gives naive greedy's lowest-id ties.
-    cols = {i: matrix.entries[:, matrix.index_of(i)] for i in candidates}
-    heap = [(-_gain(minima, cols[i]), i, 1) for i in candidates]
+    heap = [(-gain, i, 1) for gain, i in zip(_first_gains(matrix, minima, candidates),
+                                             candidates)]
     heapq.heapify(heap)
+    work = np.empty_like(minima)
     for round_no in range(1, k + 1):
         while True:
             neg_gain, cand, stamp = heapq.heappop(heap)
             if cand in taken:
                 continue
+            col = matrix.entries[:, matrix.index_of(cand)]
             if stamp == round_no:
                 selected.append(cand)
                 taken.add(cand)
-                np.minimum(minima, cols[cand], out=minima)
+                np.minimum(minima, col, out=minima)
                 break
-            heapq.heappush(heap, (-_gain(minima, cols[cand]), cand, round_no))
+            heapq.heappush(heap, (-_gain(minima, col, work), cand, round_no))
 
     value = matrix.n * s0_cost - float(minima.sum())
     return SelectionState(tuple(selected), minima, value, float(s0_cost))

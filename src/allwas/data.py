@@ -49,13 +49,7 @@ class FeaturizerConfig:
 def _pool(clouds, n: int, keep: bool):
     """``(pooled, clouds)`` of ``n`` rows' clouds, read once in row order:
     each row's pooled vector is its cloud's token mean, and the clouds come
-    back as a tuple when ``keep``, else None. One-token clouds given as one
-    (n, 1, d) array are their own means: ``pooled`` is a view of it."""
-    if isinstance(clouds, np.ndarray) and clouds.ndim == 3 and clouds.shape[1] == 1 and not keep:
-        if len(clouds) != n:
-            raise ShapeError("corpus columns need one entry per id", expected=n,
-                             actual=f"{len(clouds)} token matrices")
-        return np.asarray(clouds[:, 0], dtype=np.float64), None
+    back as a tuple when ``keep``, else None."""
     pooled = None
     kept = []
     count = 0
@@ -86,7 +80,9 @@ class Corpus:
     """The corpus as columns, one entry per row: ``ids``, ``tokens`` (each an
     (n_i, d) token matrix, the row's cloud), ``labels`` (class indices) and
     ``texts`` (None for rows given as embeddings). ``pooled`` (N, d) holds
-    each row's token mean; it is derived here, never passed in.
+    each row's token mean; it is derived here from the clouds, never passed
+    in. (``ingest_jsonl`` builds a corpus without clouds from the means it
+    read, through ``_of_means``, with the same checks.)
 
     ``tokens`` may be any iterable; it is read once, in row order, and each
     cloud is pooled as it is read. With ``keep_tokens=False`` the clouds are
@@ -105,6 +101,29 @@ class Corpus:
     keep_tokens: InitVar[bool] = True
 
     def __post_init__(self, keep_tokens):
+        ids, labels, texts = self._rows()
+        pooled, tokens = _pool(self.tokens, len(ids), keep_tokens)
+        self._settle(ids, tokens, labels, texts, pooled)
+
+    @classmethod
+    def _of_means(cls, ids, pooled: np.ndarray, labels, texts, class_names,
+                  target_class: int) -> "Corpus":
+        """The corpus without clouds whose rows' token means are the rows of
+        ``pooled`` (N, d), which becomes its ``pooled`` without a copy."""
+        corpus = object.__new__(cls)
+        for name, value in (("ids", ids), ("labels", labels), ("texts", texts),
+                            ("class_names", class_names), ("target_class", target_class)):
+            object.__setattr__(corpus, name, value)
+        ids, labels, texts = corpus._rows()
+        if pooled.ndim != 2 or len(pooled) != len(ids):
+            raise ShapeError("corpus columns need one entry per id", expected=len(ids),
+                             actual=pooled.shape)
+        corpus._settle(ids, None, labels, texts, pooled)
+        return corpus
+
+    def _rows(self):
+        """``ids``, ``labels`` and ``texts`` as stored, checked against
+        each other."""
         ids, texts = tuple(self.ids), tuple(self.texts)
         labels = np.asarray(self.labels)
         n = len(ids)
@@ -115,7 +134,10 @@ class Corpus:
                              actual=(labels.shape, len(texts)))
         if len(set(ids)) != n:
             raise DataError("corpus ids are not unique")
-        pooled, tokens = _pool(self.tokens, n, keep_tokens)
+        return ids, labels, texts
+
+    def _settle(self, ids, tokens, labels, texts, pooled) -> None:
+        """Check what is left and store every column."""
         # A non-finite token makes its row's mean non-finite, so this one
         # check covers every token.
         if not np.all(np.isfinite(pooled)):
@@ -234,25 +256,28 @@ def ingest_jsonl(
     Every row must have the first row's width (a text row's is the
     featurizer's ``d``); a row that does not is a bad line. Text rows are
     featurized one at a time, after every line has passed. With
-    ``keep_tokens=False`` (how ``harness.load_corpus`` reads a file) a first
-    pass counts the lines, and each row's token mean goes into one (N, d)
-    store as its line is parsed: that store becomes ``pooled``, and the
-    corpus holds no clouds. ``allwas ingest --out`` keeps them to export.
+    ``keep_tokens=False`` (how ``harness.load_corpus`` reads a file) each
+    row's token mean goes into one (N, d) store as its line is parsed, the
+    rows counted by a first pass over the open file, which is then read
+    again from the start: that store becomes ``pooled``, and the corpus
+    holds no clouds. A stream that cannot be read twice (a pipe) is read
+    once, its rows' means stacked at the end. ``allwas ingest --out`` keeps
+    the clouds to export.
     """
     check_class_keys(class_names, target_class)
-    if not keep_tokens:
-        # The store of token means takes one row per non-blank line.
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = sum(1 for line in fh if line.strip())
     ids, texts, labels, line_nos = [], [], [], []
-    clouds = []                                 # keep_tokens: the embedding, or None for text
-    pooled = None                               # otherwise: the token means
-    pending = []                                # and the text rows, pooled at the end
+    clouds = []                                 # the embeddings, or their means on a stream
+    pooled = None                               # or the store of token means
+    pending = []                                # text rows, pooled at the end
     width = None                                # the first row's dimension
     errors = []
     seen_ids = set()
     both = []                                   # line numbers of text + embedding rows
     with open(path, "r", encoding="utf-8") as fh:
+        lines = None                            # the store's rows: non-blank lines
+        if not keep_tokens and fh.seekable():
+            lines = sum(1 for line in fh if line.strip())
+            fh.seek(0)
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -291,14 +316,19 @@ def ingest_jsonl(
                 errors.append(str(exc) if str(exc).startswith("line")
                               else f"line {line_no}: {exc}")
                 continue
+            if tokens is None:
+                pending.append(len(ids))
             if keep_tokens:
                 clouds.append(tokens)
+            elif lines is None:
+                clouds.append(None if tokens is None else tokens.mean(axis=0))
             else:
+                if len(ids) == lines:
+                    raise DataError(f"line {line_no}: more rows than the {lines} non-blank "
+                                    f"lines first counted; the file changed while it was read")
                 if pooled is None:
                     pooled = np.empty((lines, width))
-                if tokens is None:
-                    pending.append(len(ids))
-                else:
+                if tokens is not None:
                     pooled[len(ids)] = tokens.mean(axis=0)
             ids.append(ex_id)
             texts.append(text)
@@ -350,12 +380,17 @@ def ingest_jsonl(
     if keep_tokens:
         clouds = (featurize_text(text, featurizer.d, featurizer.seed) if t is None else t
                   for text, t in zip(texts, clouds))
-    else:
-        for r in pending:
-            pooled[r] = featurize_text(texts[r], featurizer.d, featurizer.seed).mean(axis=0)
-        clouds = pooled[:, None]
-    return Corpus(ids, clouds, np.array(label_idx), texts, class_names, target_idx,
-                  keep_tokens=keep_tokens)
+        return Corpus(ids, clouds, np.array(label_idx), texts, class_names, target_idx)
+    if lines is not None and len(ids) != lines:
+        raise DataError(f"{len(ids)} rows where {lines} non-blank lines were first counted; "
+                        f"the file changed while it was read")
+    means = clouds if lines is None else pooled
+    for r in pending:
+        means[r] = featurize_text(texts[r], featurizer.d, featurizer.seed).mean(axis=0)
+    if lines is None:
+        pooled = np.stack(clouds)
+        del clouds, means
+    return Corpus._of_means(ids, pooled, np.array(label_idx), texts, class_names, target_idx)
 
 
 def export_jsonl(corpus: Corpus, path) -> None:

@@ -7,11 +7,10 @@ caps the pair count by subsampling (``strategies.acquire_allwas``). Two
 functions build it:
 
 - ``pairwise_w2_exact`` (W_2^2): exact, from the probabilities (N, C) and
-  the head's ``w2`` alone. All pairs share one C x C class cost. At C = 2
-  each entry is a closed-form product of its pair's probabilities, in one
-  elementwise pass; beyond, a pivot walk finds the vertices of the cost's
-  transport dual once per call, and each entry is summed from the plan of
-  the vertex that attains it.
+  the head's ``w2`` alone. All pairs share one C x C class cost; a pivot
+  walk finds the vertices of its transport dual once per call, and each
+  entry is summed from the plan of the vertex that attains it (at C = 2
+  for every pair of a block at once, blending the two vertices' plans).
 - ``pairwise_wasserstein`` (any p): from the measures as arrays (supports
   (N, C, H), weights (N, C)) from ``model.gradient_arrays``; exact for
   C = 2, rounded Sinkhorn plans otherwise. It is the generic function and
@@ -42,9 +41,10 @@ _CHUNK_BYTES = 64 * 2**20
 
 # Cells of an (N, N) matrix that one block of row-blocked work covers: the
 # exact matrix's blocks of pairs and the symmetry check's blocks of rows.
-# An exact block's traced peak is 8 bytes per cell at C = 2 (one buffer)
-# and 25-31 at C = 3-7 (its sort order, its entries, a byte-wide mask and
-# one slice's plans), so at most about 0.36 MiB whatever N is.
+# An exact block's traced peak is 25-31 bytes per cell at C = 3-7 (its
+# sort order, its entries, a byte-wide mask and one slice's plans), so at
+# most about 0.36 MiB whatever N is; the two-class pass covers half as
+# many cells a block, through buffers of 48 bytes a cell (0.28 MiB).
 _BLOCK_CELLS = 12288
 
 
@@ -119,9 +119,17 @@ class DistanceMatrix:
 def _distinct_rows(keys: np.ndarray):
     """The first occurrence of each distinct row of ``keys``, in order, and
     each row's index among them."""
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    # A stable sort of the rows puts each distinct row's copies together,
+    # its first occurrence leading.
+    order = np.lexsort(keys.T)
+    ordered = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    first = order[starts]
     keep = np.sort(first)
-    return keep, np.searchsorted(keep, first[inverse.reshape(-1)])
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.searchsorted(keep, first)[np.cumsum(starts) - 1]
+    return keep, inverse
 
 
 def _expanded(dist: np.ndarray, inverse: np.ndarray, ids) -> DistanceMatrix:
@@ -390,6 +398,91 @@ def _exact_block(dist, probs, r0: int, r1: int, f, g, flows, gaps) -> None:
     np.copyto(dist[r0 + 1:, r0:r1].T, entries, where=upper)
 
 
+def _vertex_fill(dist, probs, f, g, flows, gaps) -> None:
+    """Write every entry of ``dist`` (``pairwise_w2_exact``) through
+    ``_exact_block``, in blocks of whole rows covering at most
+    ``_BLOCK_CELLS`` cells of the upper triangle."""
+    u, r0 = len(dist), 0
+    while r0 < u - 1:
+        r1 = min(u - 1, r0 + max(1, _BLOCK_CELLS // (u - r0 - 1)))
+        _exact_block(dist, probs, r0, r1, f, g, flows, gaps)
+        r0 = r1
+
+
+def _two_class_fill(dist, probs, f, g, flows, gaps) -> None:
+    """Write every entry of ``dist`` at C = 2 (``pairwise_w2_exact``), the
+    same entries, bitwise, as ``_exact_block`` writes, without grouping the
+    pairs by vertex.
+
+    A two-class cost has at most two dual vertices, and ``gaps`` is the
+    gap matrix their trees share. Each rectangle of rows [r0, r1) and
+    columns (r0, N) is computed whole, as (3, rows, columns) planes:
+
+    - the vertex values f_k . p_i + g_k . p_j are sums of one product per
+      row and one per column, as ``_attaining_vertex`` forms them, and a
+      pair takes vertex 1 where its value is strictly higher;
+    - each edge's flow is its row's share plus its column's share (one of
+      them a single probability, the other a probability or zero), so it
+      rounds once, as a plan product does; the two vertices' flows are
+      blended as v_0 (1 - s) + v_1 s with s = 0 or 1, which is exact;
+    - the gap products are one BLAS product with ``gaps`` per block, each
+      entry the same fused sum over the edges as a plan row's;
+    - the three terms add up in the order ``_exact_block``'s einsum adds
+      a plan row of three: the first and the third, then the second (the
+      tests check the two paths' entries bitwise).
+
+    Blocks cover at most half of ``_BLOCK_CELLS`` cells, so the two
+    (3, cells) buffers that serve them all (48 bytes a cell) hold about
+    0.28 MiB.
+    """
+    u, c = dist.shape[0], probs.shape[1]
+    block = _BLOCK_CELLS // 2
+    values = [(probs @ f[k], probs @ g[k]) for k in range(len(f))]
+    shares = [(np.ascontiguousarray((probs @ flows[k, :, :c].T).T),
+               np.ascontiguousarray((probs @ flows[k, :, c:].T).T)) for k in range(len(f))]
+    plans, products = np.empty((2, 3 * max(block, u - 1)))
+    r0 = 0
+    while r0 < u - 1:
+        r1 = min(u - 1, r0 + max(1, block // (u - r0 - 1)))
+        rows, cols = slice(r0, r1), slice(r0 + 1, u)
+        shape = (r1 - r0, u - r0 - 1)
+        cells = shape[0] * shape[1]
+        plan = plans[:3 * cells].reshape(3, *shape)
+        terms = products[:3 * cells].reshape(3, cells)
+        for s in range(3):
+            np.add(shares[0][0][s, rows, None], shares[0][1][s, None, cols], out=plan[s])
+        if len(values) == 2:
+            # The vertex masks and the other vertex's flows use the
+            # product buffer until the product is taken.
+            second, first, other = terms.reshape(3, *shape)
+            np.add(values[1][0][rows, None], values[1][1][None, cols], out=second)
+            np.add(values[0][0][rows, None], values[0][1][None, cols], out=first)
+            np.greater(second, first, out=second)
+            np.subtract(1.0, second, out=first)
+            for s in range(3):
+                plan[s] *= first
+                np.add(shares[1][0][s, rows, None], shares[1][1][s, None, cols], out=other)
+                other *= second
+                plan[s] += other
+        plan = plan.reshape(3, cells)
+        np.matmul(gaps.T, plan, out=terms)
+        terms *= plan
+        entries = plans[:cells]
+        np.add(terms[0], terms[2], out=entries)
+        entries += terms[1]
+        entries /= 2
+        entries = entries.reshape(shape)
+        # The first r1 - r0 columns hold the block's diagonal: the cells on
+        # and above it are pairs. The rest are all pairs.
+        square = r1 - r0
+        upper = np.arange(square) >= np.arange(square)[:, None]
+        np.copyto(dist[rows, r0 + 1:r1 + 1], entries[:, :square], where=upper)
+        np.copyto(dist[r0 + 1:r1 + 1, rows].T, entries[:, :square], where=upper)
+        dist[rows, r1 + 1:] = entries[:, square:]
+        dist[r1 + 1:, rows] = entries[:, square:].T
+        r0 = r1
+
+
 def pairwise_w2_exact(probs, w2, ids=None) -> DistanceMatrix:
     """Exact W_2^2 matrix between the gradient measures of N samples under
     one head, from their class probabilities (N, C) and the head's
@@ -399,31 +492,25 @@ def pairwise_w2_exact(probs, w2, ids=None) -> DistanceMatrix:
     ``w2`` and t_n = sum_c p_n[c] u_c (``model.gradient_arrays``). Every
     coupling of two such measures moves them by t_n - t_m on average, so
     W_2^2(mu_n, mu_m) = OT_D(p_n, p_m) - ||t_n - t_m||^2, where the class
-    cost D[c, c'] = ||u_c - u_c'||^2 is shared by every pair. Each entry is
-    the variance of the steps e_s = u_i - u_j under an optimal plan with
-    flows pi_s (their mean is t_n - t_m):
+    cost D[c, c'] = ||u_c - u_c'||^2 is shared by every pair. OT_D is a max
+    over the vertices of D's transport dual (``_dual_vertices``), so a pass
+    over the vertices finds the one that attains it for each pair. The
+    entry is then summed from the plan on that vertex's tree, with flows
+    pi_s on its edges and steps e_s = u_i - u_j, as the variance of the
+    steps under the plan (their mean is t_n - t_m):
     sum over s < s' of pi_s pi_s' ||e_s - e_s'||^2. Its terms are
     nonnegative, where OT_D - ||t_n - t_m||^2 loses digits to cancellation
     when most of the mass moves. Duplicate probability rows lie exactly 0
     apart.
 
-    At C = 2 the optimal plan keeps min(p_c, q_c) on each class and moves
-    |p_0 - q_0| across the one gap (Peyre & Cuturi 2019, sections 2-3), so
-    the entry is D_01 |p_0 - q_0| (min(p_0, q_0) + min(p_1, q_1)): every
-    factor nonnegative, and each entry a function of its pair alone,
-    bitwise symmetric. The matrix is filled in blocks of whole rows of at
-    most ``_BLOCK_CELLS`` cells, with one block-sized buffer beside it.
-
-    Beyond, OT_D is a max over the vertices of D's transport dual
-    (``_dual_vertices``), so a pass over the vertices finds the one that
-    attains it for each pair, and the entry is summed from the plan on that
-    vertex's tree. The upper triangle is walked in blocks of whole rows
-    covering at most ``_BLOCK_CELLS`` cells, and each block's entries go
-    straight into both halves of the matrix, so the matrix is the only
-    (N, N) array: the rest of the working set is one block's (a few dozen
-    bytes per cell) and a few arrays per dual vertex (at most 924 of them).
-    Its vertex values and plan products come from BLAS, which rounds them
-    by row count, so an entry may move at roundoff with the other rows.
+    The upper triangle is walked in blocks of whole rows covering at most
+    ``_BLOCK_CELLS`` cells, and each block's entries go straight into both
+    halves of the matrix, so the matrix is the only (N, N) array: the rest
+    of the working set is one block's (a few dozen bytes per cell) and a
+    few arrays per dual vertex (at most 924 of them). Beyond two classes a
+    block groups its pairs by vertex (``_exact_block``); at C = 2 it blends
+    the two vertices' plans for all its pairs at once (``_two_class_fill``),
+    which gives the same entries bitwise in a third of the time.
     """
     probs = np.asarray(probs, dtype=np.float64)
     w2 = np.asarray(w2, dtype=np.float64)
@@ -442,34 +529,17 @@ def pairwise_w2_exact(probs, w2, ids=None) -> DistanceMatrix:
     keep, inverse = _distinct_rows(probs)
     probs = probs[keep]
     u = len(keep)
-    dist = np.zeros((u, u))
-    if c == 2:
-        logger.debug("pairwise_w2_exact: 2 classes, %d rows, closed form", u)
-        d01 = ((w2[:, 0] - w2[:, 1]) ** 2).sum()
-        step = max(1, _BLOCK_CELLS // u)
-        stay = np.empty((min(step, u), u))      # the mass each pair keeps in place
-        for r0 in range(0, u, step):
-            rows = dist[r0:r0 + step]
-            block, kept = probs[r0:r0 + step, :, None], stay[:len(rows)]
-            np.minimum(block[:, 0], probs[:, 0], out=kept)
-            np.minimum(block[:, 1], probs[:, 1], out=rows)
-            kept += rows
-            np.subtract(block[:, 0], probs[:, 0], out=rows)
-            np.abs(rows, out=rows)
-            rows *= d01
-            rows *= kept
-        return _expanded(dist, inverse, ids)
-
     steps = (w2.T[:, None, :] - w2.T[None, :, :]).reshape(c * c, -1)
     f, g, edges, flows, walked = _dual_vertices((steps ** 2).sum(axis=1).reshape(c, c))
-    logger.debug("pairwise_w2_exact: %d classes, %d dual vertices from %d trees",
-                 c, len(f), walked)
     # ||e_s - e_s'||^2 between the steps of each vertex's tree (K, 2C - 1, 2C - 1).
     gaps = np.stack([((steps[e, None] - steps[None, e]) ** 2).sum(axis=-1) for e in edges])
+    blended = c == 2 and bool((gaps == gaps[0]).all())
+    logger.debug("pairwise_w2_exact: %d classes, %d dual vertices from %d trees%s",
+                 c, len(f), walked, f", {u} rows in one blended pass" if blended else "")
 
-    r0 = 0
-    while r0 < u - 1:
-        r1 = min(u - 1, r0 + max(1, _BLOCK_CELLS // (u - r0 - 1)))
-        _exact_block(dist, probs, r0, r1, f, g, flows, gaps)
-        r0 = r1
+    dist = np.zeros((u, u))
+    if blended:
+        _two_class_fill(dist, probs, f, g, flows, gaps[0])
+    else:
+        _vertex_fill(dist, probs, f, g, flows, gaps)
     return _expanded(dist, inverse, ids)

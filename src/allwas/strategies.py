@@ -32,10 +32,9 @@ HEAD_FREE = frozenset({"random", "kcenter"})
 # The exact p = 2 path takes heads whose class cost has at most this many
 # dual vertices (binom(2C - 2, C - 1): 924 at C = 7). Against
 # pairwise_wasserstein on 406 samples of random heads, H = 64, one BLAS
-# thread on a 2-core x86 host, its closed form took 0.002 s vs 0.30-0.31 s
-# at C = 2; its vertex walk took 0.14 s vs 1.0 s at C = 6 and 0.44 s vs
-# 1.2-1.4 s at C = 7, but 1.8-1.9 s vs 1.7-2.1 s at C = 8 (K = 3432),
-# where it no longer wins.
+# thread on a 2-core x86 host, it took 0.004 s vs 0.19-0.32 s at C = 2,
+# 0.14 s vs 1.0 s at C = 6 and 0.44 s vs 1.2-1.4 s at C = 7, but 1.8-1.9 s
+# vs 1.7-2.1 s at C = 8 (K = 3432), where it no longer wins.
 _EXACT_MAX_VERTICES = 924
 
 # The largest transport-distance matrix acquisition may build: N x N float64
@@ -141,7 +140,7 @@ def acquire_kcenter(ids, x: np.ndarray, labeled_x: np.ndarray, k: int):
 
 
 def _by_id(ids, x):
-    order = sorted(range(len(ids)), key=lambda i: ids[i])
+    order = sorted(range(len(ids)), key=ids.__getitem__)
     return [ids[i] for i in order], x[order]
 
 
@@ -154,9 +153,7 @@ def acquire_allwas(head: ClassifierHead, ids, x: np.ndarray, labeled_ids,
 
     At ``p = 2`` the distances are exact and come from the class
     probabilities and the head's ``w2`` alone (``pairwise_w2_exact``), for
-    heads of up to seven classes: in closed form for two classes, each
-    entry a function of its pair alone, and through the class cost's dual
-    vertices beyond. Otherwise they come from the measures' supports
+    heads of up to seven classes; otherwise from the measures' supports
     (``pairwise_wasserstein``).
 
     When the pool exceeds ``ot.subsample``, a seeded subsample of pool

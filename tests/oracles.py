@@ -6,7 +6,8 @@ every candidate each step, the selection that ``coreset.greedy_select``'s
 lazy heap must reproduce. ``mix_labels`` rebuilds one synthetic row from
 its provenance, as ``barysample`` mixes it. ``pairwise_distance_percentile``
 is the seed radius as first written, per-row arrays concatenated, that
-``data._pairwise_distance_percentile`` must equal bitwise.
+``data._pairwise_distance_percentile`` must equal bitwise. ``distinct_rows``
+is ``gradspace._distinct_rows`` as first written, on ``np.unique``.
 """
 
 import numpy as np
@@ -104,3 +105,11 @@ def pairwise_distance_percentile(pooled, percentile: float, rng) -> float:
     dist = [np.sqrt(np.sum((pooled[i + 1:] - pooled[i]) ** 2, axis=1))
             for i in range(pooled.shape[0] - 1)]
     return float(np.percentile(np.concatenate(dist), percentile))
+
+
+def distinct_rows(keys: np.ndarray):
+    """The first occurrence of each distinct row of ``keys``, in order, and
+    each row's index among them, from ``np.unique`` over rows."""
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    keep = np.sort(first)
+    return keep, np.searchsorted(keep, first[inverse.reshape(-1)])

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from allwas import coreset
 from allwas.coreset import brute_force_opt, default_s0_cost, greedy_select, objective_L
 from allwas.errors import AllwasError
 from allwas.gradspace import DistanceMatrix
@@ -77,6 +78,21 @@ class TestGreedy:
             naive = naive_greedy(m, k=k)
             assert lazy.selected == naive.selected
             assert lazy.value == naive.value
+
+    @pytest.mark.parametrize("cells", [1, 30])
+    def test_first_gains_are_each_columns_gain(self, rng, monkeypatch, cells):
+        # A block of candidates at a time, each from its column: the matrix
+        # is symmetric only to 1e-9 here.
+        monkeypatch.setattr(coreset, "_BLOCK_CELLS", cells)
+        for _ in range(30):
+            n = int(rng.integers(2, 25))
+            entries = random_matrix(rng, n).entries + rng.uniform(0, 1e-9, (n, n))
+            np.fill_diagonal(entries, 0.0)
+            m = DistanceMatrix(entries, ids=tuple(range(n)))
+            minima = coreset._minima(m, [0], coreset.default_s0_cost(m))
+            candidates = list(rng.permutation(n)[:int(rng.integers(1, n + 1))])
+            assert coreset._first_gains(m, minima, candidates) == [
+                coreset._gain(minima, entries[:, i]) for i in candidates]
 
     def test_warm_start_covers_neighbors(self):
         m = line_matrix()

@@ -1,5 +1,8 @@
+import builtins
 import json
+import os
 import re
+import threading
 import tracemalloc
 import warnings
 
@@ -18,6 +21,7 @@ from allwas.data import (
     make_synthetic,
     train_val_split,
 )
+from allwas import data
 from allwas.data import _pairwise_distance_percentile
 from allwas.errors import ConfigError, DataError, ShapeError
 from oracles import pairwise_distance_percentile
@@ -127,7 +131,9 @@ class TestWithoutClouds:
         assert free.tokens is None
         assert_same_columns(make_synthetic(spec), free)
 
-    def test_jsonl_columns_equal_the_default_build(self, tmp_path, rng):
+    @staticmethod
+    def mixed_rows(rng):
+        """Text rows and one- and multi-token embeddings, d = 4."""
         rows = []
         for i in range(30):
             if i % 3 == 0:
@@ -137,14 +143,61 @@ class TestWithoutClouds:
                 emb = rng.standard_normal((int(rng.integers(1, 6)), 4))
                 rows.append({"id": f"e{i}", "label": "a" if i % 2 else "b",
                              "embedding": (emb[0] if i % 5 == 1 else emb).tolist()})
+        return rows
+
+    def test_jsonl_columns_equal_the_default_build(self, tmp_path, rng):
         path = tmp_path / "c.jsonl"
-        write_jsonl(path, rows)
+        write_jsonl(path, self.mixed_rows(rng))
         featurizer = FeaturizerConfig(d=4, seed=2)
         free = ingest_jsonl(path, featurizer=featurizer, keep_tokens=False)
         assert free.tokens is None
         full = ingest_jsonl(path, featurizer=featurizer)
         assert {t.shape[0] for t in full.tokens} != {1}
         assert_same_columns(full, free)
+
+    def test_jsonl_read_once_from_a_pipe(self, tmp_path, rng):
+        # A stream that cannot be read twice gives the file's columns.
+        path, fifo = tmp_path / "c.jsonl", tmp_path / "pipe"
+        write_jsonl(path, self.mixed_rows(rng))
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "w") as out:
+                out.write(path.read_text())
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        featurizer = FeaturizerConfig(d=4, seed=2)
+        free = ingest_jsonl(fifo, featurizer=featurizer, keep_tokens=False)
+        writer.join(timeout=10)
+        assert free.tokens is None
+        assert_same_columns(ingest_jsonl(path, featurizer=featurizer), free)
+
+    @pytest.mark.parametrize("change", ["grows", "shrinks"])
+    def test_jsonl_changed_between_passes(self, tmp_path, monkeypatch, change):
+        # The file gains or loses a line between the count and the read.
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [{"id": i, "label": i % 2, "embedding": [[float(i), 1.0]]}
+                           for i in range(4)])
+
+        def changing_open(name, *args, **kwargs):
+            fh = builtins.open(name, *args, **kwargs)
+            seek = fh.seek
+
+            def change_then_seek(*where):
+                text = path.read_text()
+                path.write_text(text + '{"id": 9, "label": 0, "embedding": [[9.0, 1.0]]}\n'
+                                if change == "grows" else text[:text.rindex("{")])
+                return seek(*where)
+
+            fh.seek = change_then_seek
+            return fh
+
+        monkeypatch.setattr(data, "open", changing_open, raising=False)
+        message = (r"line 5: more rows than the 4 non-blank lines first counted"
+                   if change == "grows" else r"3 rows where 4 non-blank lines were first counted")
+        with pytest.raises(DataError, match=message):
+            ingest_jsonl(path, keep_tokens=False)
 
     def test_jsonl_load_peaks_near_one_pooled_matrix(self, tmp_path, rng):
         # Each row's mean goes into one pooled-sized store as its line is

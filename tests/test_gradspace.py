@@ -14,7 +14,7 @@ from allwas import gradspace
 from allwas.errors import AllwasError, ShapeError
 from allwas.gradspace import DistanceMatrix, pairwise_w2_exact, pairwise_wasserstein
 from allwas.transport import DiscreteMeasure, ground_cost, sinkhorn_distance
-from oracles import exact_distance_oracle
+from oracles import distinct_rows, exact_distance_oracle
 
 
 def random_gradient_measure(rng, c, h):
@@ -438,9 +438,9 @@ class TestExactW2:
     @pytest.mark.parametrize("seed", range(3))
     def test_long_double_error_no_worse_than_closed_form(self, seed):
         # On a confident head, most pairs move most of their mass. The exact
-        # path multiplies nonnegative factors; the reference it must not
-        # trail, pairwise_wasserstein's _two_class_exact, prices each pair
-        # from the measures' support differences.
+        # path sums nonnegative terms; the reference it must not trail,
+        # pairwise_wasserstein's _two_class_exact, prices each pair from the
+        # measures' support differences.
         rng = np.random.default_rng(seed)
         w2, probs = rng.standard_normal((64, 2)), confident_two_class(rng, 80)
         reference = long_double_two_class(probs, w2)
@@ -448,6 +448,19 @@ class TestExactW2:
         closed = pairwise_wasserstein(gradient_supports(probs, w2), probs).entries
         for summary in (np.max, np.mean):
             assert summary(np.abs(exact - reference)) <= summary(np.abs(closed - reference))
+
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    def test_distinct_rows_match_unique_form(self, rng, width):
+        # Repeated rows, rows equal in a prefix only, and -0.0 beside 0.0
+        # (equal values, so one row).
+        for _ in range(50):
+            n = int(rng.integers(1, 40))
+            keys = rng.integers(0, 3, size=(n, width)).astype(float)
+            keys[rng.random((n, width)) < 0.2] = -0.0
+            keep, inverse = gradspace._distinct_rows(keys)
+            want_keep, want_inverse = distinct_rows(keys)
+            assert np.array_equal(keep, want_keep) and np.array_equal(inverse, want_inverse)
+            assert inverse.dtype == want_inverse.dtype
 
     def test_duplicates_zero_diagonal_and_exact_symmetry(self, rng):
         w2, probs = rng.standard_normal((5, 3)), rng.dirichlet(np.ones(3), 4)
@@ -465,24 +478,43 @@ class TestExactW2:
             pairwise_w2_exact(rng.dirichlet(np.ones(4), 5), rng.standard_normal((3, 4)))
         assert "4 classes, 20 dual vertices from 20 trees" in caplog.text
 
-    def test_logs_two_class_closed_form(self, rng, caplog):
+    def test_logs_two_class_pass(self, rng, caplog):
         # One line, with the distinct rows the matrix is built over.
         probs = rng.dirichlet(np.ones(2), 6)
         with caplog.at_level(logging.DEBUG, logger="allwas.gradspace"):
             pairwise_w2_exact(probs[[0, 1, 2, 3, 4, 5, 0]], rng.standard_normal((3, 2)))
-        assert caplog.messages == ["pairwise_w2_exact: 2 classes, 6 rows, closed form"]
+        assert caplog.messages == [
+            "pairwise_w2_exact: 2 classes, 2 dual vertices from 2 trees, 6 rows in one blended pass"]
 
-    @pytest.mark.parametrize("order", ["pool", "shuffled"])
-    def test_two_class_entries_depend_only_on_their_pair(self, rng, order):
-        # Any 20 rows of a 381-row pool, in pool order or shuffled, give
-        # bitwise the full matrix's entries for their pairs. The dual-vertex
-        # walk gave 116 of 400 different entries on the shuffled one.
+    @pytest.mark.parametrize("case", ["dirichlet", "confident", "one-hot", "repeated",
+                                      "equal-columns", "one-row", "one-feature"])
+    def test_two_class_pass_equals_vertex_blocks(self, rng, monkeypatch, case):
+        # The blended pass writes bitwise the entries that grouping the
+        # pairs by their attaining vertex (_exact_block) writes.
+        n, h = (1 if case == "one-row" else 381), (1 if case == "one-feature" else 64)
+        w2, probs = rng.standard_normal((h, 2)), rng.dirichlet(np.ones(2), n)
+        if case == "confident":
+            probs = confident_two_class(rng, n)
+        elif case == "one-hot":
+            probs[::3] = np.eye(2)[rng.integers(0, 2, len(probs[::3]))]
+        elif case == "repeated":
+            probs[rng.integers(0, n, 150)] = probs[0]
+        elif case == "equal-columns":
+            w2[:, 1] = w2[:, 0]
+        blended = pairwise_w2_exact(probs, w2).entries
+        monkeypatch.setattr(gradspace, "_two_class_fill",
+                            lambda dist, probs, f, g, flows, gap: gradspace._vertex_fill(
+                                dist, probs, f, g, flows, np.stack([gap] * len(f))))
+        assert pairwise_w2_exact(probs, w2).entries.tobytes() == blended.tobytes()
+
+    def test_two_class_entries_depend_only_on_their_pair(self, rng):
+        # Any 20 rows of a 381-row pool, kept in pool order, give bitwise
+        # the full matrix's entries for their pairs: an entry is its pair's
+        # alone, given which of the two rows comes first.
         w2, probs = rng.standard_normal((64, 2)), rng.dirichlet(np.ones(2), 381)
         probs[:100] = confident_two_class(rng, 100)
         full = pairwise_w2_exact(probs, w2).entries
         sub = np.sort(rng.choice(381, size=20, replace=False))
-        if order == "shuffled":
-            sub = rng.permutation(sub)
         part = pairwise_w2_exact(probs[sub], w2).entries
         assert np.array_equal(part, full[np.ix_(sub, sub)])
 
@@ -491,9 +523,9 @@ class TestExactW2:
     def test_independent_of_block_size(self, rng, monkeypatch, c, cells):
         # Blocks of one row, and of a prime number of cells (so blocks
         # straddle no fixed row count), against the default: at C = 2 each
-        # entry is a function of its pair alone, so bitwise the same; beyond,
-        # a vertex's plan products may round differently with the number of
-        # pairs it has in a block.
+        # entry is a function of its pair alone (and of which row comes
+        # first), so bitwise the same; beyond, a vertex's plan products may
+        # round differently with the number of pairs it has in a block.
         w2, probs = rng.standard_normal((16, c)), rng.dirichlet(np.ones(c), 90)
         if c == 2:
             probs[:40] = confident_two_class(rng, 40)
@@ -510,7 +542,7 @@ class TestExactW2:
         # The default acquisition compares a 256-row subsample with up to
         # 150 labeled rows. The matrix is the only (N, N) array, blocks of
         # at most _BLOCK_CELLS cells hold the rest, and the peak measured
-        # 1.22 (C = 2) and 1.33 (C = 5) output matrices; one (N, N, C) or
+        # 1.36 (C = 2) and 1.32 (C = 5) output matrices; one (N, N, C) or
         # (N, N, K) array alone would be 5 or 70 at C = 5.
         n = 406
         w2, probs = rng.standard_normal((64, c)), rng.dirichlet(np.ones(c), n)
