@@ -10,7 +10,7 @@ from .barysample import (
     augment_wasserstein,
     barycenter_tokens,
 )
-from .coreset import SelectionState, brute_force_opt, greedy_select, objective_L
+from .coreset import SelectionState, greedy_select
 from .data import (
     Corpus,
     FeaturizerConfig,
@@ -41,7 +41,7 @@ from .transport import (
 __all__ = [
     "AugmentationConfig", "SyntheticSet", "augment_l2_kde", "augment_wasserstein",
     "barycenter_tokens",
-    "SelectionState", "brute_force_opt", "greedy_select", "objective_L",
+    "SelectionState", "greedy_select",
     "Corpus", "FeaturizerConfig", "SeedSpec", "SynthSpec", "build_seed",
     "export_jsonl", "featurize_text", "ingest_jsonl", "make_synthetic",
     "train_val_split",

@@ -15,16 +15,12 @@ skipping most gain evaluations.
 from __future__ import annotations
 
 import heapq
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AllwasError, ConfigError
 from .gradspace import _BLOCK_CELLS, DistanceMatrix
-
-_BRUTE_FORCE_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -43,15 +39,6 @@ def default_s0_cost(matrix: DistanceMatrix) -> float:
     pairwise distance, so any real element strictly improves on it."""
     top = float(matrix.entries.max()) if matrix.n else 0.0
     return 1.01 * top if top > 0 else 1.0
-
-
-def objective_L(matrix: DistanceMatrix, selected, s0_cost: float) -> float:
-    """sum_i min(s0_cost, min_{j in selected} d(i, j)); |V| * s0_cost when
-    the selection is empty."""
-    if s0_cost <= 0:
-        raise ConfigError("s0_cost must be positive")
-    minima = _minima(matrix, selected, s0_cost)
-    return float(minima.sum())
 
 
 def _minima(matrix: DistanceMatrix, selected, s0_cost: float) -> np.ndarray:
@@ -126,27 +113,3 @@ def greedy_select(matrix: DistanceMatrix, k: int, warm_start=()) -> SelectionSta
 
     value = matrix.n * s0_cost - float(minima.sum())
     return SelectionState(tuple(selected), minima, value, float(s0_cost))
-
-
-def brute_force_opt(matrix: DistanceMatrix, k: int):
-    """Exact maximizer of the coverage objective at ``default_s0_cost`` by
-    subset enumeration.
-
-    Returns (ids, value). Refuses instances with more than 2e6 subsets.
-    """
-    s0_cost = default_s0_cost(matrix)
-    n = matrix.n
-    if k < 1 or k > n:
-        raise ConfigError(f"k={k} out of range for {n} elements")
-    if math.comb(n, k) > _BRUTE_FORCE_LIMIT:
-        raise AllwasError(f"C({n},{k}) exceeds the enumeration limit")
-    entries = matrix.entries
-    best_ids, best_value = None, -1.0
-    base = np.full(n, float(s0_cost))
-    for combo in itertools.combinations(range(n), k):
-        minima = np.minimum(base, entries[:, combo].min(axis=1))
-        value = n * s0_cost - float(minima.sum())
-        if value > best_value:
-            best_ids = combo
-            best_value = value
-    return tuple(matrix.ids[i] for i in best_ids), best_value

@@ -33,6 +33,14 @@ from .seeding import fnv1a64, rng_for
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
+# Bytes of each of _pool_blocks's two reused buffers (a block holds at
+# least one row, so a row of more than 12,288 hi x d entries takes more).
+# Under 128 KiB, glibc's default mmap threshold, they come from the heap,
+# whose pages serve later allocations once they are freed: 256 KiB buffers
+# raised acquire-allwas's peak RSS by 0.3 MiB, and 1 MiB ones the build's
+# by 2.4 MiB.
+_BLOCK_BYTES = 96 * 2**10
+
 
 @dataclass(frozen=True)
 class FeaturizerConfig:
@@ -81,14 +89,14 @@ class Corpus:
     (n_i, d) token matrix, the row's cloud), ``labels`` (class indices) and
     ``texts`` (None for rows given as embeddings). ``pooled`` (N, d) holds
     each row's token mean; it is derived here from the clouds, never passed
-    in. (``ingest_jsonl`` builds a corpus without clouds from the means it
-    read, through ``_of_means``, with the same checks.)
+    in. (``ingest_jsonl`` and ``make_synthetic`` build a corpus from the
+    means they worked out, through ``_of_means``, with the same checks.)
 
     ``tokens`` may be any iterable; it is read once, in row order, and each
     cloud is pooled as it is read. With ``keep_tokens=False`` the clouds are
     dropped once pooled and ``tokens`` is None: the experiment loop reads
-    pooled vectors only, so ``harness.load_corpus`` builds its corpora that
-    way. Exporting a corpus (``export_jsonl``) and
+    pooled vectors only, so ``harness.load_corpus`` builds its corpora
+    without clouds. Exporting a corpus (``export_jsonl``) and
     ``barysample.barycenter_tokens`` need the clouds kept."""
 
     ids: tuple
@@ -107,9 +115,11 @@ class Corpus:
 
     @classmethod
     def _of_means(cls, ids, pooled: np.ndarray, labels, texts, class_names,
-                  target_class: int) -> "Corpus":
-        """The corpus without clouds whose rows' token means are the rows of
-        ``pooled`` (N, d), which becomes its ``pooled`` without a copy."""
+                  target_class: int, tokens: tuple | None = None) -> "Corpus":
+        """The corpus whose rows' token means are the rows of ``pooled``
+        (N, d), which becomes its ``pooled`` without a copy. ``tokens`` holds
+        the clouds those are the means of, or None for a corpus without
+        clouds; nothing checks them against ``pooled``."""
         corpus = object.__new__(cls)
         for name, value in (("ids", ids), ("labels", labels), ("texts", texts),
                             ("class_names", class_names), ("target_class", target_class)):
@@ -118,7 +128,7 @@ class Corpus:
         if pooled.ndim != 2 or len(pooled) != len(ids):
             raise ShapeError("corpus columns need one entry per id", expected=len(ids),
                              actual=pooled.shape)
-        corpus._settle(ids, None, labels, texts, pooled)
+        corpus._settle(ids, tokens, labels, texts, pooled)
         return corpus
 
     def _rows(self):
@@ -458,10 +468,14 @@ def make_synthetic(spec: SynthSpec, keep_tokens: bool = True) -> Corpus:
     """Desk-scale corpus surrogate; ``noise=0`` makes classes separable by
     their nearest cluster centroid. Target class is the lowest prior.
 
-    Each row's cloud is drawn just before the corpus pools it. With
-    ``keep_tokens=False`` (how ``harness.load_corpus`` builds a spec) it is
-    dropped once pooled and the corpus holds no clouds; ``allwas synth``
-    keeps them to export."""
+    Row i's cloud is its cluster's center plus ``noise`` times
+    ``counts[i]`` x d standard normals, the rows' normals drawn in row
+    order. The clouds are built and pooled a block of rows at a time
+    (``_pool_blocks``), and each row's pooled vector is bitwise its cloud's
+    ``mean(axis=0)``. With ``keep_tokens=False`` (how
+    ``harness.load_corpus`` builds a spec) the build holds ``pooled``, the
+    per-row draws and one block's buffers, and the corpus holds no clouds;
+    ``allwas synth`` keeps them to export, each row's cloud its own array."""
     rng = np.random.default_rng(spec.seed)
     n_classes = len(spec.priors)
     sigma = spec.separation / np.sqrt(2 * spec.d)
@@ -472,12 +486,60 @@ def make_synthetic(spec: SynthSpec, keep_tokens: bool = True) -> Corpus:
     lo, hi = spec.token_count_range
     counts = rng.integers(lo, hi + 1, size=spec.n)
 
-    clouds = (centers[classes[i], clusters[i]]
-              + spec.noise * rng.standard_normal((counts[i], spec.d)) for i in range(spec.n))
+    # The block buffers are freed here, before the corpus's columns are
+    # built: their heap pages then serve those columns.
+    pooled, clouds = _pool_blocks(rng, centers, classes, clusters, counts, spec.noise, hi,
+                                  keep_tokens)
     names = tuple(f"class{c}" for c in range(n_classes))
     target = int(np.argmin(spec.priors))
-    return Corpus(range(spec.n), clouds, classes, (None,) * spec.n, names, target,
-                  keep_tokens=keep_tokens)
+    return Corpus._of_means(range(spec.n), pooled, classes, (None,) * spec.n, names, target,
+                            tokens=clouds)
+
+
+def _pool_blocks(rng, centers, classes, clusters, counts, noise, hi: int, keep: bool):
+    """``(pooled, clouds)`` of ``make_synthetic``'s rows: row i's cloud is
+    ``centers[classes[i], clusters[i]]`` plus ``noise`` times ``counts[i]``
+    x d normals from ``rng``, drawn in row order, and its pooled vector is
+    the cloud's token mean. ``clouds`` is a tuple of per-row arrays when
+    ``keep``, else None.
+
+    A block draws its rows' normals in one call, the same stream as one
+    call per row, and pools from a padded (rows, hi, d) copy of its clouds:
+    the masked reduction adds a row's tokens one at a time onto +0.0, as
+    its mean(axis=0) does (so a column of -0.0 sums to +0.0 there too);
+    np.add.reduceat rounds differently."""
+    n, d = len(counts), centers.shape[-1]
+    step = min(n, max(1, _BLOCK_BYTES // (8 * hi * d)))
+    draws, padded = _block_buffers(step, hi, d)
+    position = np.arange(hi)
+    pooled = np.empty((n, d))
+    clouds = [] if keep else None
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        count = counts[block]
+        ends = np.cumsum(count)
+        tokens = draws[:ends[-1] * d].reshape(-1, d)
+        rng.standard_normal(out=tokens)
+        tokens *= noise
+        rows = padded[:len(count)]
+        # A row's slots past its count repeat its last token, masked below.
+        # Every index is in range, and "clip" writes into ``rows`` directly
+        # where "raise" would stage the result in a temporary of its size.
+        np.take(tokens, np.minimum(position, count[:, None] - 1) + (ends - count)[:, None],
+                axis=0, out=rows, mode="clip")
+        rows += centers[classes[block], clusters[block]][:, None, :]
+        np.add.reduce(rows, axis=1, where=(position < count[:, None])[:, :, None],
+                      out=pooled[block])
+        pooled[block] /= count[:, None]
+        if keep:
+            clouds += (row[:c].copy() for row, c in zip(rows, count))
+    return pooled, None if clouds is None else tuple(clouds)
+
+
+def _block_buffers(rows: int, hi: int, d: int):
+    """``_pool_blocks``'s buffers for blocks of ``rows`` rows: the flat
+    normal draws and the padded (rows, hi, d) clouds."""
+    return np.empty(rows * hi * d), np.empty((rows, hi, d))
 
 
 SEED_SETTINGS = ("balanced", "imbalanced", "imbalanced-practical")

@@ -251,9 +251,10 @@ def load_corpus(spec: dict) -> Corpus:
 
     The experiment loop reads pooled vectors only, so the corpus is built
     with ``keep_tokens=False``: it holds ``pooled``, ``labels``, ``ids``
-    and ``texts``, and never more than one row's cloud at a time during
-    the build (``barysample.barycenter_tokens`` needs a corpus built with
-    its clouds, by ``make_synthetic`` or ``ingest_jsonl``).
+    and ``texts``. During the build a JSONL file holds one line's cloud at
+    a time, and a synthetic spec one block of rows' clouds, in buffers of
+    ``data._BLOCK_BYTES`` (``barysample.barycenter_tokens`` needs a corpus
+    built with its clouds, by ``make_synthetic`` or ``ingest_jsonl``).
 
     A synthetic corpus is a pure function of its checked ``SynthSpec``, so
     the process keeps the last one built here in one slot, and a call with

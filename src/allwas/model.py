@@ -484,12 +484,33 @@ def predict_proba_batch(head: ClassifierHead, pooled: np.ndarray,
     the given seed (one mask for every row, deterministic per seed),
     matching the training-time inverted scaling.
     """
+    return _proba(head, _checked_hidden(head, pooled), dropout_active, seed)
+
+
+def mean_dropout_proba(head: ClassifierHead, pooled: np.ndarray, seeds) -> np.ndarray:
+    """The mean over ``seeds`` of ``predict_proba_batch(head, pooled,
+    dropout_active=True, seed=s)``, summed in order from zero and divided
+    by their count. The hidden layer, which no mask changes, is worked out
+    once."""
+    hid = _checked_hidden(head, pooled)
+    mean = np.zeros((len(hid), head.n_classes))
+    for seed in seeds:
+        mean += _proba(head, hid, True, seed)
+    mean /= len(seeds)
+    return mean
+
+
+def _checked_hidden(head: ClassifierHead, pooled) -> np.ndarray:
     head._require_trained()
     pooled = np.asarray(pooled, dtype=np.float64)
     if pooled.shape[1] != head.input_dim:
         raise ShapeError("embedding dimension does not match head",
                          expected=head.input_dim, actual=pooled.shape[1])
-    hid = head._hidden(pooled)
+    return head._hidden(pooled)
+
+
+def _proba(head: ClassifierHead, hid: np.ndarray, dropout_active: bool,
+           seed: int) -> np.ndarray:
     if dropout_active and head.dropout > 0:
         rng = np.random.default_rng(seed)
         mask = (rng.random(head.hidden_dim) >= head.dropout) / (1.0 - head.dropout)

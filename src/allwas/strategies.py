@@ -21,7 +21,7 @@ import numpy as np
 from .coreset import greedy_select
 from .errors import AllwasError, ConfigError, check_types
 from .gradspace import pairwise_w2_exact, pairwise_wasserstein
-from .model import ClassifierHead, gradient_arrays, predict_proba_batch
+from .model import ClassifierHead, gradient_arrays, mean_dropout_proba, predict_proba_batch
 from .seeding import derive_seed
 
 STRATEGY_NAMES = ("random", "lc", "dropout", "egl", "kcenter", "allwas")
@@ -105,11 +105,7 @@ def acquire_mc_dropout(head: ClassifierHead, ids, x: np.ndarray, k: int,
     _check_k(ids, k)
     if passes < 1:
         raise ConfigError("passes must be >= 1")
-    mean = np.zeros((len(ids), head.n_classes))
-    for t in range(passes):
-        mean += predict_proba_batch(head, x, dropout_active=True,
-                                    seed=derive_seed(seed, "mc-pass", t))
-    mean /= passes
+    mean = mean_dropout_proba(head, x, [derive_seed(seed, "mc-pass", t) for t in range(passes)])
     return _lowest(mean.max(axis=1), ids, k)
 
 

@@ -8,13 +8,24 @@ its provenance, as ``barysample`` mixes it. ``pairwise_distance_percentile``
 is the seed radius as first written, per-row arrays concatenated, that
 ``data._pairwise_distance_percentile`` must equal bitwise. ``distinct_rows``
 is ``gradspace._distinct_rows`` as first written, on ``np.unique``.
+``objective_L`` is the coverage objective's loss and ``brute_force_opt``
+its exact maximizer by enumeration, the optimum the greedy is measured
+against. ``make_synthetic_rows`` is ``data.make_synthetic`` as first
+written, one row's cloud at a time, which the block build must equal
+bitwise.
 """
+
+import itertools
+import math
 
 import numpy as np
 
 from allwas.coreset import SelectionState, _gain, _minima, default_s0_cost
-from allwas.errors import AllwasError
+from allwas.data import Corpus
+from allwas.errors import AllwasError, ConfigError
 from allwas.transport import DiscreteMeasure, _check_pair, ground_cost
+
+_BRUTE_FORCE_LIMIT = 2_000_000
 
 
 def _is_uniform(m: DiscreteMeasure) -> bool:
@@ -113,3 +124,58 @@ def distinct_rows(keys: np.ndarray):
     _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     keep = np.sort(first)
     return keep, np.searchsorted(keep, first[inverse.reshape(-1)])
+
+
+def objective_L(matrix, selected, s0_cost: float) -> float:
+    """sum_i min(s0_cost, min_{j in selected} d(i, j)); |V| * s0_cost when
+    the selection is empty."""
+    if s0_cost <= 0:
+        raise ConfigError("s0_cost must be positive")
+    minima = _minima(matrix, selected, s0_cost)
+    return float(minima.sum())
+
+
+def brute_force_opt(matrix, k: int):
+    """Exact maximizer of the coverage objective at ``default_s0_cost`` by
+    subset enumeration.
+
+    Returns (ids, value). Refuses instances with more than 2e6 subsets.
+    """
+    s0_cost = default_s0_cost(matrix)
+    n = matrix.n
+    if k < 1 or k > n:
+        raise ConfigError(f"k={k} out of range for {n} elements")
+    if math.comb(n, k) > _BRUTE_FORCE_LIMIT:
+        raise AllwasError(f"C({n},{k}) exceeds the enumeration limit")
+    entries = matrix.entries
+    best_ids, best_value = None, -1.0
+    base = np.full(n, float(s0_cost))
+    for combo in itertools.combinations(range(n), k):
+        minima = np.minimum(base, entries[:, combo].min(axis=1))
+        value = n * s0_cost - float(minima.sum())
+        if value > best_value:
+            best_ids = combo
+            best_value = value
+    return tuple(matrix.ids[i] for i in best_ids), best_value
+
+
+def make_synthetic_rows(spec, keep_tokens: bool = True) -> Corpus:
+    """``data.make_synthetic`` drawing and pooling one row's cloud at a
+    time: each cloud is drawn just before the corpus pools it with
+    ``mean(axis=0)``."""
+    rng = np.random.default_rng(spec.seed)
+    n_classes = len(spec.priors)
+    sigma = spec.separation / np.sqrt(2 * spec.d)
+    centers = rng.standard_normal((n_classes, spec.clusters_per_class, spec.d)) * sigma
+
+    classes = rng.choice(n_classes, size=spec.n, p=np.asarray(spec.priors))
+    clusters = rng.integers(0, spec.clusters_per_class, size=spec.n)
+    lo, hi = spec.token_count_range
+    counts = rng.integers(lo, hi + 1, size=spec.n)
+
+    clouds = (centers[classes[i], clusters[i]]
+              + spec.noise * rng.standard_normal((counts[i], spec.d)) for i in range(spec.n))
+    names = tuple(f"class{c}" for c in range(n_classes))
+    target = int(np.argmin(spec.priors))
+    return Corpus(range(spec.n), clouds, classes, (None,) * spec.n, names, target,
+                  keep_tokens=keep_tokens)

@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
-from allwas.coreset import brute_force_opt, default_s0_cost, greedy_select, objective_L
+from allwas.coreset import default_s0_cost, greedy_select
 from allwas.barysample import AugmentationConfig, augment_wasserstein
 from allwas.gradspace import DistanceMatrix
 from allwas.harness import ExperimentConfig, run_experiment, run_sweep, load_corpus
@@ -25,7 +25,8 @@ from allwas.transport import (
     wasserstein_barycenter,
     wasserstein_barycenter_batch,
 )
-from oracles import exact_distance_oracle, mix_labels, naive_greedy
+from oracles import (brute_force_opt, exact_distance_oracle, mix_labels, naive_greedy,
+                     objective_L)
 
 
 def conclude(num: int, name: str, ok: bool, detail: str = ""):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from allwas import coreset
-from allwas.coreset import brute_force_opt, default_s0_cost, greedy_select, objective_L
+from allwas.coreset import default_s0_cost, greedy_select
 from allwas.errors import AllwasError
 from allwas.gradspace import DistanceMatrix
-from oracles import naive_greedy
+from oracles import brute_force_opt, naive_greedy, objective_L
 
 
 def line_matrix():

@@ -24,7 +24,7 @@ from allwas.data import (
 from allwas import data
 from allwas.data import _pairwise_distance_percentile
 from allwas.errors import ConfigError, DataError, ShapeError
-from oracles import pairwise_distance_percentile
+from oracles import make_synthetic_rows, pairwise_distance_percentile
 
 
 def write_jsonl(path, rows):
@@ -454,6 +454,78 @@ class TestSynthetic:
     def test_bad_priors_rejected(self):
         with pytest.raises(ConfigError):
             SynthSpec(priors=(0.5, 0.6))
+
+    # Blocks of 32 rows at d = 32 and hi = 12, and of 307 rows at d = 1 and
+    # hi = 40; neither row count is a multiple of its block.
+    GRID = {
+        "one-row": SynthSpec(n=1, d=4),
+        "d32": SynthSpec(n=500, d=32, seed=1),
+        "one-token": SynthSpec(n=300, d=5, token_count_range=(1, 1), seed=2),
+        "twelve-tokens": SynthSpec(n=300, d=5, token_count_range=(12, 12), seed=3),
+        "1-40-tokens": SynthSpec(n=300, d=5, token_count_range=(1, 40), seed=4),
+        "d1": SynthSpec(n=1000, d=1, token_count_range=(1, 40), seed=5),
+        "no-noise": SynthSpec(n=200, d=3, noise=0.0, seed=6),
+        "signed-zeros": SynthSpec(n=50, d=3, noise=0, separation=0.0, seed=7),
+        "three-classes": SynthSpec(n=400, d=6, priors=(0.5, 0.3, 0.2),
+                                   clusters_per_class=3, seed=8),
+    }
+
+    @staticmethod
+    def assert_equals_rows_build(spec, keep_tokens):
+        corpus = make_synthetic(spec, keep_tokens=keep_tokens)
+        rows = make_synthetic_rows(spec, keep_tokens=keep_tokens)
+        assert_same_columns(corpus, rows)
+        if not keep_tokens:
+            assert corpus.tokens is None and rows.tokens is None
+            return
+        assert len(corpus.tokens) == len(rows.tokens) == spec.n
+        for cloud, want in zip(corpus.tokens, rows.tokens):
+            assert cloud.shape == want.shape and cloud.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("keep_tokens", [True, False])
+    @pytest.mark.parametrize("name", sorted(GRID))
+    def test_equals_the_row_by_row_build_bitwise(self, name, keep_tokens):
+        self.assert_equals_rows_build(self.GRID[name], keep_tokens)
+
+    @pytest.mark.parametrize("block_bytes", [1, 8 * 12 * 4 * 7])
+    def test_equals_the_row_by_row_build_in_small_blocks(self, monkeypatch, block_bytes):
+        # Blocks of one row, and of seven rows at d = 4 and hi = 12.
+        monkeypatch.setattr(data, "_BLOCK_BYTES", block_bytes)
+        self.assert_equals_rows_build(SynthSpec(n=100, d=4, seed=9), True)
+
+    def test_kept_clouds_are_arrays_of_their_own(self):
+        clouds = make_synthetic(SynthSpec(n=100, d=4)).tokens
+        assert all(cloud.base is None and cloud.flags.c_contiguous for cloud in clouds)
+
+    def test_build_peaks_near_the_corpus_it_keeps(self, monkeypatch):
+        # The benchmark's corpus. Its clouds are built in blocks of 32 rows,
+        # in two 96 KiB buffers reused from block to block; each buffer
+        # stays under glibc's 128 KiB mmap threshold, so a block's buffers
+        # come back from the heap and are not mapped afresh.
+        spec = SynthSpec(n=2000, d=32, priors=(0.9, 0.1), clusters_per_class=4, noise=1.2,
+                         separation=5.0, seed=1234)
+        sizes = []
+
+        def recorded(*shape):
+            buffers = block_buffers(*shape)
+            sizes.extend(b.nbytes for b in buffers)
+            return buffers
+
+        block_buffers = data._block_buffers
+        monkeypatch.setattr(data, "_block_buffers", recorded)
+        make_synthetic(SynthSpec(n=5, d=2), keep_tokens=False)    # lazy imports
+        tracemalloc.start()
+        try:
+            corpus = make_synthetic(spec, keep_tokens=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sizes) == 4 and max(sizes) < 128 * 2**10
+        # pooled, labels and the per-row class, cluster and count draws;
+        # the ids, the two buffers and each block's temporaries fit in four
+        # 128 KiB buffers (1.02 MB measured against 1.10 MB).
+        assert peak <= (corpus.pooled.nbytes + 4 * corpus.labels.nbytes
+                        + 4 * 128 * 2**10)
 
 
 class TestSeeds:

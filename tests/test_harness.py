@@ -351,7 +351,8 @@ class TestCorpusWithoutClouds:
 
     def test_synthetic_load_peaks_under_two_corpora(self, monkeypatch):
         # The benchmark's corpus: its clouds are drawn, pooled and dropped
-        # row by row, so the build peaks under twice what the corpus keeps
+        # a block of rows at a time, so the build peaks under twice what the
+        # corpus keeps
         # (5.6 MiB when it kept its clouds). A small build first does the
         # imports a process's first build makes.
         monkeypatch.setattr(harness, "_loaded", None)

@@ -17,6 +17,7 @@ from allwas.model import (
     ClassifierHead,
     TrainingSet,
     gradient_arrays,
+    mean_dropout_proba,
     predict_proba_batch,
     train,
     train_stack,
@@ -407,6 +408,21 @@ class TestPrediction:
     def test_untrained_head_rejected(self, rng):
         with pytest.raises(AllwasError):
             predict_proba_batch(small_head(), one_row(rng.standard_normal((1, 8))))
+        with pytest.raises(AllwasError):
+            mean_dropout_proba(small_head(), one_row(rng.standard_normal((1, 8))), [0])
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1, 0.5])
+    def test_dropout_mean_equals_the_passes_bitwise(self, rng, dropout):
+        # One hidden layer for every pass: each pass's mask and softmax
+        # round as they do in a predict_proba_batch call of their own.
+        head = train(small_head(dropout=dropout), blob_data(rng, n=40))
+        x = rng.standard_normal((30, 8))
+        seeds = [11, 3, 11, 2**40]
+        mean = np.zeros((30, 2))
+        for seed in seeds:
+            mean += predict_proba_batch(head, x, dropout_active=True, seed=seed)
+        mean /= len(seeds)
+        assert mean_dropout_proba(head, x, seeds).tobytes() == mean.tobytes()
 
 
 class TestGradients:
