@@ -247,9 +247,11 @@ def barycenter_tokens(tokens, synthetic: SyntheticSet, cfg: AugmentationConfig) 
     lambdas, with round(sum lambda_i n_i) tokens (at least one), solved in
     one padded batch on ``cfg``'s budget (``outer_iter``,
     ``sinkhorn_max_iter``). ``tokens`` are the labeled rows' (n_i, d) token
-    matrices, in row order: the ``tokens`` of a corpus built with its clouds
-    (``keep_tokens=True``), since ``harness.load_corpus`` keeps none. Each
-    cloud's token mean is the row's pooled vector, whatever the budget.
+    matrices, in row order: the ``tokens`` of a corpus that
+    ``make_synthetic`` or ``ingest_jsonl`` built with ``keep_tokens=True``
+    (each cloud's mean is then bitwise the row's ``pooled`` vector), since
+    ``harness.load_corpus`` keeps none. Each barycenter's token mean is its
+    row's pooled vector, whatever the budget.
     """
     groups = [[tokens[i] for i in row] for row in synthetic.parents]
     sizes = [barycenter_support_size([t.shape[0] for t in members], lam)

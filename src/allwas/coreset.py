@@ -25,13 +25,11 @@ from .gradspace import _BLOCK_CELLS, DistanceMatrix
 
 @dataclass(frozen=True)
 class SelectionState:
-    """Greedy selection result: chosen ids in order, per-element coverage
-    minima (capped by the s0 cost), and the objective value reached."""
+    """Greedy selection result: chosen ids in order and the objective
+    value reached."""
 
     selected: tuple
-    minima: np.ndarray
     value: float
-    s0_cost: float
 
 
 def default_s0_cost(matrix: DistanceMatrix) -> float:
@@ -112,4 +110,4 @@ def greedy_select(matrix: DistanceMatrix, k: int, warm_start=()) -> SelectionSta
             heapq.heappush(heap, (-_gain(minima, col, work), cand, round_no))
 
     value = matrix.n * s0_cost - float(minima.sum())
-    return SelectionState(tuple(selected), minima, value, float(s0_cost))
+    return SelectionState(tuple(selected), value)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import re
 import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,112 +54,52 @@ class FeaturizerConfig:
                               f"(got d={self.d}, seed={self.seed})")
 
 
-def _pool(clouds, n: int, keep: bool):
-    """``(pooled, clouds)`` of ``n`` rows' clouds, read once in row order:
-    each row's pooled vector is its cloud's token mean, and the clouds come
-    back as a tuple when ``keep``, else None."""
-    pooled = None
-    kept = []
-    count = 0
-    for cloud in clouds:
-        cloud = np.asarray(cloud, dtype=np.float64)
-        if cloud.ndim != 2 or cloud.shape[0] == 0:
-            raise DataError("every row's tokens must be a non-empty (n, d) matrix")
-        if count == n:
-            raise ShapeError("corpus columns need one entry per id", expected=n,
-                             actual=f"more than {n} token matrices")
-        if pooled is None:
-            pooled = np.empty((n, cloud.shape[1]))
-        elif cloud.shape[1] != pooled.shape[1]:
-            raise DataError("mixed embedding dimensions in corpus: "
-                            f"{sorted({pooled.shape[1], cloud.shape[1]})}")
-        pooled[count] = cloud.mean(axis=0)
-        if keep:
-            kept.append(cloud)
-        count += 1
-    if count != n:
-        raise ShapeError("corpus columns need one entry per id", expected=n,
-                         actual=f"{count} token matrices")
-    return pooled, tuple(kept) if keep else None
-
-
 @dataclass(frozen=True)
 class Corpus:
-    """The corpus as columns, one entry per row: ``ids``, ``tokens`` (each an
-    (n_i, d) token matrix, the row's cloud), ``labels`` (class indices) and
-    ``texts`` (None for rows given as embeddings). ``pooled`` (N, d) holds
-    each row's token mean; it is derived here from the clouds, never passed
-    in. (``ingest_jsonl`` and ``make_synthetic`` build a corpus from the
-    means they worked out, through ``_of_means``, with the same checks.)
+    """The corpus as columns, one entry per row: ``ids``, ``pooled`` (N, d),
+    each row's token mean, ``labels`` (class indices), ``texts`` (None for
+    rows given as embeddings) and ``tokens``, each row's (n_i, d) cloud, or
+    None for a corpus without clouds. ``pooled`` and ``labels`` are stored
+    without a copy when they are float64 and intp arrays.
 
-    ``tokens`` may be any iterable; it is read once, in row order, and each
-    cloud is pooled as it is read. With ``keep_tokens=False`` the clouds are
-    dropped once pooled and ``tokens`` is None: the experiment loop reads
-    pooled vectors only, so ``harness.load_corpus`` builds its corpora
-    without clouds. Exporting a corpus (``export_jsonl``) and
-    ``barysample.barycenter_tokens`` need the clouds kept."""
+    The constructor is the one way to build a corpus, and it checks every
+    column once. The builders (``make_synthetic``, ``ingest_jsonl``) pass
+    their rows' means and keep the clouds only with ``keep_tokens=True``:
+    ``harness.load_corpus`` keeps none, and ``export_jsonl`` and
+    ``barysample.barycenter_tokens`` need them."""
 
     ids: tuple
-    tokens: tuple | None
+    pooled: np.ndarray = field(repr=False)
     labels: np.ndarray
     texts: tuple
     class_names: tuple
     target_class: int
-    pooled: np.ndarray = field(init=False, repr=False)
-    keep_tokens: InitVar[bool] = True
+    tokens: tuple | None = None
 
-    def __post_init__(self, keep_tokens):
-        ids, labels, texts = self._rows()
-        pooled, tokens = _pool(self.tokens, len(ids), keep_tokens)
-        self._settle(ids, tokens, labels, texts, pooled)
-
-    @classmethod
-    def _of_means(cls, ids, pooled: np.ndarray, labels, texts, class_names,
-                  target_class: int, tokens: tuple | None = None) -> "Corpus":
-        """The corpus whose rows' token means are the rows of ``pooled``
-        (N, d), which becomes its ``pooled`` without a copy. ``tokens`` holds
-        the clouds those are the means of, or None for a corpus without
-        clouds; nothing checks them against ``pooled``."""
-        corpus = object.__new__(cls)
-        for name, value in (("ids", ids), ("labels", labels), ("texts", texts),
-                            ("class_names", class_names), ("target_class", target_class)):
-            object.__setattr__(corpus, name, value)
-        ids, labels, texts = corpus._rows()
-        if pooled.ndim != 2 or len(pooled) != len(ids):
-            raise ShapeError("corpus columns need one entry per id", expected=len(ids),
-                             actual=pooled.shape)
-        corpus._settle(ids, tokens, labels, texts, pooled)
-        return corpus
-
-    def _rows(self):
-        """``ids``, ``labels`` and ``texts`` as stored, checked against
-        each other."""
+    def __post_init__(self):
         ids, texts = tuple(self.ids), tuple(self.texts)
-        labels = np.asarray(self.labels)
+        tokens = None if self.tokens is None else tuple(self.tokens)
+        labels, pooled = np.asarray(self.labels), np.asarray(self.pooled, dtype=np.float64)
         n = len(ids)
         if n == 0:
             raise DataError("corpus has no rows")
-        if not (len(texts) == n and labels.shape == (n,)):
+        if not (len(texts) == n and labels.shape == (n,) and pooled.ndim == 2
+                and len(pooled) == n and (tokens is None or len(tokens) == n)):
             raise ShapeError("corpus columns need one entry per id", expected=n,
-                             actual=(labels.shape, len(texts)))
+                             actual=(labels.shape, len(texts), pooled.shape,
+                                     None if tokens is None else len(tokens)))
         if len(set(ids)) != n:
             raise DataError("corpus ids are not unique")
-        return ids, labels, texts
-
-    def _settle(self, ids, tokens, labels, texts, pooled) -> None:
-        """Check what is left and store every column."""
-        # A non-finite token makes its row's mean non-finite, so this one
-        # check covers every token.
-        if not np.all(np.isfinite(pooled)):
-            raise DataError("corpus token embeddings contain non-finite entries")
+        # The min and max carry any NaN or infinity, with no (N, d) temporary.
+        if not np.isfinite([pooled.min(initial=0.0), pooled.max(initial=0.0)]).all():
+            raise DataError("corpus pooled vectors contain non-finite entries")
         class_names = tuple(self.class_names)
         if labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= len(class_names):
             raise DataError(f"corpus labels must be class indices below {len(class_names)}")
         if not (0 <= self.target_class < len(class_names)):
             raise ConfigError(f"target_class {self.target_class} out of range")
-        for name, value in (("ids", ids), ("tokens", tokens), ("labels", labels.astype(np.intp)),
-                            ("texts", texts), ("class_names", class_names),
-                            ("pooled", pooled)):
+        for name, value in (("ids", ids), ("pooled", pooled), ("labels", labels.astype(np.intp, copy=False)),
+                            ("texts", texts), ("class_names", class_names), ("tokens", tokens)):
             object.__setattr__(self, name, value)
 
     @property
@@ -176,9 +116,9 @@ class Corpus:
 
     def take(self, rows) -> "Corpus":
         """The corpus of the given distinct row indices in ``[0, n)``, in that
-        order. The columns, ``pooled`` included, are sliced (``tokens`` stays
-        None on a corpus without clouds); nothing is re-derived or
-        re-checked, since every check holds for a subset of rows."""
+        order: every column, ``pooled`` included, is sliced (``tokens`` stays
+        None on a corpus without clouds), and the slices are checked as any
+        corpus is."""
         rows = np.asarray(rows, dtype=np.intp)
         outside = rows[(rows < 0) | (rows >= self.n)]
         if len(outside):
@@ -187,17 +127,9 @@ class Corpus:
         values, counts = np.unique(rows, return_counts=True)
         if len(values) != len(rows):
             raise DataError(f"take needs distinct rows; repeated {values[counts > 1].tolist()}")
-        tokens = None if self.tokens is None else tuple(self.tokens[r] for r in rows)
-        sub = object.__new__(Corpus)
-        for name, value in (("ids", tuple(self.ids[r] for r in rows)),
-                            ("tokens", tokens),
-                            ("labels", self.labels[rows]),
-                            ("texts", tuple(self.texts[r] for r in rows)),
-                            ("class_names", self.class_names),
-                            ("target_class", self.target_class),
-                            ("pooled", self.pooled[rows])):
-            object.__setattr__(sub, name, value)
-        return sub
+        return Corpus(tuple(self.ids[r] for r in rows), self.pooled[rows], self.labels[rows],
+                      tuple(self.texts[r] for r in rows), self.class_names, self.target_class,
+                      None if self.tokens is None else tuple(self.tokens[r] for r in rows))
 
     def class_priors(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.n_classes) / self.n
@@ -264,28 +196,29 @@ def ingest_jsonl(
     embedding, with one warning for the file.
 
     Every row must have the first row's width (a text row's is the
-    featurizer's ``d``); a row that does not is a bad line. Text rows are
-    featurized one at a time, after every line has passed. With
-    ``keep_tokens=False`` (how ``harness.load_corpus`` reads a file) each
-    row's token mean goes into one (N, d) store as its line is parsed, the
-    rows counted by a first pass over the open file, which is then read
-    again from the start: that store becomes ``pooled``, and the corpus
-    holds no clouds. A stream that cannot be read twice (a pipe) is read
-    once, its rows' means stacked at the end. ``allwas ingest --out`` keeps
-    the clouds to export.
+    featurizer's ``d``); a row that does not is a bad line. Each row's
+    token mean goes into one store as its line is parsed: for a file that
+    can be read twice, an (N, d) store whose rows a first pass over the
+    open file counts, and that becomes ``pooled``; for a stream that
+    cannot (a pipe), a list of means stacked at the end. Text rows are
+    featurized one at a time, after every line has passed, and their means
+    go into the same store. ``keep_tokens=True`` also keeps each row's
+    cloud as ``tokens``, as ``allwas ingest --out`` does to export them;
+    with ``keep_tokens=False`` (how ``harness.load_corpus`` reads a file)
+    the corpus holds no clouds.
     """
     check_class_keys(class_names, target_class)
     ids, texts, labels, line_nos = [], [], [], []
-    clouds = []                                 # the embeddings, or their means on a stream
-    pooled = None                               # or the store of token means
-    pending = []                                # text rows, pooled at the end
+    means = []                                  # each row's token mean, or the counted store
+    clouds = [] if keep_tokens else None        # each row's cloud, a text row's at the end
+    pending = []                                # text rows, featurized at the end
     width = None                                # the first row's dimension
     errors = []
     seen_ids = set()
     both = []                                   # line numbers of text + embedding rows
     with open(path, "r", encoding="utf-8") as fh:
         lines = None                            # the store's rows: non-blank lines
-        if not keep_tokens and fh.seekable():
+        if fh.seekable():
             lines = sum(1 for line in fh if line.strip())
             fh.seek(0)
         for line_no, line in enumerate(fh, start=1):
@@ -326,20 +259,19 @@ def ingest_jsonl(
                 errors.append(str(exc) if str(exc).startswith("line")
                               else f"line {line_no}: {exc}")
                 continue
+            if lines is None:
+                means.append(None)
+            elif len(ids) == lines:
+                raise DataError(f"line {line_no}: more rows than the {lines} non-blank "
+                                f"lines first counted; the file changed while it was read")
+            elif not ids:
+                means = np.empty((lines, width))
             if tokens is None:
                 pending.append(len(ids))
+            else:
+                means[len(ids)] = tokens.mean(axis=0)
             if keep_tokens:
                 clouds.append(tokens)
-            elif lines is None:
-                clouds.append(None if tokens is None else tokens.mean(axis=0))
-            else:
-                if len(ids) == lines:
-                    raise DataError(f"line {line_no}: more rows than the {lines} non-blank "
-                                    f"lines first counted; the file changed while it was read")
-                if pooled is None:
-                    pooled = np.empty((lines, width))
-                if tokens is not None:
-                    pooled[len(ids)] = tokens.mean(axis=0)
             ids.append(ex_id)
             texts.append(text)
             labels.append(obj["label"])
@@ -387,20 +319,18 @@ def ingest_jsonl(
         target_idx = name_to_idx[target_class]
     else:
         target_idx = int(target_class)
-    if keep_tokens:
-        clouds = (featurize_text(text, featurizer.d, featurizer.seed) if t is None else t
-                  for text, t in zip(texts, clouds))
-        return Corpus(ids, clouds, np.array(label_idx), texts, class_names, target_idx)
     if lines is not None and len(ids) != lines:
         raise DataError(f"{len(ids)} rows where {lines} non-blank lines were first counted; "
                         f"the file changed while it was read")
-    means = clouds if lines is None else pooled
     for r in pending:
-        means[r] = featurize_text(texts[r], featurizer.d, featurizer.seed).mean(axis=0)
-    if lines is None:
-        pooled = np.stack(clouds)
-        del clouds, means
-    return Corpus._of_means(ids, pooled, np.array(label_idx), texts, class_names, target_idx)
+        cloud = featurize_text(texts[r], featurizer.d, featurizer.seed)
+        means[r] = cloud.mean(axis=0)
+        if keep_tokens:
+            clouds[r] = cloud
+    pooled = means if lines is not None else np.stack(means)
+    del means
+    return Corpus(ids, pooled, np.array(label_idx), texts, class_names, target_idx,
+                  None if clouds is None else tuple(clouds))
 
 
 def export_jsonl(corpus: Corpus, path) -> None:
@@ -472,10 +402,12 @@ def make_synthetic(spec: SynthSpec, keep_tokens: bool = True) -> Corpus:
     ``counts[i]`` x d standard normals, the rows' normals drawn in row
     order. The clouds are built and pooled a block of rows at a time
     (``_pool_blocks``), and each row's pooled vector is bitwise its cloud's
-    ``mean(axis=0)``. With ``keep_tokens=False`` (how
-    ``harness.load_corpus`` builds a spec) the build holds ``pooled``, the
-    per-row draws and one block's buffers, and the corpus holds no clouds;
-    ``allwas synth`` keeps them to export, each row's cloud its own array."""
+    ``mean(axis=0)``; those means are the corpus's ``pooled``. With
+    ``keep_tokens=False`` (how ``harness.load_corpus`` builds a spec) the
+    build holds ``pooled``, the per-row draws and one block's buffers, and
+    the corpus holds no clouds; ``keep_tokens=True`` also keeps them as
+    ``tokens``, each row's cloud its own array, as ``allwas synth`` does to
+    export them."""
     rng = np.random.default_rng(spec.seed)
     n_classes = len(spec.priors)
     sigma = spec.separation / np.sqrt(2 * spec.d)
@@ -492,8 +424,7 @@ def make_synthetic(spec: SynthSpec, keep_tokens: bool = True) -> Corpus:
                                   keep_tokens)
     names = tuple(f"class{c}" for c in range(n_classes))
     target = int(np.argmin(spec.priors))
-    return Corpus._of_means(range(spec.n), pooled, classes, (None,) * spec.n, names, target,
-                            tokens=clouds)
+    return Corpus(range(spec.n), pooled, classes, (None,) * spec.n, names, target, clouds)
 
 
 def _pool_blocks(rng, centers, classes, clusters, counts, noise, hi: int, keep: bool):

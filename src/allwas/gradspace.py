@@ -74,7 +74,8 @@ def _pair_sq_distances(supports: np.ndarray, si: np.ndarray, sj: np.ndarray) -> 
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric pairwise W_p^p matrix with a map back to sample ids."""
+    """Symmetric pairwise W_p^p matrix, finite with a zero diagonal, with
+    a map back to sample ids."""
 
     entries: np.ndarray
     ids: tuple
@@ -90,13 +91,18 @@ class DistanceMatrix:
         if np.abs(np.diag(entries)).max(initial=0.0) > 1e-8:
             raise AllwasError("distance matrix diagonal must be zero")
         # Compared in blocks of rows, through one buffer of about
-        # _BLOCK_CELLS entries (one row at least).
+        # _BLOCK_CELLS entries (one row at least). A non-finite entry gives
+        # a NaN or infinite gap, which the max carries.
         step = max(1, _BLOCK_CELLS // max(n, 1))
         gap = np.empty((min(step, n), n))
         for r0 in range(0, n, step):
             block = gap[:min(step, n - r0)]
-            np.subtract(entries[r0:r0 + step], entries[:, r0:r0 + step].T, out=block)
-            if np.abs(block, out=block).max() > 1e-6:
+            with np.errstate(invalid="ignore"):  # inf - inf
+                np.subtract(entries[r0:r0 + step], entries[:, r0:r0 + step].T, out=block)
+            worst = np.abs(block, out=block).max()
+            if not np.isfinite(worst):
+                raise AllwasError("distance matrix has non-finite entries")
+            if worst > 1e-6:
                 raise AllwasError("distance matrix must be symmetric")
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "ids", tuple(self.ids))
@@ -501,7 +507,7 @@ def pairwise_w2_exact(probs, w2, ids=None) -> DistanceMatrix:
     sum over s < s' of pi_s pi_s' ||e_s - e_s'||^2. Its terms are
     nonnegative, where OT_D - ||t_n - t_m||^2 loses digits to cancellation
     when most of the mass moves. Duplicate probability rows lie exactly 0
-    apart.
+    apart. A ``w2`` whose class cost overflows is refused before the walk.
 
     The upper triangle is walked in blocks of whole rows covering at most
     ``_BLOCK_CELLS`` cells, and each block's entries go straight into both
@@ -530,15 +536,21 @@ def pairwise_w2_exact(probs, w2, ids=None) -> DistanceMatrix:
     probs = probs[keep]
     u = len(keep)
     steps = (w2.T[:, None, :] - w2.T[None, :, :]).reshape(c * c, -1)
-    f, g, edges, flows, walked = _dual_vertices((steps ** 2).sum(axis=1).reshape(c, c))
+    with np.errstate(over="ignore"):
+        cost = (steps ** 2).sum(axis=1).reshape(c, c)
+    if not np.all(np.isfinite(cost)):
+        raise AllwasError("w2 is too large: its class cost ||u_c - u_c'||^2 overflows")
+    f, g, edges, flows, walked = _dual_vertices(cost)
     # ||e_s - e_s'||^2 between the steps of each vertex's tree (K, 2C - 1, 2C - 1).
     gaps = np.stack([((steps[e, None] - steps[None, e]) ** 2).sum(axis=-1) for e in edges])
-    blended = c == 2 and bool((gaps == gaps[0]).all())
     logger.debug("pairwise_w2_exact: %d classes, %d dual vertices from %d trees%s",
-                 c, len(f), walked, f", {u} rows in one blended pass" if blended else "")
+                 c, len(f), walked, f", {u} rows in one blended pass" if c == 2 else "")
 
     dist = np.zeros((u, u))
-    if blended:
+    if c == 2:
+        # Both two-class trees hold the diagonal edges, whose steps are 0,
+        # and a third edge whose step is +-(u_0 - u_1), so they share
+        # their gap matrix.
         _two_class_fill(dist, probs, f, g, flows, gaps[0])
     else:
         _vertex_fill(dist, probs, f, g, flows, gaps)

@@ -250,11 +250,13 @@ def load_corpus(spec: dict) -> Corpus:
     token clouds.
 
     The experiment loop reads pooled vectors only, so the corpus is built
-    with ``keep_tokens=False``: it holds ``pooled``, ``labels``, ``ids``
-    and ``texts``. During the build a JSONL file holds one line's cloud at
-    a time, and a synthetic spec one block of rows' clouds, in buffers of
-    ``data._BLOCK_BYTES`` (``barysample.barycenter_tokens`` needs a corpus
-    built with its clouds, by ``make_synthetic`` or ``ingest_jsonl``).
+    with ``keep_tokens=False``: the builder passes its rows' token means as
+    ``pooled``, and the corpus holds ``pooled``, ``labels``, ``ids`` and
+    ``texts``, with ``tokens`` None. During the build a JSONL file holds
+    one line's cloud at a time, and a synthetic spec one block of rows'
+    clouds, in buffers of ``data._BLOCK_BYTES``
+    (``barysample.barycenter_tokens`` needs a corpus built with its clouds,
+    by ``make_synthetic`` or ``ingest_jsonl`` with ``keep_tokens=True``).
 
     A synthetic corpus is a pure function of its checked ``SynthSpec``, so
     the process keeps the last one built here in one slot, and a call with

@@ -94,7 +94,7 @@ def naive_greedy(matrix, k: int) -> SelectionState:
         taken.add(best_id)
         np.minimum(minima, matrix.entries[:, matrix.index_of(best_id)], out=minima)
     value = matrix.n * s0_cost - float(minima.sum())
-    return SelectionState(tuple(selected), minima, value, float(s0_cost))
+    return SelectionState(tuple(selected), value)
 
 
 def mix_labels(labels, lambdas) -> np.ndarray:
@@ -161,8 +161,7 @@ def brute_force_opt(matrix, k: int):
 
 def make_synthetic_rows(spec, keep_tokens: bool = True) -> Corpus:
     """``data.make_synthetic`` drawing and pooling one row's cloud at a
-    time: each cloud is drawn just before the corpus pools it with
-    ``mean(axis=0)``."""
+    time: each cloud is drawn, then pooled with ``mean(axis=0)``."""
     rng = np.random.default_rng(spec.seed)
     n_classes = len(spec.priors)
     sigma = spec.separation / np.sqrt(2 * spec.d)
@@ -173,9 +172,10 @@ def make_synthetic_rows(spec, keep_tokens: bool = True) -> Corpus:
     lo, hi = spec.token_count_range
     counts = rng.integers(lo, hi + 1, size=spec.n)
 
-    clouds = (centers[classes[i], clusters[i]]
-              + spec.noise * rng.standard_normal((counts[i], spec.d)) for i in range(spec.n))
+    clouds = [centers[classes[i], clusters[i]]
+              + spec.noise * rng.standard_normal((counts[i], spec.d)) for i in range(spec.n)]
+    pooled = np.stack([cloud.mean(axis=0) for cloud in clouds])
     names = tuple(f"class{c}" for c in range(n_classes))
     target = int(np.argmin(spec.priors))
-    return Corpus(range(spec.n), clouds, classes, (None,) * spec.n, names, target,
-                  keep_tokens=keep_tokens)
+    return Corpus(range(spec.n), pooled, classes, (None,) * spec.n, names, target,
+                  tuple(clouds) if keep_tokens else None)

@@ -36,39 +36,48 @@ def row_of(corpus):
 
 
 def columns(rng, n=4, d=3):
-    """Keyword columns of a small valid corpus."""
-    return dict(ids=list(range(n)),
-                tokens=[rng.standard_normal((int(rng.integers(1, 5)), d)) for _ in range(n)],
+    """Keyword columns of a small valid corpus with its clouds."""
+    tokens = tuple(rng.standard_normal((int(rng.integers(1, 5)), d)) for _ in range(n))
+    return dict(ids=list(range(n)), pooled=np.stack([t.mean(axis=0) for t in tokens]),
                 labels=np.arange(n) % 2, texts=[None] * n, class_names=("a", "b"),
-                target_class=1)
+                target_class=1, tokens=tokens)
+
+
+def assert_pooled_is_the_token_mean(corpus):
+    """Every ``pooled`` row bitwise its cloud's ``mean(axis=0)``."""
+    assert len(corpus.tokens) == corpus.n
+    for row, cloud in zip(corpus.pooled, corpus.tokens):
+        assert row.tobytes() == cloud.mean(axis=0).tobytes()
 
 
 class TestCorpus:
-    def test_pooled_is_the_token_mean(self, rng):
-        tokens = rng.standard_normal((4, 3))
-        corpus = Corpus([0], [tokens], [0], [None], ("a", "b"), 0)
-        assert np.array_equal(corpus.pooled[0], tokens.mean(axis=0))
-
-    def test_pooled_argument_rejected(self, rng):
-        # pooled is derived from the tokens, never taken from the caller.
-        with pytest.raises(TypeError):
-            Corpus(**columns(rng), pooled=np.zeros((4, 3)))
+    def test_columns_stored_as_given(self, rng):
+        cols = columns(rng)
+        corpus = Corpus(**cols)
+        assert corpus.pooled is cols["pooled"] and corpus.labels is cols["labels"]
+        assert all(a is b for a, b in zip(corpus.tokens, cols["tokens"]))
+        assert corpus.ids == (0, 1, 2, 3) and corpus.labels.dtype == np.intp
+        assert Corpus(**{**cols, "tokens": None}).tokens is None
 
     @pytest.mark.parametrize("column, bad, error, message", [
         ("ids", [0, 1, 2, 0], DataError, "not unique"),
-        ("tokens", (2, np.zeros((0, 3))), DataError, "non-empty"),
-        ("tokens", (3, np.zeros((2, 4))), DataError, "mixed embedding dimensions"),
-        ("tokens", (1, np.array([[0.0, np.inf, 1.0]])), DataError, "non-finite"),
+        ("ids", [], DataError, "no rows"),
+        ("pooled", np.zeros(4), ShapeError, "one entry per id"),
+        ("pooled", np.zeros((3, 3)), ShapeError, "one entry per id"),
+        ("pooled", np.array([[0.0, 1.0, 2.0]] * 3 + [[0.0, np.inf, 1.0]]), DataError,
+         "non-finite"),
+        ("pooled", np.array([[0.0, 1.0, 2.0]] * 3 + [[0.0, np.nan, 1.0]]), DataError,
+         "non-finite"),
+        ("pooled", np.array([[0.0, 1.0, 2.0]] * 3 + [[-np.inf, 0.0, 1.0]]), DataError,
+         "non-finite"),
+        ("tokens", (np.zeros((2, 3)),) * 3, ShapeError, "one entry per id"),
+        ("tokens", (np.zeros((2, 3)),) * 5, ShapeError, "one entry per id"),
         ("labels", [0, 1, 2, 0], DataError, "class indices"),
         ("labels", [0.0, 1.0, 0.0, 1.0], DataError, "class indices"),
         ("texts", [None] * 3, ShapeError, "one entry per id"),
         ("target_class", 2, ConfigError, "target_class 2")])
     def test_column_checks(self, rng, column, bad, error, message):
         cols = columns(rng)
-        if column == "tokens":   # (row, its bad token matrix)
-            row, matrix = bad
-            bad = list(cols["tokens"])
-            bad[row] = matrix
         cols[column] = bad
         with pytest.raises(error, match=message):
             Corpus(**cols)
@@ -81,7 +90,7 @@ class TestCorpus:
         assert sub.texts == (None,) * 3
         assert all(a is corpus.tokens[r] for a, r in zip(sub.tokens, rows))
         assert np.array_equal(sub.labels, corpus.labels[rows])
-        assert np.array_equal(sub.pooled, np.stack([t.mean(axis=0) for t in sub.tokens]))
+        assert sub.pooled.tobytes() == corpus.pooled[rows].tobytes()
         assert (sub.class_names, sub.target_class) == (corpus.class_names, corpus.target_class)
         with pytest.raises(DataError, match="distinct"):
             corpus.take([1, 1])
@@ -99,20 +108,6 @@ class TestCorpus:
         with pytest.raises(DataError, match=r"repeated \[1, 3\]"):
             corpus.take([3, 1, 0, 3, 1])
 
-    def test_clouds_read_once_from_an_iterator(self, rng):
-        cols = columns(rng)
-        clouds = cols["tokens"]
-        corpus = Corpus(**{**cols, "tokens": iter(clouds)})
-        assert all(a is b for a, b in zip(corpus.tokens, clouds))
-        assert np.array_equal(corpus.pooled, np.stack([t.mean(axis=0) for t in clouds]))
-
-    @pytest.mark.parametrize("count", [3, 5])
-    def test_cloud_count_must_match_the_ids(self, rng, count):
-        cols = columns(rng)
-        clouds = (rng.standard_normal((2, 3)) for _ in range(count))
-        with pytest.raises(ShapeError, match="one entry per id"):
-            Corpus(**{**cols, "tokens": clouds})
-
 
 def assert_same_columns(corpus, other):
     """Every column but ``tokens`` equal, ``pooled`` bitwise."""
@@ -129,7 +124,9 @@ class TestWithoutClouds:
         spec = SynthSpec(n=300, d=5, priors=(0.6, 0.3, 0.1), seed=8)
         free = make_synthetic(spec, keep_tokens=False)
         assert free.tokens is None
-        assert_same_columns(make_synthetic(spec), free)
+        full = make_synthetic(spec)
+        assert_pooled_is_the_token_mean(full)
+        assert_same_columns(full, free)
 
     @staticmethod
     def mixed_rows(rng):
@@ -153,9 +150,11 @@ class TestWithoutClouds:
         assert free.tokens is None
         full = ingest_jsonl(path, featurizer=featurizer)
         assert {t.shape[0] for t in full.tokens} != {1}
+        assert_pooled_is_the_token_mean(full)
         assert_same_columns(full, free)
 
-    def test_jsonl_read_once_from_a_pipe(self, tmp_path, rng):
+    @pytest.mark.parametrize("keep_tokens", [True, False])
+    def test_jsonl_read_once_from_a_pipe(self, tmp_path, rng, keep_tokens):
         # A stream that cannot be read twice gives the file's columns.
         path, fifo = tmp_path / "c.jsonl", tmp_path / "pipe"
         write_jsonl(path, self.mixed_rows(rng))
@@ -168,13 +167,20 @@ class TestWithoutClouds:
         writer = threading.Thread(target=feed, daemon=True)
         writer.start()
         featurizer = FeaturizerConfig(d=4, seed=2)
-        free = ingest_jsonl(fifo, featurizer=featurizer, keep_tokens=False)
+        piped = ingest_jsonl(fifo, featurizer=featurizer, keep_tokens=keep_tokens)
         writer.join(timeout=10)
-        assert free.tokens is None
-        assert_same_columns(ingest_jsonl(path, featurizer=featurizer), free)
+        full = ingest_jsonl(path, featurizer=featurizer)
+        assert_same_columns(full, piped)
+        if not keep_tokens:
+            assert piped.tokens is None
+            return
+        assert_pooled_is_the_token_mean(piped)
+        for cloud, want in zip(piped.tokens, full.tokens):
+            assert cloud.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("keep_tokens", [True, False])
     @pytest.mark.parametrize("change", ["grows", "shrinks"])
-    def test_jsonl_changed_between_passes(self, tmp_path, monkeypatch, change):
+    def test_jsonl_changed_between_passes(self, tmp_path, monkeypatch, change, keep_tokens):
         # The file gains or loses a line between the count and the read.
         path = tmp_path / "c.jsonl"
         write_jsonl(path, [{"id": i, "label": i % 2, "embedding": [[float(i), 1.0]]}
@@ -197,7 +203,7 @@ class TestWithoutClouds:
         message = (r"line 5: more rows than the 4 non-blank lines first counted"
                    if change == "grows" else r"3 rows where 4 non-blank lines were first counted")
         with pytest.raises(DataError, match=message):
-            ingest_jsonl(path, keep_tokens=False)
+            ingest_jsonl(path, keep_tokens=keep_tokens)
 
     def test_jsonl_load_peaks_near_one_pooled_matrix(self, tmp_path, rng):
         # Each row's mean goes into one pooled-sized store as its line is
@@ -340,6 +346,17 @@ class TestIngest:
         with pytest.raises(DataError, match="unknown label"):
             ingest_jsonl(path, class_names=["pos", "neg"])
 
+    @pytest.mark.parametrize("embedding, message", [
+        ([], "must be a vector or a matrix"), ([[]], "must be a vector or a matrix"),
+        ([[0.0, float("nan")]], "has non-finite"), ([1.0, float("inf")], "has non-finite")])
+    def test_empty_or_non_finite_embedding_is_a_bad_line(self, tmp_path, embedding, message):
+        rows = [{"id": 0, "embedding": [[0.0, 1.0]], "label": 0},
+                {"id": 1, "embedding": embedding, "label": 0}]
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, rows)
+        with pytest.raises(DataError, match=f"line 2: embedding {message}"):
+            ingest_jsonl(path)
+
     def test_mixed_dims_rejected(self, tmp_path):
         rows = [{"id": 0, "embedding": [[0.0, 1.0]], "label": 0},
                 {"id": 1, "embedding": [[0.0, 1.0, 2.0]], "label": 0}]
@@ -479,6 +496,7 @@ class TestSynthetic:
             assert corpus.tokens is None and rows.tokens is None
             return
         assert len(corpus.tokens) == len(rows.tokens) == spec.n
+        assert_pooled_is_the_token_mean(corpus)
         for cloud, want in zip(corpus.tokens, rows.tokens):
             assert cloud.shape == want.shape and cloud.tobytes() == want.tobytes()
 

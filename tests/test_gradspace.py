@@ -76,6 +76,20 @@ class TestDistanceMatrixType:
         with pytest.raises(AllwasError, match="symmetric"):
             DistanceMatrix(entries, ids=tuple(range(5)))
 
+    @pytest.mark.parametrize("value, cells", [
+        (np.nan, [(4, 3), (3, 4)]), (np.inf, [(4, 3), (3, 4)]), (np.nan, [(0, 0)])])
+    def test_requires_finite_entries(self, rng, monkeypatch, value, cells):
+        # Blocks of one row: a symmetric pair in the last block, and a NaN
+        # on the diagonal (which the diagonal check passes) in the first.
+        monkeypatch.setattr(gradspace, "_BLOCK_CELLS", 7)
+        entries = rng.random((5, 5))
+        entries += entries.T
+        np.fill_diagonal(entries, 0.0)
+        for cell in cells:
+            entries[cell] = value
+        with pytest.raises(AllwasError, match="non-finite"):
+            DistanceMatrix(entries, ids=tuple(range(5)))
+
     def test_index_lookup(self):
         m = DistanceMatrix(np.zeros((2, 2)), ids=(7, 9))
         assert m.index_of(9) == 1
@@ -215,6 +229,16 @@ class TestPairwise:
 
 
 class TestInputChecks:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("c", [2, 3])
+    def test_overflowing_distances_rejected(self, rng, c):
+        # Finite supports this large square to inf, and the matrix would
+        # hold NaN and inf entries; every symmetry and diagonal check passes
+        # NaN, so the matrix refuses non-finite entries outright.
+        probs, w2 = rng.dirichlet(np.ones(c), 8), rng.standard_normal((5, c))
+        with pytest.raises(AllwasError, match="non-finite entries"):
+            pairwise_wasserstein(gradient_supports(probs, w2) * 1e160, probs)
+
     def test_nonfinite_support_rejected(self, rng):
         supports, weights = stack([random_gradient_measure(rng, 2, 3) for _ in range(3)])
         supports[1, 0, 2] = np.nan
@@ -566,6 +590,14 @@ class TestExactW2Inputs:
         w2[1, 1] = np.inf
         with pytest.raises(AllwasError):
             pairwise_w2_exact(np.full((3, 2), 0.5), w2)
+
+    @pytest.mark.parametrize("c", [2, 3])
+    def test_overflowing_class_cost_rejected(self, rng, c):
+        # A finite w2 whose class cost overflows would put NaN on the pivot
+        # walk's integer grid and in the entries.
+        w2 = rng.standard_normal((4, c)) * 1e160
+        with pytest.raises(AllwasError, match="class cost"):
+            pairwise_w2_exact(rng.dirichlet(np.ones(c), 5), w2)
 
     @pytest.mark.parametrize("row", [[0.6, 0.6], [1.2, -0.2]])
     def test_rows_off_simplex_rejected(self, rng, row):
