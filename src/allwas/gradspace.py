@@ -275,9 +275,12 @@ def _dual_vertices(cost: np.ndarray):
     product of two simplices (Develin & Sturmfels 2004; De Loera, Rambau &
     Santos 2010). Slacks are integer vectors (the cost on a grid of 2^-50
     of its largest entry, then the eps coefficients) compared
-    lexicographically, so every pivot is exact. A pivot is a dual simplex
-    step: drop a tree edge, shift the duals of the side holding its row
-    down until the first crossing edge goes tight, and add that edge.
+    lexicographically, so every pivot is exact. The cost is first scaled
+    by the power of two that brings its largest entry into [0.5, 1),
+    which is exact and keeps the grid's scale finite however small the
+    cost. A pivot is a dual simplex step: drop a tree edge, shift the
+    duals of the side holding its row down until the first crossing edge
+    goes tight, and add that edge.
     Each tree's duals are then evaluated on the unperturbed cost, and a
     vertex that several trees share is kept once, with its first tree.
 
@@ -286,8 +289,9 @@ def _dual_vertices(cost: np.ndarray):
     edges as flows @ [a, b], and the number of trees walked.
     """
     c = cost.shape[0]
-    top = cost.max()
-    grid = np.rint(cost * (2.0 ** 50 / top)) if top > 0 else np.zeros_like(cost)
+    top, exponent = np.frexp(cost.max())        # the largest entry is top * 2^exponent
+    scaled = np.ldexp(cost, -exponent)
+    grid = np.rint(scaled * (2.0 ** 50 / top)) if top > 0 else np.zeros_like(cost)
     lifted = np.concatenate([grid.reshape(-1, 1).astype(np.int64),
                              np.eye(c * c, dtype=np.int64)], axis=1)
     flat = cost.ravel()

@@ -19,7 +19,7 @@ unit of geometry for the transport-based acquisition strategy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,7 +42,8 @@ class ClassifierHead:
     """Two-layer softmax classifier over pooled embeddings.
 
     Carries its own training hyperparameters; ``train`` reads them and the
-    seed, ignores any existing parameters, and returns a new trained head.
+    seed, ignores any existing parameters, and returns a new trained head:
+    a copy of this one with its four parameter arrays set.
     """
 
     input_dim: int
@@ -57,7 +58,6 @@ class ClassifierHead:
     b1: np.ndarray | None = None
     w2: np.ndarray | None = None
     b2: np.ndarray | None = None
-    loss_history: list = field(default_factory=list)
 
     def __post_init__(self):
         check_types(ClassifierHead, vars(self))
@@ -148,14 +148,14 @@ def stack_bytes(head: ClassifierHead, data) -> int:
     (not the training set itself): its epoch order; one window of gathered
     rows and labels, of dropout masks, of the draws and the comparison
     they come from; its parameters and gradients; its share of the step
-    temporaries (three (batch, H) blocks, three (batch, C) blocks and a
+    temporaries (three (batch, H) blocks, two (batch, C) blocks and a
     (batch, 1) reduction); and the copies of its parameters and window
     that the stack takes when a head leaves it."""
     d, h, c, batch = head.input_dim, head.hidden_dim, head.n_classes, head.batch_size
     window = _window_steps(batch) * batch
     params = (d + 1) * h + (h + 1) * c
     return (8 * (len(data) + window * (2 * d + 2 * c + 3 * h) + 3 * params
-                 + batch * (3 * h + 3 * c + 1) + 1) + window * h)
+                 + batch * (3 * h + 2 * c + 1)) + window * h)
 
 
 def train_stack(heads, datas) -> list:
@@ -226,10 +226,10 @@ class _Stack:
         self.params, self.grads = np.zeros(size), np.empty(size)
         # A step of k slots on m-row batches uses the first k * m rows.
         rows = r * batch
-        self.hid, self.dz1, self.logits, self.probs, self.prod = (
-            np.empty(rows * width) for width in (h, h, c, c, c))
+        self.hid, self.dz1, self.logits, self.probs = (
+            np.empty(rows * width) for width in (h, h, c, c))
         self.hid_d = np.empty(rows * h) if masked else self.hid
-        self.red, self.sums = np.empty(rows), np.empty(r)
+        self.red = np.empty(rows)
         self._layout(r)
 
     def _layout(self, r: int) -> None:
@@ -278,19 +278,16 @@ class _Step:
         self.hid, self.hid_d, self.dz1 = (
             buf[:k * m * h].reshape(k, m, h) for buf in (stack.hid, stack.hid_d, stack.dz1))
         self.hid_dt = self.hid_d.transpose(0, 2, 1)
-        self.logits, self.probs, self.prod = (
-            buf[:k * m * c].reshape(k, m, c) for buf in (stack.logits, stack.probs, stack.prod))
+        self.logits, self.probs = (
+            buf[:k * m * c].reshape(k, m, c) for buf in (stack.logits, stack.probs))
         self.columns = [self.logits[:, :, j:j + 1] for j in range(c)]
-        self.prod_flat = self.prod.reshape(k, m * c)
         self.red = stack.red[:k * m].reshape(k, m, 1)
-        self.sums = stack.sums[:k]
 
 
-def _sgd_step(st: _Step, xb, xbt, yb, mask, loss, lr):
+def _sgd_step(st: _Step, xb, xbt, yb, mask, lr):
     """One mini-batch step of every head in the stack, in place: head r
     trains on rows ``xb[r]`` (``xbt[r]`` transposed) with labels ``yb[r]``
-    under dropout ``mask[r]`` (or none) and adds its batch's loss to
-    ``-loss[r]``."""
+    under dropout ``mask[r]`` (or none)."""
     hid, hid_d, logits, probs, red, dz1 = st.hid, st.hid_d, st.logits, st.probs, st.red, st.dz1
     np.matmul(xb, st.w1, out=hid)
     hid += st.b1
@@ -309,9 +306,6 @@ def _sgd_step(st: _Step, xb, xbt, yb, mask, loss, lr):
     log_probs = logits
     log_probs -= np.log(np.add.reduce(probs, axis=2, keepdims=True, out=red), out=red)
     np.exp(log_probs, out=probs)
-    # Each head's loss is the flat sum of its (m, C) block.
-    np.multiply(yb, log_probs, out=st.prod)
-    loss -= np.add.reduce(st.prod_flat, axis=1, out=st.sums)
 
     dlogits = probs
     dlogits -= yb
@@ -338,7 +332,7 @@ def _window_views(xw, yw, masks) -> list:
             for w in range(yw.shape[0])]
 
 
-def _step_runs(stack: _Stack, view, sizes: list, loss, lr) -> None:
+def _step_runs(stack: _Stack, view, sizes: list, lr) -> None:
     """One step of a stack whose slot r has a ``sizes[r]``-row batch in
     the step's ``view``: each run of slots with one batch size steps as
     its own sub-stack. (A function, so that its views of the window die
@@ -349,7 +343,7 @@ def _step_runs(stack: _Stack, view, sizes: list, loss, lr) -> None:
         if b == len(sizes) or sizes[b] != sizes[a]:
             m = sizes[a]
             _sgd_step(stack.step(a, b, m), xb[a:b, :m], xb[a:b, :m].transpose(0, 2, 1),
-                      yb[a:b, :m], None if mask is None else mask[a:b, :m], loss[a:b], lr)
+                      yb[a:b, :m], None if mask is None else mask[a:b, :m], lr)
             a = b
 
 
@@ -383,8 +377,6 @@ def _train_chunk(heads: list, datas: list) -> list:
     draws = np.zeros((window, batch, h)) if dropout > 0 else None
     scale = 1.0 / (1.0 - dropout)
     orders = [None] * len(heads)        # each head's epoch order
-    loss = np.zeros(len(heads))
-    losses = [[] for _ in heads]
     out = [None] * len(heads)
     next_end = min(per_epoch) - 1       # the next step that ends some epoch
     s = 0
@@ -406,7 +398,7 @@ def _train_chunk(heads: list, datas: list) -> list:
                     np.multiply(np.greater_equal(draws[:steps], dropout), scale,
                                 out=masks[:steps, r])
         if s != next_end:
-            _sgd_step(stack.full, *views[w], loss, lr)
+            _sgd_step(stack.full, *views[w], lr)
             s += 1
             continue
 
@@ -414,28 +406,23 @@ def _train_chunk(heads: list, datas: list) -> list:
         ending = [(s + 1) % per_epoch[i] == 0 for i in live]
         sizes = [ns[i] - (per_epoch[i] - 1) * batch if end else batch
                  for i, end in zip(live, ending)]
-        _step_runs(stack, views[w], sizes, loss, lr)
+        _step_runs(stack, views[w], sizes, lr)
         keep = np.ones(len(live), dtype=bool)
         for r, i in enumerate(live):
             if not ending[r]:
                 continue
-            losses[i].append(float(loss[r]) / ns[i])
-            loss[r] = 0.0
             if not (np.isfinite(stack.w1[r]).all() and np.isfinite(stack.w2[r]).all()):
                 out[i] = AllwasError("training diverged to non-finite parameters")
                 keep[r] = False
             elif s + 1 == epochs * per_epoch[i]:
                 # Copies, so that no head keeps the stack's buffer alive.
-                out[i] = ClassifierHead(
-                    input_dim=d, n_classes=c, hidden_dim=h, dropout=dropout,
-                    epochs=epochs, batch_size=batch, lr=lr, seed=heads[i].seed,
-                    w1=stack.w1[r].copy(), b1=stack.b1[r, 0].copy(), w2=stack.w2[r].copy(),
-                    b2=stack.b2[r, 0].copy(), loss_history=losses[i])
+                out[i] = replace(heads[i], w1=stack.w1[r].copy(), b1=stack.b1[r, 0].copy(),
+                                 w2=stack.w2[r].copy(), b2=stack.b2[r, 0].copy())
                 keep[r] = False
         if not keep.all():
             live = [i for i, kept in zip(live, keep) if kept]
             stack.keep(keep)
-            loss, xw, yw = loss[keep], xw[keep], yw[:, keep]
+            xw, yw = xw[keep], yw[:, keep]
             masks = None if masks is None else masks[:, keep]
             views = _window_views(xw, yw, masks)
         s += 1
@@ -476,26 +463,27 @@ def _draw_window(rng, order, n, per_epoch, start, stop, rows, draws):
     return order
 
 
-def predict_proba_batch(head: ClassifierHead, pooled: np.ndarray,
-                        dropout_active: bool = False, seed: int = 0) -> np.ndarray:
-    """(N, C) class probabilities for a matrix of pooled embeddings.
-
-    With ``dropout_active``, hidden units are masked stochastically under
-    the given seed (one mask for every row, deterministic per seed),
-    matching the training-time inverted scaling.
-    """
-    return _proba(head, _checked_hidden(head, pooled), dropout_active, seed)
+def predict_proba_batch(head: ClassifierHead, pooled: np.ndarray) -> np.ndarray:
+    """(N, C) class probabilities for a matrix of pooled embeddings."""
+    hid = _checked_hidden(head, pooled)
+    return head._softmax(hid @ head.w2 + head.b2)
 
 
 def mean_dropout_proba(head: ClassifierHead, pooled: np.ndarray, seeds) -> np.ndarray:
-    """The mean over ``seeds`` of ``predict_proba_batch(head, pooled,
-    dropout_active=True, seed=s)``, summed in order from zero and divided
-    by their count. The hidden layer, which no mask changes, is worked out
-    once."""
+    """The mean over ``seeds`` of one dropout pass each, summed in order
+    from zero and divided by their count. A pass masks hidden units with
+    one mask for every row, drawn from its seed, under the training-time
+    inverted scaling. The hidden layer, which no mask changes, is worked
+    out once."""
     hid = _checked_hidden(head, pooled)
     mean = np.zeros((len(hid), head.n_classes))
     for seed in seeds:
-        mean += _proba(head, hid, True, seed)
+        masked = hid
+        if head.dropout > 0:
+            rng = np.random.default_rng(seed)
+            masked = hid * ((rng.random(head.hidden_dim) >= head.dropout)
+                            / (1.0 - head.dropout))
+        mean += head._softmax(masked @ head.w2 + head.b2)
     mean /= len(seeds)
     return mean
 
@@ -503,19 +491,10 @@ def mean_dropout_proba(head: ClassifierHead, pooled: np.ndarray, seeds) -> np.nd
 def _checked_hidden(head: ClassifierHead, pooled) -> np.ndarray:
     head._require_trained()
     pooled = np.asarray(pooled, dtype=np.float64)
-    if pooled.shape[1] != head.input_dim:
-        raise ShapeError("embedding dimension does not match head",
-                         expected=head.input_dim, actual=pooled.shape[1])
+    if pooled.ndim != 2 or pooled.shape[1] != head.input_dim:
+        raise ShapeError("pooled embeddings must be (N, d) with d the head's input_dim",
+                         expected=f"(N, {head.input_dim})", actual=pooled.shape)
     return head._hidden(pooled)
-
-
-def _proba(head: ClassifierHead, hid: np.ndarray, dropout_active: bool,
-           seed: int) -> np.ndarray:
-    if dropout_active and head.dropout > 0:
-        rng = np.random.default_rng(seed)
-        mask = (rng.random(head.hidden_dim) >= head.dropout) / (1.0 - head.dropout)
-        hid = hid * mask
-    return head._softmax(hid @ head.w2 + head.b2)
 
 
 def gradient_arrays(head: ClassifierHead, pooled: np.ndarray):

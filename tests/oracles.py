@@ -12,7 +12,8 @@ is ``gradspace._distinct_rows`` as first written, on ``np.unique``.
 its exact maximizer by enumeration, the optimum the greedy is measured
 against. ``make_synthetic_rows`` is ``data.make_synthetic`` as first
 written, one row's cloud at a time, which the block build must equal
-bitwise.
+bitwise. ``dropout_pass`` is one Monte Carlo dropout pass of a trained
+head, the pass that ``model.mean_dropout_proba`` averages.
 """
 
 import itertools
@@ -179,3 +180,16 @@ def make_synthetic_rows(spec, keep_tokens: bool = True) -> Corpus:
     target = int(np.argmin(spec.priors))
     return Corpus(range(spec.n), pooled, classes, (None,) * spec.n, names, target,
                   tuple(clouds) if keep_tokens else None)
+
+
+def dropout_pass(head, x, seed) -> np.ndarray:
+    """Class probabilities (N, C) of one dropout pass of a trained head over
+    pooled rows ``x``: one mask for every row, drawn from ``seed``, under
+    the training-time inverted scaling."""
+    hid = np.tanh(x @ head.w1 + head.b1)
+    if head.dropout > 0:
+        rng = np.random.default_rng(seed)
+        hid = hid * ((rng.random(head.hidden_dim) >= head.dropout) / (1.0 - head.dropout))
+    logits = hid @ head.w2 + head.b2
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)

@@ -429,6 +429,17 @@ class TestExactW2:
         np.testing.assert_allclose(out, expected, rtol=1e-9,
                                    atol=1e-10 * (1.0 + class_cost(w2).max()))
 
+    @pytest.mark.parametrize("c", [2, 3, 4])
+    @pytest.mark.parametrize("s", [1e-148, 1e-152])
+    def test_tiny_head_scales_with_its_square(self, rng, c, s):
+        # W_2^2 scales with the square of w2. At these scales the class
+        # cost's largest entry is below 1e-293, where the grid's scale
+        # 2^50 / max would overflow without its power-of-two normalisation.
+        w2, probs = rng.standard_normal((6, c)), rng.dirichlet(np.ones(c), 12)
+        want = pairwise_w2_exact(probs, w2).entries
+        got = pairwise_w2_exact(probs, w2 * s).entries
+        np.testing.assert_allclose(got / (s * s), want, rtol=1e-12, atol=1e-12 * want.max())
+
     @pytest.mark.parametrize("c", [3, 4, 5])
     def test_at_or_below_sinkhorn_plans(self, rng, c):
         # Every rounded Sinkhorn plan is feasible, so its cost bounds the

@@ -6,7 +6,13 @@ import pytest
 
 from allwas import strategies
 from allwas.errors import AllwasError, ConfigError
-from allwas.model import ClassifierHead, TrainingSet, predict_proba_batch, train
+from allwas.model import (
+    ClassifierHead,
+    TrainingSet,
+    mean_dropout_proba,
+    predict_proba_batch,
+    train,
+)
 from allwas.strategies import (
     OTConfig,
     acquire,
@@ -17,6 +23,7 @@ from allwas.strategies import (
     acquire_mc_dropout,
     acquire_random,
 )
+from oracles import dropout_pass
 
 
 @pytest.fixture
@@ -103,12 +110,14 @@ class TestMcDropout:
     def test_averaged_probs_normalized(self, trained_head, rng):
         from allwas.seeding import derive_seed
         _, x = make_pool(rng, 8)
+        seeds = [derive_seed(4, "mc-pass", t) for t in range(10)]
         mean = np.zeros((8, 2))
-        for t in range(10):
-            mean += predict_proba_batch(trained_head, x, dropout_active=True,
-                                        seed=derive_seed(4, "mc-pass", t))
+        for seed in seeds:
+            mean += dropout_pass(trained_head, x, seed)
         mean /= 10
         np.testing.assert_allclose(mean.sum(axis=1), 1.0, atol=1e-9)
+        # The mean the strategy ranks by is this one, bitwise.
+        assert mean_dropout_proba(trained_head, x, seeds).tobytes() == mean.tobytes()
 
 
 class TestEgl:
